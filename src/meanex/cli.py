@@ -88,6 +88,16 @@ def _read_text_file(path):
         raise InputError(f"cannot read {path}: {exc}")
 
 
+def _read_returns(args):
+    """The return series --field/--kind/--log-returns select from --data."""
+    series = parse_ohlcv_csv(_read_text_file(args.data))
+    if args.log_returns and args.kind is not None:
+        raise InputError("--log-returns conflicts with --kind")
+    if args.log_returns:
+        return log_returns(series, field=args.field)
+    return returns(series, kind=args.kind or "gross", field=args.field)
+
+
 def _grid_arg(raw):
     if raw is None or raw in ("order-stats", "order-statistics"):
         return "order-statistics"
@@ -111,18 +121,13 @@ def _emit(args, text, svg_builder=None):
         write_text(args.svg, svg_builder())
 
 
-def _plot_dims(args):
-    return 900, 600
-
-
 def cmd_emef(args):
     sample = _read_sample_file(args.sample)
     grid = default_grid(sample, _grid_arg(args.grid))
     curve = empirical_mef_curve(sample, grid)
 
     def build_svg():
-        w, h = _plot_dims(args)
-        spec = PlotSpec(width=w, height=h, title="empirical mean excess")
+        spec = PlotSpec(title="empirical mean excess")
         return svg_plot([line_series("emef", grid.points, curve.values)], spec)
 
     _emit(args, curve_csv(curve), build_svg)
@@ -148,8 +153,7 @@ def cmd_band(args):
     band = consistency_band(sample, grid, constants)
 
     def build_svg():
-        w, h = _plot_dims(args)
-        spec = PlotSpec(width=w, height=h, title="mean excess consistency band")
+        spec = PlotSpec(title="mean excess consistency band")
         series = [band_series("band", grid.points, band.lower, band.upper, band.curve.values)]
         return svg_plot(series, spec)
 
@@ -171,8 +175,7 @@ def cmd_stallion(args):
     result = stallion(dist, n_reps=reps, sample_size=size, grid=grid, seed=args.seed)
 
     def build_svg():
-        w, h = _plot_dims(args)
-        spec = PlotSpec(width=w, height=h, title=f"stallion: {args.dist}")
+        spec = PlotSpec(title=f"stallion: {args.dist}")
         return svg_plot([line_series("stallion", grid.points, result.curve.values)], spec)
 
     _emit(args, curve_csv(result.curve), build_svg)
@@ -233,14 +236,13 @@ def cmd_gh_pdf(args):
     g = _grid_arg(args.grid)
     m = 401 if g == "order-statistics" else g
     x = np.linspace(u0, u1, m)
-    y = np.array([std_pdf(dist, xi) for xi in x])
+    y = np.asarray(std_pdf(dist, x), dtype=float)
     lines = ["x,pdf"]
     for xi, yi in zip(x, y):
         lines.append(f"{fmt(xi)},{fmt(yi)}")
 
     def build_svg():
-        w, h = _plot_dims(args)
-        spec = PlotSpec(width=w, height=h, title=args.dist, xlabel="x", ylabel="density")
+        spec = PlotSpec(title=args.dist, xlabel="x", ylabel="density")
         return svg_plot([line_series("pdf", x, y)], spec)
 
     _emit(args, "\n".join(lines) + "\n", build_svg)
@@ -258,26 +260,14 @@ def cmd_gh_sample(args):
 
 
 def cmd_ingest(args):
-    series = parse_ohlcv_csv(_read_text_file(args.data))
-    if args.log_returns and args.kind is not None:
-        raise InputError("--log-returns conflicts with --kind")
-    if args.log_returns:
-        vals = log_returns(series, field=args.field)
-    else:
-        vals = returns(series, kind=args.kind or "gross", field=args.field)
+    vals = _read_returns(args)
     text = "\n".join(fmt(v) for v in vals) + "\n"
     _emit(args, text)
     return 0
 
 
 def cmd_compare(args):
-    series = parse_ohlcv_csv(_read_text_file(args.data))
-    if args.log_returns and args.kind is not None:
-        raise InputError("--log-returns conflicts with --kind")
-    if args.log_returns:
-        vals = log_returns(series, field=args.field)
-    else:
-        vals = returns(series, kind=args.kind or "gross", field=args.field)
+    vals = _read_returns(args)
     sample = make_sample(vals)
     dist = parse_distribution_spec(args.dist)
     u0 = args.u0 if args.u0 is not None else float(np.quantile(sample.values, 0.02))
@@ -291,8 +281,7 @@ def cmd_compare(args):
     model_curve = theoretical_mef_curve(dist, grid)
 
     def build_svg():
-        w, h = _plot_dims(args)
-        spec = PlotSpec(width=w, height=h, title="mean excess: data vs model")
+        spec = PlotSpec(title="mean excess: data vs model")
         return svg_plot(
             [
                 line_series("data emef", grid.points, data_curve.values),

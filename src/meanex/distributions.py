@@ -1,6 +1,12 @@
 """Distribution registry: the standard families used by the reference
 curves, plus the generalized hyperbolic and generalized inverse Gaussian
-adapters, behind one text format.
+laws, behind one text format.
+
+Every family is a scipy law. The standard families are scipy's own
+frozen distributions. GH and GIG are one ``rv_continuous`` subclass over
+the in-house density, mean and sampler of ``gh`` / ``gig``: meanex owns
+the density, scipy's generic code owns the quantiles, and the CDF and
+survival function are quadratures of the in-house density.
 
 Text format: ``family(name=value,...)``, e.g. ``gpd(xi=0.25,beta=1)`` or
 ``gh(lambda=-0.5,alpha=7.6,beta=-1.24,delta=0.052,mu=0.0103)``.
@@ -29,24 +35,15 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import integrate, stats
 
-
-def _quiet_quad(f, a, b, **kw):
-    # quad's roundoff chatter is expected on spiky densities; results
-    # are clamped and cross-checked, the warning adds nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(f, a, b, **kw)
-
 from .errors import DomainError, InputError, NumericError
-from .gh import GhParams, gh_mean, gh_pdf, gh_sample, gh_variance
-from .gig import gig_moment, gig_pdf, gig_sample
+from .gh import GhParams, gh_mean, gh_pdf, gh_sample, gh_validate
+from .gig import gig_mode, gig_moment, gig_pdf, gig_sample, gig_validate
 
 __all__ = [
     "DistributionSpec",
@@ -61,6 +58,7 @@ __all__ = [
     "dist_mean_abs",
     "dist_isf",
     "dist_ppf",
+    "integrate_density",
     "fdelta_check",
     "FAMILIES",
 ]
@@ -185,160 +183,62 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# frozen adapters
+# laws
 
 
-class _GhAdapter:
-    """Quadrature-backed CDF/quantile layer over the GH density."""
+class _InHouseLaw(stats.rv_continuous):
+    """A scipy law over one of meanex's own densities (GH or GIG).
 
-    def __init__(self, params: GhParams):
-        self.params = params
-        self._sf_cache: dict[float, float] = {}
-        try:
-            var = gh_variance(params)
-            self._scale = math.sqrt(var) if np.isfinite(var) and var > 0 else max(params.delta, 1.0)
-        except DomainError:
-            self._scale = max(params.delta, 1.0)
+    The density, mean and sampler stay in-house: they work in log space
+    with scaled Bessel functions, where scipy's ``genhyperbolic`` mean is
+    NaN once delta sqrt(alpha^2 - beta^2) reaches the hundreds and
+    ``geninvgauss`` is NaN at chi psi ~ 1e23. The CDF and the survival
+    function are one quad of the density each, taken over the tail on
+    the far side of ``centre`` from x, so both keep their relative
+    accuracy far out. scipy's generic code supplies quantiles and
+    ``expect``. Before the first CDF value the density must integrate to
+    1; a law too narrow for quad to find raises ``NumericError`` instead
+    of returning a step function.
+    """
 
-    def pdf(self, x):
-        return gh_pdf(self.params, x)
+    def __init__(self, density, mean, sample, centre: float, lower: float = -np.inf):
+        super().__init__(a=lower, name="meanex")
+        self.density, self._mean, self._sample, self._centre = density, mean, sample, centre
+        self._mass_checked = False
 
-    def _sf_scalar(self, x: float) -> float:
-        x = float(x)
-        if x in self._sf_cache:
-            return self._sf_cache[x]
-        mu = self.params.mu
-        f = lambda t: gh_pdf(self.params, t)
-        if x >= mu:
-            val, _ = _quiet_quad(f, x, np.inf, limit=300)
-        else:
-            left, _ = _quiet_quad(f, -np.inf, x, limit=300)
-            val = 1.0 - left
-        val = min(max(val, 0.0), 1.0)
-        self._sf_cache[x] = val
-        return val
+    def _pdf(self, x):
+        return self.density(x)
 
-    def sf(self, x):
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        if flat.size <= 2:
-            out = np.array([self._sf_scalar(v) for v in flat])
-        else:
-            # one tail quad at the top, then short segment quads downward;
-            # the running sum is monotone by construction
-            order = np.argsort(flat, kind="stable")
-            xs = flat[order]
-            vals = np.empty_like(xs)
-            f = lambda t: gh_pdf(self.params, t)
-            acc = self._sf_scalar(xs[-1])
-            vals[-1] = acc
-            for i in range(xs.size - 2, -1, -1):
-                if xs[i] != xs[i + 1]:
-                    seg, _ = _quiet_quad(f, xs[i], xs[i + 1], limit=200)
-                    acc = min(acc + seg, 1.0)
-                vals[i] = acc
-            out = np.empty_like(xs)
-            out[order] = vals
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    def _stats(self):
+        return self._mean(), None, None, None
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = 1.0 - self.sf(arr)
-        return out
+    def _rvs(self, size=None, random_state=None):
+        return self._sample(random_state, int(np.prod(size))).reshape(size)
 
-    def isf(self, q: float) -> float:
-        return _bracket_isf(self.sf, q, anchor=self.params.mu, scale=self._scale)
+    def _mass(self, lo: float, hi: float) -> float:
+        return min(max(integrate.quad(self.density, lo, hi, limit=300)[0], 0.0), 1.0)
 
-    def ppf(self, q: float) -> float:
-        return _bracket_isf(self.sf, 1.0 - q, anchor=self.params.mu, scale=self._scale)
+    def _split(self, x: float) -> tuple[float, float]:
+        """(F(x), F_bar(x)): one quad over the tail beyond x, away from the centre."""
+        if x >= self._centre:
+            upper = self._mass(x, self.b)
+            return 1.0 - upper, upper
+        lower = self._mass(self.a, x)
+        return lower, 1.0 - lower
 
-    def rvs(self, size, random_state):
-        return gh_sample(self.params, random_state, size)
+    def _each(self, x, side: int):
+        if not self._mass_checked:
+            total = self._mass(self.a, self._centre) + self._mass(self._centre, self.b)
+            if not abs(total - 1.0) <= 1e-6:
+                raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
+            self._mass_checked = True
+        return np.array([self._split(v)[side] for v in np.ravel(x)]).reshape(np.shape(x))
 
-    def mean(self):
-        return gh_mean(self.params)
+    def _cdf(self, x):
+        return self._each(x, 0)
 
-    def support(self):
-        return (-np.inf, np.inf)
-
-
-class _GigAdapter:
-    def __init__(self, lam: float, chi: float, psi: float):
-        self.lam, self.chi, self.psi = lam, chi, psi
-        m1 = gig_moment(lam, chi, psi, 1)
-        self._scale = m1
-
-    def pdf(self, x):
-        return gig_pdf(self.lam, self.chi, self.psi, x)
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        f = lambda t: gig_pdf(self.lam, self.chi, self.psi, t)
-        order = np.argsort(flat, kind="stable")
-        xs = flat[order]
-        vals = np.empty_like(xs)
-        # accumulate forward from the support edge over sorted segments
-        acc = 0.0
-        prev = 0.0
-        for i, v in enumerate(xs):
-            if v > prev:
-                seg, _ = _quiet_quad(f, prev, v, limit=300)
-                acc = min(acc + seg, 1.0)
-                prev = v
-            vals[i] = acc if v > 0 else 0.0
-        out = np.empty_like(xs)
-        out[order] = vals
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def isf(self, q: float) -> float:
-        return _bracket_isf(self.sf, q, anchor=self._scale, scale=self._scale, lo_bound=0.0)
-
-    def ppf(self, q: float) -> float:
-        return _bracket_isf(self.sf, 1.0 - q, anchor=self._scale, scale=self._scale, lo_bound=0.0)
-
-    def rvs(self, size, random_state):
-        return gig_sample(self.lam, self.chi, self.psi, random_state, size)
-
-    def mean(self):
-        return gig_moment(self.lam, self.chi, self.psi, 1)
-
-    def support(self):
-        return (0.0, np.inf)
-
-
-def _bracket_isf(sf, q: float, anchor: float, scale: float, lo_bound: float | None = None):
-    """Inverse survival by expanding bracket + bisection on a monotone sf."""
-    from scipy import optimize
-
-    if not (0.0 < q < 1.0):
-        raise DomainError("quantile level must be in (0, 1)")
-    lo, hi = anchor - scale, anchor + scale
-    if lo_bound is not None:
-        lo = max(lo, lo_bound + 1e-300)
-    width = 2.0 * scale
-    for _ in range(200):
-        if sf(hi) <= q:
-            break
-        hi += width
-        width *= 2.0
-    else:
-        raise NumericError("quantile bracket search failed on the right")
-    width = 2.0 * scale
-    for _ in range(200):
-        if sf(lo) >= q:
-            break
-        lo -= width
-        width *= 2.0
-        if lo_bound is not None and lo <= lo_bound:
-            lo = lo_bound + 1e-300
-            break
-    return optimize.brentq(lambda x: sf(x) - q, lo, hi, xtol=1e-12 * max(1.0, abs(anchor)), rtol=8.9e-16)
+    def _sf(self, x):
+        return self._each(x, 1)
 
 
 @lru_cache(maxsize=256)
@@ -372,9 +272,20 @@ def _frozen(spec: DistributionSpec):
     if fam == "cauchy":
         return stats.cauchy(loc=p["mu"], scale=p["delta"])
     if fam == "gh":
-        return _GhAdapter(GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"]))
+        gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
+        if gh_validate(gh) == "invalid":
+            raise DomainError(f"invalid generalized hyperbolic parameters {format_distribution_spec(spec)}")
+        return _InHouseLaw(partial(gh_pdf, gh), partial(gh_mean, gh), partial(gh_sample, gh), centre=gh.mu)
     if fam == "gig":
-        return _GigAdapter(p["lambda"], p["chi"], p["psi"])
+        lam, chi, psi = p["lambda"], p["chi"], p["psi"]
+        gig_validate(lam, chi, psi)
+        return _InHouseLaw(
+            partial(gig_pdf, lam, chi, psi),
+            partial(gig_moment, lam, chi, psi, 1),
+            partial(gig_sample, lam, chi, psi),
+            centre=gig_mode(lam, chi, psi),
+            lower=0.0,
+        )
     raise InputError(f"unknown family '{fam}'")
 
 
@@ -395,7 +306,10 @@ def std_survival(dist: DistributionSpec, x):
 
 
 def std_pdf(dist: DistributionSpec, x):
-    return _frozen(dist).pdf(x)
+    """Density at x; in-house laws skip scipy's per-call argument handling,
+    which costs as much as one GH density value."""
+    law = _frozen(dist)
+    return law.density(x) if isinstance(law, _InHouseLaw) else law.pdf(x)
 
 
 def dist_support(dist: DistributionSpec) -> tuple[float, float]:
@@ -418,19 +332,28 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
     return float(_frozen(dist).ppf(q))
 
 
+def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
+    """int_a^b weight(x) f(x) dx by one adaptive quad (limit 400).
+
+    Raises NumericError when quad flags its result (ier != 0) or the
+    value is not finite.
+    """
+    out = integrate.quad(lambda x: weight(x) * std_pdf(dist, x), a, b, limit=400, full_output=1)
+    if len(out) > 3:  # quad appends a message exactly when ier != 0
+        raise NumericError(f"quadrature over [{a:g}, {b:g}] failed for {dist.family}: {out[3]}")
+    if not np.isfinite(out[0]):
+        raise NumericError(f"quadrature over [{a:g}, {b:g}] is not finite for {dist.family}")
+    return float(out[0])
+
+
 def dist_mean_abs(dist: DistributionSpec) -> float:
-    """E|X| = int_0^inf [F_bar(t) + F(-t)] dt, closed mean when the
-    support is nonnegative."""
-    frozen = _frozen(dist)
-    lo, _ = dist_support(dist)
+    """E|X| = int |x| f(x) dx, split at 0; the mean when the support is
+    nonnegative."""
+    lo, hi = dist_support(dist)
+    mean = dist_mean(dist)  # rejects undefined-mean families up front
     if lo >= 0.0:
-        return dist_mean(dist)
-    dist_mean(dist)  # rejects undefined-mean families up front
-    upper = max(abs(float(frozen.isf(1e-13))), abs(float(frozen.ppf(1e-13))), 1.0)
-    val, err = _quiet_quad(lambda t: frozen.sf(t) + frozen.cdf(-t), 0.0, upper, limit=400, epsabs=1e-10)
-    if not np.isfinite(val):
-        raise NumericError("E|X| quadrature failed")
-    return float(val)
+        return mean
+    return integrate_density(dist, lambda x: -x, lo, 0.0) + integrate_density(dist, lambda x: x, 0.0, hi)
 
 
 def fdelta_check(dist: DistributionSpec, u0: float, u1: float, deltas) -> np.ndarray:

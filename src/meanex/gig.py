@@ -56,7 +56,10 @@ def gig_validate(lam: float, chi: float, psi: float) -> str:
 
 
 def gig_mode(lam: float, chi: float, psi: float) -> float:
-    """Mode of the interior GIG density."""
+    """Mode of the GIG density; chi / (2 (1 - lambda)) at the Inverse
+    Gamma boundary psi = 0."""
+    if psi == 0.0:
+        return 0.5 * chi / (1.0 - lam)
     return ((lam - 1.0) + np.sqrt((lam - 1.0) ** 2 + chi * psi)) / psi
 
 

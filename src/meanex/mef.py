@@ -3,9 +3,11 @@ bands, and the pointwise variance machinery.
 
 The mean excess function of X at threshold u is
 
-    e(u) = E(X - u | X > u) = (1 / F_bar(u)) * int_u^inf F_bar(t) dt,
+    e(u) = E(X - u | X > u) = (1 / F_bar(u)) * int_u^b (x - u) f(x) dx,
 
-set to 0 wherever F_bar(u) = 0. Its plug-in estimator from a sample is
+b the upper end of the support, set to 0 wherever F_bar(u) = 0. Families
+without a closed form take that integral by one adaptive quadrature of
+the density. The plug-in estimator from a sample is
 
     e_n(u) = sum (X_i - u) 1[X_i > u] / sum 1[X_i > u],
 
@@ -36,17 +38,15 @@ variance of sqrt(n) (e_n(u) - e(u)).
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     DistributionSpec,
-    dist_isf,
     dist_mean,
     dist_support,
-    std_pdf,
+    integrate_density,
     std_survival,
 )
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .types import Band, BandConstants, Grid, MefCurve, Sample, make_curve, make_grid
 
 __all__ = [
@@ -118,34 +118,17 @@ def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float
     return make_grid(np.linspace(lo, hi, m))
 
 
-_QUAD_LIMIT = 2000  # subintervals; hard cap on quadrature work
-
-
-def _mef_by_quadrature(dist: DistributionSpec, u: float, sf_u: float) -> float:
-    upper = dist_isf(dist, 1e-12)
-    if upper <= u:
-        return 0.0
-    val, err, info = integrate.quad(
-        lambda t: std_survival(dist, t), u, upper, limit=_QUAD_LIMIT, epsabs=1e-9, full_output=1
-    )[:3]
-    if not np.isfinite(val):
-        raise NumericError("mean excess quadrature did not converge")
-    return val / sf_u
-
-
 def _mef_by_density(dist: DistributionSpec, u: float, sf_u: float) -> float:
-    # int_u^inf F_bar = int_u^inf (x - u) f(x) dx; one quadrature level
-    # instead of nested survival quads (used for the quadrature-backed
-    # families where sf itself is an integral)
-    num, _ = integrate.quad(lambda x: (x - u) * std_pdf(dist, x), u, np.inf, limit=400)
-    if not np.isfinite(num):
-        raise NumericError("mean excess quadrature did not converge")
-    return num / sf_u
+    # e(u) = int_u^b (x - u) f(x) dx / F_bar(u), b the upper end of the
+    # support: one quadrature level for every family without a closed form
+    _, hi = dist_support(dist)
+    return integrate_density(dist, lambda x: x - u, u, hi) / sf_u
 
 
 def theoretical_mef(dist: DistributionSpec, u: float) -> float:
     """e(u) for a registered distribution: closed form where the family
-    has one, adaptive quadrature of the survival function otherwise."""
+    has one, otherwise one adaptive quadrature of (x - u) f(x) over the
+    support above u. NumericError when the quadrature fails."""
     u = float(u)
     p = dist.as_dict()
     lo, hi = dist_support(dist)
@@ -169,9 +152,7 @@ def theoretical_mef(dist: DistributionSpec, u: float) -> float:
     sf_u = float(std_survival(dist, u))
     if sf_u <= 0.0:
         return 0.0
-    if dist.family in ("gh", "gig"):
-        return _mef_by_density(dist, u, sf_u)
-    return _mef_by_quadrature(dist, u, sf_u)
+    return _mef_by_density(dist, u, sf_u)
 
 
 def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:

@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from meanex import dist_isf, dist_ppf, parse_distribution_spec, std_pdf
 from meanex.cli import main
+from meanex.serialize import fmt
 
 FIXTURE = "tests/data/synthetic_ohlcv.csv"
 
@@ -253,21 +255,18 @@ def test_fdelta_csv(capsys):
 
 def test_gh_pdf_table(tmp_path):
     out = tmp_path / "pdf.csv"
-    code = main(
-        [
-            "gh-pdf",
-            "--dist",
-            "gh(lambda=-0.5,alpha=8.03,beta=-1.37,delta=0.051,mu=0.0105)",
-            "--csv",
-            str(out),
-        ]
-    )
+    spec = "gh(lambda=-0.5,alpha=8.03,beta=-1.37,delta=0.051,mu=0.0105)"
+    code = main(["gh-pdf", "--dist", spec, "--csv", str(out)])
     assert code == 0
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "x,pdf"
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(vals) == 401
     assert all(v >= 0 for v in vals)
+    # the table takes the density of the whole grid at once; one call per point is the reference
+    d = parse_distribution_spec(spec)
+    x = np.linspace(dist_ppf(d, 0.001), dist_isf(d, 0.001), 401)
+    assert lines[1:] == [f"{fmt(xi)},{fmt(std_pdf(d, xi))}" for xi in x]
 
 
 def test_gh_pdf_invalid_params_exit_3(capsys):

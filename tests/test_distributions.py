@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from meanex import (
     DomainError,
+    GhParams,
     InputError,
+    NumericError,
     dist_isf,
     dist_mean,
     dist_mean_abs,
@@ -16,6 +19,10 @@ from meanex import (
     dist_support,
     fdelta_check,
     format_distribution_spec,
+    gh_mean,
+    gh_sample,
+    gig_moment,
+    gig_sample,
     make_spec,
     parse_distribution_spec,
     std_cdf,
@@ -224,3 +231,73 @@ def test_fdelta_output_length():
     d = make_spec("exponential", **{"lambda": 1.0})
     out = fdelta_check(d, 0.0, 2.0, [0.5, 0.25, 0.125, 0.0625])
     assert len(out) == 4
+
+
+# ---------------------------------------------------------------------------
+# GH and GIG: in-house density, mean and sampler under scipy's law machinery
+
+# one row per class gh_validate names (interior, hyperbolic, nig, variance-gamma,
+# skew-laplace, skew-student, student, cauchy, gaussian) and per GIG class
+# (interior, gamma, inverse-gamma)
+IN_HOUSE_LAWS = [
+    "gh(lambda=0.7,alpha=2,beta=0.5,delta=1,mu=0)",
+    "gh(lambda=1,alpha=1.5,beta=-0.5,delta=0.75,mu=0.2)",
+    "gh(lambda=-0.5,alpha=8.03,beta=-1.37,delta=0.051,mu=0.0105)",
+    "gh(lambda=2,alpha=1.5,beta=0.5,delta=0,mu=0.1)",
+    "gh(lambda=1,alpha=1.1,beta=0.1,delta=0,mu=2)",
+    "gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)",
+    "gh(lambda=-1.5,alpha=0,beta=0,delta=2,mu=0.5)",
+    "gh(lambda=-0.5,alpha=0,beta=0,delta=1,mu=0)",
+    "gh(lambda=-0.5,alpha=1e6,beta=2,delta=3e5,mu=3)",
+    "gig(lambda=1,chi=1,psi=1)",
+    "gig(lambda=2,chi=0,psi=1)",
+    "gig(lambda=-3,chi=2,psi=0)",
+]
+
+
+def _in_house(d):
+    """The in-house mean and sampler behind a GH or GIG spec."""
+    p = [v for _, v in d.params]
+    if d.family == "gh":
+        params = GhParams(*p)
+        return (lambda: gh_mean(params)), (lambda rng, n: gh_sample(params, rng, n))
+    return (lambda: gig_moment(*p, 1)), (lambda rng, n: gig_sample(*p, rng, n))
+
+
+@pytest.mark.parametrize("text", IN_HOUSE_LAWS)
+def test_in_house_law_layer(text):
+    d = parse_distribution_spec(text)
+    mean, sample = _in_house(d)
+    draws = std_sample(d, np.random.default_rng(5), 300)
+    assert draws.tobytes() == sample(np.random.default_rng(5), 300).tobytes()
+    try:
+        expected = mean()
+    except DomainError:
+        with pytest.raises(DomainError):
+            dist_mean(d)
+    else:
+        assert dist_mean(d) == expected
+    for x in np.quantile(draws, [0.1, 0.5, 0.9]):
+        sf = std_survival(d, x)
+        assert sf + std_cdf(d, x) == pytest.approx(1.0, abs=1e-14)
+        assert dist_isf(d, sf) == pytest.approx(x, rel=1e-7, abs=1e-9)
+
+
+def test_near_gaussian_gig_is_right_or_refused():
+    # chi psi = 9e22: mean 0.3, standard deviation 5.5e-7, far too narrow
+    # for quad to find from the centre
+    d = parse_distribution_spec("gig(lambda=-0.5,chi=9e10,psi=1e12)")
+    assert dist_mean(d) == gig_moment(-0.5, 9e10, 1e12, 1)
+    assert std_sample(d, np.random.default_rng(2), 50).tobytes() == gig_sample(
+        -0.5, 9e10, 1e12, np.random.default_rng(2), 50).tobytes()
+    m1, m2 = (gig_moment(-0.5, 9e10, 1e12, k) for k in (1, 2))
+    sd = math.sqrt(m2 - m1 * m1)
+    for z in (-1.0, 0.0, 1.0):
+        x = m1 + z * sd
+        try:
+            sf = std_survival(d, x)
+        except NumericError:
+            continue
+        assert sf == pytest.approx(stats.norm.sf(z), abs=0.01)
+    with pytest.raises(NumericError):
+        dist_isf(d, 0.5)

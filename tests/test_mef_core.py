@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from meanex import (
     DomainError,
+    NumericError,
     asymptotic_variance,
     band_constants,
     consistency_band,
     default_grid,
+    dist_mean_abs,
     empirical_mef,
     empirical_mef_curve,
     h_u_values,
@@ -24,7 +27,7 @@ from meanex import (
     theoretical_mef,
     theoretical_mef_curve,
 )
-from meanex.mef import _mef_by_quadrature
+from meanex.mef import _mef_by_density
 from meanex.distributions import std_survival
 
 
@@ -151,12 +154,32 @@ def test_theoretical_mef_below_support_is_mean_minus_u():
 
 
 def test_theoretical_mef_gpd_quadrature_agreement():
-    # closed form against the integral of the survival function
+    # closed form against the quadrature every family without one takes
     d = make_spec("gpd", xi=0.25, beta=1.0)
     for u in np.linspace(0.0, 8.0, 50):
         closed = theoretical_mef(d, float(u))
-        quad = _mef_by_quadrature(d, float(u), float(std_survival(d, u)))
+        quad = _mef_by_density(d, float(u), float(std_survival(d, u)))
         assert quad == pytest.approx(closed, abs=1e-6)
+
+
+@pytest.mark.parametrize("flaw", ["ier", "nan"])
+def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
+    real_quad = integrate.quad
+
+    def flawed_quad(*args, **kwargs):
+        out = real_quad(*args, **kwargs)
+        if flaw == "nan":
+            return (math.nan,) + tuple(out[1:])
+        if kwargs.get("full_output"):  # quad's report of ier != 0
+            return tuple(out[:3]) + ("The maximum number of subdivisions (400) has been achieved.",)
+        return out
+
+    monkeypatch.setattr(integrate, "quad", flawed_quad)
+    d = make_spec("normal", mu=0.0, sigma=1.0)
+    with pytest.raises(NumericError):
+        theoretical_mef(d, 0.5)
+    with pytest.raises(NumericError):
+        dist_mean_abs(d)
 
 
 def test_theoretical_mef_curve_shape():
