@@ -59,6 +59,7 @@ __all__ = [
     "dist_isf",
     "dist_ppf",
     "integrate_density",
+    "dist_stop_loss",
     "fdelta_check",
     "FAMILIES",
 ]
@@ -193,12 +194,12 @@ class _InHouseLaw(stats.rv_continuous):
     with scaled Bessel functions, where scipy's ``genhyperbolic`` mean is
     NaN once delta sqrt(alpha^2 - beta^2) reaches the hundreds and
     ``geninvgauss`` is NaN at chi psi ~ 1e23. The CDF and the survival
-    function are one quad of the density each, taken over the tail on
-    the far side of ``centre`` from x, so both keep their relative
-    accuracy far out. scipy's generic code supplies quantiles and
-    ``expect``. Before the first CDF value the density must integrate to
-    1; a law too narrow for quad to find raises ``NumericError`` instead
-    of returning a step function.
+    function are quads of the density over the tail on the far side of
+    ``centre`` from x, so both keep their relative accuracy far out; a
+    vector of points takes one tail quad per side and one short quad per
+    gap between neighbours. scipy's generic code supplies quantiles and
+    ``expect``; its ``isf(q)`` solves F(x) = 1 - q, so a quantile is only
+    as precise as 1 - q (``isf`` is +inf below q ~ 1e-16).
     """
 
     def __init__(self, density, mean, sample, centre: float, lower: float = -np.inf):
@@ -218,21 +219,43 @@ class _InHouseLaw(stats.rv_continuous):
     def _mass(self, lo: float, hi: float) -> float:
         return min(max(integrate.quad(self.density, lo, hi, limit=300)[0], 0.0), 1.0)
 
-    def _split(self, x: float) -> tuple[float, float]:
-        """(F(x), F_bar(x)): one quad over the tail beyond x, away from the centre."""
-        if x >= self._centre:
-            upper = self._mass(x, self.b)
-            return 1.0 - upper, upper
-        lower = self._mass(self.a, x)
-        return lower, 1.0 - lower
+    def check_mass(self) -> None:
+        """Raise NumericError unless quad finds mass 1 under the density.
 
-    def _each(self, x, side: int):
+        quad maps a half-line at unit scale; a law far narrower than that
+        falls between its nodes, and its CDF would come back as a step
+        function. Checked once per law, before the first quadrature.
+        """
         if not self._mass_checked:
             total = self._mass(self.a, self._centre) + self._mass(self._centre, self.b)
             if not abs(total - 1.0) <= 1e-6:
                 raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
             self._mass_checked = True
-        return np.array([self._split(v)[side] for v in np.ravel(x)]).reshape(np.shape(x))
+
+    def _tails(self, xs: np.ndarray, edge: float) -> np.ndarray:
+        """Mass between edge and each of xs, ordered from edge toward the
+        centre: one quad up to the first point, then one per gap."""
+        out = np.empty(xs.size)
+        acc, prev = 0.0, edge
+        for i, v in enumerate(xs):
+            if v != prev:
+                acc = min(acc + self._mass(min(v, prev), max(v, prev)), 1.0)
+            out[i], prev = acc, v
+        return out
+
+    def _each(self, x, side: int):
+        """F (side 0) or F_bar (side 1) at every point of x."""
+        self.check_mass()
+        flat = np.ravel(x)
+        order = np.argsort(flat, kind="stable")
+        xs = flat[order]
+        up = xs >= self._centre
+        lower = self._tails(xs[~up], self.a)  # F below the centre
+        upper = self._tails(xs[up][::-1], self.b)[::-1]  # F_bar above it
+        vals = np.concatenate((lower, 1.0 - upper) if side == 0 else (1.0 - lower, upper))
+        out = np.empty_like(vals)
+        out[order] = vals
+        return out.reshape(np.shape(x))
 
     def _cdf(self, x):
         return self._each(x, 0)
@@ -335,10 +358,22 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
 def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
     """int_a^b weight(x) f(x) dx by one adaptive quad (limit 400).
 
-    Raises NumericError when quad flags its result (ier != 0) or the
-    value is not finite.
+    quad maps a half-line onto (0, 1] at unit scale. A standard law is
+    therefore integrated in t = (x - c) / s, c its median and s its
+    interquartile range, so a narrow law is resolved wherever it sits. An
+    in-house law, whose quantiles are quadratures themselves, is
+    integrated in x after its mass check. Raises NumericError when quad
+    flags its result (ier != 0) or the value is not finite.
     """
-    out = integrate.quad(lambda x: weight(x) * std_pdf(dist, x), a, b, limit=400, full_output=1)
+    law = _frozen(dist)
+    if isinstance(law, _InHouseLaw):
+        law.check_mass()
+        pdf, c, s = law.density, 0.0, 1.0
+    else:
+        pdf, c, s = law.pdf, float(law.median()), float(law.ppf(0.75) - law.ppf(0.25))
+    out = integrate.quad(
+        lambda t: weight(c + s * t) * pdf(c + s * t) * s, (a - c) / s, (b - c) / s, limit=400, full_output=1
+    )
     if len(out) > 3:  # quad appends a message exactly when ier != 0
         raise NumericError(f"quadrature over [{a:g}, {b:g}] failed for {dist.family}: {out[3]}")
     if not np.isfinite(out[0]):
@@ -346,14 +381,31 @@ def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> flo
     return float(out[0])
 
 
-def dist_mean_abs(dist: DistributionSpec) -> float:
-    """E|X| = int |x| f(x) dx, split at 0; the mean when the support is
-    nonnegative."""
+def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
+    """E[(X - u)^+] = int_u^b (x - u) f(x) dx, the numerator of the mean
+    excess function, by one quadrature above u.
+
+    When the mass lies far above u on a scale far below that distance,
+    quad's nodes can all miss it and the integral comes back as ~0 with
+    no flag. E[(X - u)^+] >= E[X] - u exposes that; the mass below u is
+    then the small side, and E[X] - u + int_a^u (u - x) f(x) dx is the
+    value.
+    """
     lo, hi = dist_support(dist)
+    mean = dist_mean(dist)
+    above = integrate_density(dist, lambda x: x - u, u, hi)
+    if above >= mean - u:
+        return above
+    return mean - u + integrate_density(dist, lambda x: u - x, lo, u)
+
+
+def dist_mean_abs(dist: DistributionSpec) -> float:
+    """E|X| = 2 E[X^+] - E[X]; the mean when the support is nonnegative."""
+    lo, _ = dist_support(dist)
     mean = dist_mean(dist)  # rejects undefined-mean families up front
     if lo >= 0.0:
         return mean
-    return integrate_density(dist, lambda x: -x, lo, 0.0) + integrate_density(dist, lambda x: x, 0.0, hi)
+    return 2.0 * dist_stop_loss(dist, 0.0) - mean
 
 
 def fdelta_check(dist: DistributionSpec, u0: float, u1: float, deltas) -> np.ndarray:

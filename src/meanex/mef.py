@@ -7,7 +7,7 @@ The mean excess function of X at threshold u is
 
 b the upper end of the support, set to 0 wherever F_bar(u) = 0. Families
 without a closed form take that integral by one adaptive quadrature of
-the density. The plug-in estimator from a sample is
+the density (``dist_stop_loss``). The plug-in estimator from a sample is
 
     e_n(u) = sum (X_i - u) 1[X_i > u] / sum 1[X_i > u],
 
@@ -42,8 +42,8 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     dist_mean,
+    dist_stop_loss,
     dist_support,
-    integrate_density,
     std_survival,
 )
 from .errors import DomainError
@@ -118,16 +118,10 @@ def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float
     return make_grid(np.linspace(lo, hi, m))
 
 
-def _mef_by_density(dist: DistributionSpec, u: float, sf_u: float) -> float:
-    # e(u) = int_u^b (x - u) f(x) dx / F_bar(u), b the upper end of the
-    # support: one quadrature level for every family without a closed form
-    _, hi = dist_support(dist)
-    return integrate_density(dist, lambda x: x - u, u, hi) / sf_u
-
-
 def theoretical_mef(dist: DistributionSpec, u: float) -> float:
     """e(u) for a registered distribution: closed form where the family
-    has one, otherwise one adaptive quadrature of (x - u) f(x) over the
+    has one, otherwise E[(X - u)^+] / F_bar(u) with the numerator from
+    ``dist_stop_loss``, one adaptive quadrature of (x - u) f(x) over the
     support above u. NumericError when the quadrature fails."""
     u = float(u)
     p = dist.as_dict()
@@ -152,7 +146,7 @@ def theoretical_mef(dist: DistributionSpec, u: float) -> float:
     sf_u = float(std_survival(dist, u))
     if sf_u <= 0.0:
         return 0.0
-    return _mef_by_density(dist, u, sf_u)
+    return dist_stop_loss(dist, u) / sf_u
 
 
 def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:

@@ -27,8 +27,7 @@ from meanex import (
     theoretical_mef,
     theoretical_mef_curve,
 )
-from meanex.mef import _mef_by_density
-from meanex.distributions import std_survival
+from meanex.distributions import dist_stop_loss, std_survival
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_theoretical_mef_gpd_quadrature_agreement():
     d = make_spec("gpd", xi=0.25, beta=1.0)
     for u in np.linspace(0.0, 8.0, 50):
         closed = theoretical_mef(d, float(u))
-        quad = _mef_by_density(d, float(u), float(std_survival(d, u)))
+        quad = dist_stop_loss(d, float(u)) / float(std_survival(d, u))
         assert quad == pytest.approx(closed, abs=1e-6)
 
 

@@ -217,6 +217,28 @@ def test_theoretical_mef_heavy_tail_rows(text, u, expected):
     assert theoretical_mef(parse_distribution_spec(text), u) == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "text, u",
+    [
+        # mass far above u: every node of the quadrature above u misses it
+        ("normal(mu=5,sigma=0.1)", 0.0),
+        ("normal(mu=50,sigma=0.1)", 0.0),
+        ("gh(lambda=-0.5,alpha=50,beta=0,delta=0.01,mu=5)", 0.0),
+        # a law far narrower than the unit scale of quad's half-line map
+        ("normal(mu=0,sigma=0.0001)", 0.0),
+        ("normal(mu=0,sigma=0.0001)", 0.0002),
+        ("normal(mu=0.001,sigma=0.0001)", 0.0),
+    ],
+)
+def test_theoretical_mef_finds_narrow_mass(text, u):
+    d = parse_distribution_spec(text)
+    if d.family == "normal":
+        expected = _normal(d.value("mu"), d.value("sigma"))(u)
+    else:
+        expected = d.value("mu") - u  # symmetric about mu, all mass above u
+    assert theoretical_mef(d, u) == pytest.approx(expected, rel=1e-8)
+
+
 def test_theoretical_mef_bounded_support_integrates_to_the_endpoint():
     d = make_spec("beta", a=2.0, b=3.0)
     assert theoretical_mef(d, 0.5) == pytest.approx(_beta(2.0, 3.0)(0.5), rel=1e-9)
