@@ -60,6 +60,7 @@ __all__ = [
     "dist_ppf",
     "integrate_density",
     "dist_stop_loss",
+    "dist_tail_moments",
     "fdelta_check",
     "FAMILIES",
 ]
@@ -217,7 +218,16 @@ class _InHouseLaw(stats.rv_continuous):
         return self._sample(random_state, int(np.prod(size))).reshape(size)
 
     def _mass(self, lo: float, hi: float) -> float:
-        return min(max(integrate.quad(self.density, lo, hi, limit=300)[0], 0.0), 1.0)
+        """Mass between lo and hi. A flagged quad over a finite interval
+        raises NumericError; a half-line one only warns, as scipy's
+        quantile bracket search may probe a heavy tail far out."""
+        if np.isfinite(lo) and np.isfinite(hi):
+            value = _checked_quad(self.density, lo, hi, "the law", limit=300)
+        else:
+            value = integrate.quad(self.density, lo, hi, limit=300)[0]
+            if not np.isfinite(value):
+                raise NumericError(f"quadrature over [{lo:g}, {hi:g}] is not finite for the law")
+        return min(max(value, 0.0), 1.0)
 
     def check_mass(self) -> None:
         """Raise NumericError unless quad finds mass 1 under the density.
@@ -355,8 +365,21 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
     return float(_frozen(dist).ppf(q))
 
 
+def _checked_quad(f, a: float, b: float, what: str, **options) -> float:
+    """int_a^b f by one adaptive quad; NumericError when quad flags its
+    result (ier != 0) or the value is not finite."""
+    out = integrate.quad(f, a, b, full_output=1, **options)
+    if len(out) > 3:  # quad appends a message exactly when ier != 0
+        raise NumericError(f"quadrature over [{a:g}, {b:g}] failed for {what}: {out[3]}")
+    if not np.isfinite(out[0]):
+        raise NumericError(f"quadrature over [{a:g}, {b:g}] is not finite for {what}")
+    return float(out[0])
+
+
 def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
-    """int_a^b weight(x) f(x) dx by one adaptive quad (limit 400).
+    """int_a^b weight(x) f(x) dx by one adaptive quad (limit 400) held to
+    quad's relative tolerance alone: a far tail's value can lie well below
+    its default absolute tolerance of 1.49e-8.
 
     quad maps a half-line onto (0, 1] at unit scale. A standard law is
     therefore integrated in t = (x - c) / s, c its median and s its
@@ -370,15 +393,15 @@ def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> flo
         law.check_mass()
         pdf, c, s = law.density, 0.0, 1.0
     else:
-        pdf, c, s = law.pdf, float(law.median()), float(law.ppf(0.75) - law.ppf(0.25))
-    out = integrate.quad(
-        lambda t: weight(c + s * t) * pdf(c + s * t) * s, (a - c) / s, (b - c) / s, limit=400, full_output=1
+        pdf, c, s = law.pdf, float(law.median()), _iqr(law)
+    return _checked_quad(
+        lambda t: weight(c + s * t) * pdf(c + s * t) * s, (a - c) / s, (b - c) / s, dist.family,
+        limit=400, epsabs=0.0,
     )
-    if len(out) > 3:  # quad appends a message exactly when ier != 0
-        raise NumericError(f"quadrature over [{a:g}, {b:g}] failed for {dist.family}: {out[3]}")
-    if not np.isfinite(out[0]):
-        raise NumericError(f"quadrature over [{a:g}, {b:g}] is not finite for {dist.family}")
-    return float(out[0])
+
+
+def _iqr(law) -> float:
+    return float(law.ppf(0.75) - law.ppf(0.25))
 
 
 def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
@@ -397,6 +420,63 @@ def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
     if above >= mean - u:
         return above
     return mean - u + integrate_density(dist, lambda x: u - x, lo, u)
+
+
+def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F_bar(u_i) and S(u_i) = E[(X - u_i)^+] at strictly increasing
+    thresholds inside the support, walked from the top down.
+
+    The top point, and any point whose gap to the next is wider than the
+    law's bulk (``_spread``; such a gap can hold the whole mass between
+    quad's nodes), takes S from ``dist_stop_loss``. Every other point
+    adds its gap to the point above:
+
+        S(u_i) = S(u_{i+1}) + (u_{i+1} - u_i) F_bar(u_{i+1})
+                 + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx,
+
+    three nonnegative terms, the last one short quadrature. F_bar is
+    scipy's for a standard law. For GH/GIG it is built the same way from
+    one quad of f per gap, and a point that takes S afresh takes F_bar
+    from one quad over its tail on the far side of the law's centre, as
+    the law's CDF does. These quads go through ``integrate_density``: the
+    CDF's keep quad's absolute tolerance of 1.49e-8, coarse next to an
+    F_bar of 1e-6.
+    """
+    law = _frozen(dist)
+    in_house = isinstance(law, _InHouseLaw)
+    sf = np.zeros(u.size) if in_house else np.atleast_1d(np.asarray(law.sf(u), dtype=float))
+    s = np.zeros(u.size)
+    spread = _spread(dist) if u.size > 1 else 0.0
+    for i in range(u.size - 1, -1, -1):
+        a = u[i]
+        b = u[i + 1] if i + 1 < u.size else np.inf
+        if b - a <= spread:
+            if in_house:
+                sf[i] = sf[i + 1] + integrate_density(dist, _one, a, b)
+            s[i] = s[i + 1] + (b - a) * sf[i + 1] + integrate_density(dist, lambda x: x - a, a, b)
+            continue
+        if in_house:
+            far = a >= law._centre
+            side = integrate_density(dist, _one, a, law.b) if far else integrate_density(dist, _one, law.a, a)
+            sf[i] = side if far else 1.0 - side
+        if sf[i] > 0.0:
+            s[i] = dist_stop_loss(dist, a)
+    return sf, s
+
+
+def _one(x):
+    return 1.0
+
+
+@lru_cache(maxsize=256)
+def _spread(dist: DistributionSpec) -> float:
+    """Width of the law's bulk: the interquartile range of a standard law,
+    E|X - E[X]| = 2 E[(X - E[X])^+] of a GH/GIG law (one quadrature; its
+    quantiles would take dozens each). Every law with a mean has one."""
+    law = _frozen(dist)
+    if isinstance(law, _InHouseLaw):
+        return 2.0 * dist_stop_loss(dist, dist_mean(dist))
+    return _iqr(law)
 
 
 def dist_mean_abs(dist: DistributionSpec) -> float:

@@ -39,6 +39,7 @@ the Student and variance-gamma limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special, stats
@@ -78,12 +79,14 @@ class GhParams:
     mu: float
 
 
+@lru_cache(maxsize=256)
 def gh_validate(params: GhParams) -> str:
     """Total classification of a parameter bundle.
 
     Returns 'invalid', 'interior', or a subclass/limit name:
     'hyperbolic', 'nig', 'variance-gamma', 'skew-laplace', 'skew-student',
-    'student', 'cauchy', 'gaussian'.
+    'student', 'cauchy', 'gaussian'. Cached per parameter set, like the
+    norming constant: a quadrature asks for the density point by point.
     """
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     for v in (lam, al, be, de, params.mu):
@@ -126,6 +129,7 @@ def _require_valid(params: GhParams) -> str:
     return kind
 
 
+@lru_cache(maxsize=256)
 def _log_norming(params: GhParams) -> float:
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     gam2 = al * al - be * be

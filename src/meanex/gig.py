@@ -27,6 +27,8 @@ double range. The rejection loop is vectorized.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import optimize, special
 
@@ -126,9 +128,23 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
     return out
 
 
+@lru_cache(maxsize=256)
+def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float]:
+    """The class and the log of the density's constant factor, once per
+    parameter set: a quadrature asks for the density point by point."""
+    kind = gig_validate(lam, chi, psi)
+    if kind == "gamma":
+        return kind, lam * np.log(psi / 2.0) - special.gammaln(lam)
+    if kind == "inverse-gamma":
+        return kind, -lam * np.log(chi / 2.0) - special.gammaln(-lam)
+    om = np.sqrt(chi * psi)
+    # (psi/chi)^(lam/2) / (2 K_lam(om)), scaled Bessel for range
+    return kind, 0.5 * lam * (np.log(psi) - np.log(chi)) - np.log(2.0) - (np.log(bessel_k_scaled(lam, om)) - om)
+
+
 def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     """Density of GIG(lambda, chi, psi), vectorized over w (0 outside support)."""
-    kind = gig_validate(lam, chi, psi)
+    kind, log_norm = _log_norm(lam, chi, psi)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = w > 0
@@ -136,20 +152,11 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
         return out
     wp = w[pos]
     if kind == "gamma":
-        out[pos] = np.exp(
-            lam * np.log(psi / 2.0) - special.gammaln(lam) + (lam - 1.0) * np.log(wp) - 0.5 * psi * wp
-        )
-        return out
-    if kind == "inverse-gamma":
-        a = -lam
-        out[pos] = np.exp(
-            a * np.log(chi / 2.0) - special.gammaln(a) - (a + 1.0) * np.log(wp) - 0.5 * chi / wp
-        )
-        return out
-    om = np.sqrt(chi * psi)
-    # log normalization: (psi/chi)^(lam/2) / (2 K_lam(om)), scaled Bessel for range
-    log_norm = 0.5 * lam * (np.log(psi) - np.log(chi)) - np.log(2.0) - (np.log(bessel_k_scaled(lam, om)) - om)
-    out[pos] = np.exp(log_norm + _log_h(wp, lam, chi, psi))
+        out[pos] = np.exp(log_norm + (lam - 1.0) * np.log(wp) - 0.5 * psi * wp)
+    elif kind == "inverse-gamma":
+        out[pos] = np.exp(log_norm - (1.0 - lam) * np.log(wp) - 0.5 * chi / wp)
+    else:
+        out[pos] = np.exp(log_norm + _log_h(wp, lam, chi, psi))
     return out
 
 

@@ -5,9 +5,13 @@ The mean excess function of X at threshold u is
 
     e(u) = E(X - u | X > u) = (1 / F_bar(u)) * int_u^b (x - u) f(x) dx,
 
-b the upper end of the support, set to 0 wherever F_bar(u) = 0. Families
-without a closed form take that integral by one adaptive quadrature of
-the density (``dist_stop_loss``). The plug-in estimator from a sample is
+b the upper end of the support, set to 0 wherever F_bar(u) = 0. The
+exponential, GPD and Pareto families have closed forms. Every other
+family takes the integral by quadrature of the density, built from the
+top of a threshold grid down (``dist_tail_moments``): the top threshold
+takes one quadrature over the whole tail, and each lower one adds one
+short quadrature over the gap to the threshold above. A single threshold
+is the one-point case of a grid. The plug-in estimator from a sample is
 
     e_n(u) = sum (X_i - u) 1[X_i > u] / sum 1[X_i > u],
 
@@ -42,9 +46,8 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     dist_mean,
-    dist_stop_loss,
     dist_support,
-    std_survival,
+    dist_tail_moments,
 )
 from .errors import DomainError
 from .types import Band, BandConstants, Grid, MefCurve, Sample, make_curve, make_grid
@@ -119,41 +122,56 @@ def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float
 
 
 def theoretical_mef(dist: DistributionSpec, u: float) -> float:
-    """e(u) for a registered distribution: closed form where the family
-    has one, otherwise E[(X - u)^+] / F_bar(u) with the numerator from
-    ``dist_stop_loss``, one adaptive quadrature of (x - u) f(x) over the
-    support above u. NumericError when the quadrature fails."""
-    u = float(u)
-    p = dist.as_dict()
-    lo, hi = dist_support(dist)
-    if u >= hi:
-        return 0.0
-    mean = dist_mean(dist)  # raises for undefined/infinite-mean families
-    if u < lo:
-        return mean - u
-
-    if dist.family == "exponential":
-        return 1.0 / p["lambda"]
-    if dist.family == "gpd":
-        xi, beta = p["xi"], p["beta"]
-        return (beta + xi * u) / (1.0 - xi)
-    if dist.family == "pareto":
-        alpha, lam = p["alpha"], p["lambda"]
-        if alpha <= 1:
-            raise DomainError("pareto mean excess requires alpha > 1")
-        return (lam + u) / (alpha - 1.0)
-
-    sf_u = float(std_survival(dist, u))
-    if sf_u <= 0.0:
-        return 0.0
-    return dist_stop_loss(dist, u) / sf_u
+    """e(u) for a registered distribution: the one-point case of
+    ``theoretical_mef_curve``, so E[(X - u)^+] by one quadrature over the
+    tail above u where the family has no closed form."""
+    return float(_mef_values(dist, np.array([float(u)]))[0])
 
 
 def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
-    values = np.array([theoretical_mef(dist, u) for u in grid.points])
+    """e on a strictly increasing grid.
+
+    Closed form for the exponential, GPD and Pareto families. Otherwise
+    E[(X - u)^+] / F_bar(u), both built from the top of the grid down by
+    ``dist_tail_moments``: one quadrature over the tail above the top
+    point, then one short quadrature per gap, each value a sum of
+    nonnegative terms. e = E[X] - u below the support, and 0 from its
+    upper end on and wherever F_bar(u) = 0. DomainError for a law without
+    a finite mean, NumericError when a quadrature fails.
+    """
+    values = _mef_values(dist, grid.points)
     from .distributions import format_distribution_spec
 
     return make_curve(grid, values, meta=f"mef {format_distribution_spec(dist)}")
+
+
+def _mef_values(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
+    p = dist.as_dict()
+    lo, hi = dist_support(dist)
+    out = np.zeros(u.size)
+    live = u < hi
+    if not np.any(live):
+        return out
+    mean = dist_mean(dist)  # raises for undefined/infinite-mean families
+    below = u < lo
+    out[below] = mean - u[below]
+    inside = live & ~below
+    x = u[inside]
+    if dist.family == "exponential":
+        out[inside] = 1.0 / p["lambda"]
+    elif dist.family == "gpd":
+        xi, beta = p["xi"], p["beta"]
+        out[inside] = (beta + xi * x) / (1.0 - xi)
+    elif dist.family == "pareto":
+        alpha, lam = p["alpha"], p["lambda"]
+        if alpha <= 1:
+            raise DomainError("pareto mean excess requires alpha > 1")
+        out[inside] = (lam + x) / (alpha - 1.0)
+    elif x.size:
+        sf, stop_loss = dist_tail_moments(dist, x)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[inside] = np.where(sf > 0.0, stop_loss / sf, 0.0)
+    return out
 
 
 def sup_deviation(a: MefCurve, b: MefCurve) -> float:

@@ -173,12 +173,26 @@ def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
             return tuple(out[:3]) + ("The maximum number of subdivisions (400) has been achieved.",)
         return out
 
+    # a GH law seen nowhere else, mass-checked before the flaw, so the
+    # flaw meets the quads of the curve and of the law's own survival
+    gh = make_spec("gh", **{"lambda": -0.5, "alpha": 3.0, "beta": 0.4, "delta": 1.3, "mu": 0.1})
+    std_survival(gh, 0.0)
     monkeypatch.setattr(integrate, "quad", flawed_quad)
     d = make_spec("normal", mu=0.0, sigma=1.0)
     with pytest.raises(NumericError):
         theoretical_mef(d, 0.5)
     with pytest.raises(NumericError):
         dist_mean_abs(d)
+    grid = make_grid(np.linspace(-1.0, 2.0, 7))
+    with pytest.raises(NumericError):
+        theoretical_mef_curve(d, grid)
+    with pytest.raises(NumericError):
+        theoretical_mef_curve(gh, grid)
+    with pytest.raises(NumericError):  # a tail quad, then one per gap between points
+        std_survival(gh, grid.points)
+    if flaw == "nan":  # a flagged tail quad only warns; a NaN one raises
+        with pytest.raises(NumericError):
+            std_survival(gh, 0.5)
 
 
 def test_theoretical_mef_curve_shape():

@@ -1,6 +1,6 @@
-"""theoretical_mef against independent oracles along the whole tail of
-every registered family, including one GH law per class that
-gh_validate names and the GIG interior and boundaries.
+"""theoretical_mef and theoretical_mef_curve against independent oracles
+along the whole tail of every registered family, including one GH law
+per class that gh_validate names and the GIG interior and boundaries.
 
 Oracles are closed forms where the law has one. Otherwise scipy's
 ``expect``: conditional on X > u for scipy's own laws, and over the
@@ -12,6 +12,7 @@ tail is held to the closed forms and the invariants e(u) >= 0 and
 u + e(u) non-decreasing.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -23,9 +24,11 @@ from meanex import (
     dist_isf,
     gh_validate,
     GhParams,
+    make_grid,
     make_spec,
     parse_distribution_spec,
     theoretical_mef,
+    theoretical_mef_curve,
 )
 from meanex.distributions import FAMILIES
 
@@ -184,7 +187,19 @@ def test_cases_cover_every_family_and_gh_class():
     }
 
 
-@pytest.mark.parametrize("text", list(CASES))
+# scipy's quantile bracket search evaluates this skew-Student's CDF at
+# x = 1000, where the half-line tail quad warns "probably divergent"
+# (CHANGES.md, the FOUND line on distributions._InHouseLaw._mass, now
+# mended for finite intervals only; ROADMAP item 1)
+FAR_PROBE = "gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)"
+
+
+def _cases():
+    ignore = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    return [pytest.param(text, marks=ignore if text == FAR_PROBE else ()) for text in CASES]
+
+
+@pytest.mark.parametrize("text", _cases())
 def test_theoretical_mef_against_oracles(text):
     d = parse_distribution_spec(text)
     if CASES[text] == "undefined":
@@ -242,3 +257,92 @@ def test_theoretical_mef_finds_narrow_mass(text, u):
 def test_theoretical_mef_bounded_support_integrates_to_the_endpoint():
     d = make_spec("beta", a=2.0, b=3.0)
     assert theoretical_mef(d, 0.5) == pytest.approx(_beta(2.0, 3.0)(0.5), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the curve: one pass down a strictly increasing grid
+
+
+@functools.lru_cache(maxsize=None)
+def _quantile_grid(text):
+    """101 thresholds spaced evenly between neighbouring quantiles at
+    LEVELS, twenty in the first gap and ten in each other one, so every
+    quantile of LEVELS is a grid point."""
+    d = parse_distribution_spec(text)
+    q = np.array([dist_isf(d, 1.0 - level) for level in LEVELS])
+    counts = [20] + [10] * (q.size - 2)
+    pts = np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b, k in zip(q[:-1], q[1:], counts)] + [q[-1:]])
+    return q, pts
+
+
+def _tail_means_never_decrease(u, e):
+    # up to the rounding of quad's results, ~1e-14 relative
+    assert np.all(e >= 0.0), e
+    tail_means = u + e
+    assert np.all(np.diff(tail_means) >= -1e-12 * np.abs(tail_means[1:])), tail_means
+
+
+@pytest.mark.parametrize("text", _cases())
+def test_theoretical_mef_curve_against_oracles(text):
+    d = parse_distribution_spec(text)
+    if CASES[text] == "undefined":
+        with pytest.raises(DomainError):
+            theoretical_mef_curve(d, make_grid([dist_isf(d, 0.5), dist_isf(d, 0.25)]))
+        return
+    closed, expect = CASES[text]
+    quantiles, pts = _quantile_grid(text)
+    assert pts.size == 101
+    e = theoretical_mef_curve(d, make_grid(pts)).values
+    _tail_means_never_decrease(pts, e)
+    if closed is not None:
+        np.testing.assert_allclose(e, [closed(u) for u in pts], rtol=1e-8)
+    if expect is not None:
+        at = np.flatnonzero(np.isin(pts, quantiles[np.array(LEVELS) <= EXPECT_MAX_LEVEL]))
+        np.testing.assert_allclose(e[at], [expect(pts[i]) for i in at], rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "normal(mu=0,sigma=1)",
+        "student(nu=5,mu=1)",
+        "gamma(alpha=2,beta=1.5)",
+        "gh(lambda=-0.5,alpha=8.03,beta=-1.37,delta=0.051,mu=0.0105)",
+        "gig(lambda=1,chi=1,psi=1)",
+    ],
+)
+def test_theoretical_mef_curve_is_grid_independent(text):
+    # a value must not depend on which other thresholds share the grid
+    d = parse_distribution_spec(text)
+    _, pts = _quantile_grid(text)
+    full = theoretical_mef_curve(d, make_grid(pts)).values
+    keep = np.r_[0:100:2, 100]  # every other point, both ends kept
+    thinned = theoretical_mef_curve(d, make_grid(pts[keep])).values
+    denser = np.sort(np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:]))))
+    dense = theoretical_mef_curve(d, make_grid(denser)).values
+    np.testing.assert_allclose(thinned, full[keep], rtol=1e-10)
+    np.testing.assert_allclose(dense[np.isin(denser, pts)], full, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        # the whole mass inside one gap, far narrower than the gap
+        ("normal(mu=0,sigma=0.0001)", [-1.0, -0.5, 0.0, 0.5]),
+        ("normal(mu=0.2,sigma=0.0001)", [-1.0, 0.0, 1.0]),
+        ("normal(mu=5,sigma=0.1)", [0.0, 4.0, 5.0, 5.2]),
+        ("gh(lambda=-0.5,alpha=50,beta=0,delta=0.01,mu=5)", [0.0, 2.5, 5.02]),
+        ("gh(lambda=-0.5,alpha=50,beta=0,delta=0.01,mu=3.3)", [-1.0, 0.0, 3.31]),
+    ],
+)
+def test_theoretical_mef_curve_finds_narrow_mass(text, points):
+    d = parse_distribution_spec(text)
+    e = theoretical_mef_curve(d, make_grid(points)).values
+    if d.family == "normal":
+        mu, sigma = d.value("mu"), d.value("sigma")
+        # e = 0 where F_bar underflows, 5000 standard deviations out
+        expected = [_normal(mu, sigma)(u) if stats.norm.sf(u, mu, sigma) > 0 else 0.0 for u in points]
+    else:
+        expected = [_gh_mixture(GhParams(*(v for _, v in d.params)))(u) for u in points]
+    np.testing.assert_allclose(e, expected, rtol=1e-8)
+    _tail_means_never_decrease(np.asarray(points), e)
