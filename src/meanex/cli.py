@@ -48,7 +48,7 @@ from .mef import (
 )
 from .montecarlo import coverage_experiment, stallion
 from .ohlcv import log_returns, parse_ohlcv_csv, returns
-from .serialize import band_csv, compare_csv, curve_csv, experiment_csv, fit_csv, fmt, write_text
+from .serialize import _table, band_csv, compare_csv, curve_csv, experiment_csv, fit_csv, fmt, write_text
 from .svgplot import PlotSpec, band_series, line_series, svg_plot
 from .types import make_grid, make_sample
 
@@ -64,17 +64,20 @@ def _read_sample_file(path):
             lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    values = []
-    for i, line in enumerate(lines):
-        tok = line.strip().split(",")[0].strip()
-        if not tok:
-            continue
-        try:
-            values.append(float(tok))
-        except ValueError:
-            if i == 0 and not values:
-                continue  # header line
-            raise InputError(f"{path}: line {i + 1} is not a number: {line!r}")
+    try:
+        values = [float(line.split(",", 1)[0].strip()) for line in lines if line.strip()]
+    except ValueError:  # a header or a bad value: redo it line by line to tell which
+        values = []
+        for i, line in enumerate(lines):
+            tok = line.strip().split(",")[0].strip()
+            if not tok:
+                continue
+            try:
+                values.append(float(tok))
+            except ValueError:
+                if i == 0 and not values:
+                    continue  # header line
+                raise InputError(f"{path}: line {i + 1} is not a number: {line!r}")
     if not values:
         raise InputError(f"{path}: no numeric values")
     return make_sample(values)
@@ -220,10 +223,7 @@ def cmd_fdelta(args):
         raise InputError("fdelta requires --u0 and --u1")
     deltas = [0.1, 0.01, 0.001]
     stats = fdelta_check(dist, args.u0, args.u1, deltas)
-    lines = ["delta,statistic"]
-    for d, s in zip(deltas, stats):
-        lines.append(f"{fmt(d)},{fmt(s)}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, _table("delta,statistic", deltas, stats))
     return 0
 
 
@@ -237,15 +237,12 @@ def cmd_gh_pdf(args):
     m = 401 if g == "order-statistics" else g
     x = np.linspace(u0, u1, m)
     y = np.asarray(std_pdf(dist, x), dtype=float)
-    lines = ["x,pdf"]
-    for xi, yi in zip(x, y):
-        lines.append(f"{fmt(xi)},{fmt(yi)}")
 
     def build_svg():
         spec = PlotSpec(title=args.dist, xlabel="x", ylabel="density")
         return svg_plot([line_series("pdf", x, y)], spec)
 
-    _emit(args, "\n".join(lines) + "\n", build_svg)
+    _emit(args, _table("x,pdf", x, y), build_svg)
     return 0
 
 
@@ -253,16 +250,12 @@ def cmd_gh_sample(args):
     dist = parse_distribution_spec(args.dist)
     size = args.size or 1000
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
-    draws = std_sample(dist, rng, size)
-    text = "\n".join(fmt(v) for v in draws) + "\n"
-    _emit(args, text)
+    _emit(args, _table(None, std_sample(dist, rng, size)))
     return 0
 
 
 def cmd_ingest(args):
-    vals = _read_returns(args)
-    text = "\n".join(fmt(v) for v in vals) + "\n"
-    _emit(args, text)
+    _emit(args, _table(None, _read_returns(args)))
     return 0
 
 

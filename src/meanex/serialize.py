@@ -2,7 +2,12 @@
 
 All emitters produce deterministic UTF-8 text with LF line endings and
 numbers formatted with %.12g, so identical inputs yield byte-identical
-files. Undefined values appear as nan.
+files. Undefined values appear as nan, infinities as inf and -inf, and
+negative zero as -0.
+
+Tables are written a column at a time: ``_table`` maps one
+``"%.12g,...,%.12g"`` row format over the columns' ``tolist()`` floats,
+the same Python floats ``fmt`` formats one at a time.
 """
 
 from __future__ import annotations
@@ -31,19 +36,21 @@ def fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
-def curve_csv(curve: MefCurve) -> str:
-    lines = ["u,e"]
-    for u, e in zip(curve.grid.points, curve.values):
-        lines.append(f"{fmt(u)},{fmt(e)}")
+def _table(header, *columns) -> str:
+    """CSV text with one %.12g row per index of ``columns`` (zip stops at
+    the shortest), under ``header`` unless it is None."""
+    row = ",".join(["%.12g"] * len(columns)).__mod__
+    lines = [] if header is None else [header]
+    lines += map(row, zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
     return "\n".join(lines) + "\n"
+
+
+def curve_csv(curve: MefCurve) -> str:
+    return _table("u,e", curve.grid.points, curve.values)
 
 
 def band_csv(band: Band) -> str:
-    lines = ["u,e,lower,upper"]
-    rows = zip(band.curve.grid.points, band.curve.values, band.lower, band.upper)
-    for u, e, lo, hi in rows:
-        lines.append(f"{fmt(u)},{fmt(e)},{fmt(lo)},{fmt(hi)}")
-    return "\n".join(lines) + "\n"
+    return _table("u,e,lower,upper", band.curve.grid.points, band.curve.values, band.lower, band.upper)
 
 
 def fit_csv(params: GpdParams, fit: OlsFit) -> str:
@@ -66,11 +73,7 @@ def compare_csv(data_curve: MefCurve, model_curve: MefCurve) -> str:
     """Side-by-side empirical vs model mean excess on a shared grid."""
     if not np.array_equal(data_curve.grid.points, model_curve.grid.points):
         raise DomainError("compare requires identical grids")
-    lines = ["u,e_data,e_model"]
-    rows = zip(data_curve.grid.points, data_curve.values, model_curve.values)
-    for u, a, b in rows:
-        lines.append(f"{fmt(u)},{fmt(a)},{fmt(b)}")
-    return "\n".join(lines) + "\n"
+    return _table("u,e_data,e_model", data_curve.grid.points, data_curve.values, model_curve.values)
 
 
 def ohlcv_csv(series: PriceSeries) -> str:

@@ -1,9 +1,15 @@
 """Dependency-free SVG rendering of mean-excess curves and bands.
 
-The output is deterministic text: fixed two-decimal pixel coordinates,
-%.6g tick labels, LF line endings, a fixed color cycle. Undefined
-points (NaN) split a polyline into separate segments and are dropped
+The output is deterministic text: fixed %.2f pixel coordinates, %.6g
+tick labels, LF line endings, a fixed color cycle. Undefined points
+(NaN or infinite) split a polyline into separate segments: the first
+point after a dropped one starts a new ``M`` subpath. They are dropped
 from band envelopes.
+
+Paths are written a column at a time: the data-to-pixel transform runs
+once per array, with the same float operations per element as on one
+scalar, and one ``"%s%.2f,%.2f"`` format is mapped over the command
+letters and the pixel columns.
 """
 
 from __future__ import annotations
@@ -47,16 +53,11 @@ def _px(v: float) -> str:
 
 def _segments(x, y, to_px):
     """Polyline path data, restarting at every undefined point."""
-    parts = []
-    pen_down = False
-    for xi, yi in zip(x, y):
-        if not (np.isfinite(xi) and np.isfinite(yi)):
-            pen_down = False
-            continue
-        sx, sy = to_px(xi, yi)
-        parts.append(f"{'L' if pen_down else 'M'}{_px(sx)},{_px(sy)}")
-        pen_down = True
-    return " ".join(parts)
+    ok = np.isfinite(x) & np.isfinite(y)
+    after_gap = np.concatenate(([True], ~ok))[:-1]
+    cmds = np.where(after_gap[ok], "M", "L").tolist()
+    sx, sy = to_px(x[ok], y[ok])
+    return " ".join(map("%s%.2f,%.2f".__mod__, zip(cmds, sx.tolist(), sy.tolist())))
 
 
 def _data_range(series):
@@ -175,9 +176,8 @@ def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
             ok = np.isfinite(x) & np.isfinite(lo) & np.isfinite(hi)
             if np.any(ok):
                 xs, los, his = x[ok], lo[ok], hi[ok]
-                pts = [to_px(xi, yi) for xi, yi in zip(xs, his)]
-                pts += [to_px(xi, yi) for xi, yi in zip(xs[::-1], los[::-1])]
-                d = "M" + " L".join(f"{_px(a)},{_px(b)}" for a, b in pts) + " Z"
+                sx, sy = to_px(np.concatenate([xs, xs[::-1]]), np.concatenate([his, los[::-1]]))
+                d = "M" + " L".join(map("%.2f,%.2f".__mod__, zip(sx.tolist(), sy.tolist()))) + " Z"
                 out.append(f'<path d="{d}" fill="{color}" fill-opacity="0.18" stroke="none"/>')
             if c is not None:
                 d = _segments(x, c, to_px)

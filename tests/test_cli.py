@@ -76,6 +76,47 @@ def test_emef_degenerate_sample_exit_3(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# sample files
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n2\n3\n",
+        "value\n1\n2\n3\n",  # header line
+        "\n1\n\n  \n2\n3\n\n",  # blank lines
+        "1,9\n 2 , x\n3,\n",  # second column ignored
+        "x,y\n1,a\r\n2,b\n,\n3,c",  # header, CRLF, empty first field, no final newline
+    ],
+    ids=["plain", "header", "blank_lines", "second_column", "mixed"],
+)
+def test_sample_file_reads_first_column(tmp_path, capsys, text):
+    path = tmp_path / "s.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert main(["emef", str(path)]) == 0
+    assert capsys.readouterr().out == "u,e\n1,1.5\n2,1\n"
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [("1\n2\nabc\n4\n", 3), ("value\n1\n\n2\n1e\n", 5), ("1\nvalue\n2\n", 2), ("\nvalue\n1\n", 2)],
+)
+def test_sample_file_bad_value_names_line(tmp_path, capsys, text, k):
+    path = tmp_path / "s.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["emef", str(path)]) == 2
+    bad = text.splitlines()[k - 1]
+    assert capsys.readouterr().err == f"error: {path}: line {k} is not a number: {bad!r}\n"
+
+
+def test_sample_file_without_numbers_exit_2(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("value\n\n", encoding="utf-8")
+    assert main(["emef", str(path)]) == 2
+    assert "no numeric values" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # band
 
 
