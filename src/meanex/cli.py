@@ -48,7 +48,7 @@ from .mef import (
 )
 from .montecarlo import coverage_experiment, stallion
 from .ohlcv import log_returns, parse_ohlcv_csv, returns
-from .serialize import _table, band_csv, compare_csv, curve_csv, experiment_csv, fit_csv, fmt, write_text
+from .serialize import band_csv, compare_csv, curve_csv, experiment_csv, fit_csv, fmt, table, write_text
 from .svgplot import PlotSpec, band_series, line_series, svg_plot
 from .types import make_grid, make_sample
 
@@ -64,20 +64,17 @@ def _read_sample_file(path):
             lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    try:
-        values = [float(line.split(",", 1)[0].strip()) for line in lines if line.strip()]
-    except ValueError:  # a header or a bad value: redo it line by line to tell which
-        values = []
-        for i, line in enumerate(lines):
-            tok = line.strip().split(",")[0].strip()
-            if not tok:
-                continue
-            try:
-                values.append(float(tok))
-            except ValueError:
-                if i == 0 and not values:
-                    continue  # header line
-                raise InputError(f"{path}: line {i + 1} is not a number: {line!r}")
+    values = []
+    for i, line in enumerate(lines):
+        tok = line.strip().split(",")[0].strip()
+        if not tok:
+            continue
+        try:
+            values.append(float(tok))
+        except ValueError:
+            if i == 0 and not values:
+                continue  # header line
+            raise InputError(f"{path}: line {i + 1} is not a number: {line!r}")
     if not values:
         raise InputError(f"{path}: no numeric values")
     return make_sample(values)
@@ -223,7 +220,7 @@ def cmd_fdelta(args):
         raise InputError("fdelta requires --u0 and --u1")
     deltas = [0.1, 0.01, 0.001]
     stats = fdelta_check(dist, args.u0, args.u1, deltas)
-    _emit(args, _table("delta,statistic", deltas, stats))
+    _emit(args, table("delta,statistic", deltas, stats))
     return 0
 
 
@@ -242,7 +239,7 @@ def cmd_gh_pdf(args):
         spec = PlotSpec(title=args.dist, xlabel="x", ylabel="density")
         return svg_plot([line_series("pdf", x, y)], spec)
 
-    _emit(args, _table("x,pdf", x, y), build_svg)
+    _emit(args, table("x,pdf", x, y), build_svg)
     return 0
 
 
@@ -250,12 +247,12 @@ def cmd_gh_sample(args):
     dist = parse_distribution_spec(args.dist)
     size = args.size or 1000
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
-    _emit(args, _table(None, std_sample(dist, rng, size)))
+    _emit(args, table(None, std_sample(dist, rng, size)))
     return 0
 
 
 def cmd_ingest(args):
-    _emit(args, _table(None, _read_returns(args)))
+    _emit(args, table(None, _read_returns(args)))
     return 0
 
 

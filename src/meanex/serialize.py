@@ -5,7 +5,7 @@ numbers formatted with %.12g, so identical inputs yield byte-identical
 files. Undefined values appear as nan, infinities as inf and -inf, and
 negative zero as -0.
 
-Tables are written a column at a time: ``_table`` maps one
+Tables are written a column at a time: ``table`` maps one
 ``"%.12g,...,%.12g"`` row format over the columns' ``tolist()`` floats,
 the same Python floats ``fmt`` formats one at a time.
 """
@@ -36,7 +36,7 @@ def fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
-def _table(header, *columns) -> str:
+def table(header, *columns) -> str:
     """CSV text with one %.12g row per index of ``columns`` (zip stops at
     the shortest), under ``header`` unless it is None."""
     row = ",".join(["%.12g"] * len(columns)).__mod__
@@ -46,11 +46,11 @@ def _table(header, *columns) -> str:
 
 
 def curve_csv(curve: MefCurve) -> str:
-    return _table("u,e", curve.grid.points, curve.values)
+    return table("u,e", curve.grid.points, curve.values)
 
 
 def band_csv(band: Band) -> str:
-    return _table("u,e,lower,upper", band.curve.grid.points, band.curve.values, band.lower, band.upper)
+    return table("u,e,lower,upper", band.curve.grid.points, band.curve.values, band.lower, band.upper)
 
 
 def fit_csv(params: GpdParams, fit: OlsFit) -> str:
@@ -73,7 +73,7 @@ def compare_csv(data_curve: MefCurve, model_curve: MefCurve) -> str:
     """Side-by-side empirical vs model mean excess on a shared grid."""
     if not np.array_equal(data_curve.grid.points, model_curve.grid.points):
         raise DomainError("compare requires identical grids")
-    return _table("u,e_data,e_model", data_curve.grid.points, data_curve.values, model_curve.values)
+    return table("u,e_data,e_model", data_curve.grid.points, data_curve.values, model_curve.values)
 
 
 def ohlcv_csv(series: PriceSeries) -> str:

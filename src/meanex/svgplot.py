@@ -176,8 +176,7 @@ def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
             ok = np.isfinite(x) & np.isfinite(lo) & np.isfinite(hi)
             if np.any(ok):
                 xs, los, his = x[ok], lo[ok], hi[ok]
-                sx, sy = to_px(np.concatenate([xs, xs[::-1]]), np.concatenate([his, los[::-1]]))
-                d = "M" + " L".join(map("%.2f,%.2f".__mod__, zip(sx.tolist(), sy.tolist()))) + " Z"
+                d = _segments(np.concatenate([xs, xs[::-1]]), np.concatenate([his, los[::-1]]), to_px) + " Z"
                 out.append(f'<path d="{d}" fill="{color}" fill-opacity="0.18" stroke="none"/>')
             if c is not None:
                 d = _segments(x, c, to_px)

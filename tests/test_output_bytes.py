@@ -4,12 +4,11 @@ The column-at-a-time writers in ``serialize`` and ``svgplot`` must give
 the same bytes as the value-at-a-time loops they replaced. Those loops
 are kept here as the oracle and compared with exact string equality on
 inputs with NaN runs, infinities, signed zero, extreme magnitudes, a
-single point and bands with dropped points. The sha256 pins at the end
-were taken from the value-at-a-time writers on the bundled OHLCV
-fixture.
+single point and bands with dropped points. The CLI outputs of the
+bundled OHLCV fixture are also compared with the same commands run on
+the oracle writers, so the check holds on any numpy or scipy build.
 """
 
-import hashlib
 import re
 
 import numpy as np
@@ -26,8 +25,9 @@ from meanex import (
     make_grid,
     svg_plot,
 )
+from meanex import cli, svgplot
 from meanex.cli import main
-from meanex.serialize import _table, fmt
+from meanex.serialize import fmt, table
 from meanex.svgplot import _data_range, _segments
 from meanex.types import Band
 
@@ -157,8 +157,8 @@ def test_compare_csv_and_headerless_table_match_oracle():
     want = ["u,e_data,e_model"] + [f"{fmt(u)},{fmt(x)},{fmt(y)}" for u, x, y in zip(POINTS, a.values, b.values)]
     assert compare_csv(a, b) == "\n".join(want) + "\n"
     col = VALUE_CASES["signed_zero"] + VALUE_CASES["infinities"]
-    assert _table(None, col) == "\n".join(fmt(v) for v in col) + "\n"
-    assert _table(None, []) == "\n"
+    assert table(None, col) == "\n".join(fmt(v) for v in col) + "\n"
+    assert table(None, []) == "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +221,47 @@ def test_long_path_with_many_gaps_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# pinned bytes of CLI outputs on the bundled fixture
-
-PINNED = {
-    "returns.txt": "e26fa997eec920613a499dae7a637ecf88f7c52210f5456941bd9241565249cb",
-    "emef.csv": "4a6cf71ab59f9611c357e15b13c67941213df359e0bb33cc1bdbafec6b4a54b2",
-    "emef.svg": "3d6d7428e36211bf499398dcb982bd2fb1e4e5cd61197e23bae3bd902e2f9c10",
-    "band.csv": "f21549869ee8ea7f390c9d12c2d0ef45253f84066fa347c177e587072f092218",
-    "band.svg": "e66205fb3a31b109a60aa0d3960e5e034f2483d35fa4324fc67bdf429145ef01",
-    "fit.csv": "6e56fc1c5d2bc351979f9fbd31f915afc8aaf90e53c2853f91968dd6dad36189",
-    "compare.csv": "39c5bc2134c438561c4313c13c6ab751065d4618084267038b645e67572c4def",
-    "compare.svg": "7bdd5f5795629912970358aa4eb1b2b561007f4b3b46dd8b844d0f1b58aa9da6",
-}
+# CLI outputs on the bundled fixture, against the oracles in the same run
 
 
-def test_cli_output_bytes_pinned(tmp_path, capsys):
-    p = {name: str(tmp_path / name) for name in PINNED}
-    returns = p["returns.txt"]
+def oracle_compare_csv(data_curve, model_curve):
+    lines = ["u,e_data,e_model"]
+    rows = zip(data_curve.grid.points, data_curve.values, model_curve.values)
+    for u, a, b in rows:
+        lines.append(f"{fmt(u)},{fmt(a)},{fmt(b)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_table(header, *columns):
+    lines = [] if header is None else [header]
+    for row in zip(*columns):
+        lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(out):
+    """Write the ingest, emef, band, fit-gpd and compare outputs of the
+    fixture into ``out``; return their bytes by file name."""
+    returns = str(out / "returns.txt")
     assert main(["ingest", FIXTURE, "--log-returns", "--csv", returns]) == 0
-    assert main(["emef", returns, "--csv", p["emef.csv"], "--svg", p["emef.svg"]]) == 0
+    assert main(["emef", returns, "--csv", str(out / "emef.csv"), "--svg", str(out / "emef.svg")]) == 0
     band = ["band", returns, "--u0", "-0.02", "--u1", "0"]
-    assert main(band + ["--csv", p["band.csv"], "--svg", p["band.svg"]]) == 0
-    assert main(["fit-gpd", returns, "--csv", p["fit.csv"]]) == 0
+    assert main(band + ["--csv", str(out / "band.csv"), "--svg", str(out / "band.svg")]) == 0
+    assert main(["fit-gpd", returns, "--csv", str(out / "fit.csv")]) == 0
     compare = ["compare", "--data", FIXTURE, "--log-returns", "--dist", "normal(mu=0,sigma=0.02)"]
-    assert main(compare + ["--csv", p["compare.csv"], "--svg", p["compare.svg"]]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
-    assert got == PINNED
+    assert main(compare + ["--csv", str(out / "compare.csv"), "--svg", str(out / "compare.svg")]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_outputs_match_oracle_writers(tmp_path, monkeypatch, capsys):
+    (tmp_path / "new").mkdir()
+    (tmp_path / "oracle").mkdir()
+    got = run_cli(tmp_path / "new")
+    monkeypatch.setattr(cli, "curve_csv", oracle_curve_csv)
+    monkeypatch.setattr(cli, "band_csv", oracle_band_csv)
+    monkeypatch.setattr(cli, "compare_csv", oracle_compare_csv)
+    monkeypatch.setattr(cli, "table", oracle_table)
+    monkeypatch.setattr(svgplot, "_segments", oracle_segments)
+    want = run_cli(tmp_path / "oracle")
+    assert len(got) == 8
+    assert got == want
