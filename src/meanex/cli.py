@@ -17,8 +17,7 @@ SVG artifacts:
 Exit codes: 0 success, 2 usage or input error, 3 numeric or domain
 error. Sample files carry one number per line; a non-numeric first
 line is tolerated as a header. Every command is deterministic given
---seed; MEANEX_THREADS>1 parallelizes the montecarlo commands without
-changing their output.
+--seed.
 """
 
 from __future__ import annotations

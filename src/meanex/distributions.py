@@ -322,11 +322,29 @@ def _frozen(spec: DistributionSpec):
     raise InputError(f"unknown family '{fam}'")
 
 
+@lru_cache(maxsize=256)
+def _sampler(spec: DistributionSpec):
+    """draw(rng, n) for a law, resolved once: the in-house sampler of a GH
+    or GIG law, else the scipy law's ``_rvs`` hook with its shapes, loc
+    and scale parsed once and applied as ``rv_generic.rvs`` does. The
+    draws are those of ``rvs``, without its per-call argument handling."""
+    law = _frozen(spec)
+    if isinstance(law, _InHouseLaw):
+        return law._sample
+    shapes, loc, scale = law.dist._parse_args(*law.args, **law.kwds)
+    rvs = law.dist._rvs
+
+    def draw(rng, n):
+        return rvs(*shapes, size=n, random_state=rng) * scale + loc
+
+    return draw
+
+
 def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent draws, in draw order."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
-    return np.asarray(_frozen(dist).rvs(size=n, random_state=rng), dtype=float)
+    return np.asarray(_sampler(dist)(rng, n), dtype=float)
 
 
 def std_cdf(dist: DistributionSpec, x):

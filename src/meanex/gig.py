@@ -69,8 +69,11 @@ def _log_h(w, lam, chi, psi):
     return (lam - 1.0) * np.log(w) - 0.5 * (chi / w + psi * w)
 
 
+@lru_cache(maxsize=256)
 def _rou_envelope(lam: float, chi: float, psi: float):
-    """Mode, log h(mode) and the box bounds (v-, v+) for ratio-of-uniforms."""
+    """Mode, log h(mode) and the box bounds (v-, v+) for ratio-of-uniforms,
+    solved once per parameter set: a Monte Carlo run draws many samples
+    from one law."""
     m = gig_mode(lam, chi, psi)
     lh_m = _log_h(m, lam, chi, psi)
 

@@ -66,32 +66,39 @@ __all__ = [
 ]
 
 
-def _suffix_sums(sample: Sample) -> np.ndarray:
-    # suffix[k] = sum of values[k:]
-    v = sample.values
-    suf = np.zeros(v.size + 1)
-    suf[:-1] = np.cumsum(v[::-1])[::-1]
-    return suf
-
-
-def _emef_at(sample: Sample, u: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-    v = sample.values
+def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Count and sum of the observations above each threshold u, for
+    sorted values v: one reversed cumsum and one searchsorted."""
+    suffix = np.empty(v.size + 1)  # suffix[k] = sum of v[k:]
+    suffix[-1] = 0.0
+    np.cumsum(v[::-1], out=suffix[-2::-1])
     k = np.searchsorted(v, u, side="right")
-    count = v.size - k
+    return v.size - k, suffix[k]
+
+
+def _emef(u: np.ndarray, count: np.ndarray, total: np.ndarray, top) -> np.ndarray:
+    """e_n at thresholds u from the count and sum of exceedances and the
+    sample maximum top. Broadcasts: one sample takes vectors, a block of
+    replicates takes one row per replicate and a column of maxima."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        e = (suffix[k] - count * u) / count
+        e = (total - count * u) / count
     # no exceedance: 0 beyond the maximum, undefined (NaN) at it
-    return np.where(count == 0, np.where(u > v[-1], 0.0, np.nan), e)
+    return np.where(count == 0, np.where(u > top, 0.0, np.nan), e)
+
+
+def _emef_at(sample: Sample, u: np.ndarray) -> np.ndarray:
+    v = sample.values
+    return _emef(u, *_exceedances(v, u), v[-1])
 
 
 def empirical_mef(sample: Sample, u: float) -> float:
     """Plug-in mean excess at a single threshold (NaN exactly at the
     sample maximum, 0 beyond it)."""
-    return float(_emef_at(sample, np.asarray([float(u)]), _suffix_sums(sample))[0])
+    return float(_emef_at(sample, np.asarray([float(u)]))[0])
 
 
 def empirical_mef_curve(sample: Sample, grid: Grid) -> MefCurve:
-    values = _emef_at(sample, grid.points, _suffix_sums(sample))
+    values = _emef_at(sample, grid.points)
     meta = f"emef n={sample.n} grid=[{grid.points[0]:.12g},{grid.points[-1]:.12g}]"
     return make_curve(grid, values, meta=meta)
 
@@ -178,11 +185,17 @@ def sup_deviation(a: MefCurve, b: MefCurve) -> float:
     """max_i |a_i - b_i| over the shared grid, skipping undefined points."""
     if a.grid.points.shape != b.grid.points.shape or not np.array_equal(a.grid.points, b.grid.points):
         raise DomainError("sup_deviation requires identical grids")
-    diff = np.abs(a.values - b.values)
+    return float(_sup_abs(a.values - b.values))
+
+
+def _sup_abs(diff: np.ndarray) -> np.ndarray:
+    """max |diff| over the finite entries of the last axis: one value per
+    curve, or one per row of a block of replicate curves."""
+    diff = np.abs(diff)
     ok = np.isfinite(diff)
-    if not np.any(ok):
+    if not np.all(np.any(ok, axis=-1)):
         raise DomainError("no commonly defined points")
-    return float(np.max(diff[ok]))
+    return np.max(np.where(ok, diff, -np.inf), axis=-1)
 
 
 def band_constants(u0: float, u1: float, A: float = 1.0, A1: float = 1.0) -> BandConstants:
@@ -207,21 +220,13 @@ def consistency_band(
     if pts[0] < constants.u0 or pts[-1] > constants.u1:
         raise DomainError("grid must lie inside [u0, u1]")
     if survival_u1 is None:
-        survival_u1 = float(np.mean(sample.values > constants.u1))
+        survival_u1 = _plug_in_survival(sample.values, constants.u1)
     if mean_abs is None:
-        mean_abs = float(np.mean(np.abs(sample.values)))
-    if not (0.0 < survival_u1 <= 1.0):
-        raise DomainError("band undefined: n too small for interval (no exceedances at u1)")
-    if mean_abs < 0:
-        raise DomainError("mean_abs must be nonnegative")
+        mean_abs = _plug_in_mean_abs(sample.values)
     n = sample.n
-    root_n = np.sqrt(n)
-    denom = survival_u1 - constants.D1 / root_n
-    if denom <= 0.0:
-        raise DomainError("band undefined: n too small for interval")
-    en = (constants.D2 + constants.D1 * mean_abs / survival_u1) / denom
+    en = _band_en(n, survival_u1, mean_abs, constants)
     curve = empirical_mef_curve(sample, grid)
-    half = en / root_n
+    half = en / np.sqrt(n)
     lower = curve.values - half
     upper = curve.values + half
     lower.flags.writeable = False
@@ -230,12 +235,32 @@ def consistency_band(
         curve=curve,
         lower=lower,
         upper=upper,
-        en=float(en),
+        en=en,
         n=n,
         constants=constants,
         survival_u1=float(survival_u1),
         mean_abs=float(mean_abs),
     )
+
+
+def _plug_in_survival(values: np.ndarray, u1: float) -> float:
+    return float(np.mean(values > u1))
+
+
+def _plug_in_mean_abs(values: np.ndarray) -> float:
+    return float(np.mean(np.abs(values)))
+
+
+def _band_en(n: int, survival_u1: float, mean_abs: float, constants: BandConstants) -> float:
+    """E_n of the band on n observations; DomainError where it is undefined."""
+    if not (0.0 < survival_u1 <= 1.0):
+        raise DomainError("band undefined: n too small for interval (no exceedances at u1)")
+    if mean_abs < 0:
+        raise DomainError("mean_abs must be nonnegative")
+    denom = survival_u1 - constants.D1 / np.sqrt(n)
+    if denom <= 0.0:
+        raise DomainError("band undefined: n too small for interval")
+    return float((constants.D2 + constants.D1 * mean_abs / survival_u1) / denom)
 
 
 def h_u_values(sample: Sample, u: float) -> np.ndarray:

@@ -4,12 +4,16 @@ identity.
 
 Determinism contract
 --------------------
-Every replicate r draws from default_rng(SeedSequence(entropy=seed,
-spawn_key=(r,))), so replicate streams are independent of how work is
-scheduled. Accumulation is chunked: replicates are grouped into fixed
-blocks of 64, each block reduced on its own, block partials combined in
-block order. The same tree shape is used serially and under
-MEANEX_THREADS > 1 workers, so results are bitwise identical either way.
+One engine runs the replicates of all three protocols. Replicate r
+draws from default_rng(SeedSequence(entropy=seed, spawn_key=prefix +
+(r,))); the prefix is () for stallion and coverage and (i,) for the
+i-th sample size of convergence. So each replicate's stream depends on
+its index alone. The replicates run serially in blocks of a fixed 64:
+each sample is drawn, checked finite and sorted on its own, and the
+mean-excess formula runs once per block on all its replicates. A
+block's sums add its rows in replicate order, and the block sums are
+combined in block order, so every result is a fixed function of the
+seed.
 
 The fourth-moment identity: for iid centered X_1..X_n with kappa1 =
 E X^2 and kappa2 = E X^4,
@@ -23,15 +27,12 @@ supports for validation at machine precision.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     DistributionSpec,
-    dist_isf,
     dist_mean_abs,
     dist_ppf,
     dist_support,
@@ -40,12 +41,15 @@ from .distributions import (
 )
 from .errors import DomainError, InputError
 from .mef import (
-    consistency_band,
-    empirical_mef_curve,
-    sup_deviation,
+    _band_en,
+    _emef,
+    _exceedances,
+    _plug_in_mean_abs,
+    _plug_in_survival,
+    _sup_abs,
     theoretical_mef_curve,
 )
-from .types import BandConstants, Grid, MefCurve, make_curve, make_grid, make_sample
+from .types import BandConstants, Grid, MefCurve, make_curve, make_grid, require_finite
 
 __all__ = [
     "StallionCurve",
@@ -57,8 +61,7 @@ __all__ = [
     "fourth_moment_oracle",
 ]
 
-_CHUNK = 64  # replicates per reduction block; fixed so that worker
-             # count never changes the summation tree
+_CHUNK = 64  # replicates per block; fixed, so it fixes the summation tree
 
 
 @dataclass(frozen=True)
@@ -87,31 +90,30 @@ class ExperimentReport:
     seed: int
 
 
-def _replicate_rng(seed: int, r: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _stallion_chunk(args):
-    dist, points, seed, size, start, count = args
-    grid = make_grid(points)
-    sums = np.zeros(points.size)
-    cnts = np.zeros(points.size, dtype=np.int64)
-    for r in range(start, start + count):
-        x = std_sample(dist, _replicate_rng(seed, r), size)
-        curve = empirical_mef_curve(make_sample(x), grid)
-        ok = np.isfinite(curve.values)
-        sums[ok] += curve.values[ok]
-        cnts[ok] += 1
-    return start, sums, cnts
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MEANEX_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise InputError(f"MEANEX_THREADS must be an integer, got {raw!r}")
-    return max(1, k)
+def _emef_blocks(dist, points, size, seed, n_reps, prefix=(), stat=None):
+    """The replicate engine: for each block of up to _CHUNK consecutive
+    replicates, yield the (B, m) empirical mean excess on points, one row
+    per replicate, and stat of each sorted sample (an empty list without
+    stat). Memory per block is O(B m + size)."""
+    for start in range(0, n_reps, _CHUNK):
+        reps = range(start, min(start + _CHUNK, n_reps))
+        count = np.empty((len(reps), points.size), dtype=np.int64)
+        total = np.empty((len(reps), points.size))
+        top = np.empty((len(reps), 1))
+        stats = []
+        for b, r in enumerate(reps):
+            x = std_sample(dist, _replicate_rng(seed, *prefix, r), size)
+            require_finite(x)
+            x.sort()
+            count[b], total[b] = _exceedances(x, points)
+            top[b] = x[-1]
+            if stat is not None:
+                stats.append(stat(x))
+        yield _emef(points, count, total, top), stats
 
 
 def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, seed: int) -> StallionCurve:
@@ -123,22 +125,14 @@ def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, 
     points = grid.points
     if points[0] < lo or points[-1] >= hi:
         raise DomainError("grid outside support")
-    chunks = [
-        (dist, points, seed, sample_size, start, min(_CHUNK, n_reps - start))
-        for start in range(0, n_reps, _CHUNK)
-    ]
-    workers = _thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_stallion_chunk, chunks))
-        parts.sort(key=lambda t: t[0])
-    else:
-        parts = [_stallion_chunk(c) for c in chunks]
     sums = np.zeros(points.size)
     cnts = np.zeros(points.size, dtype=np.int64)
-    for _, s, c in parts:  # combined in block order regardless of scheduling
-        sums += s
-        cnts += c
+    for e, _ in _emef_blocks(dist, points, sample_size, seed, n_reps):
+        ok = np.isfinite(e)  # NaN points are skipped, not zero-filled
+        # accumulate adds rows in replicate order for any grid size; sum
+        # would add a one-point grid's column pairwise
+        sums += np.add.accumulate(np.where(ok, e, 0.0), axis=0)[-1]
+        cnts += ok.sum(axis=0)
     with np.errstate(invalid="ignore"):
         avg = np.where(cnts > 0, sums / np.maximum(cnts, 1), np.nan)
     curve = make_curve(grid, avg, meta=f"stallion reps={n_reps} size={sample_size} seed={seed}")
@@ -181,23 +175,31 @@ def coverage_experiment(
     mabs = dist_mean_abs(dist) if oracle else None
     if oracle and sf_u1 - constants.D1 / np.sqrt(sample_size) <= 0:
         raise DomainError("band undefined: n too small for interval")
+
+    def band_inputs(x):  # F_bar(u1) and E|X| for the band of sorted sample x
+        if oracle:
+            return sf_u1, mabs
+        return _plug_in_survival(x, constants.u1), _plug_in_mean_abs(x)
+
+    root_n = np.sqrt(sample_size)
     covered = 0
     en_sum = 0.0
     hw_sum = 0.0
     defined = 0
-    for r in range(n_reps):
-        x = std_sample(dist, _replicate_rng(seed, r), sample_size)
-        sample = make_sample(x)
-        try:
-            band = consistency_band(sample, grid, constants, survival_u1=sf_u1, mean_abs=mabs)
-        except DomainError:
-            continue
-        defined += 1
-        en_sum += band.en
-        hw_sum += band.half_width
-        inside = (band.lower <= truth) & (truth <= band.upper)
-        if bool(np.all(inside)):  # NaN comparisons are False: undefined => uncovered
-            covered += 1
+    for e, inputs in _emef_blocks(dist, grid.points, sample_size, seed, n_reps, stat=band_inputs):
+        half = np.full((len(e), 1), np.nan)  # stays NaN where the band is undefined
+        for b, (sf, ma) in enumerate(inputs):
+            try:
+                en = _band_en(sample_size, sf, ma, constants)
+            except DomainError:
+                continue
+            defined += 1
+            en_sum += en
+            half[b] = en / root_n
+            hw_sum += half[b, 0]
+        # NaN comparisons are False: an undefined band or point is uncovered
+        inside = (e - half <= truth) & (truth <= e + half)
+        covered += int(np.count_nonzero(np.all(inside, axis=1)))
     metrics = (
         ("coverage", covered / n_reps),
         ("mean_en", en_sum / defined if defined else float("nan")),
@@ -223,6 +225,8 @@ def convergence_experiment(
     The window starts at the support low end when finite, else at the
     0.1% quantile.
     """
+    if n_reps < 1:
+        raise InputError("convergence requires n_reps >= 1")
     sizes = [int(s) for s in sizes]
     if len(sizes) < 1 or any(s < 2 for s in sizes):
         raise InputError("convergence requires sizes of at least 2 observations")
@@ -237,12 +241,8 @@ def convergence_experiment(
     truth = theoretical_mef_curve(dist, grid)
     metrics = []
     for i, size in enumerate(sizes):
-        devs = np.empty(n_reps)
-        for r in range(n_reps):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, r)))
-            sample = make_sample(std_sample(dist, rng, size))
-            emp = empirical_mef_curve(sample, grid)
-            devs[r] = sup_deviation(emp, truth)
+        blocks = _emef_blocks(dist, grid.points, size, seed, n_reps, prefix=(i,))
+        devs = np.concatenate([_sup_abs(e - truth.values) for e, _ in blocks])
         metrics.append((f"median_sup_dev_{size}", float(np.median(devs))))
     return ExperimentReport(name="convergence", metrics=tuple(metrics), replicate_count=n_reps, seed=seed)
 

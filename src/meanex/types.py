@@ -51,14 +51,19 @@ class Sample:
         return float(self.values[0])
 
 
+def require_finite(values: np.ndarray) -> None:
+    """InputError unless every observation is finite."""
+    if not np.isfinite(values).all():
+        raise InputError("sample values must be finite (no NaN or infinities)")
+
+
 def make_sample(values) -> Sample:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InputError("sample must be one-dimensional")
     if arr.size < 1:
         raise InputError("sample must contain at least one observation")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("sample values must be finite (no NaN or infinities)")
+    require_finite(arr)
     arr = np.sort(arr)
     arr.flags.writeable = False
     return Sample(values=arr)

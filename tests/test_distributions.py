@@ -30,6 +30,7 @@ from meanex import (
     std_sample,
     std_survival,
 )
+from meanex.distributions import FAMILIES, _frozen
 
 # one representative parameterization per family
 REPRESENTATIVES = [
@@ -307,6 +308,25 @@ def test_in_house_law_layer(text):
         sf = std_survival(d, x)
         assert sf + std_cdf(d, x) == pytest.approx(1.0, abs=1e-14)
         assert dist_isf(d, sf) == pytest.approx(x, rel=1e-7, abs=1e-9)
+
+
+SAMPLER_CASES = list(dict.fromkeys(REPRESENTATIVES + IN_HOUSE_LAWS))
+
+
+def test_sampler_cases_cover_every_family():
+    assert {parse_distribution_spec(t).family for t in SAMPLER_CASES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("text", SAMPLER_CASES)
+def test_sampler_matches_scipy_rvs(text):
+    # std_sample skips scipy's rvs wrapper; the public rvs is the oracle
+    d = parse_distribution_spec(text)
+    for seed in (0, 1):
+        want = _frozen(d).rvs(size=777, random_state=np.random.default_rng(seed))
+        assert std_sample(d, np.random.default_rng(seed), 777).tobytes() == want.tobytes()
+    assert std_sample(d, np.random.default_rng(0), 0).shape == (0,)
+    with pytest.raises(DomainError):
+        std_sample(d, np.random.default_rng(0), -1)
 
 
 def test_near_gaussian_gig_is_right_or_refused():

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from meanex import DomainError, gig_moment, gig_pdf, gig_sample, gig_validate
+from meanex import gig
 from meanex.gig import gig_mode
 
 
@@ -164,6 +165,19 @@ def test_sample_deterministic_under_seed():
     a = gig_sample(1.0, 1.0, 1.0, np.random.default_rng(4), 50)
     b = gig_sample(1.0, 1.0, 1.0, np.random.default_rng(4), 50)
     assert np.array_equal(a, b)
+
+
+def test_envelope_is_solved_once_per_triple(monkeypatch):
+    triple = (-0.5, 1.3, 2.7)
+    gig._rou_envelope.cache_clear()
+    fresh = gig_sample(*triple, np.random.default_rng(9), 500)
+    assert gig._rou_envelope(*triple) == gig._rou_envelope.__wrapped__(*triple)
+    calls = []
+    brentq = gig.optimize.brentq
+    monkeypatch.setattr(gig.optimize, "brentq", lambda *a, **k: calls.append(a) or brentq(*a, **k))
+    again = gig_sample(*triple, np.random.default_rng(9), 500)
+    assert calls == []
+    assert again.tobytes() == fresh.tobytes()
 
 
 def test_sample_rejects_invalid_domain():

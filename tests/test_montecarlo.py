@@ -1,6 +1,7 @@
 """Tests for the replicated-emef experiment harness: averaged curves,
-coverage and convergence experiments, determinism under worker counts,
-and the fourth-moment identity with its enumeration oracle."""
+coverage and convergence experiments, the replicate engine against the
+per-replicate loops it replaced, and the fourth-moment identity with its
+enumeration oracle."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from meanex import (
     DomainError,
     InputError,
     band_constants,
+    consistency_band,
     convergence_experiment,
     coverage_experiment,
+    dist_mean_abs,
+    dist_ppf,
+    dist_support,
     empirical_mef_curve,
     fourth_moment_identity,
     fourth_moment_oracle,
@@ -20,11 +25,175 @@ from meanex import (
     ols_fit,
     stallion,
     std_sample,
+    std_survival,
+    sup_deviation,
+    theoretical_mef_curve,
 )
-from meanex.montecarlo import _replicate_rng
+from meanex import cli
+from meanex.cli import main
+from meanex.montecarlo import ExperimentReport, StallionCurve, _replicate_rng
+from meanex.types import make_curve
 
 EXP2 = make_spec("exponential", **{"lambda": 2.0})
 GPD = make_spec("gpd", xi=0.25, beta=1.0)
+NIG = make_spec("gh", **{"lambda": -0.5}, alpha=2.0, beta=0.3, delta=1.0, mu=0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-replicate loops the replicate engine replaced, one
+# sample, one curve and one band at a time
+
+
+def oracle_rng(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def oracle_stallion(dist, n_reps, sample_size, grid, seed):
+    lo, hi = dist_support(dist)
+    if grid.points[0] < lo or grid.points[-1] >= hi:
+        raise DomainError("grid outside support")
+    sums = np.zeros(grid.points.size)
+    cnts = np.zeros(grid.points.size, dtype=np.int64)
+    for start in range(0, n_reps, 64):  # each block summed from zero, blocks in order
+        block_sums = np.zeros(grid.points.size)
+        block_cnts = np.zeros(grid.points.size, dtype=np.int64)
+        for r in range(start, min(start + 64, n_reps)):
+            x = std_sample(dist, oracle_rng(seed, r), sample_size)
+            curve = empirical_mef_curve(make_sample(x), grid)
+            ok = np.isfinite(curve.values)
+            block_sums[ok] += curve.values[ok]
+            block_cnts[ok] += 1
+        sums += block_sums
+        cnts += block_cnts
+    with np.errstate(invalid="ignore"):
+        avg = np.where(cnts > 0, sums / np.maximum(cnts, 1), np.nan)
+    curve = make_curve(grid, avg, meta=f"stallion reps={n_reps} size={sample_size} seed={seed}")
+    return StallionCurve(curve=curve, contributors=cnts, n_reps=n_reps,
+                         sample_size=sample_size, seed=seed, dist=dist)
+
+
+def oracle_coverage(dist, u0, u1, constants, sample_size, n_reps, seed, eps=0.05, oracle=True):
+    grid = make_grid(np.linspace(u0, u1, 101))
+    truth = theoretical_mef_curve(dist, grid).values
+    sf_u1 = float(std_survival(dist, u1)) if oracle else None
+    mabs = dist_mean_abs(dist) if oracle else None
+    covered, en_sum, hw_sum, defined = 0, 0.0, 0.0, 0
+    for r in range(n_reps):
+        sample = make_sample(std_sample(dist, oracle_rng(seed, r), sample_size))
+        try:
+            band = consistency_band(sample, grid, constants, survival_u1=sf_u1, mean_abs=mabs)
+        except DomainError:
+            continue
+        defined += 1
+        en_sum += band.en
+        hw_sum += band.half_width
+        if bool(np.all((band.lower <= truth) & (truth <= band.upper))):
+            covered += 1
+    metrics = (
+        ("coverage", covered / n_reps),
+        ("mean_en", en_sum / defined if defined else float("nan")),
+        ("mean_half_width", hw_sum / defined if defined else float("nan")),
+        ("defined_fraction", defined / n_reps),
+        ("eps", eps),
+        ("size", float(sample_size)),
+    )
+    return ExperimentReport(name="coverage", metrics=metrics, replicate_count=n_reps, seed=seed)
+
+
+def oracle_convergence(dist, u1, sizes, n_reps, seed):
+    lo, _ = dist_support(dist)
+    u0 = lo if np.isfinite(lo) else dist_ppf(dist, 0.001)
+    grid = make_grid(np.linspace(u0, u1, 101))
+    truth = theoretical_mef_curve(dist, grid)
+    metrics = []
+    for i, size in enumerate(sizes):
+        devs = np.empty(n_reps)
+        for r in range(n_reps):
+            sample = make_sample(std_sample(dist, oracle_rng(seed, i, r), size))
+            devs[r] = sup_deviation(empirical_mef_curve(sample, grid), truth)
+        metrics.append((f"median_sup_dev_{size}", float(np.median(devs))))
+    return ExperimentReport(name="convergence", metrics=tuple(metrics), replicate_count=n_reps, seed=seed)
+
+
+def grid_through_maxima(dist, seed, size, reps, lo, hi):
+    """A grid on [lo, hi] that also holds the sample maxima of some
+    replicates: their curves are undefined (NaN) there."""
+    tops = [std_sample(dist, oracle_rng(seed, r), size).max() for r in reps]
+    return make_grid(np.unique(np.concatenate([np.linspace(lo, hi, 60), tops])))
+
+
+# ---------------------------------------------------------------------------
+# the replicate engine against the oracles, bit for bit
+
+
+@pytest.mark.parametrize("n_reps", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("dist, lo, hi", [(EXP2, 0.01, 12.0), (NIG, -3.0, 12.0)], ids=["exp", "nig"])
+def test_stallion_matches_per_replicate_oracle(dist, lo, hi, n_reps):
+    # hi lies past every sample maximum: e is 0 there on every replicate
+    grid = grid_through_maxima(dist, 21, 300, [0, 62, 63, 64, 129], lo, hi)
+    got = stallion(dist, n_reps=n_reps, sample_size=300, grid=grid, seed=21)
+    want = oracle_stallion(dist, n_reps, 300, grid, 21)
+    assert got.curve.values.tobytes() == want.curve.values.tobytes()
+    assert got.contributors.tobytes() == want.contributors.tobytes()
+    assert got.curve.meta == want.curve.meta
+    assert got.contributors.min() < n_reps  # some replicate's maximum is on the grid
+    assert got.curve.values[-1] == 0.0
+
+
+def test_stallion_one_point_grid_matches_per_replicate_oracle():
+    # a (B, 1) block: numpy sums one column pairwise, not row by row
+    grid = make_grid([0.5])
+    got = stallion(GPD, n_reps=130, sample_size=50, grid=grid, seed=1)
+    want = oracle_stallion(GPD, 130, 50, grid, 1)
+    assert got.curve.values.tobytes() == want.curve.values.tobytes()
+
+
+@pytest.mark.parametrize("oracle, size", [(True, 400), (False, 53)], ids=["oracle", "plug-in"])
+def test_coverage_matches_per_replicate_oracle(oracle, size):
+    d = make_spec("exponential", **{"lambda": 1.0})
+    consts = band_constants(0.0, 1.0, A=0.2, A1=0.2) if oracle else band_constants(0.0, 1.0)
+    got = coverage_experiment(d, 0.0, 1.0, consts, sample_size=size, n_reps=130, seed=5, oracle=oracle)
+    want = oracle_coverage(d, 0.0, 1.0, consts, size, 130, 5, oracle=oracle)
+    assert repr(got) == repr(want)
+    metrics = dict(got.metrics)
+    assert 0.0 < metrics["coverage"] < 1.0
+    if not oracle:  # the plug-in band is undefined on some replicates
+        assert 0.0 < metrics["defined_fraction"] < 1.0
+
+
+def test_convergence_matches_per_replicate_oracle():
+    d = make_spec("exponential", **{"lambda": 1.0})
+    got = convergence_experiment(d, u1=1.5, sizes=[10, 100, 1000], n_reps=70, seed=4)
+    assert repr(got) == repr(oracle_convergence(d, 1.5, [10, 100, 1000], 70, 4))
+
+
+def run_mc_cli(out, capsys):
+    """Run stallion (exp and NIG, CSV and SVG) and coverage; return stdout
+    and the files written into ``out``."""
+    exp = ["stallion", "--dist", "exponential(lambda=1)", "--reps", "70", "--size", "300",
+           "--u0", "0.01", "--u1", "9", "--seed", "3"]
+    assert main(exp + ["--csv", str(out / "exp.csv"), "--svg", str(out / "exp.svg")]) == 0
+    nig = ["stallion", "--dist", "gh(lambda=-0.5,alpha=2,beta=0.3,delta=1,mu=0)", "--reps", "66",
+           "--size", "400", "--seed", "4"]
+    assert main(nig + ["--csv", str(out / "nig.csv"), "--svg", str(out / "nig.svg")]) == 0
+    assert main(nig) == 0
+    cov = ["coverage", "--dist", "exponential(lambda=1)", "--u0", "0", "--u1", "1", "--reps", "70",
+           "--size", "500", "--seed", "5", "--A", "0.4", "--A1", "0.4"]
+    assert main(cov) == 0
+    stdout = capsys.readouterr().out
+    return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_outputs_match_per_replicate_oracles(tmp_path, monkeypatch, capsys):
+    (tmp_path / "new").mkdir()
+    (tmp_path / "oracle").mkdir()
+    got = run_mc_cli(tmp_path / "new", capsys)
+    monkeypatch.setattr(cli, "stallion", oracle_stallion)
+    monkeypatch.setattr(cli, "coverage_experiment", oracle_coverage)
+    want = run_mc_cli(tmp_path / "oracle", capsys)
+    assert len(got[1]) == 4
+    assert "coverage," in got[0]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +244,6 @@ def test_stallion_deterministic():
     b = stallion(EXP2, n_reps=5, sample_size=300, grid=grid, seed=9)
     assert np.array_equal(a.curve.values, b.curve.values, equal_nan=True)
     assert np.array_equal(a.contributors, b.contributors)
-
-
-def test_stallion_worker_count_does_not_change_results(monkeypatch):
-    grid = make_grid(np.linspace(0.1, 1.0, 10))
-    monkeypatch.delenv("MEANEX_THREADS", raising=False)
-    serial = stallion(EXP2, n_reps=130, sample_size=300, grid=grid, seed=11)
-    monkeypatch.setenv("MEANEX_THREADS", "2")
-    parallel = stallion(EXP2, n_reps=130, sample_size=300, grid=grid, seed=11)
-    assert np.array_equal(serial.curve.values, parallel.curve.values, equal_nan=True)
-    assert np.array_equal(serial.contributors, parallel.contributors)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +337,12 @@ def test_convergence_rejects_unordered_sizes():
         convergence_experiment(d, u1=1.0, sizes=[1000, 100], n_reps=5, seed=0)
     with pytest.raises(InputError):
         convergence_experiment(d, u1=1.0, sizes=[100, 100], n_reps=5, seed=0)
+
+
+def test_convergence_rejects_no_replicates():
+    d = make_spec("exponential", **{"lambda": 1.0})
+    with pytest.raises(InputError, match="n_reps"):
+        convergence_experiment(d, u1=1.0, sizes=[100], n_reps=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
