@@ -4,28 +4,17 @@ Empirical and theoretical mean excess curves, uniform consistency bands
 with explicit constants, GPD fitting from mean-excess linearity,
 generalized hyperbolic and generalized inverse Gaussian distributions,
 a deterministic Monte Carlo harness, and OHLCV return ingestion.
+
+Only the four modules that work with a law import scipy: ``bessel``,
+``gig``, ``gh`` and ``distributions``. Their names are exported lazily
+(PEP 562): the module loads on the first use of one of them, so
+``import meanex`` and the sample-only work (empirical curves, bands,
+GPD fits, OHLCV ingestion) need numpy alone.
 """
 
-from .bessel import bessel_k, bessel_k_scaled
-from .distributions import (
-    DistributionSpec,
-    dist_isf,
-    dist_mean,
-    dist_mean_abs,
-    dist_ppf,
-    dist_support,
-    fdelta_check,
-    format_distribution_spec,
-    make_spec,
-    parse_distribution_spec,
-    std_cdf,
-    std_pdf,
-    std_sample,
-    std_survival,
-)
+from importlib import import_module as _import_module
+
 from .errors import DomainError, InputError, MeanexError, NumericError
-from .gh import GhParams, gh_mean, gh_norming, gh_pdf, gh_sample, gh_validate, gh_variance
-from .gig import gig_moment, gig_pdf, gig_sample, gig_validate
 from .gpdfit import (
     GpdParams,
     OlsFit,
@@ -86,3 +75,56 @@ from .types import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the scipy-backed module that defines it; a module maps to itself
+_LAZY = {
+    "bessel": "bessel",
+    "bessel_k": "bessel",
+    "bessel_k_scaled": "bessel",
+    "distributions": "distributions",
+    "DistributionSpec": "distributions",
+    "dist_isf": "distributions",
+    "dist_mean": "distributions",
+    "dist_mean_abs": "distributions",
+    "dist_ppf": "distributions",
+    "dist_support": "distributions",
+    "fdelta_check": "distributions",
+    "format_distribution_spec": "distributions",
+    "make_spec": "distributions",
+    "parse_distribution_spec": "distributions",
+    "std_cdf": "distributions",
+    "std_pdf": "distributions",
+    "std_sample": "distributions",
+    "std_survival": "distributions",
+    "gh": "gh",
+    "GhParams": "gh",
+    "gh_mean": "gh",
+    "gh_norming": "gh",
+    "gh_pdf": "gh",
+    "gh_sample": "gh",
+    "gh_validate": "gh",
+    "gh_variance": "gh",
+    "gig": "gig",
+    "gig_moment": "gig",
+    "gig_pdf": "gig",
+    "gig_sample": "gig",
+    "gig_validate": "gig",
+}
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | set(_LAZY)
+)
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

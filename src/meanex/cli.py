@@ -14,10 +14,16 @@ SVG artifacts:
     ingest     OHLCV CSV to a return series (one value per line)
     compare    data emef vs model mef overlay plus sup deviation
 
-Exit codes: 0 success, 2 usage or input error, 3 numeric or domain
-error. Sample files carry one number per line; a non-numeric first
-line is tolerated as a header. Every command is deterministic given
---seed.
+Exit codes: 0 success, 2 usage or input error (an empty --u0/--u1
+window, or --grid order-stats on stallion, gh-pdf or compare, among
+them), 3 numeric or domain error. Sample files carry one number per
+line; a non-numeric first line is tolerated as a header. Every command
+is deterministic given --seed.
+
+Cold start: only the commands that take --dist (stallion, coverage,
+fdelta, gh-pdf, gh-sample, compare) import the scipy-backed
+``distributions`` module, inside the command. emef, band, fit-gpd and
+ingest run on numpy alone.
 """
 
 from __future__ import annotations
@@ -27,14 +33,6 @@ import sys
 
 import numpy as np
 
-from .distributions import (
-    dist_isf,
-    dist_ppf,
-    fdelta_check,
-    parse_distribution_spec,
-    std_pdf,
-    std_sample,
-)
 from .errors import DomainError, InputError, NumericError
 from .gpdfit import classify_tail, fit_gpd_curve
 from .mef import (
@@ -97,8 +95,16 @@ def _read_returns(args):
     return returns(series, kind=args.kind or "gross", field=args.field)
 
 
-def _grid_arg(raw):
-    if raw is None or raw in ("order-stats", "order-statistics"):
+def _grid_arg(args, points=None):
+    """--grid: a point count, or 'order-statistics' of the sample file.
+    The commands that read no sample file pass their default count as
+    points and take a count only."""
+    raw = args.grid
+    if raw is None:
+        return "order-statistics" if points is None else points
+    if raw in ("order-stats", "order-statistics"):
+        if points is not None:
+            raise InputError(f"{args.command} takes --grid as a point count, not 'order-stats'")
         return "order-statistics"
     try:
         m = int(raw)
@@ -107,6 +113,22 @@ def _grid_arg(raw):
     if m < 1:
         raise InputError("--grid size must be positive")
     return m
+
+
+def _window(args, u0=None, u1=None):
+    """The [u0, u1] window from --u0/--u1. u0 and u1 are the callables
+    that give a command's default bounds; without them the options are
+    required. InputError when a bound is missing or the window is empty."""
+    lo, hi = args.u0, args.u1
+    if lo is None and u0 is not None:
+        lo = u0()
+    if hi is None and u1 is not None:
+        hi = u1()
+    if lo is None or hi is None:
+        raise InputError(f"{args.command} requires --u0 and --u1")
+    if not lo < hi:
+        raise InputError(f"{args.command} window is empty")
+    return lo, hi
 
 
 def _emit(args, text, svg_builder=None):
@@ -122,7 +144,7 @@ def _emit(args, text, svg_builder=None):
 
 def cmd_emef(args):
     sample = _read_sample_file(args.sample)
-    grid = default_grid(sample, _grid_arg(args.grid))
+    grid = default_grid(sample, _grid_arg(args))
     curve = empirical_mef_curve(sample, grid)
 
     def build_svg():
@@ -135,20 +157,19 @@ def cmd_emef(args):
 
 def cmd_band(args):
     sample = _read_sample_file(args.sample)
-    if args.u0 is None or args.u1 is None:
-        raise InputError("band requires --u0 and --u1")
-    constants = band_constants(args.u0, args.u1, A=args.A, A1=args.A1)
-    g = _grid_arg(args.grid)
+    u0, u1 = _window(args)
+    constants = band_constants(u0, u1, A=args.A, A1=args.A1)
+    g = _grid_arg(args)
     if g == "order-statistics":
         pts = np.unique(sample.values)
-        pts = pts[(pts >= args.u0) & (pts <= args.u1)]
+        pts = pts[(pts >= u0) & (pts <= u1)]
         if pts.size and pts[-1] == sample.max:
             pts = pts[:-1]
         if pts.size == 0:
             raise InputError("no grid points inside [u0, u1]")
         grid = make_grid(pts)
     else:
-        grid = make_grid(np.linspace(args.u0, args.u1, g))
+        grid = make_grid(np.linspace(u0, u1, g))
     band = consistency_band(sample, grid, constants)
 
     def build_svg():
@@ -161,16 +182,13 @@ def cmd_band(args):
 
 
 def cmd_stallion(args):
+    from .distributions import dist_isf, dist_ppf, parse_distribution_spec
+
     dist = parse_distribution_spec(args.dist)
     reps = FULL_REPS if args.full and args.reps is None else (args.reps or 200)
     size = FULL_SIZE if args.full and args.size is None else (args.size or 2000)
-    u0 = args.u0 if args.u0 is not None else dist_ppf(dist, 0.01)
-    u1 = args.u1 if args.u1 is not None else dist_isf(dist, 0.01)
-    if not u0 < u1:
-        raise InputError("stallion window is empty")
-    g = _grid_arg(args.grid)
-    m = 200 if g == "order-statistics" else g
-    grid = make_grid(np.linspace(u0, u1, m))
+    u0, u1 = _window(args, lambda: dist_ppf(dist, 0.01), lambda: dist_isf(dist, 0.01))
+    grid = make_grid(np.linspace(u0, u1, _grid_arg(args, 200)))
     result = stallion(dist, n_reps=reps, sample_size=size, grid=grid, seed=args.seed)
 
     def build_svg():
@@ -182,14 +200,15 @@ def cmd_stallion(args):
 
 
 def cmd_coverage(args):
+    from .distributions import parse_distribution_spec
+
     dist = parse_distribution_spec(args.dist)
-    if args.u0 is None or args.u1 is None:
-        raise InputError("coverage requires --u0 and --u1")
+    u0, u1 = _window(args)
     reps = FULL_REPS if args.full and args.reps is None else (args.reps or 500)
     size = FULL_SIZE if args.full and args.size is None else (args.size or 4000)
-    constants = band_constants(args.u0, args.u1, A=args.A, A1=args.A1)
+    constants = band_constants(u0, u1, A=args.A, A1=args.A1)
     report = coverage_experiment(
-        dist, args.u0, args.u1, constants,
+        dist, u0, u1, constants,
         sample_size=size, n_reps=reps, seed=args.seed, eps=args.eps,
     )
     _emit(args, experiment_csv(report))
@@ -198,7 +217,7 @@ def cmd_coverage(args):
 
 def cmd_fit_gpd(args):
     sample = _read_sample_file(args.sample)
-    grid = default_grid(sample, _grid_arg(args.grid))
+    grid = default_grid(sample, _grid_arg(args))
     curve = empirical_mef_curve(sample, grid)
     params, fit = fit_gpd_curve(curve)
     label = classify_tail(curve)
@@ -214,24 +233,22 @@ def cmd_fit_gpd(args):
 
 
 def cmd_fdelta(args):
+    from .distributions import fdelta_check, parse_distribution_spec
+
     dist = parse_distribution_spec(args.dist)
-    if args.u0 is None or args.u1 is None:
-        raise InputError("fdelta requires --u0 and --u1")
+    u0, u1 = _window(args)
     deltas = [0.1, 0.01, 0.001]
-    stats = fdelta_check(dist, args.u0, args.u1, deltas)
+    stats = fdelta_check(dist, u0, u1, deltas)
     _emit(args, table("delta,statistic", deltas, stats))
     return 0
 
 
 def cmd_gh_pdf(args):
+    from .distributions import dist_isf, dist_ppf, parse_distribution_spec, std_pdf
+
     dist = parse_distribution_spec(args.dist)
-    u0 = args.u0 if args.u0 is not None else dist_ppf(dist, 0.001)
-    u1 = args.u1 if args.u1 is not None else dist_isf(dist, 0.001)
-    if not u0 < u1:
-        raise InputError("gh-pdf window is empty")
-    g = _grid_arg(args.grid)
-    m = 401 if g == "order-statistics" else g
-    x = np.linspace(u0, u1, m)
+    u0, u1 = _window(args, lambda: dist_ppf(dist, 0.001), lambda: dist_isf(dist, 0.001))
+    x = np.linspace(u0, u1, _grid_arg(args, 401))
     y = np.asarray(std_pdf(dist, x), dtype=float)
 
     def build_svg():
@@ -243,6 +260,8 @@ def cmd_gh_pdf(args):
 
 
 def cmd_gh_sample(args):
+    from .distributions import parse_distribution_spec, std_sample
+
     dist = parse_distribution_spec(args.dist)
     size = args.size or 1000
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
@@ -256,16 +275,17 @@ def cmd_ingest(args):
 
 
 def cmd_compare(args):
+    from .distributions import parse_distribution_spec
+
     vals = _read_returns(args)
     sample = make_sample(vals)
     dist = parse_distribution_spec(args.dist)
-    u0 = args.u0 if args.u0 is not None else float(np.quantile(sample.values, 0.02))
-    u1 = args.u1 if args.u1 is not None else float(np.quantile(sample.values, 0.98))
-    if not u0 < u1:
-        raise InputError("compare window is empty")
-    g = _grid_arg(args.grid)
-    m = 101 if g == "order-statistics" else g
-    grid = make_grid(np.linspace(u0, u1, m))
+    u0, u1 = _window(
+        args,
+        lambda: float(np.quantile(sample.values, 0.02)),
+        lambda: float(np.quantile(sample.values, 0.98)),
+    )
+    grid = make_grid(np.linspace(u0, u1, _grid_arg(args, 101)))
     data_curve = empirical_mef_curve(sample, grid)
     model_curve = theoretical_mef_curve(dist, grid)
 
@@ -288,7 +308,7 @@ def _add_common(p, *names):
     if "dist" in names:
         p.add_argument("--dist", required=True, help="distribution spec, e.g. 'exponential(lambda=2)'")
     if "grid" in names:
-        p.add_argument("--grid", default=None, help="point count or 'order-stats'")
+        p.add_argument("--grid", default=None, help="point count, or 'order-stats' (emef, band, fit-gpd)")
     if "window" in names:
         p.add_argument("--u0", type=float, default=None)
         p.add_argument("--u1", type=float, default=None)

@@ -41,16 +41,15 @@ variance of sqrt(n) (e_n(u) - e(u)).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .distributions import (
-    DistributionSpec,
-    dist_mean,
-    dist_support,
-    dist_tail_moments,
-)
 from .errors import DomainError
 from .types import Band, BandConstants, Grid, MefCurve, Sample, make_curve, make_grid
+
+if TYPE_CHECKING:
+    from .distributions import DistributionSpec
 
 __all__ = [
     "empirical_mef",
@@ -132,7 +131,7 @@ def theoretical_mef(dist: DistributionSpec, u: float) -> float:
     """e(u) for a registered distribution: the one-point case of
     ``theoretical_mef_curve``, so E[(X - u)^+] by one quadrature over the
     tail above u where the family has no closed form."""
-    return float(_mef_values(dist, np.array([float(u)]))[0])
+    return float(_mef_values(dist, np.array([float(u)]))[0][0])
 
 
 def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
@@ -146,19 +145,21 @@ def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
     upper end on and wherever F_bar(u) = 0. DomainError for a law without
     a finite mean, NumericError when a quadrature fails.
     """
-    values = _mef_values(dist, grid.points)
-    from .distributions import format_distribution_spec
-
-    return make_curve(grid, values, meta=f"mef {format_distribution_spec(dist)}")
+    values, meta = _mef_values(dist, grid.points)
+    return make_curve(grid, values, meta=meta)
 
 
-def _mef_values(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
+def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]:
+    """e at thresholds u, and the curve's meta text naming the law."""
+    from .distributions import dist_mean, dist_support, dist_tail_moments, format_distribution_spec
+
+    meta = f"mef {format_distribution_spec(dist)}"
     p = dist.as_dict()
     lo, hi = dist_support(dist)
     out = np.zeros(u.size)
     live = u < hi
     if not np.any(live):
-        return out
+        return out, meta
     mean = dist_mean(dist)  # raises for undefined/infinite-mean families
     below = u < lo
     out[below] = mean - u[below]
@@ -178,7 +179,7 @@ def _mef_values(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
         sf, stop_loss = dist_tail_moments(dist, x)
         with np.errstate(invalid="ignore", divide="ignore"):
             out[inside] = np.where(sf > 0.0, stop_loss / sf, 0.0)
-    return out
+    return out, meta
 
 
 def sup_deviation(a: MefCurve, b: MefCurve) -> float:

@@ -28,17 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import (
-    DistributionSpec,
-    dist_mean_abs,
-    dist_ppf,
-    dist_support,
-    std_sample,
-    std_survival,
-)
 from .errors import DomainError, InputError
 from .mef import (
     _band_en,
@@ -50,6 +44,9 @@ from .mef import (
     theoretical_mef_curve,
 )
 from .types import BandConstants, Grid, MefCurve, make_curve, make_grid, require_finite
+
+if TYPE_CHECKING:
+    from .distributions import DistributionSpec
 
 __all__ = [
     "StallionCurve",
@@ -94,11 +91,12 @@ def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _emef_blocks(dist, points, size, seed, n_reps, prefix=(), stat=None):
+def _emef_blocks(draw, points, size, seed, n_reps, prefix=(), stat=None):
     """The replicate engine: for each block of up to _CHUNK consecutive
     replicates, yield the (B, m) empirical mean excess on points, one row
     per replicate, and stat of each sorted sample (an empty list without
-    stat). Memory per block is O(B m + size)."""
+    stat). draw(rng, size) draws one sample. Memory per block is
+    O(B m + size)."""
     for start in range(0, n_reps, _CHUNK):
         reps = range(start, min(start + _CHUNK, n_reps))
         count = np.empty((len(reps), points.size), dtype=np.int64)
@@ -106,7 +104,7 @@ def _emef_blocks(dist, points, size, seed, n_reps, prefix=(), stat=None):
         top = np.empty((len(reps), 1))
         stats = []
         for b, r in enumerate(reps):
-            x = std_sample(dist, _replicate_rng(seed, *prefix, r), size)
+            x = draw(_replicate_rng(seed, *prefix, r), size)
             require_finite(x)
             x.sort()
             count[b], total[b] = _exceedances(x, points)
@@ -119,6 +117,8 @@ def _emef_blocks(dist, points, size, seed, n_reps, prefix=(), stat=None):
 def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, seed: int) -> StallionCurve:
     """Average the empirical mean-excess curve over n_reps independent
     samples of sample_size draws each."""
+    from .distributions import dist_support, std_sample
+
     if n_reps < 1 or sample_size < 1:
         raise InputError("stallion requires n_reps >= 1 and sample_size >= 1")
     lo, hi = dist_support(dist)
@@ -127,7 +127,7 @@ def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, 
         raise DomainError("grid outside support")
     sums = np.zeros(points.size)
     cnts = np.zeros(points.size, dtype=np.int64)
-    for e, _ in _emef_blocks(dist, points, sample_size, seed, n_reps):
+    for e, _ in _emef_blocks(partial(std_sample, dist), points, sample_size, seed, n_reps):
         ok = np.isfinite(e)  # NaN points are skipped, not zero-filled
         # accumulate adds rows in replicate order for any grid size; sum
         # would add a one-point grid's column pairwise
@@ -163,6 +163,8 @@ def coverage_experiment(
     oracle=False uses the plug-in estimates. A replicate whose band is
     undefined (too few exceedances) counts as not covered.
     """
+    from .distributions import dist_mean_abs, std_sample, std_survival
+
     if n_reps < 1 or sample_size < 1:
         raise InputError("coverage requires n_reps >= 1 and sample_size >= 1")
     if not (0.0 <= eps < 1.0):
@@ -186,7 +188,8 @@ def coverage_experiment(
     en_sum = 0.0
     hw_sum = 0.0
     defined = 0
-    for e, inputs in _emef_blocks(dist, grid.points, sample_size, seed, n_reps, stat=band_inputs):
+    blocks = _emef_blocks(partial(std_sample, dist), grid.points, sample_size, seed, n_reps, stat=band_inputs)
+    for e, inputs in blocks:
         half = np.full((len(e), 1), np.nan)  # stays NaN where the band is undefined
         for b, (sf, ma) in enumerate(inputs):
             try:
@@ -225,6 +228,8 @@ def convergence_experiment(
     The window starts at the support low end when finite, else at the
     0.1% quantile.
     """
+    from .distributions import dist_ppf, dist_support, std_sample
+
     if n_reps < 1:
         raise InputError("convergence requires n_reps >= 1")
     sizes = [int(s) for s in sizes]
@@ -239,9 +244,10 @@ def convergence_experiment(
         raise InputError("convergence window is empty")
     grid = make_grid(np.linspace(u0, u1, 101))
     truth = theoretical_mef_curve(dist, grid)
+    draw = partial(std_sample, dist)
     metrics = []
     for i, size in enumerate(sizes):
-        blocks = _emef_blocks(dist, grid.points, size, seed, n_reps, prefix=(i,))
+        blocks = _emef_blocks(draw, grid.points, size, seed, n_reps, prefix=(i,))
         devs = np.concatenate([_sup_abs(e - truth.values) for e, _ in blocks])
         metrics.append((f"median_sup_dev_{size}", float(np.median(devs))))
     return ExperimentReport(name="convergence", metrics=tuple(metrics), replicate_count=n_reps, seed=seed)

@@ -410,3 +410,43 @@ def test_unknown_flag_exits_2(sample3):
     with pytest.raises(SystemExit) as err:
         main(["emef", sample3, "--bogus"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# shared --u0/--u1 and --grid checks
+
+
+def _argv(command, sample):
+    if command == "band":
+        return ["band", sample]
+    if command == "compare":
+        return ["compare", "--data", FIXTURE, "--log-returns", "--dist", "normal(mu=0,sigma=0.02)"]
+    if command in ("stallion", "coverage"):
+        return [command, "--dist", "exponential(lambda=1)", "--reps", "5", "--size", "100"]
+    return [command, "--dist", "exponential(lambda=1)"]
+
+
+@pytest.mark.parametrize("command", ["band", "coverage", "fdelta", "stallion", "gh-pdf", "compare"])
+def test_empty_window_exit_2(command, sample3, capsys):
+    assert main(_argv(command, sample3) + ["--u0", "2", "--u1", "1"]) == 2
+    assert f"{command} window is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["band", "coverage", "fdelta"])
+def test_missing_window_bound_exit_2(command, sample3, capsys):
+    assert main(_argv(command, sample3) + ["--u0", "0"]) == 2
+    assert f"{command} requires --u0 and --u1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["order-stats", "order-statistics"])
+@pytest.mark.parametrize("command", ["stallion", "gh-pdf", "compare"])
+def test_order_stats_grid_rejected_without_sample_file(command, grid, sample3, capsys):
+    assert main(_argv(command, sample3) + ["--grid", grid]) == 2
+    assert "takes --grid as a point count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,points", [("stallion", 200), ("gh-pdf", 401), ("compare", 101)])
+def test_omitted_grid_keeps_the_default_point_count(command, points, sample3, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(_argv(command, sample3) + ["--csv", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == points + 1
