@@ -4,9 +4,9 @@ laws, behind one text format.
 
 Every family is a scipy law. The standard families are scipy's own
 frozen distributions. GH and GIG are one ``rv_continuous`` subclass over
-the in-house density, mean and sampler of ``gh`` / ``gig``: meanex owns
-the density, scipy's generic code owns the quantiles, and the CDF and
-survival function are quadratures of the in-house density.
+the in-house density, mean and sampler of ``gh`` / ``gig``, with scipy's
+generic quantiles. Every integral of a density, GH/GIG F and F_bar among
+them, is one checked quadrature path (``_integrate``).
 
 Text format: ``family(name=value,...)``, e.g. ``gpd(xi=0.25,beta=1)`` or
 ``gh(lambda=-0.5,alpha=7.6,beta=-1.24,delta=0.052,mu=0.0103)``.
@@ -42,8 +42,8 @@ import numpy as np
 from scipy import integrate, stats
 
 from .errors import DomainError, InputError, NumericError
-from .gh import GhParams, gh_mean, gh_pdf, gh_sample, gh_validate
-from .gig import gig_mode, gig_moment, gig_pdf, gig_sample, gig_validate
+from .gh import GhParams, gh_bulk, gh_mean, gh_pdf, gh_sample, gh_validate
+from .gig import gig_bulk, gig_moment, gig_pdf, gig_sample, gig_validate
 
 __all__ = [
     "DistributionSpec",
@@ -188,6 +188,19 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 # laws
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """What quadrature needs of a law: its density, its support [lo, hi],
+    a centre in its bulk and a length no wider than that bulk."""
+
+    name: str
+    pdf: object
+    lo: float
+    hi: float
+    centre: float
+    scale: float
+
+
 class _InHouseLaw(stats.rv_continuous):
     """A scipy law over one of meanex's own densities (GH or GIG).
 
@@ -195,21 +208,18 @@ class _InHouseLaw(stats.rv_continuous):
     with scaled Bessel functions, where scipy's ``genhyperbolic`` mean is
     NaN once delta sqrt(alpha^2 - beta^2) reaches the hundreds and
     ``geninvgauss`` is NaN at chi psi ~ 1e23. The CDF and the survival
-    function are quads of the density over the tail on the far side of
-    ``centre`` from x, so both keep their relative accuracy far out; a
-    vector of points takes one tail quad per side and one short quad per
-    gap between neighbours. scipy's generic code supplies quantiles and
-    ``expect``; its ``isf(q)`` solves F(x) = 1 - q, so a quantile is only
-    as precise as 1 - q (``isf`` is +inf below q ~ 1e-16).
+    function come from the gap walker (``_walk``), the one builder of F
+    and F_bar. scipy's generic code supplies quantiles and ``expect``; its
+    ``isf(q)`` solves F(x) = 1 - q, so a quantile is only as precise as
+    1 - q (``isf`` is +inf below q ~ 1e-16).
     """
 
-    def __init__(self, density, mean, sample, centre: float, lower: float = -np.inf):
-        super().__init__(a=lower, name="meanex")
-        self.density, self._mean, self._sample, self._centre = density, mean, sample, centre
-        self._mass_checked = False
+    def __init__(self, frame: _Frame, mean, sample):
+        super().__init__(a=frame.lo, name="meanex")
+        self.frame, self._mean, self._sample = frame, mean, sample
 
     def _pdf(self, x):
-        return self.density(x)
+        return self.frame.pdf(x)
 
     def _stats(self):
         return self._mean(), None, None, None
@@ -217,61 +227,11 @@ class _InHouseLaw(stats.rv_continuous):
     def _rvs(self, size=None, random_state=None):
         return self._sample(random_state, int(np.prod(size))).reshape(size)
 
-    def _mass(self, lo: float, hi: float) -> float:
-        """Mass between lo and hi. A flagged quad over a finite interval
-        raises NumericError; a half-line one only warns, as scipy's
-        quantile bracket search may probe a heavy tail far out."""
-        if np.isfinite(lo) and np.isfinite(hi):
-            value = _checked_quad(self.density, lo, hi, "the law", limit=300)
-        else:
-            value = integrate.quad(self.density, lo, hi, limit=300)[0]
-            if not np.isfinite(value):
-                raise NumericError(f"quadrature over [{lo:g}, {hi:g}] is not finite for the law")
-        return min(max(value, 0.0), 1.0)
-
-    def check_mass(self) -> None:
-        """Raise NumericError unless quad finds mass 1 under the density.
-
-        quad maps a half-line at unit scale; a law far narrower than that
-        falls between its nodes, and its CDF would come back as a step
-        function. Checked once per law, before the first quadrature.
-        """
-        if not self._mass_checked:
-            total = self._mass(self.a, self._centre) + self._mass(self._centre, self.b)
-            if not abs(total - 1.0) <= 1e-6:
-                raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
-            self._mass_checked = True
-
-    def _tails(self, xs: np.ndarray, edge: float) -> np.ndarray:
-        """Mass between edge and each of xs, ordered from edge toward the
-        centre: one quad up to the first point, then one per gap."""
-        out = np.empty(xs.size)
-        acc, prev = 0.0, edge
-        for i, v in enumerate(xs):
-            if v != prev:
-                acc = min(acc + self._mass(min(v, prev), max(v, prev)), 1.0)
-            out[i], prev = acc, v
-        return out
-
-    def _each(self, x, side: int):
-        """F (side 0) or F_bar (side 1) at every point of x."""
-        self.check_mass()
-        flat = np.ravel(x)
-        order = np.argsort(flat, kind="stable")
-        xs = flat[order]
-        up = xs >= self._centre
-        lower = self._tails(xs[~up], self.a)  # F below the centre
-        upper = self._tails(xs[up][::-1], self.b)[::-1]  # F_bar above it
-        vals = np.concatenate((lower, 1.0 - upper) if side == 0 else (1.0 - lower, upper))
-        out = np.empty_like(vals)
-        out[order] = vals
-        return out.reshape(np.shape(x))
-
     def _cdf(self, x):
-        return self._each(x, 0)
+        return _walk(self.frame, x, upper=False)
 
     def _sf(self, x):
-        return self._each(x, 1)
+        return _walk(self.frame, x, upper=True)
 
 
 @lru_cache(maxsize=256)
@@ -308,17 +268,13 @@ def _frozen(spec: DistributionSpec):
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
         if gh_validate(gh) == "invalid":
             raise DomainError(f"invalid generalized hyperbolic parameters {format_distribution_spec(spec)}")
-        return _InHouseLaw(partial(gh_pdf, gh), partial(gh_mean, gh), partial(gh_sample, gh), centre=gh.mu)
+        frame = _Frame(fam, partial(gh_pdf, gh), -np.inf, np.inf, *gh_bulk(gh))
+        return _InHouseLaw(frame, partial(gh_mean, gh), partial(gh_sample, gh))
     if fam == "gig":
         lam, chi, psi = p["lambda"], p["chi"], p["psi"]
         gig_validate(lam, chi, psi)
-        return _InHouseLaw(
-            partial(gig_pdf, lam, chi, psi),
-            partial(gig_moment, lam, chi, psi, 1),
-            partial(gig_sample, lam, chi, psi),
-            centre=gig_mode(lam, chi, psi),
-            lower=0.0,
-        )
+        frame = _Frame(fam, partial(gig_pdf, lam, chi, psi), 0.0, np.inf, *gig_bulk(lam, chi, psi))
+        return _InHouseLaw(frame, partial(gig_moment, lam, chi, psi, 1), partial(gig_sample, lam, chi, psi))
     raise InputError(f"unknown family '{fam}'")
 
 
@@ -340,6 +296,30 @@ def _sampler(spec: DistributionSpec):
     return draw
 
 
+@lru_cache(maxsize=256)
+def _frame(spec: DistributionSpec) -> _Frame:
+    """The law's quadrature frame, resolved once. A scipy law's density is
+    its ``_pdf`` hook with shapes, loc and scale parsed once and applied as
+    ``rv_continuous.pdf`` does, without its per-call argument handling; its
+    centre is the median and its bulk the interquartile range."""
+    law = _frozen(spec)
+    if isinstance(law, _InHouseLaw):
+        return law.frame
+    dist = law.dist
+    shapes, loc, scale = dist._parse_args(*law.args, **law.kwds)
+
+    def pdf(x):
+        z = (np.asarray(x, dtype=float) - loc) / scale
+        inside = dist._support_mask(z, *shapes)
+        out = np.where(np.isnan(z), np.nan, 0.0)
+        out[inside] = dist._pdf(z[inside], *shapes) / scale
+        return out[()]
+
+    lo, hi = law.support()
+    iqr = law.ppf(0.75) - law.ppf(0.25)
+    return _Frame(spec.family, pdf, float(lo), float(hi), float(law.median()), float(iqr))
+
+
 def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent draws, in draw order."""
     if n < 0:
@@ -352,15 +332,15 @@ def std_cdf(dist: DistributionSpec, x):
 
 
 def std_survival(dist: DistributionSpec, x):
-    """1 - F computed by the stable direct formula where available."""
+    """F_bar at x: scipy's own for a standard law. For GH/GIG the gap
+    walker's, which takes each point's tail on the far side of the law's
+    centre, so F_bar keeps its relative accuracy far out."""
     return _frozen(dist).sf(x)
 
 
 def std_pdf(dist: DistributionSpec, x):
-    """Density at x; in-house laws skip scipy's per-call argument handling,
-    which costs as much as one GH density value."""
-    law = _frozen(dist)
-    return law.density(x) if isinstance(law, _InHouseLaw) else law.pdf(x)
+    """Density at x, without scipy's per-call argument handling."""
+    return _frame(dist).pdf(x)
 
 
 def dist_support(dist: DistributionSpec) -> tuple[float, float]:
@@ -383,10 +363,11 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
     return float(_frozen(dist).ppf(q))
 
 
-def _checked_quad(f, a: float, b: float, what: str, **options) -> float:
-    """int_a^b f by one adaptive quad; NumericError when quad flags its
-    result (ier != 0) or the value is not finite."""
-    out = integrate.quad(f, a, b, full_output=1, **options)
+def _checked_quad(f, a: float, b: float, what: str) -> float:
+    """int_a^b f by quad (limit 400), the one quad call of meanex, held to
+    its relative tolerance alone: a far tail lies well below the default
+    epsabs 1.49e-8. NumericError when quad flags (ier != 0) or is not finite."""
+    out = integrate.quad(f, a, b, full_output=1, limit=400, epsabs=0.0)
     if len(out) > 3:  # quad appends a message exactly when ier != 0
         raise NumericError(f"quadrature over [{a:g}, {b:g}] failed for {what}: {out[3]}")
     if not np.isfinite(out[0]):
@@ -394,92 +375,34 @@ def _checked_quad(f, a: float, b: float, what: str, **options) -> float:
     return float(out[0])
 
 
-def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
-    """int_a^b weight(x) f(x) dx by one adaptive quad (limit 400) held to
-    quad's relative tolerance alone: a far tail's value can lie well below
-    its default absolute tolerance of 1.49e-8.
+# The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w: a tail of
+# index k > 0.05 holds under 1e-6 of its mass beyond, and x^2 stays finite.
+_LOG_SPAN = 300.0
 
-    quad maps a half-line onto (0, 1] at unit scale. A standard law is
-    therefore integrated in t = (x - c) / s, c its median and s its
-    interquartile range, so a narrow law is resolved wherever it sits. An
-    in-house law, whose quantiles are quadratures themselves, is
-    integrated in x after its mass check. Raises NumericError when quad
-    flags its result (ier != 0) or the value is not finite.
+
+def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
+    """int_a^b weight(x) f(x) dx, one checked quad per piece.
+
+    An interval no wider than the law's bulk w (``scale``) is one quad in
+    x. A wider one is split at the centre, and each side is mapped to
+    x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer the centre: the
+    bulk stays on the scale w near s = 0, and a power tail x^-(k+1)
+    becomes e^-(k s), so a half-line is flag-free far out.
     """
-    law = _frozen(dist)
-    if isinstance(law, _InHouseLaw):
-        law.check_mass()
-        pdf, c, s = law.density, 0.0, 1.0
-    else:
-        pdf, c, s = law.pdf, float(law.median()), _iqr(law)
-    return _checked_quad(
-        lambda t: weight(c + s * t) * pdf(c + s * t) * s, (a - c) / s, (b - c) / s, dist.family,
-        limit=400, epsabs=0.0,
-    )
+    if b - a <= frame.scale:
+        return _checked_quad(lambda x: weight(x) * frame.pdf(x), a, b, frame.name)
+    c = frame.centre
+    if a < c < b:
+        return _integrate(frame, weight, a, c) + _integrate(frame, weight, c, b)
+    x0, w = (a, frame.scale) if a >= c else (b, -frame.scale)
 
+    def mapped(s):
+        if s > _LOG_SPAN:
+            return 0.0
+        x = x0 + w * math.expm1(s)
+        return weight(x) * frame.pdf(x) * frame.scale * math.exp(s)
 
-def _iqr(law) -> float:
-    return float(law.ppf(0.75) - law.ppf(0.25))
-
-
-def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
-    """E[(X - u)^+] = int_u^b (x - u) f(x) dx, the numerator of the mean
-    excess function, by one quadrature above u.
-
-    When the mass lies far above u on a scale far below that distance,
-    quad's nodes can all miss it and the integral comes back as ~0 with
-    no flag. E[(X - u)^+] >= E[X] - u exposes that; the mass below u is
-    then the small side, and E[X] - u + int_a^u (u - x) f(x) dx is the
-    value.
-    """
-    lo, hi = dist_support(dist)
-    mean = dist_mean(dist)
-    above = integrate_density(dist, lambda x: x - u, u, hi)
-    if above >= mean - u:
-        return above
-    return mean - u + integrate_density(dist, lambda x: u - x, lo, u)
-
-
-def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F_bar(u_i) and S(u_i) = E[(X - u_i)^+] at strictly increasing
-    thresholds inside the support, walked from the top down.
-
-    The top point, and any point whose gap to the next is wider than the
-    law's bulk (``_spread``; such a gap can hold the whole mass between
-    quad's nodes), takes S from ``dist_stop_loss``. Every other point
-    adds its gap to the point above:
-
-        S(u_i) = S(u_{i+1}) + (u_{i+1} - u_i) F_bar(u_{i+1})
-                 + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx,
-
-    three nonnegative terms, the last one short quadrature. F_bar is
-    scipy's for a standard law. For GH/GIG it is built the same way from
-    one quad of f per gap, and a point that takes S afresh takes F_bar
-    from one quad over its tail on the far side of the law's centre, as
-    the law's CDF does. These quads go through ``integrate_density``: the
-    CDF's keep quad's absolute tolerance of 1.49e-8, coarse next to an
-    F_bar of 1e-6.
-    """
-    law = _frozen(dist)
-    in_house = isinstance(law, _InHouseLaw)
-    sf = np.zeros(u.size) if in_house else np.atleast_1d(np.asarray(law.sf(u), dtype=float))
-    s = np.zeros(u.size)
-    spread = _spread(dist) if u.size > 1 else 0.0
-    for i in range(u.size - 1, -1, -1):
-        a = u[i]
-        b = u[i + 1] if i + 1 < u.size else np.inf
-        if b - a <= spread:
-            if in_house:
-                sf[i] = sf[i + 1] + integrate_density(dist, _one, a, b)
-            s[i] = s[i + 1] + (b - a) * sf[i + 1] + integrate_density(dist, lambda x: x - a, a, b)
-            continue
-        if in_house:
-            far = a >= law._centre
-            side = integrate_density(dist, _one, a, law.b) if far else integrate_density(dist, _one, law.a, a)
-            sf[i] = side if far else 1.0 - side
-        if sf[i] > 0.0:
-            s[i] = dist_stop_loss(dist, a)
-    return sf, s
+    return _checked_quad(mapped, 0.0, math.log1p((b - a) / frame.scale), frame.name)
 
 
 def _one(x):
@@ -487,14 +410,89 @@ def _one(x):
 
 
 @lru_cache(maxsize=256)
-def _spread(dist: DistributionSpec) -> float:
-    """Width of the law's bulk: the interquartile range of a standard law,
-    E|X - E[X]| = 2 E[(X - E[X])^+] of a GH/GIG law (one quadrature; its
-    quantiles would take dozens each). Every law with a mean has one."""
-    law = _frozen(dist)
-    if isinstance(law, _InHouseLaw):
-        return 2.0 * dist_stop_loss(dist, dist_mean(dist))
-    return _iqr(law)
+def _check_mass(frame: _Frame) -> _Frame:
+    """The frame, once quad finds mass 1 under its density; NumericError
+    otherwise (a law far narrower than its ``scale`` can fall between
+    quad's nodes, and its F would come back as a step function)."""
+    total = _integrate(frame, _one, frame.lo, frame.centre) + _integrate(frame, _one, frame.centre, frame.hi)
+    if not abs(total - 1.0) <= 1e-6:
+        raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
+    return frame
+
+
+def _restarts(walk: np.ndarray, scale: float) -> np.ndarray:
+    """Where a walk over points takes a fresh tail instead of the gap from
+    the previous point: at its first point and after any gap wider than
+    the law's bulk, which could hold the whole mass between quad's nodes."""
+    return np.concatenate(([True], np.abs(np.diff(walk)) > scale))
+
+
+def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
+    """F_bar (upper) or F at every point of x, the one builder of both.
+
+    F_bar is walked down from the upper edge and F up from the lower one:
+    each point adds the mass of its gap to the previous point, one short
+    quad. Where ``_restarts`` says so, a point takes one quad over its
+    tail on the far side of the centre instead, so whichever of F and
+    F_bar is small keeps its relative accuracy.
+    """
+    frame = _check_mass(frame)
+    flat = np.ravel(x)
+    order = np.argsort(flat, kind="stable")
+    if upper:
+        order = order[::-1]
+    walk = flat[order]
+    fresh = _restarts(walk, frame.scale)
+    vals = np.empty(walk.size)
+    for i, v in enumerate(walk):
+        if fresh[i]:
+            above = v >= frame.centre
+            piece = _integrate(frame, _one, v, frame.hi) if above else _integrate(frame, _one, frame.lo, v)
+            vals[i] = piece if above == upper else 1.0 - piece
+        else:
+            lo, hi = sorted((walk[i - 1], v))
+            vals[i] = vals[i - 1] + _integrate(frame, _one, lo, hi)
+    out = np.empty(walk.size)
+    out[order] = np.clip(vals, 0.0, 1.0)
+    return out.reshape(np.shape(x))
+
+
+def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
+    """int_a^b weight(x) f(x) dx by ``_integrate`` after the law's one-time
+    mass check; NumericError when quad flags a piece or it is not finite."""
+    return _integrate(_check_mass(_frame(dist)), weight, a, b)
+
+
+def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
+    """E[(X - u)^+], the numerator of the mean excess function, by one
+    quadrature over u's tail on the far side of the law's centre, where
+    the mass is the small side: int_u^b (x - u) f(x) dx for u at or above
+    the centre, E[X] - u + int_a^u (u - x) f(x) dx below it."""
+    frame, mean = _frame(dist), dist_mean(dist)
+    if u >= frame.centre:
+        return integrate_density(dist, lambda x: x - u, u, frame.hi)
+    return mean - u + integrate_density(dist, lambda x: u - x, frame.lo, u)
+
+
+def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F_bar(u_i), the law's own, and S(u_i) = E[(X - u_i)^+] at strictly
+    increasing thresholds inside the support. S is walked from the top
+    down with the restarts of the gap walker: a restart point takes S from
+    ``dist_stop_loss``, and every other point adds its gap to the point
+    above, S(u_i) = S(u_{i+1}) + (u_{i+1} - u_i) F_bar(u_{i+1})
+    + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx, three nonnegative terms.
+    """
+    sf = np.atleast_1d(np.asarray(_frozen(dist).sf(u), dtype=float))
+    fresh = _restarts(u[::-1], _frame(dist).scale)[::-1]
+    s = np.zeros(u.size)
+    for i in range(u.size - 1, -1, -1):
+        a = u[i]
+        if not fresh[i]:
+            b = u[i + 1]
+            s[i] = s[i + 1] + (b - a) * sf[i + 1] + integrate_density(dist, lambda x: x - a, a, b)
+        elif sf[i] > 0.0:
+            s[i] = dist_stop_loss(dist, a)
+    return sf, s
 
 
 def dist_mean_abs(dist: DistributionSpec) -> float:

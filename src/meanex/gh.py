@@ -46,7 +46,7 @@ from scipy import special, stats
 
 from .bessel import bessel_k_scaled
 from .errors import DomainError
-from .gig import gig_moment, gig_sample
+from .gig import gig_mode, gig_moment, gig_sample
 
 __all__ = [
     "GhParams",
@@ -56,6 +56,7 @@ __all__ = [
     "gh_sample",
     "gh_mean",
     "gh_variance",
+    "gh_bulk",
     "GAUSSIAN_LIMIT_MAGNITUDE",
     "DELTA_ZERO_TOLERANCE",
 ]
@@ -191,11 +192,10 @@ def _vg_pdf(params: GhParams, x: np.ndarray) -> np.ndarray:
 def _interior_logpdf(params: GhParams, x: np.ndarray) -> np.ndarray:
     lam, al, be, de, mu = params.lam, params.alpha, params.beta, params.delta, params.mu
     d = x - mu
-    q2 = de * de + d * d
-    q = np.sqrt(q2)
+    q = np.hypot(de, d)
     return (
         _log_norming(params)
-        + 0.5 * (lam - 0.5) * np.log(q2)
+        + (lam - 0.5) * np.log(q)
         + be * d
         - al * q
         + np.log(bessel_k_scaled(lam - 0.5, al * q))
@@ -207,8 +207,7 @@ def _skew_student_logpdf(params: GhParams, x: np.ndarray) -> np.ndarray:
     # norming constant (K_lam(z) ~ Gamma(-lam)/2 * (2/z)^(-lam) as z -> 0)
     lam, al, be, de, mu = params.lam, params.alpha, params.beta, params.delta, params.mu
     d = x - mu
-    q2 = de * de + d * d
-    q = np.sqrt(q2)
+    q = np.hypot(de, d)
     log_a = (
         (lam + 1.0) * np.log(2.0)
         - 0.5 * np.log(2.0 * np.pi)
@@ -216,7 +215,11 @@ def _skew_student_logpdf(params: GhParams, x: np.ndarray) -> np.ndarray:
         - (lam - 0.5) * np.log(al)
         - 2.0 * lam * np.log(de)
     )
-    return log_a + 0.5 * (lam - 0.5) * np.log(q2) + be * d - al * q + np.log(bessel_k_scaled(lam - 0.5, al * q))
+    # beta d - alpha q cancels on the heavy side, where beta d = alpha |d|;
+    # there it equals -alpha delta^2 / (q + |d|)
+    heavy = be * d > 0.0
+    tilt = np.where(heavy, -al * de * de / (q + np.abs(d)), be * d - al * q)
+    return log_a + (lam - 0.5) * np.log(q) + tilt + np.log(bessel_k_scaled(lam - 0.5, al * q))
 
 
 def gh_pdf(params: GhParams, x) -> np.ndarray | float:
@@ -226,6 +229,10 @@ def gh_pdf(params: GhParams, x) -> np.ndarray | float:
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    far = np.isinf(arr)  # density 0 there; the formulas would give inf - inf
+    any_far = far.any()
+    if any_far:
+        arr = np.where(far, params.mu, arr)
     if kind in _INTERIOR:
         out = np.exp(_interior_logpdf(params, arr))
     elif kind == "skew-student":
@@ -236,6 +243,8 @@ def gh_pdf(params: GhParams, x) -> np.ndarray | float:
         out = _vg_pdf(params, arr)
     else:  # gaussian
         out = stats.norm.pdf(arr, loc=params.mu, scale=np.sqrt(params.delta / params.alpha))
+    if any_far:
+        out = np.where(far, 0.0, out)
     return float(out[0]) if scalar else out
 
 
@@ -300,3 +309,18 @@ def gh_variance(params: GhParams) -> float:
     except DomainError:
         return float("inf")
     return w1 + params.beta ** 2 * (w2 - w1 * w1)
+
+
+def gh_bulk(params: GhParams) -> tuple[float, float]:
+    """A centre and a length no wider than the density's bulk.
+
+    The centre is mu + beta m, m the mode of the mixing law. The length is
+    1/alpha for the variance-gamma classes, else delta, shrunk to
+    sqrt(delta/alpha) when alpha delta > 1 (a near-Gaussian core) and by
+    sqrt(nu) for a Student core of nu = -2 lam degrees of freedom.
+    """
+    kind = _require_valid(params)
+    centre = params.mu + params.beta * float(gig_mode(params.lam, *_mixing_chi_psi(params, kind)))
+    if kind in ("variance-gamma", "skew-laplace"):
+        return centre, 1.0 / params.alpha
+    return centre, params.delta / float(np.sqrt(max(1.0, params.alpha * params.delta) * max(1.0, -2.0 * params.lam)))

@@ -35,7 +35,7 @@ from scipy import optimize, special
 from .bessel import bessel_k_scaled
 from .errors import DomainError
 
-__all__ = ["gig_validate", "gig_sample", "gig_pdf", "gig_moment", "gig_mode"]
+__all__ = ["gig_validate", "gig_sample", "gig_pdf", "gig_moment", "gig_mode", "gig_bulk"]
 
 
 def gig_validate(lam: float, chi: float, psi: float) -> str:
@@ -63,6 +63,16 @@ def gig_mode(lam: float, chi: float, psi: float) -> float:
     if psi == 0.0:
         return 0.5 * chi / (1.0 - lam)
     return ((lam - 1.0) + np.sqrt((lam - 1.0) ** 2 + chi * psi)) / psi
+
+
+def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
+    """The mode m and the width of the bulk around it: m / sqrt((psi m +
+    chi / m) / 2), the curvature scale of the log density at m; the mean
+    2 lambda / psi of a Gamma law whose mode is 0."""
+    m = float(gig_mode(lam, chi, psi))
+    if m > 0.0:
+        return m, m / float(np.sqrt(0.5 * (psi * m + chi / m)))
+    return m, 2.0 * lam / psi
 
 
 def _log_h(w, lam, chi, psi):

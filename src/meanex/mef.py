@@ -9,9 +9,9 @@ b the upper end of the support, set to 0 wherever F_bar(u) = 0. The
 exponential, GPD and Pareto families have closed forms. Every other
 family takes the integral by quadrature of the density, built from the
 top of a threshold grid down (``dist_tail_moments``): the top threshold
-takes one quadrature over the whole tail, and each lower one adds one
-short quadrature over the gap to the threshold above. A single threshold
-is the one-point case of a grid. The plug-in estimator from a sample is
+takes one quadrature over its tail on the far side of the law's centre,
+and each lower one adds one short quadrature over the gap to the
+threshold above. A single threshold is the one-point case of a grid. The plug-in estimator from a sample is
 
     e_n(u) = sum (X_i - u) 1[X_i > u] / sum 1[X_i > u],
 
@@ -129,8 +129,9 @@ def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float
 
 def theoretical_mef(dist: DistributionSpec, u: float) -> float:
     """e(u) for a registered distribution: the one-point case of
-    ``theoretical_mef_curve``, so E[(X - u)^+] by one quadrature over the
-    tail above u where the family has no closed form."""
+    ``theoretical_mef_curve``, so E[(X - u)^+] by one quadrature over u's
+    tail on the far side of the law's centre where the family has no
+    closed form."""
     return float(_mef_values(dist, np.array([float(u)]))[0][0])
 
 
@@ -139,8 +140,8 @@ def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
 
     Closed form for the exponential, GPD and Pareto families. Otherwise
     E[(X - u)^+] / F_bar(u), both built from the top of the grid down by
-    ``dist_tail_moments``: one quadrature over the tail above the top
-    point, then one short quadrature per gap, each value a sum of
+    ``dist_tail_moments``: one quadrature over the tail of the top point,
+    then one short quadrature per gap, each value a sum of
     nonnegative terms. e = E[X] - u below the support, and 0 from its
     upper end on and wherever F_bar(u) = 0. DomainError for a law without
     a finite mean, NumericError when a quadrature fails.

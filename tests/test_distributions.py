@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from meanex import (
     DomainError,
@@ -165,13 +165,19 @@ def test_dist_mean_abs_finds_narrow_mass(text, expected):
 
 
 def test_dist_mean_abs_narrow_in_house_law_is_right_or_refused():
-    # NIG with standard deviation 1e-5: quad cannot find it from mu
-    d = parse_distribution_spec("gh(lambda=-0.5,alpha=10000,beta=0,delta=1e-06,mu=0)")
+    # NIG with standard deviation 1e-5, far narrower than quad's unit scale.
+    # Oracle: for beta = 0, x dx = q dq turns E|X - mu| into
+    # 2 (alpha delta / pi) e^(alpha delta) int_delta^inf K_1(alpha q) dq
+    # = (2 delta / pi) e^(alpha delta) K_0(alpha delta); scipy's
+    # norminvgauss.expect(abs) misses most of the mass here (1.14e-6).
+    alpha, delta = 1e4, 1e-6
+    d = parse_distribution_spec(f"gh(lambda=-0.5,alpha={alpha:g},beta=0,delta={delta:g},mu=0)")
     try:
         value = dist_mean_abs(d)
     except NumericError:
         return
-    assert value == pytest.approx(stats.norminvgauss(a=0.01, b=0.0, scale=1e-6).expect(abs), rel=1e-6)
+    expected = 2.0 * delta / math.pi * special.k0e(alpha * delta)
+    assert value == pytest.approx(expected, rel=1e-6)
 
 
 def test_dist_support():
@@ -351,7 +357,7 @@ def test_near_gaussian_gig_is_right_or_refused():
 
 @pytest.mark.parametrize("text", IN_HOUSE_LAWS)
 def test_in_house_vector_cdf_matches_scalar(text):
-    # a vector call sums gap quads inward from each tail; each value must
+    # a vector call sums gap quads walked in from one edge; each value must
     # still be the one-quad scalar value
     d = parse_distribution_spec(text)
     draws = std_sample(d, np.random.default_rng(3), 30)
@@ -362,3 +368,45 @@ def test_in_house_vector_cdf_matches_scalar(text):
     for i in (0, 7, 19, 29, 31, 33):
         assert cdf[i] == pytest.approx(std_cdf(d, x[i]), abs=1e-12)
         assert sf[i] == pytest.approx(std_survival(d, x[i]), abs=1e-12)
+
+
+def _skew_student_sf(x_values, alpha=0.5, beta=0.5, delta=1.0, mu=0.0):
+    """F_bar of the GH law with lam = -2 and alpha = beta, independent of
+    meanex.gh: mpmath at 30 digits over the GH density formula, with
+    K_{5/2}(z) = sqrt(pi / (2 z)) e^-z (1 + 3/z + 3/z^2), normalised
+    numerically, over pieces that double in length out to infinity."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, de, m = (mpmath.mpf(v) for v in (alpha, beta, delta, mu))
+
+        def f(x):
+            q = mpmath.sqrt(de * de + (x - m) ** 2)
+            z = a * q
+            return q ** -2.5 * mpmath.exp(b * (x - m) - z) / mpmath.sqrt(z) * (1 + 3 / z + 3 / z ** 2)
+
+        doubling = [2 ** k for k in range(64)]
+        total = mpmath.quad(f, [-mpmath.inf] + [-v for v in doubling[7::-1]] + [0] + doubling + [mpmath.inf])
+        return [float(mpmath.quad(f, [x * v for v in doubling] + [mpmath.inf]) / total) for x in x_values]
+
+
+def test_skew_student_survival_far_out():
+    # a bare half-line quad that only warned gave 3.1330e-8, 7.710e-11
+    # and 8.616e-14 here
+    d = parse_distribution_spec("gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)")
+    x = [1e3, 1e4, 1e5]
+    reference = _skew_student_sf(x)
+    np.testing.assert_allclose([float(std_survival(d, v)) for v in x], reference, rtol=1e-6)
+    np.testing.assert_allclose(std_survival(d, np.array(x)), reference, rtol=1e-6)
+
+
+@pytest.mark.parametrize("text", [t for t in REPRESENTATIVES if not t.startswith(("gh(", "gig("))])
+def test_std_pdf_is_scipy_pdf(text):
+    # the density callable skips scipy's argument handling, not its values
+    d = parse_distribution_spec(text)
+    law = _frozen(d)
+    lo, hi = dist_support(d)
+    x = np.concatenate((law.ppf(np.linspace(0.001, 0.999, 41)), [lo - 1.0, lo, hi, hi + 1.0, np.nan]))
+    x = x[np.isfinite(x) | np.isnan(x)]
+    assert np.asarray(std_pdf(d, x)).tobytes() == np.asarray(law.pdf(x)).tobytes()
+    for v in x[::10]:
+        assert np.asarray(std_pdf(d, v)).tobytes() == np.asarray(law.pdf(v)).tobytes()

@@ -166,6 +166,36 @@ def test_pdf_skew_student_integrates_to_one():
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
+# alpha = beta: the skew-Student class, with a heavy right tail
+SKEW_STUDENT = GhParams(-2.0, 0.5, 0.5, 1.0, 0.0)
+
+
+def test_pdf_skew_student_heavy_side_far_out():
+    # the heavy side decays as the power x^(lam - 1) = x^-3; forming
+    # beta d - alpha q directly cancelled and gave log f(1e20) = -22.45
+    x = np.array([1e10, 1e20, 1e100])
+    logf = np.log(gh_pdf(SKEW_STUDENT, x))
+    np.testing.assert_allclose(logf + 3.0 * np.log(x), logf[0] + 3.0 * np.log(x[0]), rtol=1e-9)
+    assert logf[1] == pytest.approx(-140.93, abs=0.005)
+    assert logf[2] == pytest.approx(-693.55, abs=0.005)
+
+
+@pytest.mark.parametrize("p", [HYPERBOLIC, SKEW_STUDENT, NIG_A, GhParams(0.7, 2.0, 0.5, 1.3, -0.4)], ids=gh_validate)
+def test_pdf_finite_far_out(p):
+    # sqrt(delta^2 + d^2) overflowed at |d| >= 1e155 and the density was NaN
+    assert np.array_equal(gh_pdf(p, np.array([-1e155, 1e155])), [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "p", [HYPERBOLIC, SKEW_STUDENT, NIG_A, GAUSSIAN_LIMIT, CAUCHY_LIMIT, SKEW_LAPLACE, STUDENT_LIKE,
+          GhParams(2.0, 1.5, 0.5, 0.0, 0.1), GhParams(-1.5, 0.0, 0.0, 2.0, 0.5)],
+    ids=gh_validate,
+)
+def test_pdf_zero_at_infinity(p):
+    assert np.array_equal(gh_pdf(p, np.array([-np.inf, np.inf])), [0.0, 0.0])
+    assert gh_pdf(p, np.inf) == 0.0
+
+
 def test_pdf_matches_scipy_interior():
     stats = pytest.importorskip("scipy.stats")
     p = GhParams(0.7, 2.0, 0.5, 1.3, -0.4)

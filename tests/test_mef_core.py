@@ -190,9 +190,8 @@ def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
         theoretical_mef_curve(gh, grid)
     with pytest.raises(NumericError):  # a tail quad, then one per gap between points
         std_survival(gh, grid.points)
-    if flaw == "nan":  # a flagged tail quad only warns; a NaN one raises
-        with pytest.raises(NumericError):
-            std_survival(gh, 0.5)
+    with pytest.raises(NumericError):  # a half-line tail quad raises like any other
+        std_survival(gh, 0.5)
 
 
 def test_theoretical_mef_curve_shape():

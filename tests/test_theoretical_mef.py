@@ -187,19 +187,7 @@ def test_cases_cover_every_family_and_gh_class():
     }
 
 
-# scipy's quantile bracket search evaluates this skew-Student's CDF at
-# x = 1000, where the half-line tail quad warns "probably divergent"
-# (CHANGES.md, the FOUND line on distributions._InHouseLaw._mass, now
-# mended for finite intervals only; ROADMAP item 1)
-FAR_PROBE = "gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)"
-
-
-def _cases():
-    ignore = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    return [pytest.param(text, marks=ignore if text == FAR_PROBE else ()) for text in CASES]
-
-
-@pytest.mark.parametrize("text", _cases())
+@pytest.mark.parametrize("text", CASES)
 def test_theoretical_mef_against_oracles(text):
     d = parse_distribution_spec(text)
     if CASES[text] == "undefined":
@@ -230,6 +218,30 @@ def test_theoretical_mef_against_oracles(text):
 def test_theoretical_mef_heavy_tail_rows(text, u, expected):
     # integrating only up to a far quantile lost the whole tail here
     assert theoretical_mef(parse_distribution_spec(text), u) == pytest.approx(expected, rel=1e-8)
+
+
+FAR_LEVELS = (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)
+
+
+FAR_TAILS = {
+    "student(nu=1.5,mu=0)": _student(1.5, 0.0),
+    "student(nu=1.2,mu=0)": _student(1.2, 0.0),
+    "burr(alpha=1.5,lambda=1,tau=1)": lambda u: (1.0 + u) / 0.5,
+    "lognormal(mu=0,sigma=2)": _lognormal(0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("text", FAR_TAILS)
+def test_theoretical_mef_far_tail(text):
+    # out to the 1 - 1e-12 quantile; quad's own half-line map flagged these
+    # tails from 1 - 1e-7 on
+    d = parse_distribution_spec(text)
+    u = np.array([dist_isf(d, q) for q in FAR_LEVELS])
+    expected = [FAR_TAILS[text](v) for v in u]
+    np.testing.assert_allclose([theoretical_mef(d, v) for v in u], expected, rtol=1e-6)
+    e = theoretical_mef_curve(d, make_grid(u)).values
+    np.testing.assert_allclose(e, expected, rtol=1e-6)
+    _tail_means_never_decrease(u, e)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +294,7 @@ def _tail_means_never_decrease(u, e):
     assert np.all(np.diff(tail_means) >= -1e-12 * np.abs(tail_means[1:])), tail_means
 
 
-@pytest.mark.parametrize("text", _cases())
+@pytest.mark.parametrize("text", CASES)
 def test_theoretical_mef_curve_against_oracles(text):
     d = parse_distribution_spec(text)
     if CASES[text] == "undefined":
