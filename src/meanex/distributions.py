@@ -383,17 +383,18 @@ _LOG_SPAN = 300.0
 def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
     """int_a^b weight(x) f(x) dx, one checked quad per piece.
 
-    An interval no wider than the law's bulk w (``scale``) is one quad in
-    x. A wider one is split at the centre, and each side is mapped to
+    The interval is split at the centre (where a variance-gamma density
+    has its kink or pole). A side no wider than the law's bulk w
+    (``scale``) is one quad in x; a wider one is mapped to
     x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer the centre: the
     bulk stays on the scale w near s = 0, and a power tail x^-(k+1)
     becomes e^-(k s), so a half-line is flag-free far out.
     """
-    if b - a <= frame.scale:
-        return _checked_quad(lambda x: weight(x) * frame.pdf(x), a, b, frame.name)
     c = frame.centre
     if a < c < b:
         return _integrate(frame, weight, a, c) + _integrate(frame, weight, c, b)
+    if b - a <= frame.scale:
+        return _checked_quad(lambda x: weight(x) * frame.pdf(x), a, b, frame.name)
     x0, w = (a, frame.scale) if a >= c else (b, -frame.scale)
 
     def mapped(s):
@@ -414,7 +415,7 @@ def _check_mass(frame: _Frame) -> _Frame:
     """The frame, once quad finds mass 1 under its density; NumericError
     otherwise (a law far narrower than its ``scale`` can fall between
     quad's nodes, and its F would come back as a step function)."""
-    total = _integrate(frame, _one, frame.lo, frame.centre) + _integrate(frame, _one, frame.centre, frame.hi)
+    total = _integrate(frame, _one, frame.lo, frame.hi)
     if not abs(total - 1.0) <= 1e-6:
         raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
     return frame

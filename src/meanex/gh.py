@@ -314,13 +314,14 @@ def gh_variance(params: GhParams) -> float:
 def gh_bulk(params: GhParams) -> tuple[float, float]:
     """A centre and a length no wider than the density's bulk.
 
-    The centre is mu + beta m, m the mode of the mixing law. The length is
-    1/alpha for the variance-gamma classes, else delta, shrunk to
-    sqrt(delta/alpha) when alpha delta > 1 (a near-Gaussian core) and by
-    sqrt(nu) for a Student core of nu = -2 lam degrees of freedom.
+    The variance-gamma classes are centred on mu, where the density has
+    its kink or pole, with length 1/alpha. The others are centred on
+    mu + beta m, m the mode of the mixing law, with length delta, shrunk
+    to sqrt(delta/alpha) when alpha delta > 1 (a near-Gaussian core) and
+    by sqrt(nu) for a Student core of nu = -2 lam degrees of freedom.
     """
     kind = _require_valid(params)
-    centre = params.mu + params.beta * float(gig_mode(params.lam, *_mixing_chi_psi(params, kind)))
     if kind in ("variance-gamma", "skew-laplace"):
-        return centre, 1.0 / params.alpha
+        return params.mu, 1.0 / params.alpha
+    centre = params.mu + params.beta * float(gig_mode(params.lam, *_mixing_chi_psi(params, kind)))
     return centre, params.delta / float(np.sqrt(max(1.0, params.alpha * params.delta) * max(1.0, -2.0 * params.lam)))
