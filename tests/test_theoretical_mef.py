@@ -131,6 +131,8 @@ def _gh_mixture(params: GhParams):
     lam, chi, psi = params.lam, params.delta ** 2, params.alpha ** 2 - params.beta ** 2
     if psi == 0.0:
         mixing = stats.invgamma(-lam, scale=0.5 * chi)
+    elif chi == 0.0:
+        mixing = stats.gamma(lam, scale=2.0 / psi)
     else:
         mixing = stats.geninvgauss(lam, math.sqrt(chi * psi), scale=math.sqrt(chi / psi))
 
@@ -167,6 +169,8 @@ CASES = {
         None, _gh_mixture(GhParams(-0.5, 8.03, -1.37, 0.051, 0.0105))),
     "gh(lambda=2,alpha=1.5,beta=0.5,delta=0,mu=0.1)": (_laplace_tails(GhParams(2.0, 1.5, 0.5, 0.0, 0.1)), None),
     "gh(lambda=1,alpha=1.1,beta=0.1,delta=0,mu=2)": (_laplace_tails(GhParams(1.0, 1.1, 0.1, 0.0, 2.0)), None),
+    # variance gamma with lam < 1/2: the density has a pole at mu
+    "gh(lambda=0.3,alpha=1.1,beta=0.1,delta=0,mu=2)": (None, _gh_mixture(GhParams(0.3, 1.1, 0.1, 0.0, 2.0))),
     "gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)": (None, _gh_mixture(GhParams(-2.0, 0.5, 0.5, 1.0, 0.0))),
     "gh(lambda=-1.5,alpha=0,beta=0,delta=2,mu=0.5)": (_student(3.0, 0.5, scale=2.0 / math.sqrt(3.0)), None),
     "gh(lambda=-0.5,alpha=0,beta=0,delta=1,mu=0)": "undefined",
