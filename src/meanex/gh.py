@@ -315,12 +315,16 @@ def gh_bulk(params: GhParams) -> tuple[float, float]:
     """A centre and a length no wider than the density's bulk.
 
     The variance-gamma classes are centred on mu, where the density has
-    its kink or pole, with length 1/alpha. The others are centred on
-    mu + beta m, m the mode of the mixing law, with length delta, shrunk
-    to sqrt(delta/alpha) when alpha delta > 1 (a near-Gaussian core) and
-    by sqrt(nu) for a Student core of nu = -2 lam degrees of freedom.
+    its kink or pole, with length 1/alpha. The Gaussian limit is
+    N(mu, delta/alpha), beta aside, like its density. The others are
+    centred on mu + beta m, m the mode of the mixing law, with length
+    delta, shrunk to sqrt(delta/alpha) when alpha delta > 1 (a
+    near-Gaussian core) and by sqrt(nu) for a Student core of
+    nu = -2 lam degrees of freedom.
     """
     kind = _require_valid(params)
+    if kind == "gaussian":
+        return params.mu, float(np.sqrt(params.delta / params.alpha))
     if kind in ("variance-gamma", "skew-laplace"):
         return params.mu, 1.0 / params.alpha
     centre = params.mu + params.beta * float(gig_mode(params.lam, *_mixing_chi_psi(params, kind)))
