@@ -4,9 +4,9 @@ laws, behind one text format.
 
 Every family is a scipy law. The standard families are scipy's own
 frozen distributions. GH and GIG are one ``rv_continuous`` subclass over
-the in-house density, mean and sampler of ``gh`` / ``gig``, with scipy's
-generic quantiles. Every integral of a density, GH/GIG F and F_bar among
-them, is one checked quadrature path (``_integrate``).
+the in-house density, mean and sampler of ``gh`` / ``gig``. Every
+integral of a density, GH/GIG F, F_bar and quantiles among them, is one
+checked quadrature path (``_integrate``).
 
 Text format: ``family(name=value,...)``, e.g. ``gpd(xi=0.25,beta=1)`` or
 ``gh(lambda=-0.5,alpha=7.6,beta=-1.24,delta=0.052,mu=0.0103)``.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from .errors import DomainError, InputError, NumericError
 from .gh import GhParams, gh_bulk, gh_mean, gh_pdf, gh_sample, gh_validate
@@ -209,9 +209,10 @@ class _InHouseLaw(stats.rv_continuous):
     NaN once delta sqrt(alpha^2 - beta^2) reaches the hundreds and
     ``geninvgauss`` is NaN at chi psi ~ 1e23. The CDF and the survival
     function come from the gap walker (``_walk``), the one builder of F
-    and F_bar. scipy's generic code supplies quantiles and ``expect``; its
-    ``isf(q)`` solves F(x) = 1 - q, so a quantile is only as precise as
-    1 - q (``isf`` is +inf below q ~ 1e-16).
+    and F_bar, and quantiles from a root search on the log of the tail
+    that holds them (``_quantile``), so ``isf(q)`` keeps its relative
+    accuracy below q ~ 1e-16, where 1 - q rounds to 1. scipy's generic
+    code supplies ``expect``.
     """
 
     def __init__(self, frame: _Frame, mean, sample):
@@ -232,6 +233,12 @@ class _InHouseLaw(stats.rv_continuous):
 
     def _sf(self, x):
         return _walk(self.frame, x, upper=True)
+
+    def _ppf(self, q):
+        return np.array([_quantile(self.frame, v, upper=False) for v in np.ravel(q)]).reshape(np.shape(q))
+
+    def _isf(self, q):
+        return np.array([_quantile(self.frame, v, upper=True) for v in np.ravel(q)]).reshape(np.shape(q))
 
 
 @lru_cache(maxsize=256)
@@ -375,9 +382,31 @@ def _checked_quad(f, a: float, b: float, what: str) -> float:
     return float(out[0])
 
 
-# The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w: a tail of
-# index k > 0.05 holds under 1e-6 of its mass beyond, and x^2 stays finite.
+# The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w, where x^2
+# stays finite. What lies beyond is bounded by ``_beyond_span``: a tail
+# of index k holds about 10^(-130 k) of its mass there.
 _LOG_SPAN = 300.0
+# quad's default relative tolerance, the one every piece is held to
+_EPSREL = 1.49e-8
+_TINY = np.finfo(float).tiny
+
+
+def _beyond_span(g, value: float, what: str) -> None:
+    """NumericError unless the mapped integrand g, cut at s = _LOG_SPAN,
+    drops a negligible part of ``value``. Past the cut g is taken to decay
+    as e^-(k s), k read off g over the last unit of s, so the part dropped
+    is g(_LOG_SPAN) / k: a heavy tail such as (x - u) f(x) of a Student
+    law with nu = 1.02 (k = 0.02) is refused, not cut short."""
+    last = abs(g(_LOG_SPAN))
+    if last == 0.0:
+        return
+    prev = abs(g(_LOG_SPAN - 1.0))
+    k = math.log(prev / last) if prev > 0.0 else 0.0
+    if not (k > 0.0 and last / k <= _EPSREL * abs(value)):
+        raise NumericError(
+            f"quadrature for {what} cuts its half-line at {_LOG_SPAN:g} in log scale, "
+            f"and the tail beyond is not negligible"
+        )
 
 
 def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
@@ -388,7 +417,8 @@ def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
     (``scale``) is one quad in x; a wider one is mapped to
     x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer the centre: the
     bulk stays on the scale w near s = 0, and a power tail x^-(k+1)
-    becomes e^-(k s), so a half-line is flag-free far out.
+    becomes e^-(k s), so a half-line is flag-free far out. The map stops
+    at s = _LOG_SPAN, and ``_beyond_span`` refuses a tail cut short there.
     """
     c = frame.centre
     if a < c < b:
@@ -397,13 +427,15 @@ def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
         return _checked_quad(lambda x: weight(x) * frame.pdf(x), a, b, frame.name)
     x0, w = (a, frame.scale) if a >= c else (b, -frame.scale)
 
-    def mapped(s):
-        if s > _LOG_SPAN:
-            return 0.0
+    def g(s):
         x = x0 + w * math.expm1(s)
         return weight(x) * frame.pdf(x) * frame.scale * math.exp(s)
 
-    return _checked_quad(mapped, 0.0, math.log1p((b - a) / frame.scale), frame.name)
+    top = math.log1p((b - a) / frame.scale)
+    value = _checked_quad(lambda s: 0.0 if s > _LOG_SPAN else g(s), 0.0, top, frame.name)
+    if top > _LOG_SPAN:
+        _beyond_span(g, value, frame.name)
+    return value
 
 
 def _one(x):
@@ -411,14 +443,16 @@ def _one(x):
 
 
 @lru_cache(maxsize=256)
-def _check_mass(frame: _Frame) -> _Frame:
-    """The frame, once quad finds mass 1 under its density; NumericError
-    otherwise (a law far narrower than its ``scale`` can fall between
-    quad's nodes, and its F would come back as a step function)."""
-    total = _integrate(frame, _one, frame.lo, frame.hi)
+def _check_mass(frame: _Frame) -> tuple[float, float]:
+    """F and F_bar at the centre, once quad finds mass 1 under the
+    density; NumericError otherwise (a law far narrower than its
+    ``scale`` can fall between quad's nodes, and its F would come back as
+    a step function)."""
+    halves = _tail(frame, frame.centre, False), _tail(frame, frame.centre, True)
+    total = halves[0] + halves[1]
     if not abs(total - 1.0) <= 1e-6:
         raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
-    return frame
+    return halves
 
 
 def _restarts(walk: np.ndarray, scale: float) -> np.ndarray:
@@ -426,6 +460,11 @@ def _restarts(walk: np.ndarray, scale: float) -> np.ndarray:
     the previous point: at its first point and after any gap wider than
     the law's bulk, which could hold the whole mass between quad's nodes."""
     return np.concatenate(([True], np.abs(np.diff(walk)) > scale))
+
+
+def _tail(frame: _Frame, x: float, upper: bool) -> float:
+    """F_bar(x) (upper) or F(x), one integral over that tail."""
+    return _integrate(frame, _one, x, frame.hi) if upper else _integrate(frame, _one, frame.lo, x)
 
 
 def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
@@ -437,7 +476,7 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     tail on the far side of the centre instead, so whichever of F and
     F_bar is small keeps its relative accuracy.
     """
-    frame = _check_mass(frame)
+    _check_mass(frame)
     flat = np.ravel(x)
     order = np.argsort(flat, kind="stable")
     if upper:
@@ -448,7 +487,7 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     for i, v in enumerate(walk):
         if fresh[i]:
             above = v >= frame.centre
-            piece = _integrate(frame, _one, v, frame.hi) if above else _integrate(frame, _one, frame.lo, v)
+            piece = _tail(frame, v, above)
             vals[i] = piece if above == upper else 1.0 - piece
         else:
             lo, hi = sorted((walk[i - 1], v))
@@ -458,10 +497,60 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     return out.reshape(np.shape(x))
 
 
+def _quantile(frame: _Frame, q: float, upper: bool) -> float:
+    """x with F_bar(x) = q (upper) or F(x) = q, from the tail beyond the
+    centre that holds q, so a small q keeps its relative accuracy.
+
+    x runs from the centre at v = 0 out along the tail: x = centre +- w v
+    toward an infinite end of the support, x = end + (centre - end) e^-v
+    toward a finite one, so v holds x to the bulk w, or x - end to its
+    relative accuracy. The bracket doubles v until the tail T at its
+    outer end is at most q. Each step takes the gap from the tail at the
+    step before; that difference is only good to about 3 epsrel of the
+    last tail integral, so a step whose difference lands that close to q,
+    or below it, takes its tail as one integral instead. brentq then
+    solves log T = log q in v inside the bracket, with T the outer end's
+    tail plus the gap.
+    """
+    if q > _check_mass(frame)[upper]:
+        q, upper = 1.0 - q, not upper
+    anchor = t = _check_mass(frame)[upper]
+    c, end = frame.centre, (frame.hi if upper else frame.lo)
+
+    def at(v):
+        if math.isinf(end):
+            return c + math.copysign(frame.scale, end) * v
+        return end + (c - end) * math.exp(-v)
+
+    inner, outer = 0.0, 1.0
+    while True:
+        a, b = sorted((at(inner), at(outer)))
+        if not math.isfinite(b - a):
+            raise NumericError(f"no quantile at {q:g} for {frame.name}: its tail never falls that low")
+        t -= _integrate(frame, _one, a, b)
+        if t - q <= 3.0 * _EPSREL * anchor:
+            anchor = t = _tail(frame, at(outer), upper)
+            if t <= q:
+                break
+        inner, outer = outer, 2.0 * outer
+    log_q, x_out = math.log(max(q, _TINY)), at(outer)
+
+    @lru_cache(maxsize=None)  # brentq asks again for the value at inner
+    def excess(v):
+        x = at(v)
+        return math.log(max(t + _integrate(frame, _one, min(x, x_out), max(x, x_out)), _TINY)) - log_q
+
+    if excess(inner) <= 0.0:
+        return at(inner)
+    return at(optimize.brentq(excess, inner, outer, xtol=1e-15))
+
+
 def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
     """int_a^b weight(x) f(x) dx by ``_integrate`` after the law's one-time
     mass check; NumericError when quad flags a piece or it is not finite."""
-    return _integrate(_check_mass(_frame(dist)), weight, a, b)
+    frame = _frame(dist)
+    _check_mass(frame)
+    return _integrate(frame, weight, a, b)
 
 
 def dist_stop_loss(dist: DistributionSpec, u: float) -> float:

@@ -3,6 +3,7 @@ transforms, and the increment-regularity diagnostic."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -282,6 +283,7 @@ IN_HOUSE_LAWS = [
     "gh(lambda=-1.5,alpha=0,beta=0,delta=2,mu=0.5)",
     "gh(lambda=-0.5,alpha=0,beta=0,delta=1,mu=0)",
     "gh(lambda=-0.5,alpha=1e6,beta=2,delta=3e5,mu=3)",
+    "gh(lambda=1,alpha=1e4,beta=100,delta=1e4,mu=0)",
     "gig(lambda=1,chi=1,psi=1)",
     "gig(lambda=2,chi=0,psi=1)",
     "gig(lambda=-3,chi=2,psi=0)",
@@ -375,7 +377,6 @@ def _skew_student_sf(x_values, alpha=0.5, beta=0.5, delta=1.0, mu=0.0):
     meanex.gh: mpmath at 30 digits over the GH density formula, with
     K_{5/2}(z) = sqrt(pi / (2 z)) e^-z (1 + 3/z + 3/z^2), normalised
     numerically, over pieces that double in length out to infinity."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         a, b, de, m = (mpmath.mpf(v) for v in (alpha, beta, delta, mu))
 
@@ -410,3 +411,22 @@ def test_std_pdf_is_scipy_pdf(text):
     assert np.asarray(std_pdf(d, x)).tobytes() == np.asarray(law.pdf(x)).tobytes()
     for v in x[::10]:
         assert np.asarray(std_pdf(d, v)).tobytes() == np.asarray(law.pdf(v)).tobytes()
+
+
+def test_skew_student_quantiles_far_out():
+    # solved on the log of the small tail: scipy's generic isf(q) solved
+    # F(x) = 1 - q and was +inf below q ~ 1e-16
+    d = parse_distribution_spec("gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)")
+    q = [1e-3, 1e-10, 1e-20]
+    x = [dist_isf(d, v) for v in q]
+    np.testing.assert_allclose(_skew_student_sf(x), q, rtol=1e-6)
+    for v in q:
+        assert float(std_cdf(d, dist_ppf(d, v))) == pytest.approx(v, rel=1e-6, abs=0.0)
+
+
+def test_gig_lower_quantiles_near_zero():
+    # held to their relative distance from the support's end at 0; scipy's
+    # generic ppf, with its absolute tolerance, returned 0 from q = 1e-30
+    d = parse_distribution_spec("gig(lambda=2,chi=0,psi=1)")
+    for q in (1e-3, 1e-30, 1e-100):
+        assert dist_ppf(d, q) == pytest.approx(stats.gamma(2.0, scale=2.0).ppf(q), rel=1e-8, abs=0.0)

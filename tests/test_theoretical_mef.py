@@ -21,6 +21,7 @@ from scipy import special, stats
 
 from meanex import (
     DomainError,
+    NumericError,
     dist_isf,
     gh_validate,
     GhParams,
@@ -175,6 +176,8 @@ CASES = {
     "gh(lambda=-1.5,alpha=0,beta=0,delta=2,mu=0.5)": (_student(3.0, 0.5, scale=2.0 / math.sqrt(3.0)), None),
     "gh(lambda=-0.5,alpha=0,beta=0,delta=1,mu=0)": "undefined",
     "gh(lambda=-0.5,alpha=1e6,beta=2,delta=3e5,mu=3)": (_normal(3.0, math.sqrt(0.3)), None),
+    # the Gaussian limit ignores beta: the law stays centred on mu
+    "gh(lambda=1,alpha=1e4,beta=100,delta=1e4,mu=0)": (_normal(0.0, 1.0), None),
     "gig(lambda=1,chi=1,psi=1)": (None, _conditional(stats.geninvgauss(1.0, 1.0))),
     "gig(lambda=2,chi=0,psi=1)": (_gamma(2.0, 0.5), None),
     "gig(lambda=-3,chi=2,psi=0)": (_inverse_gamma(3.0, 1.0), None),
@@ -246,6 +249,19 @@ def test_theoretical_mef_far_tail(text):
     e = theoretical_mef_curve(d, make_grid(u)).values
     np.testing.assert_allclose(e, expected, rtol=1e-6)
     _tail_means_never_decrease(u, e)
+
+
+@pytest.mark.parametrize("nu", [1.02, 1.05, 1.1])
+def test_theoretical_mef_tail_past_the_log_map_is_right_or_refused(nu):
+    # the log map stops near 1e130; beyond it (x - u) f(x) of nu = 1.02
+    # still holds about 0.25% of E[(X - u)^+]
+    d = make_spec("student", nu=nu, mu=0.0)
+    for u in (0.0, 10.0):
+        try:
+            e = theoretical_mef(d, u)
+        except NumericError:
+            continue
+        assert e == pytest.approx(_student(nu, 0.0)(u), rel=1e-6)
 
 
 @pytest.mark.parametrize(
