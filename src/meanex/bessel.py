@@ -100,11 +100,11 @@ def bessel_k_scaled(order: float, x) -> np.ndarray:
     kernel's range fall back to the large-argument expansion.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise DomainError("bessel_k_scaled requires x > 0")
     a = abs(order)
     out = np.asarray(special.kve(a, x), dtype=float)
     big = x > _ASYMPTOTIC_CUTOFF
-    if np.any(big):
+    if big.any():
         out = np.where(big, _scaled_asymptotic(a, np.where(big, x, 1.0)), out)
     return out

@@ -86,8 +86,8 @@ def gh_validate(params: GhParams) -> str:
 
     Returns 'invalid', 'interior', or a subclass/limit name:
     'hyperbolic', 'nig', 'variance-gamma', 'skew-laplace', 'skew-student',
-    'student', 'cauchy', 'gaussian'. Cached per parameter set, like the
-    norming constant: a quadrature asks for the density point by point.
+    'student', 'cauchy', 'gaussian'. Cached per parameter set: a Monte
+    Carlo run draws replicate after replicate from one law.
     """
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     for v in (lam, al, be, de, params.mu):
@@ -130,7 +130,6 @@ def _require_valid(params: GhParams) -> str:
     return kind
 
 
-@lru_cache(maxsize=256)
 def _log_norming(params: GhParams) -> float:
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     gam2 = al * al - be * be
@@ -157,95 +156,150 @@ def gh_norming(params: GhParams) -> float:
     return val
 
 
-def _student_pdf(nu: float, mu: float, delta: float, x: np.ndarray) -> np.ndarray:
-    return stats.t.pdf(x, df=nu, loc=mu, scale=delta / np.sqrt(nu))
+# Each builder below takes a law of its class and returns its density
+# x -> f(x) for finite x, with every per-law constant worked out once.
+# The same ufuncs run on a 0-d x (a quadrature node) and on an array,
+# so a scalar gets the bits of the matching array element.
 
 
-def _vg_pdf(params: GhParams, x: np.ndarray) -> np.ndarray:
-    # variance gamma (delta = 0), skew-Laplace at lam = 1
-    lam, al, be, mu = params.lam, params.alpha, params.beta, params.mu
-    gam2 = al * al - be * be
-    y = np.abs(x - mu)
-    log_a = (
-        lam * np.log(gam2)
-        - 0.5 * np.log(2.0 * np.pi)
-        - (lam - 1.0) * np.log(2.0)
-        - (lam - 0.5) * np.log(al)
-        - special.gammaln(lam)
-    )
-    at_center = y == 0.0
-    yo = np.where(at_center, 1.0, y)
-    out = np.exp(
-        log_a + (lam - 0.5) * np.log(yo) + be * (x - mu) - al * yo + np.log(bessel_k_scaled(lam - 0.5, al * yo))
-    )
-    if np.any(at_center):
-        if lam > 0.5:
-            center = np.exp(
-                log_a + special.gammaln(lam - 0.5) - np.log(2.0) + (lam - 0.5) * (np.log(2.0) - np.log(al))
-            )
-        else:
-            center = np.inf
-        out = np.where(at_center, center, out)
-    return out
+def _interior(params: GhParams):
+    log_a, order = _log_norming(params), params.lam - 0.5
+    al, be, de, mu = params.alpha, params.beta, params.delta, params.mu
+
+    def pdf(x):
+        d = x - mu
+        q = np.hypot(de, d)
+        return np.exp(log_a + order * np.log(q) + be * d - al * q + np.log(bessel_k_scaled(order, al * q)))
+
+    return pdf
 
 
-def _interior_logpdf(params: GhParams, x: np.ndarray) -> np.ndarray:
-    lam, al, be, de, mu = params.lam, params.alpha, params.beta, params.delta, params.mu
-    d = x - mu
-    q = np.hypot(de, d)
-    return (
-        _log_norming(params)
-        + (lam - 0.5) * np.log(q)
-        + be * d
-        - al * q
-        + np.log(bessel_k_scaled(lam - 0.5, al * q))
-    )
-
-
-def _skew_student_logpdf(params: GhParams, x: np.ndarray) -> np.ndarray:
+def _skew_student(params: GhParams):
     # alpha = |beta| > 0, lam < 0; the gamma -> 0 limit of the interior
     # norming constant (K_lam(z) ~ Gamma(-lam)/2 * (2/z)^(-lam) as z -> 0)
     lam, al, be, de, mu = params.lam, params.alpha, params.beta, params.delta, params.mu
-    d = x - mu
-    q = np.hypot(de, d)
+    order = lam - 0.5
     log_a = (
         (lam + 1.0) * np.log(2.0)
         - 0.5 * np.log(2.0 * np.pi)
         - special.gammaln(-lam)
-        - (lam - 0.5) * np.log(al)
+        - order * np.log(al)
         - 2.0 * lam * np.log(de)
     )
-    # beta d - alpha q cancels on the heavy side, where beta d = alpha |d|;
-    # there it equals -alpha delta^2 / (q + |d|)
-    heavy = be * d > 0.0
-    tilt = np.where(heavy, -al * de * de / (q + np.abs(d)), be * d - al * q)
-    return log_a + (lam - 0.5) * np.log(q) + tilt + np.log(bessel_k_scaled(lam - 0.5, al * q))
+    neg_al_de2 = -al * de * de
+
+    def pdf(x):
+        d = x - mu
+        q = np.hypot(de, d)
+        # beta d - alpha q cancels on the heavy side, where beta d = alpha |d|;
+        # there it equals -alpha delta^2 / (q + |d|)
+        tilt = np.where(be * d > 0.0, neg_al_de2 / (q + np.abs(d)), be * d - al * q)
+        return np.exp(log_a + order * np.log(q) + tilt + np.log(bessel_k_scaled(order, al * q)))
+
+    return pdf
+
+
+def _student(params: GhParams):
+    # Student t with nu = -2 lam degrees of freedom and scale delta / sqrt(nu),
+    # scipy's t density term for term. Where z^2 / nu overflows, z^2 / nu
+    # dwarfs 1 and log1p(z^2 / nu) is 2 log|z| - log nu: the power tail of a
+    # law with nu below about 1.1 is still above the double range's floor there.
+    nu, mu = -2.0 * params.lam, params.mu
+    s = params.delta / np.sqrt(nu)
+    log_c = np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
+    k, log_nu = (nu + 1) / 2, np.log(nu)
+
+    def pdf(x):
+        z = (x - mu) / s
+        with np.errstate(over="ignore"):
+            t = z * z / nu
+        log1p_t = np.log1p(t)
+        far = np.isinf(t)
+        if far.any():
+            log1p_t = np.where(far, 2.0 * np.log(np.maximum(np.abs(z), 1.0)) - log_nu, log1p_t)
+        return np.exp(log_c - k * log1p_t) / s
+
+    return pdf
+
+
+def _variance_gamma(params: GhParams):
+    # variance gamma (delta = 0), skew-Laplace at lam = 1
+    lam, al, be, mu = params.lam, params.alpha, params.beta, params.mu
+    order = lam - 0.5
+    gam2 = al * al - be * be
+    log_a = (
+        lam * np.log(gam2)
+        - 0.5 * np.log(2.0 * np.pi)
+        - (lam - 1.0) * np.log(2.0)
+        - order * np.log(al)
+        - special.gammaln(lam)
+    )
+    if lam > 0.5:
+        centre = np.exp(log_a + special.gammaln(order) - np.log(2.0) + order * (np.log(2.0) - np.log(al)))
+    else:
+        centre = np.inf  # a pole at mu
+
+    def pdf(x):
+        d = x - mu
+        at_centre = d == 0.0
+        y = np.where(at_centre, 1.0, np.abs(d))
+        out = np.exp(log_a + order * np.log(y) + be * d - al * y + np.log(bessel_k_scaled(order, al * y)))
+        return np.where(at_centre, centre, out)
+
+    return pdf
+
+
+def _gaussian(params: GhParams):
+    # N(mu, delta / alpha), scipy's normal density; z^2 overflows only
+    # where the density is 0 in double anyway, and exp(-inf) gives that 0
+    mu, s = params.mu, np.sqrt(params.delta / params.alpha)
+
+    def pdf(x):
+        with np.errstate(over="ignore"):
+            return stats.norm._pdf((x - mu) / s) / s
+
+    return pdf
+
+
+_BUILDERS = {
+    "interior": _interior,
+    "hyperbolic": _interior,
+    "nig": _interior,
+    "skew-student": _skew_student,
+    "student": _student,
+    "cauchy": _student,
+    "variance-gamma": _variance_gamma,
+    "skew-laplace": _variance_gamma,
+    "gaussian": _gaussian,
+}
+
+
+@lru_cache(maxsize=256)
+def _density(params: GhParams):
+    """The law's density on the whole line, resolved once per parameter
+    set: the class and its constants. A quadrature asks for the density
+    node by node, so a call pays only its class's arithmetic. The density
+    is 0 at +-inf, where the formulas would give inf - inf, and a float
+    at a scalar x."""
+    f = _BUILDERS[_require_valid(params)](params)
+    mu = params.mu
+
+    def pdf(x):
+        arr = np.asarray(x, dtype=float)
+        far = np.isinf(arr)
+        if far.any():
+            out = np.where(far, 0.0, f(np.where(far, mu, arr)))
+        else:
+            out = f(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    return pdf
 
 
 def gh_pdf(params: GhParams, x) -> np.ndarray | float:
     """Density at x (scalar or array), dispatching limit classes to
     their closed forms. Total on the real line for valid parameters."""
-    kind = _require_valid(params)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    far = np.isinf(arr)  # density 0 there; the formulas would give inf - inf
-    any_far = far.any()
-    if any_far:
-        arr = np.where(far, params.mu, arr)
-    if kind in _INTERIOR:
-        out = np.exp(_interior_logpdf(params, arr))
-    elif kind == "skew-student":
-        out = np.exp(_skew_student_logpdf(params, arr))
-    elif kind in ("student", "cauchy"):
-        out = _student_pdf(-2.0 * params.lam, params.mu, params.delta, arr)
-    elif kind in ("variance-gamma", "skew-laplace"):
-        out = _vg_pdf(params, arr)
-    else:  # gaussian
-        out = stats.norm.pdf(arr, loc=params.mu, scale=np.sqrt(params.delta / params.alpha))
-    if any_far:
-        out = np.where(far, 0.0, out)
-    return float(out[0]) if scalar else out
+    return _density(params)(x)
 
 
 def _mixing_chi_psi(params: GhParams, kind: str) -> tuple[float, float]:

@@ -156,11 +156,12 @@ def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float]:
 
 
 def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
-    """Density of GIG(lambda, chi, psi), vectorized over w (0 outside support)."""
+    """Density of GIG(lambda, chi, psi), vectorized over w (0 outside
+    support, and at +inf, where the formulas would give inf - inf)."""
     kind, log_norm = _log_norm(lam, chi, psi)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
-    pos = w > 0
+    pos = (w > 0) & (w < np.inf)
     if not np.any(pos):
         return out
     wp = w[pos]

@@ -4,9 +4,10 @@ sampler."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from meanex import (
     DomainError,
@@ -29,6 +30,12 @@ NIG_B = GhParams(-0.5, 7.6, -1.24, 0.052, 0.0103)
 GAUSSIAN_LIMIT = GhParams(-0.5, 1e6, 2.0, 3e5, 3.0)
 CAUCHY_LIMIT = GhParams(-0.5, 0.0, 0.0, 1.0, 7.0)
 SKEW_LAPLACE = GhParams(1.0, 1.1, 0.1, 0.001, 2.0)
+# alpha = beta: the skew-Student class, with a heavy right tail
+SKEW_STUDENT = GhParams(-2.0, 0.5, 0.5, 1.0, 0.0)
+STUDENT = GhParams(-1.5, 0.0, 0.0, 2.0, 0.5)
+# one law of each class, ids by gh_validate
+ONE_PER_CLASS = [HYPERBOLIC, SKEW_STUDENT, NIG_A, GAUSSIAN_LIMIT, CAUCHY_LIMIT, SKEW_LAPLACE, STUDENT_LIKE,
+                 GhParams(2.0, 1.5, 0.5, 0.0, 0.1), STUDENT]
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +139,18 @@ def test_pdf_nig_positive_and_unimodal():
 def test_pdf_student_limit_pointwise():
     # tiny alpha approaches the scaled t with nu = -2 lam degrees
     nu = -2.0 * STUDENT_LIKE.lam
-    from meanex.gh import _student_pdf
-
     for x in (-2.0, 0.0, 1.0, 3.0):
-        limit = float(_student_pdf(nu, STUDENT_LIKE.mu, STUDENT_LIKE.delta, np.array([x]))[0])
+        limit = stats.t.pdf(x, df=nu, loc=STUDENT_LIKE.mu, scale=STUDENT_LIKE.delta / math.sqrt(nu))
         assert abs(gh_pdf(STUDENT_LIKE, x) - limit) < 1e-3
 
 
 def test_pdf_cauchy_limit_closed_form():
-    from scipy import stats
-
     for x in (5.0, 7.0, 9.5):
         expect = stats.cauchy.pdf(x, loc=7.0, scale=1.0)
         assert gh_pdf(CAUCHY_LIMIT, x) == pytest.approx(expect, rel=1e-10)
 
 
 def test_pdf_gaussian_limit_closed_form():
-    from scipy import stats
-
     for x in (2.0, 3.0, 4.0):
         expect = stats.norm.pdf(x, loc=3.0, scale=math.sqrt(0.3))
         assert gh_pdf(GAUSSIAN_LIMIT, x) == pytest.approx(expect, rel=1e-10)
@@ -166,10 +167,6 @@ def test_pdf_skew_student_integrates_to_one():
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
-# alpha = beta: the skew-Student class, with a heavy right tail
-SKEW_STUDENT = GhParams(-2.0, 0.5, 0.5, 1.0, 0.0)
-
-
 def test_pdf_skew_student_heavy_side_far_out():
     # the heavy side decays as the power x^(lam - 1) = x^-3; forming
     # beta d - alpha q directly cancelled and gave log f(1e20) = -22.45
@@ -180,20 +177,68 @@ def test_pdf_skew_student_heavy_side_far_out():
     assert logf[2] == pytest.approx(-693.55, abs=0.005)
 
 
-@pytest.mark.parametrize("p", [HYPERBOLIC, SKEW_STUDENT, NIG_A, GhParams(0.7, 2.0, 0.5, 1.3, -0.4)], ids=gh_validate)
-def test_pdf_finite_far_out(p):
-    # sqrt(delta^2 + d^2) overflowed at |d| >= 1e155 and the density was NaN
-    assert np.array_equal(gh_pdf(p, np.array([-1e155, 1e155])), [0.0, 0.0])
+def _mp_pdf(p, x):
+    """The density at x from its closed form in 40-digit arithmetic,
+    rounded to double: the Student t for alpha = 0, else the GH formula
+    with the interior norming constant or its skew-Student limit."""
+    with mpmath.workdps(40):
+        lam, al, be, de, mu = (mpmath.mpf(v) for v in (p.lam, p.alpha, p.beta, p.delta, p.mu))
+        d = mpmath.mpf(x) - mu
+        if al == 0:
+            nu = -2 * lam
+            s = de / mpmath.sqrt(nu)
+            return float(mpmath.gamma((nu + 1) / 2) / (mpmath.gamma(nu / 2) * mpmath.sqrt(nu * mpmath.pi) * s)
+                         * (1 + (d / s) ** 2 / nu) ** (-(nu + 1) / 2))
+        if al == abs(be):
+            a = 2 ** (lam + 1) / (mpmath.gamma(-lam) * de ** (2 * lam))
+        else:
+            gam = mpmath.sqrt(al * al - be * be)
+            a = gam ** lam / (de ** lam * mpmath.besselk(lam, de * gam))
+        q = mpmath.sqrt(de * de + d * d)
+        return float(a / (mpmath.sqrt(2 * mpmath.pi) * al ** (lam - 0.5)) * q ** (lam - 0.5) * mpmath.exp(be * d)
+                     * mpmath.besselk(lam - 0.5, al * q))
 
 
 @pytest.mark.parametrize(
-    "p", [HYPERBOLIC, SKEW_STUDENT, NIG_A, GAUSSIAN_LIMIT, CAUCHY_LIMIT, SKEW_LAPLACE, STUDENT_LIKE,
-          GhParams(2.0, 1.5, 0.5, 0.0, 0.1), GhParams(-1.5, 0.0, 0.0, 2.0, 0.5)],
+    "p",
+    [HYPERBOLIC, SKEW_STUDENT, NIG_A, GhParams(0.7, 2.0, 0.5, 1.3, -0.4),
+     pytest.param(STUDENT_LIKE, id="interior-student-like"), CAUCHY_LIMIT, STUDENT,
+     pytest.param(GhParams(-0.3, 0.0, 0.0, 1.0, 0.0), id="student-nu-0.6")],
     ids=gh_validate,
 )
+def test_pdf_finite_far_out(p):
+    # sqrt(delta^2 + d^2) overflowed at |d| >= 1e155 and the density was
+    # NaN; the Student classes squared x there and raised on overflow. A
+    # power tail of index below about 1.1 is still above 0 in double.
+    x = np.array([-1e155, 1e155])
+    reference = [_mp_pdf(p, v) for v in x]
+    np.testing.assert_allclose(gh_pdf(p, x), reference, rtol=1e-10, atol=0.0)
+
+
+def test_pdf_power_tail_far_out_is_not_zero():
+    # the reference values the finite-far-out test checks are above 0 for
+    # these laws, so it checks a value, not only that one is finite
+    assert _mp_pdf(CAUCHY_LIMIT, 1e155) == pytest.approx(1.0 / (math.pi * 1e155) / 1e155, rel=1e-12)
+    assert _mp_pdf(GhParams(-0.3, 0.0, 0.0, 1.0, 0.0), 1e155) > 1e-260
+
+
+@pytest.mark.parametrize("p", ONE_PER_CLASS, ids=gh_validate)
 def test_pdf_zero_at_infinity(p):
     assert np.array_equal(gh_pdf(p, np.array([-np.inf, np.inf])), [0.0, 0.0])
     assert gh_pdf(p, np.inf) == 0.0
+
+
+@pytest.mark.parametrize("p", ONE_PER_CLASS, ids=gh_validate)
+def test_pdf_scalar_matches_array_bitwise(p):
+    # a quadrature node is a scalar and std_pdf / gh-pdf pass arrays: each
+    # scalar call gives the bits of its element of one array call, out to
+    # +-inf and past the Bessel kernel's 1e8 cutoff
+    x = [-np.inf, -1e155, p.mu - 3.0, p.mu - 0.1, p.mu, p.mu + 1e-9, p.mu + 0.37, p.mu + 2.5, 1e155, np.inf]
+    if p.alpha > 0:
+        x += [p.mu - 2e8 / p.alpha, p.mu + 2e8 / p.alpha]
+    scalars = [gh_pdf(p, v) for v in x]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(np.array(scalars).view(np.uint64), gh_pdf(p, np.array(x)).view(np.uint64))
 
 
 def test_pdf_matches_scipy_interior():

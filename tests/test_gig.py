@@ -96,6 +96,18 @@ def test_pdf_zero_outside_support():
     assert out[2] > 0.0
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [(2.0, 1.0, 1.0), (2.0, 0.0, 1.0), (-1.5, 2.0, 0.0), pytest.param((1.0, 1.0, 1.0), id="interior-lambda-1")],
+    ids=lambda t: gig_validate(*t),
+)
+def test_pdf_zero_at_infinity(triple):
+    # the Gamma class formed inf - inf at +inf and gave NaN, and so did
+    # the interior class for lambda >= 1 (0 * inf at lambda = 1)
+    assert np.array_equal(gig_pdf(*triple, np.array([np.inf, -np.inf])), [0.0, 0.0])
+    assert gig_pdf(*triple, np.inf) == 0.0
+
+
 def test_pdf_matches_scipy():
     # scipy's geninvgauss(p, b) is GIG(p, chi=b*scale, psi=b/scale)
     lam, chi, psi = 1.4, 0.9, 2.3
