@@ -77,17 +77,14 @@ def _read_sample_file(path):
     return make_sample(values)
 
 
-def _read_text_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-
-
 def _read_returns(args):
     """The return series --field/--kind/--log-returns select from --data."""
-    series = parse_ohlcv_csv(_read_text_file(args.data))
+    # parsed from the open file, so the file's text is never held whole
+    try:
+        with open(args.data, "r", encoding="utf-8") as fh:
+            series = parse_ohlcv_csv(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {args.data}: {exc}")
     if args.log_returns and args.kind is not None:
         raise InputError("--log-returns conflicts with --kind")
     if args.log_returns:

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special, stats
 
-from .bessel import bessel_k_scaled
+from .bessel import any_true, bessel_k_scaled
 from .errors import DomainError
 from .gig import gig_mode, gig_moment, gig_sample
 
@@ -215,7 +215,7 @@ def _student(params: GhParams):
             t = z * z / nu
         log1p_t = np.log1p(t)
         far = np.isinf(t)
-        if far.any():
+        if any_true(far):
             log1p_t = np.where(far, 2.0 * np.log(np.maximum(np.abs(z), 1.0)) - log_nu, log1p_t)
         return np.exp(log_c - k * log1p_t) / s
 
@@ -287,7 +287,7 @@ def _density(params: GhParams):
     def pdf(x):
         arr = np.asarray(x, dtype=float)
         far = np.isinf(arr)
-        if far.any():
+        if any_true(far):
             out = np.where(far, 0.0, f(np.where(far, mu, arr)))
         else:
             out = f(arr)

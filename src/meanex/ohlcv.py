@@ -4,10 +4,19 @@ Input format: CSV with header exactly
 
     date,open,high,low,close,volume
 
-ISO dates (YYYY-MM-DD), positive prices satisfying
+Dates in the form YYYY-MM-DD and nothing else (surrounding whitespace
+is ignored; 20240131 or 2024-W05-4 are refused on every Python),
+positive prices satisfying
 low <= min(open, close) <= max(open, close) <= high, nonnegative volume.
 Duplicate dates are rejected; records are sorted by date on ingest.
-Errors carry the 1-based data row number.
+Empty and whitespace-only rows are skipped. Errors carry the 1-based
+data row number of the first bad row in file order.
+
+A file is parsed and checked a column at a time: each date is parsed
+once, each number is read with Python's float, and each check runs once
+over whole columns. A PriceSeries stores the sorted dates as one
+datetime64[D] array and the five fields as one read-only 5 x n float
+array; ``records`` builds the per-row OhlcvRecord view on demand.
 
 Returns are computed from closes: gross R_t = P_t / P_{t-1}, simple
 R_t - 1, and log returns log(P_t / P_{t-1}), so a series of m records
@@ -18,8 +27,10 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import date as _date
+from itertools import compress, count
 
 import numpy as np
 
@@ -35,6 +46,7 @@ __all__ = [
 ]
 
 _HEADER = ["date", "open", "high", "low", "close", "volume"]
+_FIELDS = _HEADER[1:]
 
 
 @dataclass(frozen=True)
@@ -47,50 +59,103 @@ class OhlcvRecord:
     volume: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Date-sorted OHLCV records plus the field extraction helpers."""
+    """A date-sorted OHLCV series held as columns: ``days``, the dates as
+    datetime64[D], and ``values``, a read-only 5 x n float array with one
+    row per field in header order (open, high, low, close, volume).
 
-    records: tuple
+    ``field(name)`` returns that field's row, itself read-only; ``records``
+    and ``dates()`` build the per-record views on demand. Two series are
+    equal when their symbols, dates and values are."""
+
+    days: np.ndarray
+    values: np.ndarray
     symbol: str = ""
+
+    def __post_init__(self):
+        self.days.flags.writeable = False
+        self.values.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.days.size
+
+    @property
+    def records(self) -> tuple:
+        return tuple(map(OhlcvRecord, self.dates(), *self.values.tolist()))
 
     def field(self, name: str) -> np.ndarray:
-        if name not in _HEADER[1:]:
-            raise InputError(f"unknown field {name!r}; expected one of {_HEADER[1:]}")
-        return np.array([getattr(rec, name) for rec in self.records], dtype=float)
+        if name not in _FIELDS:
+            raise InputError(f"unknown field {name!r}; expected one of {_FIELDS}")
+        return self.values[_FIELDS.index(name)]
 
-    def dates(self):
-        return [rec.date for rec in self.records]
+    def dates(self) -> list:
+        return self.days.tolist()
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceSeries):
+            return NotImplemented
+        return (
+            self.symbol == other.symbol
+            and np.array_equal(self.days, other.days)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self):
+        return hash((self.symbol, self.records))
 
 
-def _parse_row(row, rownum) -> OhlcvRecord:
-    if len(row) != 6:
-        raise InputError(f"row {rownum}: expected 6 fields, got {len(row)}")
+# a date token, once stripped, must read YYYY-MM-DD in ASCII digits: Python
+# 3.11's date.fromisoformat alone would also take 20240131 and 2024-W05-4
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+_EPOCH = _date(1970, 1, 1).toordinal()
+
+
+def _days(tokens) -> np.ndarray:
+    """datetime64[D] days of YYYY-MM-DD date tokens; ValueError when a
+    token has another form or names no date."""
+    stripped = list(map(str.strip, tokens))
+    if not all(map(_ISO_DATE, stripped)):
+        raise ValueError("date not in YYYY-MM-DD form")
+    ordinals = np.array(list(map(_date.toordinal, map(_date.fromisoformat, stripped))), dtype=np.int64)
+    return (ordinals - _EPOCH).astype("datetime64[D]")
+
+
+def _floats(tokens) -> np.ndarray:
+    return np.array(list(map(float, tokens)), dtype=float)
+
+
+def _convert(convert, tokens):
+    """``convert(tokens)`` and ``len(tokens)``; when convert refuses a
+    token (ValueError), the conversion of the tokens before the first
+    refused one and that token's index instead."""
     try:
-        d = _date.fromisoformat(row[0].strip())
+        return convert(tokens), len(tokens)
     except ValueError:
-        raise InputError(f"row {rownum}: invalid date {row[0]!r}")
-    try:
-        o, h, l, c, v = (float(tok) for tok in row[1:])
-    except ValueError:
-        raise InputError(f"row {rownum}: non-numeric price or volume")
-    if not all(np.isfinite([o, h, l, c, v])):
-        raise InputError(f"row {rownum}: non-finite price or volume")
-    if min(o, h, l, c) <= 0:
-        raise InputError(f"row {rownum}: prices must be positive")
-    if v < 0:
-        raise InputError(f"row {rownum}: volume must be nonnegative")
-    if not (l <= min(o, c) and max(o, c) <= h):
-        raise InputError(f"row {rownum}: price bounds violated (need low <= open,close <= high)")
-    return OhlcvRecord(date=d, open=o, high=h, low=l, close=c, volume=v)
+        i = 0
+        for tok in tokens:
+            try:
+                convert((tok,))
+            except ValueError:
+                break
+            i += 1
+        return convert(tokens[:i]), i
+
+
+def _first(mask) -> int:
+    """Index of the first True of a boolean vector, its length if none."""
+    return int(mask.argmax()) if mask.any() else mask.size
 
 
 def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
-    """Parse OHLCV CSV from a string or text stream into a PriceSeries."""
+    """Parse OHLCV CSV from a string or text stream into a PriceSeries.
+
+    The file is checked a column at a time. Each check runs over the rows
+    before the first bad row found so far, in the order the checks apply
+    within a row (field count, date, numbers, finiteness, positive prices,
+    volume, price bounds, duplicate date), so the InputError names the
+    first bad row in file order and the first check that row fails."""
     if isinstance(text_or_stream, str):
         stream = io.StringIO(text_or_stream)
     else:
@@ -102,20 +167,50 @@ def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
         raise InputError("no records: input is empty")
     if [h.strip().lower() for h in header] != _HEADER:
         raise InputError(f"bad header: expected {','.join(_HEADER)}")
-    records = []
-    seen = set()
-    for rownum, row in enumerate(reader, start=1):
-        if not row or all(not tok.strip() for tok in row):
-            continue
-        rec = _parse_row(row, rownum)
-        if rec.date in seen:
-            raise InputError(f"row {rownum}: duplicate date {rec.date.isoformat()}")
-        seen.add(rec.date)
-        records.append(rec)
-    if not records:
+    rows = list(reader)
+    # skip empty and whitespace-only rows; rownums keeps each kept row's number
+    kept = list(map(bool, map(str.strip, map("".join, rows))))
+    rownums = list(compress(count(1), kept))
+    rows = list(compress(rows, kept))
+    if not rows:
         raise InputError("no records")
-    records.sort(key=lambda r: r.date)
-    return PriceSeries(records=tuple(records), symbol=symbol)
+
+    n = _first(np.fromiter(map(len, rows), int, len(rows)) != 6)
+    error = f"expected 6 fields, got {len(rows[n])}" if n < len(rows) else None
+    columns = list(zip(*rows[:n])) or [()] * 6
+    del rows  # the row lists, and below the tokens, go once they are read
+    days, i = _convert(_days, columns[0])
+    if i < n:
+        n, error = i, f"invalid date {columns[0][i]!r}"
+    numbers = []
+    for col in columns[1:]:
+        vals, i = _convert(_floats, col[:n])
+        if i < n:
+            n, error = i, "non-numeric price or volume"
+        numbers.append(vals)
+    del columns
+    days = days[:n]
+    values = np.array([vals[:n] for vals in numbers])
+
+    o, h, l, c, v = values
+    order = np.argsort(days, kind="stable")
+    sorted_days = days[order]
+    repeat = np.zeros(n, dtype=bool)  # rows whose date an earlier row has
+    repeat[order[1:][sorted_days[1:] == sorted_days[:-1]]] = True
+    checks = (
+        (~np.isfinite(values).all(axis=0), "non-finite price or volume"),
+        ((values[:4] <= 0).any(axis=0), "prices must be positive"),
+        (v < 0, "volume must be nonnegative"),
+        (~((l <= np.minimum(o, c)) & (np.maximum(o, c) <= h)),
+         "price bounds violated (need low <= open,close <= high)"),
+        (repeat, "duplicate date {day}"),
+    )
+    i = _first(np.logical_or.reduce([mask for mask, _ in checks]))
+    if i < n:
+        n, error = i, next(msg for mask, msg in checks if mask[i]).format(day=days[i])
+    if error is not None:
+        raise InputError(f"row {rownums[n]}: {error}")
+    return PriceSeries(sorted_days, values[:, order], symbol)
 
 
 def _positive_field(series: PriceSeries, field: str) -> np.ndarray:
@@ -146,9 +241,6 @@ def log_returns(series: PriceSeries, field: str = "close") -> np.ndarray:
 
 def monthly_last(series: PriceSeries) -> PriceSeries:
     """Keep only the last record of each calendar month."""
-    keep = []
-    for i, rec in enumerate(series.records):
-        nxt = series.records[i + 1] if i + 1 < series.n else None
-        if nxt is None or (nxt.date.year, nxt.date.month) != (rec.date.year, rec.date.month):
-            keep.append(rec)
-    return PriceSeries(records=tuple(keep), symbol=series.symbol)
+    month = series.days.astype("datetime64[M]")
+    last = np.append(month[1:] != month[:-1], True)
+    return PriceSeries(series.days[last], series.values[:, last], series.symbol)

@@ -78,11 +78,9 @@ def compare_csv(data_curve: MefCurve, model_curve: MefCurve) -> str:
 
 def ohlcv_csv(series: PriceSeries) -> str:
     """Serialize a PriceSeries back to the input CSV format."""
-    lines = ["date,open,high,low,close,volume"]
-    for rec in series.records:
-        nums = ",".join(fmt(v) for v in (rec.open, rec.high, rec.low, rec.close, rec.volume))
-        lines.append(f"{rec.date.isoformat()},{nums}")
-    return "\n".join(lines) + "\n"
+    row = "%s,%.12g,%.12g,%.12g,%.12g,%.12g".__mod__
+    columns = (np.datetime_as_string(series.days).tolist(), *series.values.tolist())
+    return "\n".join(["date,open,high,low,close,volume", *map(row, zip(*columns))]) + "\n"
 
 
 def write_text(path, text: str) -> None:

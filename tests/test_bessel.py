@@ -113,5 +113,15 @@ def test_scaled_kernel_finite_deep_in_tail():
 
 
 def test_scaled_kernel_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        bessel_k_scaled(1.0, np.array([1.0, 0.0]))
+    for x in (np.array([1.0, 0.0]), 0.0, -1.0, np.float64(-0.0), np.array(-2.0), np.array([[3.0], [0.0]])):
+        with pytest.raises(DomainError):
+            bessel_k_scaled(1.0, x)
+
+
+def test_scaled_kernel_scalar_is_its_array_element():
+    # the x > 0 and asymptotic-branch tests take another route on a 0-d x
+    x = np.array([1e-3, 0.7, 1e8, 2e8, 1e12])
+    for order in (0.2, 1.3, 4.5):
+        vec = bessel_k_scaled(order, x)
+        for xi, vi in zip(x, vec):
+            assert bessel_k_scaled(order, float(xi)).tobytes() == vi.tobytes()

@@ -344,6 +344,18 @@ def test_ingest_log_returns(tmp_path):
     assert len(vals) == 499
 
 
+def test_ingest_reads_crlf_file_as_lf(tmp_path):
+    text = open(FIXTURE, encoding="utf-8").read()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    outs = []
+    for data in (FIXTURE, str(crlf)):
+        out = tmp_path / f"lr{len(outs)}.txt"
+        assert main(["ingest", data, "--log-returns", "--csv", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_ingest_flag_conflict_exit_2(capsys):
     assert main(["ingest", FIXTURE, "--log-returns", "--kind", "simple"]) == 2
 

@@ -1,7 +1,14 @@
 """Tests for OHLCV CSV parsing, return construction, monthly
-subsampling, and serialization round-trips."""
+subsampling, and serialization round-trips.
 
+The column-at-a-time parser is checked against the row-at-a-time parser
+it replaced (``oracle_parse``), kept here as an independent oracle."""
+
+import csv
+import io
 import math
+import random
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +16,14 @@ import pytest
 
 from meanex import (
     InputError,
+    OhlcvRecord,
     log_returns,
     monthly_last,
     ohlcv_csv,
     parse_ohlcv_csv,
     returns,
 )
+from meanex.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "synthetic_ohlcv.csv"
 
@@ -119,6 +128,19 @@ def test_parse_sets_symbol():
     text = rows("2024-01-31,10,11,9,10,90")
     series = parse_ohlcv_csv(text, symbol="AXP")
     assert series.symbol == "AXP"
+
+
+@pytest.mark.parametrize("token", ["20240131", "2024-W05-4", "2024-01-31T00", "2024-1-31", "０２０２-01-31"])
+def test_parse_accepts_only_yyyy_mm_dd_dates(token, tmp_path, capsys):
+    # Python 3.11's date.fromisoformat reads the first two as 2024-01-31
+    # and 2024-02-01; the format (and Python 3.10) take YYYY-MM-DD only
+    text = rows("2024-01-30,10,11,9,10,90", f"{token},10,11,9,10,90")
+    with pytest.raises(InputError, match=r"^row 2: invalid date "):
+        parse_ohlcv_csv(text)
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ingest", str(path)]) == 2
+    assert f"row 2: invalid date {token!r}" in capsys.readouterr().err
 
 
 def test_field_rejects_unknown_name():
@@ -262,3 +284,169 @@ def test_fixture_parses_and_round_trips():
     s = returns(series, kind="simple")
     assert np.max(np.abs((g - 1.0) - s)) <= 1e-15
     assert np.max(np.abs(np.exp(log_returns(series)) / g - 1.0)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the row-at-a-time parser as an oracle
+
+
+def oracle_parse(text):
+    """The row-at-a-time parser the columnar one replaced: the records it
+    builds, or the message of the InputError it raises. It reads dates
+    with date.fromisoformat alone, so the generated files below keep to
+    forms every supported Python reads the same way."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    assert [h.strip().lower() for h in header] == HEADER.split(",")
+    records, seen = [], set()
+    for rownum, row in enumerate(reader, start=1):
+        if not row or all(not tok.strip() for tok in row):
+            continue
+        if len(row) != 6:
+            return f"row {rownum}: expected 6 fields, got {len(row)}"
+        try:
+            d = date.fromisoformat(row[0].strip())
+        except ValueError:
+            return f"row {rownum}: invalid date {row[0]!r}"
+        try:
+            o, h, l, c, v = (float(tok) for tok in row[1:])
+        except ValueError:
+            return f"row {rownum}: non-numeric price or volume"
+        if not all(np.isfinite([o, h, l, c, v])):
+            return f"row {rownum}: non-finite price or volume"
+        if min(o, h, l, c) <= 0:
+            return f"row {rownum}: prices must be positive"
+        if v < 0:
+            return f"row {rownum}: volume must be nonnegative"
+        if not (l <= min(o, c) and max(o, c) <= h):
+            return f"row {rownum}: price bounds violated (need low <= open,close <= high)"
+        if d in seen:
+            return f"row {rownum}: duplicate date {d.isoformat()}"
+        seen.add(d)
+        records.append(OhlcvRecord(date=d, open=o, high=h, low=l, close=c, volume=v))
+    if not records:
+        return "no records"
+    return tuple(sorted(records, key=lambda r: r.date))
+
+
+def parsed(text):
+    """What parse_ohlcv_csv gives, in the oracle's terms."""
+    try:
+        return parse_ohlcv_csv(text).records
+    except InputError as exc:
+        return str(exc)
+
+
+def test_fixture_matches_oracle():
+    text = FIXTURE.read_text(encoding="utf-8")
+    want = oracle_parse(text)
+    assert isinstance(want, tuple) and len(want) == 500
+    series = parse_ohlcv_csv(text)
+    assert series.records == want
+    assert series.dates() == [r.date for r in want]
+    for name in ("open", "high", "low", "close", "volume"):
+        assert series.field(name).tolist() == [getattr(r, name) for r in want]
+
+
+BAD_TOKENS = {
+    "date": ["2024-13-01", "2023-02-29", "31/01/2024", "", "x", "0000-01-01", "2024-00-10", "2024/01/05"],
+    "number": ["abc", "", "1.2.3", "0x10", "1e"],
+    "finite": ["nan", "inf", "-inf", "1e400", "NaN"],
+    "positive": ["0", "-1", "-0.0", "-1e-300"],
+    "volume": ["-5", "-1e-300", "-1e300"],
+}
+
+
+def add_fault(rnd, fields, dates):
+    """The six tokens of a row rewritten so that one randomly chosen check
+    fails there (an earlier check of the same row may fail as well)."""
+    f = list(fields)
+    kind = rnd.choice(["fields", "date", "number", "finite", "positive", "volume", "bounds", "duplicate"])
+    if kind == "fields":
+        return rnd.choice([f[:1], f[:5], f + ["1"]])
+    if kind == "date":
+        f[0] = rnd.choice(BAD_TOKENS["date"])
+    elif kind == "duplicate":
+        f[0] = rnd.choice(dates)
+    elif kind == "bounds":
+        o, h, l, c = (float(t) for t in f[1:5])
+        k, value = rnd.choice([(3, h * 1.01), (2, l * 0.99), (4, h * 1.5), (1, l * 0.5)])
+        f[k] = repr(value)
+    else:
+        k = {"volume": 5, "positive": rnd.randrange(1, 5)}.get(kind, rnd.randrange(1, 6))
+        f[k] = rnd.choice(BAD_TOKENS[kind])
+    return f
+
+
+def _valid_fields(rnd, day):
+    low = rnd.uniform(5.0, 50.0)
+    high = low * rnd.uniform(1.0, 1.1)
+    o, c = rnd.uniform(low, high), rnd.uniform(low, high)
+    return [day.isoformat(), repr(o), repr(high), repr(low), repr(c), str(rnd.randrange(0, 10**6))]
+
+
+def malformed_file(seed):
+    """A 30-row file, shuffled dates, with one to three faults and a few
+    blank or whitespace-only rows."""
+    rnd = random.Random(seed)
+    days = [date.fromordinal(date(2023, 12, 20).toordinal() + k) for k in range(30)]
+    rnd.shuffle(days)
+    table = [_valid_fields(rnd, d) for d in days]
+    dates = [f[0] for f in table]
+    for _ in range(rnd.randint(1, 3)):
+        k = rnd.randrange(len(table))
+        table[k] = add_fault(rnd, table[k], dates)
+    lines = [",".join(f) for f in table]
+    for _ in range(rnd.randint(0, 3)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "  ", " , ,,, ,", "\t"]))
+    return HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+def test_malformed_files_match_oracle():
+    reported = set()
+    for seed in range(400):
+        text = malformed_file(seed)
+        want = oracle_parse(text)
+        assert parsed(text) == want, (seed, text)
+        if isinstance(want, str):
+            reported.add(want.split(": ", 1)[1].split(" ")[0])
+    # every check is the one reported somewhere in the set
+    assert reported == {"expected", "invalid", "non-numeric", "non-finite", "prices",
+                        "volume", "price", "duplicate"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        rows("2024-01-31,10,11,9,10,90", "", "   ", "2024-02-01,10,11,9,10,90"),
+        rows("", " , , , , , ", "2024-02-01,10,11,9,10,90", "\t"),
+        rows("2024-01-31,10,11,9,10,90", "2024-02-01,10,11,9,10,90").replace("\n", "\r\n"),
+        rows("2024-02-01,10,11,9,10,90", "", "2024-01-31,10,11,9,xx,90").replace("\n", "\r\n"),
+        rows('"2024-01-31","10","11","9","10.5","90"', '" 2024-02-01 ",10,11,9,"10",90'),
+        rows('2024-01-31,"10,5",11,9,10,90'),
+        rows('"2024-01-31,10",11,9,10,90'),
+        rows('2024-01-31,10,11,9,10,"9\n0"'),
+        rows("", ""),
+        rows(" , "),
+        # a duplicate date before an earlier row's price error, and after it
+        rows("2024-01-02,10,11,9,10,90", "2024-01-02,10,11,9,10,90", "2024-01-03,0,11,9,10,90"),
+        rows("2024-01-02,10,11,9,10,90", "2024-01-03,0,11,9,10,90", "2024-01-02,10,11,9,10,90"),
+        rows("2024-01-03,10,11,9,10,90", "2024-01-02,10,11,9,12,90", "2024-01-02,10,11,9,10,90"),
+        # several checks failing on one row: the first check is named
+        rows("2024-01-02,10,11,9,10,90", "2024-01-02,nan,11,0,10,-1"),
+        rows("2024-01-02,10,11,9,10,90", "2024-01-02,1,0.5,0,10,-1"),
+        rows("2024-01-02,10,11,9,10,90", "2024-01-02,10,11,9,12,-1"),
+        rows("2024-01-02,10,11,9,10,90", "2024-13-02,xx,11,9,10"),
+    ],
+)
+def test_edge_files_match_oracle(text):
+    assert parsed(text) == oracle_parse(text)
+
+
+def test_series_storage_is_read_only():
+    series = parse_ohlcv_csv(FIXTURE.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError):
+        series.field("close")[0] = 1.0
+    with pytest.raises(ValueError):
+        series.days[0] = series.days[1]
+    assert hash(series) == hash(parse_ohlcv_csv(FIXTURE.read_text(encoding="utf-8")))

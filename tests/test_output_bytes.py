@@ -23,6 +23,8 @@ from meanex import (
     line_series,
     make_curve,
     make_grid,
+    ohlcv_csv,
+    parse_ohlcv_csv,
     svg_plot,
 )
 from meanex import cli, svgplot
@@ -51,6 +53,14 @@ def oracle_band_csv(band):
     rows = zip(band.curve.grid.points, band.curve.values, band.lower, band.upper)
     for u, e, lo, hi in rows:
         lines.append(f"{fmt(u)},{fmt(e)},{fmt(lo)},{fmt(hi)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_ohlcv_csv(series):
+    lines = ["date,open,high,low,close,volume"]
+    for rec in series.records:
+        nums = ",".join(fmt(v) for v in (rec.open, rec.high, rec.low, rec.close, rec.volume))
+        lines.append(f"{rec.date.isoformat()},{nums}")
     return "\n".join(lines) + "\n"
 
 
@@ -159,6 +169,21 @@ def test_compare_csv_and_headerless_table_match_oracle():
     col = VALUE_CASES["signed_zero"] + VALUE_CASES["infinities"]
     assert table(None, col) == "\n".join(fmt(v) for v in col) + "\n"
     assert table(None, []) == "\n"
+
+
+def test_ohlcv_csv_matches_oracle():
+    with open(FIXTURE, encoding="utf-8") as fh:
+        series = parse_ohlcv_csv(fh.read())
+    assert ohlcv_csv(series) == oracle_ohlcv_csv(series)
+    edge = parse_ohlcv_csv(
+        "date,open,high,low,close,volume\n"
+        "2024-01-02,1e-300,1e300,1e-300,1,-0.0\n"
+        "0999-12-31,0.1,1e300,1e-300,0.30000000000000004,1e-300\n"
+        "0001-01-01,2,2,2,2,1e300\n"
+        "9999-12-31,1,3,0.5,2.5,0\n"
+    )
+    assert ohlcv_csv(edge) == oracle_ohlcv_csv(edge)
+    assert ohlcv_csv(edge).splitlines()[1] == "0001-01-01,2,2,2,2,1e+300"
 
 
 # ---------------------------------------------------------------------------
