@@ -55,12 +55,19 @@ FULL_REPS = 6000  # full-protocol replicate count
 FULL_SIZE = 4000  # full-protocol sample size
 
 
-def _read_sample_file(path):
+def _parse_file(path, parse):
+    """parse(fh) of the UTF-8 text file at path; InputError if it is not one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return parse(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def _read_sample_file(path):
+    lines = _parse_file(path, lambda fh: fh.read().splitlines())
     values = []
     for i, line in enumerate(lines):
         tok = line.strip().split(",")[0].strip()
@@ -80,11 +87,7 @@ def _read_sample_file(path):
 def _read_returns(args):
     """The return series --field/--kind/--log-returns select from --data."""
     # parsed from the open file, so the file's text is never held whole
-    try:
-        with open(args.data, "r", encoding="utf-8") as fh:
-            series = parse_ohlcv_csv(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.data}: {exc}")
+    series = _parse_file(args.data, parse_ohlcv_csv)
     if args.log_returns and args.kind is not None:
         raise InputError("--log-returns conflicts with --kind")
     if args.log_returns:
@@ -158,10 +161,8 @@ def cmd_band(args):
     constants = band_constants(u0, u1, A=args.A, A1=args.A1)
     g = _grid_arg(args)
     if g == "order-statistics":
-        pts = np.unique(sample.values)
+        pts = default_grid(sample).points
         pts = pts[(pts >= u0) & (pts <= u1)]
-        if pts.size and pts[-1] == sample.max:
-            pts = pts[:-1]
         if pts.size == 0:
             raise InputError("no grid points inside [u0, u1]")
         grid = make_grid(pts)

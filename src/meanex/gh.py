@@ -130,18 +130,15 @@ def _require_valid(params: GhParams) -> str:
     return kind
 
 
-def _log_norming(params: GhParams) -> float:
+def _log_norming_terms(params: GhParams) -> tuple[float, float, float]:
+    """The log norming constant as c - (log kve(lam, delta gamma) - delta
+    gamma), gamma = sqrt(alpha^2 - beta^2): returns c, the log of the
+    scaled Bessel factor, and gamma."""
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     gam2 = al * al - be * be
-    om = de * np.sqrt(gam2)
-    log_k = np.log(bessel_k_scaled(lam, om)) - om
-    return (
-        0.5 * lam * np.log(gam2)
-        - 0.5 * np.log(2.0 * np.pi)
-        - (lam - 0.5) * np.log(al)
-        - lam * np.log(de)
-        - log_k
-    )
+    gam = np.sqrt(gam2)
+    c = 0.5 * lam * np.log(gam2) - 0.5 * np.log(2.0 * np.pi) - (lam - 0.5) * np.log(al) - lam * np.log(de)
+    return c, np.log(bessel_k_scaled(lam, de * gam)), gam
 
 
 def gh_norming(params: GhParams) -> float:
@@ -150,7 +147,8 @@ def gh_norming(params: GhParams) -> float:
     kind = _require_valid(params)
     if kind not in _INTERIOR:
         raise DomainError(f"use limiting form: parameters classify as '{kind}'")
-    val = float(np.exp(_log_norming(params)))
+    c, log_kve, gam = _log_norming_terms(params)
+    val = float(np.exp(c - (log_kve - params.delta * gam)))
     if not np.isfinite(val) or val == 0.0:
         raise DomainError("use limiting form: norming constant out of double range")
     return val
@@ -163,13 +161,19 @@ def gh_norming(params: GhParams) -> float:
 
 
 def _interior(params: GhParams):
-    log_a, order = _log_norming(params), params.lam - 0.5
+    # -alpha q + delta gamma (from the norming constant) cancels at large
+    # alpha delta: it is -alpha d (d / (q + delta)), free of overflow in d^2,
+    # minus delta beta^2 / (alpha + gamma), which goes into log_a.
+    order = params.lam - 0.5
     al, be, de, mu = params.alpha, params.beta, params.delta, params.mu
+    c, log_kve, gam = _log_norming_terms(params)
+    log_a = c - log_kve - de * (be * (be / (al + gam)))
 
     def pdf(x):
         d = x - mu
         q = np.hypot(de, d)
-        return np.exp(log_a + order * np.log(q) + be * d - al * q + np.log(bessel_k_scaled(order, al * q)))
+        tilt = be * d - al * (d * (d / (q + de)))
+        return np.exp(log_a + order * np.log(q) + tilt + np.log(bessel_k_scaled(order, al * q)))
 
     return pdf
 
@@ -324,13 +328,6 @@ def gh_sample(params: GhParams, rng: np.random.Generator, n: int) -> np.ndarray:
     w = gig_sample(params.lam, chi, psi, rng, n)
     z = rng.standard_normal(n)
     return params.mu + params.beta * w + np.sqrt(w) * z
-
-
-def _mixing_moments(params: GhParams, kind: str) -> tuple[float, float]:
-    chi, psi = _mixing_chi_psi(params, kind)
-    w1 = gig_moment(params.lam, chi, psi, 1)
-    w2 = gig_moment(params.lam, chi, psi, 2)
-    return w1, w2
 
 
 def gh_mean(params: GhParams) -> float:

@@ -11,14 +11,22 @@ family takes the integral by quadrature of the density, built from the
 top of a threshold grid down (``dist_tail_moments``): the top threshold
 takes one quadrature over its tail on the far side of the law's centre,
 and each lower one adds one short quadrature over the gap to the
-threshold above. A single threshold is the one-point case of a grid. The plug-in estimator from a sample is
+threshold above. A single threshold is the one-point case of a grid.
+
+The plug-in estimator from a sample is
 
     e_n(u) = sum (X_i - u) 1[X_i > u] / sum 1[X_i > u],
 
 with e_n(u) = 0 for u beyond the sample maximum and an undefined marker
 (NaN) exactly at the maximum, where the strict inequality leaves no
 exceedance. Thresholds tie-break *below* the data: X_i == u does not
-count as an exceedance.
+count as an exceedance. A Sample is sorted, so the exceedances of u are
+the tail v[k:], k = #{X_i <= u}. One kernel, ``_exceedances``, gives
+n - k and the sum of v[k:] - c, c = v[n // 2]. The centred form
+e_n(u) = sum(v[k:] - c) / (n - k) - (u - c) keeps its digits at large
+offsets, where an uncentred sum loses them. The empirical curve, the
+band's plug-in F_bar(u1) = (n - k) / n and the replicate engine in
+``montecarlo`` all read this kernel.
 
 The uniform band on [u0, u1] has half-width E_n / sqrt(n) with
 
@@ -29,14 +37,12 @@ constant block in BandConstants and scale with the user-supplied
 universal constants A, A1 (default 1; the nominal coverage is therefore
 configuration-dependent).
 
-The influence values
-
-    h_u(t) = f_u(t) / P(g_u) - P(f_u) g_u(t) / P(g_u)^2,
-    f_u(x) = x 1[x > u],  g_u(x) = 1[x > u],
-
-evaluated with the plug-in measure have empirical mean zero by
-construction; their variance (divisor n) is the pointwise asymptotic
-variance of sqrt(n) (e_n(u) - e(u)).
+The influence values h_u = f_u / P(g_u) - P(f_u) g_u / P(g_u)^2, with
+f_u(x) = x 1[x > u] and g_u(x) = 1[x > u], are under the plug-in
+measure (x - mean(v[k:])) / p on the tail, p = (n - k) / n, and 0 below
+it. Their empirical mean is zero, and their variance (divisor n),
+n var(v[k:]) / (n - k), is the pointwise asymptotic variance of
+sqrt(n) (e_n(u) - e(u)).
 """
 
 from __future__ import annotations
@@ -65,41 +71,47 @@ __all__ = [
 ]
 
 
-def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Count and sum of the observations above each threshold u, for
-    sorted values v: one reversed cumsum and one searchsorted."""
-    suffix = np.empty(v.size + 1)  # suffix[k] = sum of v[k:]
-    suffix[-1] = 0.0
-    np.cumsum(v[::-1], out=suffix[-2::-1])
+def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """For sorted values v: the count of the values above each threshold
+    u, the sum of their excess over c = v[n // 2], and c. One reversed
+    cumsum of v - c in its own buffer, and one searchsorted."""
+    c = v[v.size // 2]
+    suffix = np.zeros(v.size + 1)  # suffix[k] = sum of v[k:] - c
+    tail = np.subtract(v[::-1], c, out=suffix[-2::-1])
+    np.cumsum(tail, out=tail)
     k = np.searchsorted(v, u, side="right")
-    return v.size - k, suffix[k]
+    return v.size - k, suffix[k], c
 
 
-def _emef(u: np.ndarray, count: np.ndarray, total: np.ndarray, top) -> np.ndarray:
-    """e_n at thresholds u from the count and sum of exceedances and the
-    sample maximum top. Broadcasts: one sample takes vectors, a block of
-    replicates takes one row per replicate and a column of maxima."""
+def _emef(u: np.ndarray, count: np.ndarray, total: np.ndarray, c, top) -> np.ndarray:
+    """e_n at thresholds u from the exceedance counts, their sum centred on
+    c, and the sample maximum top. Broadcasts: vectors for one sample; for
+    a block of replicates, a row each and a column of centres and maxima."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        e = (total - count * u) / count
+        e = total / count - (u - c)
     # no exceedance: 0 beyond the maximum, undefined (NaN) at it
     return np.where(count == 0, np.where(u > top, 0.0, np.nan), e)
 
 
-def _emef_at(sample: Sample, u: np.ndarray) -> np.ndarray:
-    v = sample.values
-    return _emef(u, *_exceedances(v, u), v[-1])
+def _emef_at(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e_n at thresholds u of sorted values v, and the exceedance counts."""
+    count, total, c = _exceedances(v, u)
+    return _emef(u, count, total, c, v[-1]), count
+
+
+def _curve(sample: Sample, grid: Grid, values: np.ndarray) -> MefCurve:
+    meta = f"emef n={sample.n} grid=[{grid.points[0]:.12g},{grid.points[-1]:.12g}]"
+    return make_curve(grid, values, meta=meta)
 
 
 def empirical_mef(sample: Sample, u: float) -> float:
     """Plug-in mean excess at a single threshold (NaN exactly at the
     sample maximum, 0 beyond it)."""
-    return float(_emef_at(sample, np.asarray([float(u)]))[0])
+    return float(_emef_at(sample.values, np.asarray([float(u)]))[0][0])
 
 
 def empirical_mef_curve(sample: Sample, grid: Grid) -> MefCurve:
-    values = _emef_at(sample, grid.points)
-    meta = f"emef n={sample.n} grid=[{grid.points[0]:.12g},{grid.points[-1]:.12g}]"
-    return make_curve(grid, values, meta=meta)
+    return _curve(sample, grid, _emef_at(sample.values, grid.points)[0])
 
 
 def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float = 0.98) -> Grid:
@@ -221,32 +233,20 @@ def consistency_band(
     pts = grid.points
     if pts[0] < constants.u0 or pts[-1] > constants.u1:
         raise DomainError("grid must lie inside [u0, u1]")
+    n = sample.n
+    # one kernel call gives the curve and, at u1 appended, the plug-in F_bar(u1)
+    e, count = _emef_at(sample.values, np.append(pts, constants.u1))
     if survival_u1 is None:
-        survival_u1 = _plug_in_survival(sample.values, constants.u1)
+        survival_u1 = count[-1] / n
     if mean_abs is None:
         mean_abs = _plug_in_mean_abs(sample.values)
-    n = sample.n
     en = _band_en(n, survival_u1, mean_abs, constants)
-    curve = empirical_mef_curve(sample, grid)
+    curve = _curve(sample, grid, e[:-1])
     half = en / np.sqrt(n)
-    lower = curve.values - half
-    upper = curve.values + half
-    lower.flags.writeable = False
-    upper.flags.writeable = False
-    return Band(
-        curve=curve,
-        lower=lower,
-        upper=upper,
-        en=en,
-        n=n,
-        constants=constants,
-        survival_u1=float(survival_u1),
-        mean_abs=float(mean_abs),
-    )
-
-
-def _plug_in_survival(values: np.ndarray, u1: float) -> float:
-    return float(np.mean(values > u1))
+    lower, upper = curve.values - half, curve.values + half
+    lower.flags.writeable = upper.flags.writeable = False
+    return Band(curve=curve, lower=lower, upper=upper, en=en, n=n, constants=constants,
+                survival_u1=float(survival_u1), mean_abs=float(mean_abs))
 
 
 def _plug_in_mean_abs(values: np.ndarray) -> float:
@@ -265,24 +265,28 @@ def _band_en(n: int, survival_u1: float, mean_abs: float, constants: BandConstan
     return float((constants.D2 + constants.D1 * mean_abs / survival_u1) / denom)
 
 
-def h_u_values(sample: Sample, u: float) -> np.ndarray:
-    """Plug-in influence values h_u(X_i); requires an exceedance."""
-    x = sample.values
-    g = (x > u).astype(float)
-    if not np.any(g):
+def _tail(sample: Sample, u: float) -> np.ndarray:
+    """The exceedances of u, a tail of the sorted values; DomainError if none."""
+    tail = sample.values[np.searchsorted(sample.values, u, side="right"):]
+    if tail.size == 0:
         raise DomainError("h_u_values requires at least one exceedance above u")
-    f = x * g
-    pg = g.mean()
-    pf = f.mean()
-    return f / pg - (pf / pg ** 2) * g
+    return tail
+
+
+def h_u_values(sample: Sample, u: float) -> np.ndarray:
+    """Plug-in influence values h_u(X_i); requires an exceedance. They are
+    (x - mean of the tail) / p on the tail of p n exceedances, 0 below."""
+    tail = _tail(sample, u)
+    h = np.zeros(sample.n)
+    h[-tail.size:] = (tail - tail.mean()) / (tail.size / sample.n)
+    return h
 
 
 def asymptotic_variance(sample: Sample, u: float) -> float:
-    """Empirical variance (divisor n) of the influence values: the
-    plug-in pointwise asymptotic variance of sqrt(n)(e_n(u) - e(u)).
-
-    A single exceedance gives identically zero influence values, hence
-    variance 0 (degenerate but defined); no exceedance is an error.
-    """
-    h = h_u_values(sample, u)
-    return float(np.mean(h * h))  # h has mean 0 by construction
+    """Empirical variance (divisor n) of the influence values, n var(tail)
+    / tail size: the plug-in pointwise asymptotic variance of
+    sqrt(n)(e_n(u) - e(u)). A single exceedance gives identically zero
+    influence values, hence variance 0 (degenerate but defined); no
+    exceedance is an error."""
+    tail = _tail(sample, u)
+    return float(sample.n * tail.var() / tail.size)

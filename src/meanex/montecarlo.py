@@ -39,7 +39,6 @@ from .mef import (
     _emef,
     _exceedances,
     _plug_in_mean_abs,
-    _plug_in_survival,
     _sup_abs,
     theoretical_mef_curve,
 )
@@ -94,24 +93,25 @@ def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
 def _emef_blocks(draw, points, size, seed, n_reps, prefix=(), stat=None):
     """The replicate engine: for each block of up to _CHUNK consecutive
     replicates, yield the (B, m) empirical mean excess on points, one row
-    per replicate, and stat of each sorted sample (an empty list without
-    stat). draw(rng, size) draws one sample. Memory per block is
-    O(B m + size)."""
+    per replicate, the (B, m) exceedance counts, and stat of each sorted
+    sample (an empty list without stat). draw(rng, size) draws one
+    sample. Memory per block is O(B m + size)."""
     for start in range(0, n_reps, _CHUNK):
         reps = range(start, min(start + _CHUNK, n_reps))
         count = np.empty((len(reps), points.size), dtype=np.int64)
         total = np.empty((len(reps), points.size))
+        centre = np.empty((len(reps), 1))
         top = np.empty((len(reps), 1))
         stats = []
         for b, r in enumerate(reps):
             x = draw(_replicate_rng(seed, *prefix, r), size)
             require_finite(x)
             x.sort()
-            count[b], total[b] = _exceedances(x, points)
+            count[b], total[b], centre[b] = _exceedances(x, points)
             top[b] = x[-1]
             if stat is not None:
                 stats.append(stat(x))
-        yield _emef(points, count, total, top), stats
+        yield _emef(points, count, total, centre, top), count, stats
 
 
 def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, seed: int) -> StallionCurve:
@@ -127,7 +127,7 @@ def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, 
         raise DomainError("grid outside support")
     sums = np.zeros(points.size)
     cnts = np.zeros(points.size, dtype=np.int64)
-    for e, _ in _emef_blocks(partial(std_sample, dist), points, sample_size, seed, n_reps):
+    for e, _, _ in _emef_blocks(partial(std_sample, dist), points, sample_size, seed, n_reps):
         ok = np.isfinite(e)  # NaN points are skipped, not zero-filled
         # accumulate adds rows in replicate order for any grid size; sum
         # would add a one-point grid's column pairwise
@@ -160,8 +160,9 @@ def coverage_experiment(
     eps is the nominal miss level carried into the report (the band
     aims at coverage 1 - eps); it does not alter the band itself.
     oracle=True feeds the band the exact survival at u1 and E|X|;
-    oracle=False uses the plug-in estimates. A replicate whose band is
-    undefined (too few exceedances) counts as not covered.
+    oracle=False uses the plug-in estimates: the exceedance fraction at
+    u1, the grid's last point, and the mean of |X_i|. A replicate whose
+    band is undefined (too few exceedances) counts as not covered.
     """
     from .distributions import dist_mean_abs, std_sample, std_survival
 
@@ -178,20 +179,14 @@ def coverage_experiment(
     if oracle and sf_u1 - constants.D1 / np.sqrt(sample_size) <= 0:
         raise DomainError("band undefined: n too small for interval")
 
-    def band_inputs(x):  # F_bar(u1) and E|X| for the band of sorted sample x
-        if oracle:
-            return sf_u1, mabs
-        return _plug_in_survival(x, constants.u1), _plug_in_mean_abs(x)
-
     root_n = np.sqrt(sample_size)
-    covered = 0
-    en_sum = 0.0
-    hw_sum = 0.0
-    defined = 0
-    blocks = _emef_blocks(partial(std_sample, dist), grid.points, sample_size, seed, n_reps, stat=band_inputs)
-    for e, inputs in blocks:
+    covered, defined, en_sum, hw_sum = 0, 0, 0.0, 0.0
+    stat = None if oracle else _plug_in_mean_abs
+    blocks = _emef_blocks(partial(std_sample, dist), grid.points, sample_size, seed, n_reps, stat=stat)
+    for e, count, mean_abs in blocks:
         half = np.full((len(e), 1), np.nan)  # stays NaN where the band is undefined
-        for b, (sf, ma) in enumerate(inputs):
+        for b in range(len(e)):
+            sf, ma = (sf_u1, mabs) if oracle else (count[b, -1] / sample_size, mean_abs[b])
             try:
                 en = _band_en(sample_size, sf, ma, constants)
             except DomainError:
@@ -248,7 +243,7 @@ def convergence_experiment(
     metrics = []
     for i, size in enumerate(sizes):
         blocks = _emef_blocks(draw, grid.points, size, seed, n_reps, prefix=(i,))
-        devs = np.concatenate([_sup_abs(e - truth.values) for e, _ in blocks])
+        devs = np.concatenate([_sup_abs(e - truth.values) for e, _, _ in blocks])
         metrics.append((f"median_sup_dev_{size}", float(np.median(devs))))
     return ExperimentReport(name="convergence", metrics=tuple(metrics), replicate_count=n_reps, seed=seed)
 

@@ -162,12 +162,14 @@ def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
         stream = text_or_stream
     reader = csv.reader(stream)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("no records: input is empty")
-    if [h.strip().lower() for h in header] != _HEADER:
-        raise InputError(f"bad header: expected {','.join(_HEADER)}")
-    rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise InputError("no records: input is empty")
+        if [h.strip().lower() for h in header] != _HEADER:
+            raise InputError(f"bad header: expected {','.join(_HEADER)}")
+        rows = list(reader)
+    except csv.Error as exc:  # a lone carriage return, a field over csv's size limit
+        raise InputError(f"line {reader.line_num}: malformed CSV: {exc}") from None
     # skip empty and whitespace-only rows; rownums keeps each kept row's number
     kept = list(map(bool, map(str.strip, map("".join, rows))))
     rownums = list(compress(count(1), kept))

@@ -116,6 +116,13 @@ def test_sample_file_without_numbers_exit_2(tmp_path, capsys):
     assert "no numeric values" in capsys.readouterr().err
 
 
+def test_sample_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"1\n2\xff\n3\n")
+    assert main(["emef", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+
+
 # ---------------------------------------------------------------------------
 # band
 
@@ -354,6 +361,21 @@ def test_ingest_reads_crlf_file_as_lf(tmp_path):
         assert main(["ingest", data, "--log-returns", "--csv", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_ingest_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(open(FIXTURE, "rb").read() + b"2030-01-02,10,11,9,10\xff,90\n")
+    assert main(["ingest", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+
+
+def test_ingest_field_over_csv_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("date,open,high,low,close,volume\n2024-01-31,10,11,9,10," + "9" * 140_000 + "\n",
+                    encoding="utf-8")
+    assert main(["ingest", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: malformed CSV: field larger than field limit (131072)\n"
 
 
 def test_ingest_flag_conflict_exit_2(capsys):

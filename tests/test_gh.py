@@ -20,6 +20,7 @@ from meanex import (
     gh_validate,
     gh_variance,
 )
+from meanex.cli import main
 
 # parameter bundles exercised throughout: one per behavior class
 HYPERBOLIC = GhParams(1.0, 1.5, -0.5, 0.75, 0.2)
@@ -197,6 +198,23 @@ def _mp_pdf(p, x):
         q = mpmath.sqrt(de * de + d * d)
         return float(a / (mpmath.sqrt(2 * mpmath.pi) * al ** (lam - 0.5)) * q ** (lam - 0.5) * mpmath.exp(be * d)
                      * mpmath.besselk(lam - 0.5, al * q))
+
+
+def test_pdf_interior_at_large_alpha_delta():
+    # -alpha q and the norming constant's +delta gamma = 3e8 cancelled,
+    # and the density was 5e-8 to 9e-8 off, a staircase in x
+    p = GhParams(-0.5, 1e6, 2.0, 300.0, 0.0)
+    x = np.array([0.0, 0.01, 0.05])
+    reference = [_mp_pdf(p, v) for v in x]
+    np.testing.assert_allclose(gh_pdf(p, x), reference, rtol=1e-12, atol=0.0)
+
+
+def test_compare_at_large_alpha_delta_exits_0(capsys):
+    # the staircase density failed the mass check (exit 3)
+    spec = "gh(lambda=-0.5,alpha=1e6,beta=2,delta=300,mu=0)"
+    code = main(["compare", "--data", "tests/data/synthetic_ohlcv.csv", "--log-returns", "--dist", spec])
+    assert code == 0, capsys.readouterr().err
+    assert "sup_deviation = " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,13 @@ def test_parse_accepts_crlf():
     assert parse_ohlcv_csv(text).n == 1
 
 
+def test_parse_rejects_lone_carriage_return():
+    # a bare \r inside an unquoted field: csv.Error, raised as InputError
+    text = rows("2024-01-31,10,11,9,10,90", "2024-02-01,10,1\r1,9,10,90")
+    with pytest.raises(InputError, match="line 3: malformed CSV: new-line character seen in unquoted field"):
+        parse_ohlcv_csv(text)
+
+
 def test_parse_sets_symbol():
     text = rows("2024-01-31,10,11,9,10,90")
     series = parse_ohlcv_csv(text, symbol="AXP")

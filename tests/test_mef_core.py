@@ -103,6 +103,19 @@ def test_empirical_mef_scale_equivariance(values, u, s_factor):
         assert b == pytest.approx(s_factor * a, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e8])
+def test_empirical_mef_accurate_at_large_offsets(shift):
+    # an uncentred suffix sum carried the offset through every partial
+    # sum: 1.4e-10 off at 1e4 and 1.9e-6 at 1e8. X - u is exact here
+    # (Sterbenz), so the mean of the excesses is a sharp reference.
+    s = make_sample(np.random.default_rng(5).exponential(1.0, 100_000) + shift)
+    grid = make_grid(shift + np.linspace(0.0, 8.0, 101))
+    got = empirical_mef_curve(s, grid).values
+    x = s.values
+    want = [np.mean(x[x > u] - u) for u in grid.points]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # default grid
 
@@ -400,6 +413,36 @@ def test_h_values_mean_zero(values, u):
         return
     h = h_u_values(s, u)
     assert abs(float(np.mean(h))) <= 1e-10 * max(1.0, float(np.max(np.abs(h))))
+
+
+def dense_h_u_values(x, u):
+    """The influence values from their definition, over the whole sample:
+    f_u / P(g_u) - P(f_u) g_u / P(g_u)^2 with dense indicator vectors."""
+    g = (x > u).astype(float)
+    f = x * g
+    return f / g.mean() - (f.mean() / g.mean() ** 2) * g
+
+
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=60), st.floats(-12, 9))
+@settings(max_examples=150, deadline=None)
+def test_h_values_and_variance_match_dense_oracle(values, u):
+    s = make_sample(values)
+    if not np.any(s.values > u):
+        return
+    want = dense_h_u_values(s.values, u)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(h_u_values(s, u), want, rtol=1e-12, atol=1e-12 * scale)
+    var = float(np.mean(want * want))
+    assert asymptotic_variance(s, u) == pytest.approx(var, rel=1e-12, abs=1e-12 * scale ** 2)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.999])
+def test_h_values_and_variance_match_dense_oracle_on_draws(q):
+    s = make_sample(np.random.default_rng(8).pareto(3.0, 20_000))
+    u = float(np.quantile(s.values, q))
+    want = dense_h_u_values(s.values, u)
+    np.testing.assert_allclose(h_u_values(s, u), want, rtol=1e-12, atol=1e-12)
+    assert asymptotic_variance(s, u) == pytest.approx(float(np.mean(want * want)), rel=1e-12)
 
 
 def test_asymptotic_variance_degenerate_cases():
