@@ -4,9 +4,11 @@ The generalized hyperbolic family in five silhouettes
 
 """
 
-# one five-parameter density nests hyperbolic, NIG, variance gamma,
-# Student-like and Gaussian shapes; lam picks the subfamily, alpha/beta
-# set tail weight and skew, delta scales, mu shifts
+# one five-parameter density nests hyperbolic, NIG, variance gamma and
+# Student-like shapes, and near-Gaussian ones as alpha and delta grow;
+# lam picks the subfamily, alpha/beta set tail weight and skew, delta
+# scales, mu shifts. Limit classes sit at exact values: skew-Laplace
+# needs delta = 0, and any delta > 0 is a hyperbolic law
 import numpy as np
 from meanex import GhParams, gh_pdf, gh_validate, gh_sample, gh_mean, gh_variance
 
@@ -15,7 +17,7 @@ rows = [
     ("nig", GhParams(-0.5, 8.03, -1.37, 0.051, 0.0105)),
     ("student-like", GhParams(-2.0, 1e-8, 0.0, 2.0, 0.0)),
     ("cauchy limit", GhParams(-0.5, 0.0, 0.0, 1.0, 7.0)),
-    ("skew-laplace", GhParams(1.0, 1.1, 0.1, 0.001, 2.0)),
+    ("skew-laplace", GhParams(1.0, 1.1, 0.1, 0.0, 2.0)),
 ]
 for name, p in rows:
     print(f"{name:13s} classified as {gh_validate(p)}")

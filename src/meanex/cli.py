@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, InputError, NumericError
-from .gpdfit import classify_tail, fit_gpd_curve
+from .gpdfit import _central_window, _tail_label, gpd_from_ols, ols_fit
 from .mef import (
     band_constants,
     consistency_band,
@@ -217,8 +217,9 @@ def cmd_fit_gpd(args):
     sample = _read_sample_file(args.sample)
     grid = default_grid(sample, _grid_arg(args))
     curve = empirical_mef_curve(sample, grid)
-    params, fit = fit_gpd_curve(curve)
-    label = classify_tail(curve)
+    x, y = _central_window(curve)
+    fit = ols_fit(x, y)
+    params, label = gpd_from_ols(fit), _tail_label(x, y, fit)
     if args.csv:
         write_text(args.csv, fit_csv(params, fit))
     print(f"xi_hat = {fmt(params.xi)}")

@@ -42,7 +42,7 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from .errors import DomainError, InputError, NumericError
-from .gh import GhParams, gh_bulk, gh_mean, gh_pdf, gh_sample, gh_validate
+from .gh import GhParams, gh_bulk, gh_mean, gh_pdf, gh_sample
 from .gig import gig_bulk, gig_moment, gig_pdf, gig_sample, gig_validate
 
 __all__ = [
@@ -273,8 +273,6 @@ def _frozen(spec: DistributionSpec):
         return stats.cauchy(loc=p["mu"], scale=p["delta"])
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
-        if gh_validate(gh) == "invalid":
-            raise DomainError(f"invalid generalized hyperbolic parameters {format_distribution_spec(spec)}")
         frame = _Frame(fam, partial(gh_pdf, gh), -np.inf, np.inf, *gh_bulk(gh))
         return _InHouseLaw(frame, partial(gh_mean, gh), partial(gh_sample, gh))
     if fam == "gig":

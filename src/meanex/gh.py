@@ -17,13 +17,12 @@ Admissible domains:
     lam = 0: delta > 0, |beta| <  alpha
     lam > 0: delta >= 0, |beta| <  alpha
 
-The family nests named subclasses (hyperbolic lam=1, NIG lam=-1/2,
-variance gamma delta=0) and limits (Student/Cauchy at alpha=|beta|=0,
-skew-Student at alpha=|beta|>0, skew-Laplace at lam=1 delta=0, Gaussian
-as alpha, delta -> inf with delta/alpha -> sigma^2). Limit classes are
-dispatched to their closed forms: the raw formula is numerically hostile
-exactly where the limits live (boundary parameter sets produce 0/0 or
-overflow in the norming constant).
+The family nests named subclasses (hyperbolic lam=1, NIG lam=-1/2) and
+limit classes at exact parameter values (see ``gh_validate``), which are
+dispatched to their closed forms: the interior formula gives 0/0 there.
+Every other valid law, however close to a limit, takes the interior
+density; where its terms leave double range (alpha^2, delta^2 or
+K_lam(delta gamma) overflowing) it raises NumericError.
 
 Everything is evaluated in log space with exponentially scaled Bessel
 functions, so far tails and extreme parameter magnitudes stay finite.
@@ -42,10 +41,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .bessel import any_true, bessel_k_scaled
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .gig import gig_mode, gig_moment, gig_sample
 
 __all__ = [
@@ -57,16 +56,7 @@ __all__ = [
     "gh_mean",
     "gh_variance",
     "gh_bulk",
-    "GAUSSIAN_LIMIT_MAGNITUDE",
-    "DELTA_ZERO_TOLERANCE",
 ]
-
-# Classification heuristics for limit rows encoded with extreme values.
-# alpha and delta both at least this large reads as the Gaussian limit
-# (variance delta/alpha); delta at or below the zero tolerance with
-# lam > 0 reads as a variance-gamma-type zero-delta law.
-GAUSSIAN_LIMIT_MAGNITUDE = 1e4
-DELTA_ZERO_TOLERANCE = 1e-3
 
 _INTERIOR = ("interior", "hyperbolic", "nig")
 
@@ -86,8 +76,9 @@ def gh_validate(params: GhParams) -> str:
 
     Returns 'invalid', 'interior', or a subclass/limit name:
     'hyperbolic', 'nig', 'variance-gamma', 'skew-laplace', 'skew-student',
-    'student', 'cauchy', 'gaussian'. Cached per parameter set: a Monte
-    Carlo run draws replicate after replicate from one law.
+    'student', 'cauchy', the limit classes at exact values: alpha == 0,
+    alpha == |beta| > 0 with lam < 0, and delta == 0 with lam > 0. Cached
+    per parameter set: a Monte Carlo run draws from one law many times.
     """
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     for v in (lam, al, be, de, params.mu):
@@ -104,14 +95,13 @@ def gh_validate(params: GhParams) -> str:
         if lam == 0 and not de > 0:
             return "invalid"
 
-    if al >= GAUSSIAN_LIMIT_MAGNITUDE and de >= GAUSSIAN_LIMIT_MAGNITUDE:
-        return "gaussian"
     if al == 0.0:
         # domain already forces beta == 0 and lam < 0 here
         return "cauchy" if lam == -0.5 else "student"
     if lam < 0 and abs(be) == al:
         return "skew-student"
-    if lam > 0 and de <= DELTA_ZERO_TOLERANCE:
+    if de == 0.0:
+        # domain already forces lam > 0 here
         return "skew-laplace" if lam == 1.0 else "variance-gamma"
     if lam == 1.0:
         return "hyperbolic"
@@ -123,20 +113,19 @@ def gh_validate(params: GhParams) -> str:
 def _require_valid(params: GhParams) -> str:
     kind = gh_validate(params)
     if kind == "invalid":
-        raise DomainError(
-            "invalid generalized hyperbolic parameters "
-            f"(lam={params.lam}, alpha={params.alpha}, beta={params.beta}, delta={params.delta})"
-        )
+        raise DomainError(f"invalid generalized hyperbolic parameters {params}")
     return kind
 
 
 def _log_norming_terms(params: GhParams) -> tuple[float, float, float]:
     """The log norming constant as c - (log kve(lam, delta gamma) - delta
     gamma), gamma = sqrt(alpha^2 - beta^2): returns c, the log of the
-    scaled Bessel factor, and gamma."""
+    scaled Bessel factor, and gamma; NumericError out of double range."""
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     gam2 = al * al - be * be
     gam = np.sqrt(gam2)
+    if not 0.0 < de * gam < np.inf:
+        raise NumericError(f"delta sqrt(alpha^2 - beta^2) = {de * gam:g} is out of double range")
     c = 0.5 * lam * np.log(gam2) - 0.5 * np.log(2.0 * np.pi) - (lam - 0.5) * np.log(al) - lam * np.log(de)
     return c, np.log(bessel_k_scaled(lam, de * gam)), gam
 
@@ -161,19 +150,23 @@ def gh_norming(params: GhParams) -> float:
 
 
 def _interior(params: GhParams):
-    # -alpha q + delta gamma (from the norming constant) cancels at large
-    # alpha delta: it is -alpha d (d / (q + delta)), free of overflow in d^2,
-    # minus delta beta^2 / (alpha + gamma), which goes into log_a.
+    # beta d - alpha q + delta gamma (+delta gamma from the norming constant)
+    # peaks at 0 where (d, q) = delta (beta, alpha) / gamma =: (d0, q0), and
+    # its terms cancel when alpha delta or beta d is large. As
+    # (d - d0) (beta - alpha (d + d0) / (q + q0)) it cancels only near d0.
     order = params.lam - 0.5
     al, be, de, mu = params.alpha, params.beta, params.delta, params.mu
     c, log_kve, gam = _log_norming_terms(params)
-    log_a = c - log_kve - de * (be * (be / (al + gam)))
+    log_a = c - log_kve
+    if not np.isfinite(log_a):
+        raise NumericError(f"the norming constant is out of double range at K_{params.lam:g}({de * gam:g})")
+    d0, q0 = de * (be / gam), de * (al / gam)
 
     def pdf(x):
         d = x - mu
         q = np.hypot(de, d)
-        tilt = be * d - al * (d * (d / (q + de)))
-        return np.exp(log_a + order * np.log(q) + tilt + np.log(bessel_k_scaled(order, al * q)))
+        return np.exp(log_a + order * np.log(q) + (d - d0) * (be - al * ((d + d0) / (q + q0)))
+                      + np.log(bessel_k_scaled(order, al * q)))
 
     return pdf
 
@@ -253,18 +246,6 @@ def _variance_gamma(params: GhParams):
     return pdf
 
 
-def _gaussian(params: GhParams):
-    # N(mu, delta / alpha), scipy's normal density; z^2 overflows only
-    # where the density is 0 in double anyway, and exp(-inf) gives that 0
-    mu, s = params.mu, np.sqrt(params.delta / params.alpha)
-
-    def pdf(x):
-        with np.errstate(over="ignore"):
-            return stats.norm._pdf((x - mu) / s) / s
-
-    return pdf
-
-
 _BUILDERS = {
     "interior": _interior,
     "hyperbolic": _interior,
@@ -274,7 +255,6 @@ _BUILDERS = {
     "cauchy": _student,
     "variance-gamma": _variance_gamma,
     "skew-laplace": _variance_gamma,
-    "gaussian": _gaussian,
 }
 
 
@@ -306,25 +286,20 @@ def gh_pdf(params: GhParams, x) -> np.ndarray | float:
     return _density(params)(x)
 
 
-def _mixing_chi_psi(params: GhParams, kind: str) -> tuple[float, float]:
-    if kind in ("variance-gamma", "skew-laplace"):
-        chi = 0.0
-    else:
-        chi = params.delta ** 2
-    if kind in ("student", "cauchy", "skew-student"):
-        psi = 0.0
-    else:
-        psi = params.alpha ** 2 - params.beta ** 2
-    return chi, psi
+def _mixing(params: GhParams) -> tuple[str, float, float]:
+    """The class, and chi = delta^2, psi = alpha^2 - beta^2 (0 at a limit) of W."""
+    kind = _require_valid(params)
+    try:
+        chi = 0.0 if kind in ("variance-gamma", "skew-laplace") else params.delta ** 2
+        psi = 0.0 if kind in ("student", "cauchy", "skew-student") else params.alpha ** 2 - params.beta ** 2
+    except OverflowError:
+        raise NumericError(f"the mixing law of these '{kind}' parameters is out of double range") from None
+    return kind, chi, psi
 
 
 def gh_sample(params: GhParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws via the normal mean-variance mixture (Gaussian limit
-    directly from the normal sampler). Returns draws in draw order."""
-    kind = _require_valid(params)
-    if kind == "gaussian":
-        return params.mu + np.sqrt(params.delta / params.alpha) * rng.standard_normal(n)
-    chi, psi = _mixing_chi_psi(params, kind)
+    """n draws via the normal mean-variance mixture, in draw order."""
+    _, chi, psi = _mixing(params)
     w = gig_sample(params.lam, chi, psi, rng, n)
     z = rng.standard_normal(n)
     return params.mu + params.beta * w + np.sqrt(w) * z
@@ -332,10 +307,7 @@ def gh_sample(params: GhParams, rng: np.random.Generator, n: int) -> np.ndarray:
 
 def gh_mean(params: GhParams) -> float:
     """mu + beta E[W]; requires the mixing law to have a first moment."""
-    kind = _require_valid(params)
-    if kind == "gaussian":
-        return params.mu
-    chi, psi = _mixing_chi_psi(params, kind)
+    kind, chi, psi = _mixing(params)
     try:
         w1 = gig_moment(params.lam, chi, psi, 1)
     except DomainError as exc:
@@ -345,10 +317,7 @@ def gh_mean(params: GhParams) -> float:
 
 def gh_variance(params: GhParams) -> float:
     """E[W] + beta^2 Var(W) for the mixture; inf when W lacks moments."""
-    kind = _require_valid(params)
-    if kind == "gaussian":
-        return params.delta / params.alpha
-    chi, psi = _mixing_chi_psi(params, kind)
+    _, chi, psi = _mixing(params)
     try:
         w1 = gig_moment(params.lam, chi, psi, 1)
     except DomainError:
@@ -366,17 +335,14 @@ def gh_bulk(params: GhParams) -> tuple[float, float]:
     """A centre and a length no wider than the density's bulk.
 
     The variance-gamma classes are centred on mu, where the density has
-    its kink or pole, with length 1/alpha. The Gaussian limit is
-    N(mu, delta/alpha), beta aside, like its density. The others are
+    its kink or pole, with length 1/alpha. The others are
     centred on mu + beta m, m the mode of the mixing law, with length
     delta, shrunk to sqrt(delta/alpha) when alpha delta > 1 (a
     near-Gaussian core) and by sqrt(nu) for a Student core of
     nu = -2 lam degrees of freedom.
     """
-    kind = _require_valid(params)
-    if kind == "gaussian":
-        return params.mu, float(np.sqrt(params.delta / params.alpha))
+    kind, chi, psi = _mixing(params)
     if kind in ("variance-gamma", "skew-laplace"):
         return params.mu, 1.0 / params.alpha
-    centre = params.mu + params.beta * float(gig_mode(params.lam, *_mixing_chi_psi(params, kind)))
+    centre = params.mu + params.beta * float(gig_mode(params.lam, chi, psi))
     return centre, params.delta / float(np.sqrt(max(1.0, params.alpha * params.delta) * max(1.0, -2.0 * params.lam)))

@@ -115,23 +115,18 @@ def gpd_mef(params: GpdParams, u) -> np.ndarray:
     return e if e.ndim else float(e)
 
 
-def classify_tail(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90) -> str:
-    """'heavy', 'light', or 'medium' from the slope of the mean-excess
-    curve over the central grid window.
-
-    The window is [quantile(qlo), quantile(qhi)] of the grid points; the
-    flat-slope tolerance is 0.05 * mean|e| over the window divided by the
-    window span, so the verdict is scale and location invariant.
-    """
+def _central_window(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90):
+    """The grid points in [quantile(qlo), quantile(qhi)] and the curve there."""
     pts = curve.grid.points
-    lo = np.quantile(pts, qlo)
-    hi = np.quantile(pts, qhi)
-    inside = (pts >= lo) & (pts <= hi)
-    x = pts[inside]
-    y = curve.values[inside]
+    inside = (pts >= np.quantile(pts, qlo)) & (pts <= np.quantile(pts, qhi))
+    return pts[inside], curve.values[inside]
+
+
+def _tail_label(x, y, fit: OlsFit | None = None) -> str:
+    """``classify_tail`` on a window (x, y), given or fitting its line."""
     if int(np.sum(np.isfinite(y))) < 3:
         raise DomainError("classify_tail needs at least three defined points")
-    fit = ols_fit(x, y)
+    fit = ols_fit(x, y) if fit is None else fit
     span = x[-1] - x[0]
     level = float(np.nanmean(np.abs(y)))
     tol = 0.05 * level / span if span > 0 and level > 0 else 0.0
@@ -142,12 +137,19 @@ def classify_tail(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90) -> str:
     return "medium"
 
 
+def classify_tail(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90) -> str:
+    """'heavy', 'light', or 'medium' from the slope of the mean-excess
+    curve over the central grid window.
+
+    The window is [quantile(qlo), quantile(qhi)] of the grid points; the
+    flat-slope tolerance is 0.05 * mean|e| over the window divided by the
+    window span, so the verdict is scale and location invariant.
+    """
+    return _tail_label(*_central_window(curve, qlo, qhi))
+
+
 def fit_gpd_curve(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90):
     """OLS over the central window of a mean-excess curve, inverted to
     GPD parameters. Returns (GpdParams, OlsFit)."""
-    pts = curve.grid.points
-    lo = np.quantile(pts, qlo)
-    hi = np.quantile(pts, qhi)
-    inside = (pts >= lo) & (pts <= hi)
-    fit = ols_fit(pts[inside], curve.values[inside])
+    fit = ols_fit(*_central_window(curve, qlo, qhi))
     return gpd_from_ols(fit), fit

@@ -22,6 +22,7 @@ from meanex import (
     format_distribution_spec,
     gh_mean,
     gh_sample,
+    gh_variance,
     gig_moment,
     gig_sample,
     make_spec,
@@ -30,6 +31,7 @@ from meanex import (
     std_pdf,
     std_sample,
     std_survival,
+    theoretical_mef,
 )
 from meanex.distributions import FAMILIES, _frozen
 
@@ -271,8 +273,8 @@ def test_fdelta_output_length():
 # GH and GIG: in-house density, mean and sampler under scipy's law machinery
 
 # one row per class gh_validate names (interior, hyperbolic, nig, variance-gamma,
-# skew-laplace, skew-student, student, cauchy, gaussian) and per GIG class
-# (interior, gamma, inverse-gamma)
+# skew-laplace, skew-student, student, cauchy), two interior laws at large
+# alpha delta, and one row per GIG class (interior, gamma, inverse-gamma)
 IN_HOUSE_LAWS = [
     "gh(lambda=0.7,alpha=2,beta=0.5,delta=1,mu=0)",
     "gh(lambda=1,alpha=1.5,beta=-0.5,delta=0.75,mu=0.2)",
@@ -355,6 +357,50 @@ def test_near_gaussian_gig_is_right_or_refused():
         assert sf == pytest.approx(stats.norm.sf(z), abs=0.01)
     with pytest.raises(NumericError):
         dist_isf(d, 0.5)
+
+
+# GH laws whose interior terms reach the ends of double range, each with
+# the law it equals to double precision, or None where no value is right
+EXTREME_GH_LAWS = {
+    # alpha delta = 1e200: N(0, 1)
+    "gh(lambda=1,alpha=1e100,beta=0,delta=1e100,mu=0)": "normal(mu=0,sigma=1)",
+    # alpha^2 and delta^2 overflow: the parent read it as N(0, 1)
+    "gh(lambda=1,alpha=1e160,beta=0,delta=1e160,mu=0)": None,
+    # K_5(delta gamma) overflows; delta^2 = 1e-160 is below every other term
+    "gh(lambda=5,alpha=1,beta=0.5,delta=1e-80,mu=0)": "gh(lambda=5,alpha=1,beta=0.5,delta=0,mu=0)",
+    # the symmetric Laplace law of density e^-|x| / 2
+    "gh(lambda=1,alpha=1,beta=0,delta=1e-300,mu=0)": "laplace(mu=0,sigma=1,tau=1)",
+}
+
+
+@pytest.mark.parametrize("text", EXTREME_GH_LAWS)
+def test_extreme_gh_laws_are_right_or_refused(text):
+    # the interior terms of these laws leave double range, where NaN,
+    # OverflowError or a RuntimeWarning (an error in this suite) could
+    # escape; each call is right or refused
+    d = parse_distribution_spec(text)
+    same = EXTREME_GH_LAWS[text] and parse_distribution_spec(EXTREME_GH_LAWS[text])
+    calls = {
+        "mean": dist_mean,
+        "sf": lambda law: float(std_survival(law, 0.5)),
+        "mef": lambda law: theoretical_mef(law, 0.5),
+        "isf": lambda law: dist_isf(law, 0.01),
+    }
+    for name, call in calls.items():
+        try:
+            value = call(d)
+        except (NumericError, DomainError):
+            continue
+        assert same, name
+        assert value == pytest.approx(call(same), rel=1e-9, abs=1e-15), name
+    try:
+        x = std_sample(d, np.random.default_rng(3), 20_000)
+    except (NumericError, DomainError):
+        return
+    assert same
+    assert x.mean() == pytest.approx(dist_mean(same), abs=4.0 * x.std() / math.sqrt(x.size))
+    var = gh_variance(GhParams(*(v for _, v in same.params))) if same.family == "gh" else _frozen(same).var()
+    assert x.var() == pytest.approx(var, rel=0.05)
 
 
 @pytest.mark.parametrize("text", IN_HOUSE_LAWS)

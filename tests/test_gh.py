@@ -28,15 +28,17 @@ STUDENT_LIKE = GhParams(-2.0, 1e-8, 0.0, 2.0, 0.0)
 ASYM_STUDENT = GhParams(-1.278, 0.01186, 0.01186, 0.0766, 1.005)
 NIG_A = GhParams(-0.5, 8.03, -1.37, 0.051, 0.0105)
 NIG_B = GhParams(-0.5, 7.6, -1.24, 0.052, 0.0103)
-GAUSSIAN_LIMIT = GhParams(-0.5, 1e6, 2.0, 3e5, 3.0)
+# an interior NIG near the Gaussian limit: mean mu + beta delta / gamma = 3.6,
+# variance about delta / alpha = 0.3
+NEAR_GAUSSIAN_NIG = GhParams(-0.5, 1e6, 2.0, 3e5, 3.0)
 CAUCHY_LIMIT = GhParams(-0.5, 0.0, 0.0, 1.0, 7.0)
-SKEW_LAPLACE = GhParams(1.0, 1.1, 0.1, 0.001, 2.0)
+SKEW_LAPLACE = GhParams(1.0, 1.1, 0.1, 0.0, 2.0)
 # alpha = beta: the skew-Student class, with a heavy right tail
 SKEW_STUDENT = GhParams(-2.0, 0.5, 0.5, 1.0, 0.0)
 STUDENT = GhParams(-1.5, 0.0, 0.0, 2.0, 0.5)
-# one law of each class, ids by gh_validate
-ONE_PER_CLASS = [HYPERBOLIC, SKEW_STUDENT, NIG_A, GAUSSIAN_LIMIT, CAUCHY_LIMIT, SKEW_LAPLACE, STUDENT_LIKE,
-                 GhParams(2.0, 1.5, 0.5, 0.0, 0.1), STUDENT]
+# one law of each class, ids by gh_validate, and the NIG at large alpha delta
+ONE_PER_CLASS = [HYPERBOLIC, SKEW_STUDENT, NIG_A, pytest.param(NEAR_GAUSSIAN_NIG, id="nig-near-gaussian"),
+                 CAUCHY_LIMIT, SKEW_LAPLACE, STUDENT_LIKE, GhParams(2.0, 1.5, 0.5, 0.0, 0.1), STUDENT]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,8 @@ def test_validate_named_cases():
 def test_validate_subclasses():
     assert gh_validate(HYPERBOLIC) == "hyperbolic"
     assert gh_validate(NIG_A) == "nig"
-    assert gh_validate(GAUSSIAN_LIMIT) == "gaussian"
+    # alpha and delta far out are still one interior law, beta included
+    assert gh_validate(NEAR_GAUSSIAN_NIG) == "nig"
     assert gh_validate(ASYM_STUDENT) == "skew-student"
     assert gh_validate(GhParams(-2.0, 0.0, 0.0, 2.0, 0.0)) == "student"
     assert gh_validate(GhParams(0.7, 2.0, 0.5, 1.0, 0.0)) == "interior"
@@ -65,8 +68,9 @@ def test_validate_tiny_alpha_is_still_interior():
 
 def test_validate_variance_gamma_needs_zero_delta():
     assert gh_validate(GhParams(2.0, 0.3, 0.1, 0.0, 0.0)) == "variance-gamma"
-    # a comfortably positive delta keeps lam > 0 parameters interior
+    # any positive delta keeps lam > 0 parameters interior, however small
     assert gh_validate(GhParams(2.0, 0.3, 0.1, 2.0, 0.0)) == "interior"
+    assert gh_validate(GhParams(1.0, 100.0, 0.0, 9e-4, 0.0)) == "hyperbolic"
 
 
 def test_validate_domain_rules():
@@ -151,12 +155,6 @@ def test_pdf_cauchy_limit_closed_form():
         assert gh_pdf(CAUCHY_LIMIT, x) == pytest.approx(expect, rel=1e-10)
 
 
-def test_pdf_gaussian_limit_closed_form():
-    for x in (2.0, 3.0, 4.0):
-        expect = stats.norm.pdf(x, loc=3.0, scale=math.sqrt(0.3))
-        assert gh_pdf(GAUSSIAN_LIMIT, x) == pytest.approx(expect, rel=1e-10)
-
-
 def test_pdf_skew_student_integrates_to_one():
     # |beta| = alpha boundary has its own density branch
     total, _ = integrate.quad(
@@ -209,12 +207,39 @@ def test_pdf_interior_at_large_alpha_delta():
     np.testing.assert_allclose(gh_pdf(p, x), reference, rtol=1e-12, atol=0.0)
 
 
+def test_pdf_gaussian_limit_closed_form():
+    # the NIG near the Gaussian limit is its own interior law, not
+    # N(mu, delta / alpha): its density peaks near its mean 3.6, not at mu = 3
+    mean = gh_mean(NEAR_GAUSSIAN_NIG)
+    sd = math.sqrt(gh_variance(NEAR_GAUSSIAN_NIG))
+    x = np.array([mean - sd, mean, mean + sd])
+    reference = [_mp_pdf(NEAR_GAUSSIAN_NIG, v) for v in x]
+    np.testing.assert_allclose(gh_pdf(NEAR_GAUSSIAN_NIG, x), reference, rtol=1e-12, atol=0.0)
+    assert _mp_pdf(NEAR_GAUSSIAN_NIG, 3.6) == pytest.approx(0.728365620393445, rel=1e-12)
+
+
 def test_compare_at_large_alpha_delta_exits_0(capsys):
     # the staircase density failed the mass check (exit 3)
     spec = "gh(lambda=-0.5,alpha=1e6,beta=2,delta=300,mu=0)"
     code = main(["compare", "--data", "tests/data/synthetic_ohlcv.csv", "--log-returns", "--dist", spec])
     assert code == 0, capsys.readouterr().err
     assert "sup_deviation = " in capsys.readouterr().out
+
+
+def test_compare_near_delta_zero_exits_0(capsys):
+    # a return-scale hyperbolic law with delta = 9e-4 is its own law, not
+    # the variance-gamma law of delta = 0 (density at mu 46.26, not 50)
+    spec = "gh(lambda=1,alpha=100,beta=0,delta=0.0009,mu=0)"
+    code = main(["compare", "--data", "tests/data/synthetic_ohlcv.csv", "--log-returns", "--dist", spec])
+    assert code == 0, capsys.readouterr().err
+    assert "sup_deviation = " in capsys.readouterr().out
+
+
+def test_gh_pdf_out_of_double_range_exits_3(capsys):
+    # alpha^2 and delta^2 overflow; the law was N(0, 1) at exit 0
+    code = main(["gh-pdf", "--dist", "gh(lambda=1,alpha=1e160,beta=0,delta=1e160,mu=0)"])
+    assert code == 3
+    assert "out of double range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -281,10 +306,12 @@ def test_sample_symmetric_skewness():
 
 
 def test_sample_gaussian_limit_moments():
+    # the draws keep beta's shift of the mean: 3.6, not mu = 3
     rng = np.random.default_rng(11)
-    x = gh_sample(GAUSSIAN_LIMIT, rng, 200_000)
-    assert x.mean() == pytest.approx(3.0, rel=0.02)
-    assert x.var() == pytest.approx(0.3, rel=0.02)
+    x = gh_sample(NEAR_GAUSSIAN_NIG, rng, 200_000)
+    m, v = gh_mean(NEAR_GAUSSIAN_NIG), gh_variance(NEAR_GAUSSIAN_NIG)
+    assert x.mean() == pytest.approx(m, abs=4.0 * math.sqrt(v / x.size))
+    assert x.var() == pytest.approx(v, rel=0.02)
 
 
 def test_sample_hyperbolic_ks_against_quadrature_cdf():
@@ -327,8 +354,11 @@ def test_sample_rejects_invalid():
 
 
 def test_mean_and_variance_gaussian_limit():
-    assert gh_mean(GAUSSIAN_LIMIT) == pytest.approx(3.0, abs=1e-12)
-    assert gh_variance(GAUSSIAN_LIMIT) == pytest.approx(0.3, abs=1e-12)
+    # NIG closed forms: mean mu + beta delta / gamma, variance delta alpha^2 / gamma^3
+    p = NEAR_GAUSSIAN_NIG
+    gamma = math.sqrt(p.alpha ** 2 - p.beta ** 2)
+    assert gh_mean(p) == pytest.approx(p.mu + p.beta * p.delta / gamma, rel=1e-12)
+    assert gh_variance(p) == pytest.approx(p.delta * p.alpha ** 2 / gamma ** 3, rel=1e-12)
 
 
 def test_variance_infinite_for_cauchy():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from meanex import DomainError, gig_moment, gig_pdf, gig_sample, gig_validate
+from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
 from meanex import gig
 from meanex.gig import gig_mode
 
@@ -79,6 +79,23 @@ def test_moment_survives_extreme_omega():
     assert val == pytest.approx(math.sqrt(9e10 / 1e12), rel=1e-6)
 
 
+def test_moment_at_huge_chi_psi():
+    # chi psi = 1e400 overflowed in sqrt(chi psi) and the moments were NaN;
+    # at omega = 1e200, W is sqrt(chi / psi) = 1 to double precision
+    for k in (1, 2):
+        assert gig_moment(1.0, 1e200, 1e200, k) == pytest.approx(1.0, rel=1e-15)
+    assert gig_mode(1.0, 1e200, 1e200) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_moment_at_tiny_chi_psi_is_refused():
+    # K_6 and K_5 both overflow at omega = 8.7e-81: the ratio was inf / inf,
+    # NaN with a RuntimeWarning (the Gamma limit is 2 lambda / psi = 13.3)
+    with pytest.raises(NumericError):
+        gig_moment(5.0, 1e-160, 0.75, 1)
+    with pytest.raises(NumericError):
+        gig_pdf(5.0, 1e-160, 0.75, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -124,6 +141,16 @@ def test_mode_is_density_maximum():
     pm = gig_pdf(lam, chi, psi, m)
     for w in (0.5 * m, 0.9 * m, 1.1 * m, 2.0 * m):
         assert gig_pdf(lam, chi, psi, w) <= pm
+
+
+def test_mode_near_the_gamma_boundary():
+    # (lambda - 1) + sqrt((lambda - 1)^2 + chi psi) cancelled to 0 at
+    # chi psi = 6.4e-17, and sampling took log(0); the mode is about
+    # chi / (2 (1 - lambda)) there
+    assert gig_mode(0.3, 1e-20, 6400.0) == pytest.approx(1e-20 / 1.4, rel=1e-12)
+    w = gig_sample(0.3, 1e-20, 6400.0, np.random.default_rng(4), 20_000)
+    # W is Gamma(0.3, scale 2 / 6400) to double precision: mean 9.375e-5
+    assert w.mean() == pytest.approx(9.375e-5, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +224,21 @@ def test_sample_rejects_invalid_domain():
         gig_sample(0.5, 1.0, 0.0, np.random.default_rng(0), 10)
     with pytest.raises(DomainError):
         gig_sample(1.0, 1.0, 1.0, np.random.default_rng(0), -1)
+
+
+@pytest.mark.parametrize("triple", [(-0.5, 1e-8, 1e-8), (-0.5, 0.0026, 62.6), (0.5, 1e-4, 1.0)])
+def test_sample_by_thinning_the_boundary_law(triple):
+    # the ROU box accepts 1.5e-4 of its candidates at (-0.5, 1e-8, 1e-8).
+    # GIG(-1/2, chi, psi) is the inverse Gaussian of mean sqrt(chi / psi)
+    # and shape chi, scipy's invgauss(mean / chi, scale=chi); 1 / W is
+    # GIG(-lambda, psi, chi)
+    assert gig._thinning_wins(*triple)
+    lam, chi, psi = triple
+    w = gig_sample(lam, chi, psi, np.random.default_rng(1), 20_000)
+    if lam > 0:
+        w, chi, psi = 1.0 / w, psi, chi
+    ref = stats.invgauss(math.sqrt(chi / psi) / chi, scale=chi)
+    assert stats.kstest(w, ref.cdf).pvalue > 1e-3
 
 
 def test_sample_extreme_mixing_parameters():

@@ -5,7 +5,9 @@ per class that gh_validate names and the GIG interior and boundaries.
 Oracles are closed forms where the law has one. Otherwise scipy's
 ``expect``: conditional on X > u for scipy's own laws, and over the
 normal mean-variance mixture (the mixing law from scipy, the normal
-partial expectation in closed form) for the GH classes. The scipy
+partial expectation in closed form) for the GH classes; where scipy's
+mixing law fails (delta sqrt(alpha^2 - beta^2) of 1e8 and more), mpmath's
+quadrature of the GH density. The scipy
 oracles are used only up to the 1 - 1e-3 quantile; beyond it their own
 quadrature drifts (about 2% for Student nu=1.5 at 1 - 1e-6), so the far
 tail is held to the closed forms and the invariants e(u) >= 0 and
@@ -15,6 +17,7 @@ u + e(u) non-decreasing.
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -23,6 +26,7 @@ from meanex import (
     DomainError,
     NumericError,
     dist_isf,
+    gh_pdf,
     gh_validate,
     GhParams,
     make_grid,
@@ -146,6 +150,42 @@ def _gh_mixture(params: GhParams):
     return e
 
 
+def _mp_gh(params: GhParams):
+    """(density, e) of an interior GH law from its closed form in mpmath,
+    independent of meanex.gh: e(u) is a ratio of mpmath quadratures over
+    (u, inf), split at the mean + k sd of the mixture's Bessel-ratio
+    moments and at mu +- delta 10^k, where a small delta leaves a spike.
+    The precision is 20 digits plus those of alpha delta, the size of the
+    exponents that cancel in the density."""
+    dps = 20 + int(math.log10(1.0 + params.alpha * params.delta))
+    with mpmath.workdps(dps):
+        lam, al, be, de, mu = (mpmath.mpf(v) for v in (params.lam, params.alpha, params.beta, params.delta, params.mu))
+        gam = mpmath.sqrt(al * al - be * be)
+        z = de * gam
+        w1, w2 = ((de / gam) ** k * mpmath.besselk(lam + k, z) / mpmath.besselk(lam, z) for k in (1, 2))
+        mean, sd = mu + be * w1, mpmath.sqrt(w1 + be * be * (w2 - w1 * w1))
+        a = gam ** lam / (mpmath.sqrt(2 * mpmath.pi) * al ** (lam - 0.5) * de ** lam * mpmath.besselk(lam, z))
+        breaks = {mean + k * sd for k in (-8, -2, 0, 2, 8, 32)}
+        breaks |= {mu + s * de * 10 ** k for s in (-1, 1) for k in (0, 3, 6, 9)} | {mu}
+
+    def pdf(x):
+        q = mpmath.sqrt(de * de + (x - mu) ** 2)
+        return a * q ** (lam - 0.5) * mpmath.exp(be * (x - mu)) * mpmath.besselk(lam - 0.5, al * q)
+
+    @functools.lru_cache(maxsize=None)
+    def e(u):
+        with mpmath.workdps(dps):
+            u = mpmath.mpf(u)
+            pts = [u] + sorted(x for x in breaks if x > u) + [mpmath.inf]
+            return float(mpmath.quad(lambda x: (x - u) * pdf(x), pts) / mpmath.quad(pdf, pts))
+
+    def density(x):
+        with mpmath.workdps(dps):
+            return float(pdf(mpmath.mpf(x)))
+
+    return density, e
+
+
 # spec -> (far-tail closed form or None, scipy oracle or None); "undefined"
 # marks laws without a finite mean
 CASES = {
@@ -175,9 +215,12 @@ CASES = {
     "gh(lambda=-2,alpha=0.5,beta=0.5,delta=1,mu=0)": (None, _gh_mixture(GhParams(-2.0, 0.5, 0.5, 1.0, 0.0))),
     "gh(lambda=-1.5,alpha=0,beta=0,delta=2,mu=0.5)": (_student(3.0, 0.5, scale=2.0 / math.sqrt(3.0)), None),
     "gh(lambda=-0.5,alpha=0,beta=0,delta=1,mu=0)": "undefined",
-    "gh(lambda=-0.5,alpha=1e6,beta=2,delta=3e5,mu=3)": (_normal(3.0, math.sqrt(0.3)), None),
-    # the Gaussian limit ignores beta: the law stays centred on mu
-    "gh(lambda=1,alpha=1e4,beta=100,delta=1e4,mu=0)": (_normal(0.0, 1.0), None),
+    # interior laws at large alpha delta, near their Gaussian limit but with
+    # beta's shift of the mean (3.6 and 100.005), and near a delta = 0 limit
+    "gh(lambda=-0.5,alpha=1e6,beta=2,delta=3e5,mu=3)": (None, _mp_gh(GhParams(-0.5, 1e6, 2.0, 3e5, 3.0))[1]),
+    "gh(lambda=1,alpha=1e4,beta=100,delta=1e4,mu=0)": (None, _mp_gh(GhParams(1.0, 1e4, 100.0, 1e4, 0.0))[1]),
+    "gh(lambda=1,alpha=100,beta=0,delta=0.0009,mu=0)": (None, _gh_mixture(GhParams(1.0, 100.0, 0.0, 9e-4, 0.0))),
+    "gh(lambda=0.3,alpha=80,beta=0,delta=1e-3,mu=0)": (None, _gh_mixture(GhParams(0.3, 80.0, 0.0, 1e-3, 0.0))),
     "gig(lambda=1,chi=1,psi=1)": (None, _conditional(stats.geninvgauss(1.0, 1.0))),
     "gig(lambda=2,chi=0,psi=1)": (_gamma(2.0, 0.5), None),
     "gig(lambda=-3,chi=2,psi=0)": (_inverse_gamma(3.0, 1.0), None),
@@ -190,7 +233,7 @@ def test_cases_cover_every_family_and_gh_class():
     gh_classes = {gh_validate(GhParams(*(v for _, v in d.params))) for d in specs if d.family == "gh"}
     assert gh_classes == {
         "interior", "hyperbolic", "nig", "variance-gamma", "skew-laplace",
-        "skew-student", "student", "cauchy", "gaussian",
+        "skew-student", "student", "cauchy",
     }
 
 
@@ -212,6 +255,30 @@ def test_theoretical_mef_against_oracles(text):
             assert e == pytest.approx(expect(u), rel=1e-6), (q, u)
     tail_means = np.add(thresholds, values)
     assert np.all(np.diff(tail_means) >= -1e-9 * np.abs(tail_means[1:])), tail_means
+
+
+# interior laws by exact classification that were replaced by a nearby
+# limit: delta <= 1e-3 with lam > 0 by variance gamma (e(0) of the first
+# law 0.0100000 against 0.0100855), alpha, delta >= 1e4 by N(mu, delta /
+# alpha) without beta (e(100) of the fourth 0.0 against 0.79977)
+NEAR_LIMITS = [
+    "gh(lambda=1,alpha=100,beta=0,delta=0.0009,mu=0)",
+    "gh(lambda=0.3,alpha=80,beta=0,delta=1e-3,mu=0)",
+    "gh(lambda=0.3,alpha=80,beta=0,delta=1e-10,mu=0)",
+    "gh(lambda=1,alpha=1e4,beta=100,delta=1e4,mu=0)",
+    "gh(lambda=-0.5,alpha=1e6,beta=2,delta=3e5,mu=3)",
+]
+
+
+@pytest.mark.parametrize("text", NEAR_LIMITS)
+def test_interior_law_near_a_limit_matches_mpmath(text):
+    d = parse_distribution_spec(text)
+    p = GhParams(*(v for _, v in d.params))
+    density, e = _mp_gh(p)
+    x = [dist_isf(d, q) for q in (0.99, 0.5, 0.01)]
+    np.testing.assert_allclose(gh_pdf(p, np.array(x)), [density(v) for v in x], rtol=1e-12, atol=0.0)
+    for u in x[1:]:
+        assert theoretical_mef(d, u) == pytest.approx(e(u), rel=1e-9), u
 
 
 @pytest.mark.parametrize(
