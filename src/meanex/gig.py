@@ -24,10 +24,18 @@ on log h relative to the mode, so extreme parameter magnitudes (for
 instance the near-Gaussian mixing laws with chi*psi ~ 1e23) stay inside
 double range. Where the ROU box is nearly empty (0 < |lambda| < 1, small
 chi psi), boundary-law draws are thinned instead. Rejection is vectorized.
+A law whose chosen sampler would keep fewer than 1e-4 of its candidates
+(lambda = 0 with small chi psi, where no boundary law can be thinned) is
+refused with NumericError.
+
+The interior density writes its exponent as -(psi / (2 w)) (w - s)^2,
+s = sqrt(chi / psi), beside the scaled Bessel constant, so at large
+chi psi no term of size sqrt(chi psi) cancels.
 """
 
 from __future__ import annotations
 
+import decimal
 from functools import lru_cache
 
 import numpy as np
@@ -81,6 +89,25 @@ def _log_h(w, lam, chi, psi):
     return (lam - 1.0) * np.log(w) - 0.5 * (chi / w + psi * w)
 
 
+def _centre(chi: float, psi: float) -> tuple[float, float]:
+    """s = sqrt(chi / psi) as a double-double s_hi + s_lo: w - s is then
+    right to an ulp of itself near s, where the interior exponent
+    -(psi / (2 w)) (w - s)^2 multiplies its error by psi (w - s) / w."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = (decimal.Decimal(chi) / decimal.Decimal(psi)).sqrt()
+        s_hi = float(exact)
+        return s_hi, float(exact - decimal.Decimal(s_hi))
+
+
+def _log_h_centred(w, lam, chi, psi, s_hi, s_lo):
+    """log h(w) + omega, omega = sqrt(chi psi): (chi / w + psi w) / 2 - omega
+    is written as (psi / 2) ((w - s) / sqrt(w))^2, so no term of size
+    omega cancels (``_log_h`` loses log10(omega) digits that way)."""
+    d = ((w - s_hi) - s_lo) / np.sqrt(w)
+    return (lam - 1.0) * np.log(w) - 0.5 * psi * (d * d)
+
+
 @lru_cache(maxsize=256)
 def _rou_envelope(lam: float, chi: float, psi: float):
     """Mode, log h(mode) and the box bounds (v-, v+) for ratio-of-uniforms,
@@ -130,12 +157,37 @@ def _thinning_wins(lam: float, chi: float, psi: float) -> bool:
     return v_hi > v_lo and np.log(2.0 * (v_hi - v_lo)) + lh_m + a * np.log(0.5 * c) - special.gammaln(a) > 0.0
 
 
+# below this expected acceptance a sampler is refused rather than run:
+# 4000 draws at 1e-4 take about 4e7 candidates
+_ACCEPTANCE_FLOOR = 1e-4
+
+
+def _log_acceptance(lam: float, chi: float, psi: float, thin: bool) -> float:
+    """Log of the share of its candidates the chosen sampler keeps: int h
+    (c / 2)^a / Gamma(a) when thinning, int h / (2 h(m) (v+ - v-)) for
+    ROU, with int h the inverse of the norming constant. +inf where
+    K_lambda(omega) overflows, as int h then does."""
+    try:
+        _, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
+    except NumericError:
+        return np.inf
+    if thin:
+        c = psi if lam > 0 else chi
+        om = np.sqrt(chi) * np.sqrt(psi)
+        return -log_norm - om + abs(lam) * np.log(0.5 * c) - special.gammaln(abs(lam))
+    m, _, v_lo, v_hi = _rou_envelope(lam, chi, psi)
+    with np.errstate(divide="ignore"):  # an empty box (v+ = v-) keeps every candidate
+        return -log_norm - _log_h_centred(m, lam, chi, psi, s_hi, s_lo) - np.log(2.0 * (v_hi - v_lo))
+
+
 def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n independent variates from GIG(lambda, chi, psi).
 
     Degenerate boundaries dispatch to the exact Gamma / Inverse Gamma
     samplers. The interior uses mode-shifted ratio-of-uniforms, or
-    thinned boundary draws where they accept more often.
+    thinned boundary draws where they accept more often. NumericError
+    where the chosen sampler would keep fewer than 1e-4 of its
+    candidates (lambda = 0 with small chi psi), instead of running on.
     """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
@@ -143,6 +195,13 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
         return _boundary_draws(lam, chi, psi, rng, n)
 
     thin = _thinning_wins(lam, chi, psi)
+    log_acc = _log_acceptance(lam, chi, psi, thin)
+    if log_acc < np.log(_ACCEPTANCE_FLOOR):
+        raise NumericError(
+            f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: its "
+            f"{'thinning' if thin else 'ratio-of-uniforms'} sampler would keep "
+            f"{np.exp(log_acc):.2g} of its candidates (floor {_ACCEPTANCE_FLOOR:g})"
+        )
     m, lh_m, v_lo, v_hi = _rou_envelope(lam, chi, psi)
     out = np.empty(n, dtype=float)
     got = 0
@@ -167,26 +226,29 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
 
 
 @lru_cache(maxsize=256)
-def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float]:
-    """The class and the log of the density's constant factor, once per
-    parameter set: a quadrature asks for the density point by point."""
+def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float, float, float]:
+    """The class, the log of the density's constant factor and s, once
+    per parameter set: a quadrature asks for the density point by point.
+    In the interior the factor is taken times e^(-omega), which
+    ``_log_h_centred`` adds back, so it comes from the scaled Bessel
+    function with nothing added."""
     kind = gig_validate(lam, chi, psi)
     if kind == "gamma":
-        return kind, lam * np.log(psi / 2.0) - special.gammaln(lam)
+        return kind, lam * np.log(psi / 2.0) - special.gammaln(lam), 0.0, 0.0
     if kind == "inverse-gamma":
-        return kind, -lam * np.log(chi / 2.0) - special.gammaln(-lam)
+        return kind, -lam * np.log(chi / 2.0) - special.gammaln(-lam), 0.0, 0.0
     om = np.sqrt(chi) * np.sqrt(psi)
-    # (psi/chi)^(lam/2) / (2 K_lam(om)), scaled Bessel for range
-    log_norm = 0.5 * lam * (np.log(psi) - np.log(chi)) - np.log(2.0) - (np.log(bessel_k_scaled(lam, om)) - om)
+    # (psi/chi)^(lam/2) / (2 e^-om K_lam(om))
+    log_norm = 0.5 * lam * (np.log(psi) - np.log(chi)) - np.log(2.0) - np.log(bessel_k_scaled(lam, om))
     if not np.isfinite(log_norm):
         raise NumericError(f"gig norming constant out of double range: K_{lam:g}({om:g}) overflows")
-    return kind, log_norm
+    return kind, log_norm, *_centre(chi, psi)
 
 
 def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     """Density of GIG(lambda, chi, psi), vectorized over w (0 outside
     support, and at +inf, where the formulas would give inf - inf)."""
-    kind, log_norm = _log_norm(lam, chi, psi)
+    kind, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = (w > 0) & (w < np.inf)
@@ -198,7 +260,7 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     elif kind == "inverse-gamma":
         out[pos] = np.exp(log_norm - (1.0 - lam) * np.log(wp) - 0.5 * chi / wp)
     else:
-        out[pos] = np.exp(log_norm + _log_h(wp, lam, chi, psi))
+        out[pos] = np.exp(log_norm + _log_h_centred(wp, lam, chi, psi, s_hi, s_lo))
     return out
 
 

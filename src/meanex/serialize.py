@@ -5,9 +5,10 @@ numbers formatted with %.12g, so identical inputs yield byte-identical
 files. Undefined values appear as nan, infinities as inf and -inf, and
 negative zero as -0.
 
-Tables are written a column at a time: ``table`` maps one
-``"%.12g,...,%.12g"`` row format over the columns' ``tolist()`` floats,
-the same Python floats ``fmt`` formats one at a time.
+Each table is formatted by one ``%``: ``table`` interleaves its columns
+row by row into one float array and applies ``"%.12g,...,%.12g\\n"``
+repeated once per row to its ``tolist()`` floats, the same Python floats
+``fmt`` formats one at a time.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ def fmt(x: float) -> str:
 
 
 def table(header, *columns) -> str:
-    """CSV text with one %.12g row per index of ``columns`` (zip stops at
-    the shortest), under ``header`` unless it is None."""
-    row = ",".join(["%.12g"] * len(columns)).__mod__
-    lines = [] if header is None else [header]
-    lines += map(row, zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
-    return "\n".join(lines) + "\n"
+    """CSV text with one %.12g row per index of ``columns`` (rows stop at
+    the shortest column), under ``header`` unless it is None."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = min((c.size for c in cols), default=0)
+    flat = np.array([c[:n] for c in cols]).T.ravel()  # row by row
+    text = (",".join(["%.12g"] * len(cols)) + "\n") * n % tuple(flat.tolist())
+    return ("" if header is None else header + "\n") + text or "\n"
 
 
 def curve_csv(curve: MefCurve) -> str:

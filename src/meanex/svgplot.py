@@ -8,8 +8,8 @@ from band envelopes.
 
 Paths are written a column at a time: the data-to-pixel transform runs
 once per array, with the same float operations per element as on one
-scalar, and one ``"%s%.2f,%.2f"`` format is mapped over the command
-letters and the pixel columns.
+scalar, and each path is formatted by one ``%`` over the interleaved
+pixel columns (see ``_segments``).
 """
 
 from __future__ import annotations
@@ -52,12 +52,19 @@ def _px(v: float) -> str:
 
 
 def _segments(x, y, to_px):
-    """Polyline path data, restarting at every undefined point."""
+    """Polyline path data, restarting at every undefined point.
+
+    One ``%`` writes the whole path: the template ``"L%.2f,%.2f " * n``
+    has its command letter at byte 11 i for the i-th kept point, and the
+    letter of each point that follows a dropped one (or starts the path)
+    is set to ``M``. It is applied to the interleaved pixel coordinates,
+    and the trailing space is cut."""
     ok = np.isfinite(x) & np.isfinite(y)
     after_gap = np.concatenate(([True], ~ok))[:-1]
-    cmds = np.where(after_gap[ok], "M", "L").tolist()
     sx, sy = to_px(x[ok], y[ok])
-    return " ".join(map("%s%.2f,%.2f".__mod__, zip(cmds, sx.tolist(), sy.tolist())))
+    template = bytearray(b"L%.2f,%.2f " * sx.size)
+    np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(after_gap[ok])] = ord("M")
+    return (template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))[:-1]
 
 
 def _data_range(series):

@@ -87,8 +87,11 @@ def test_emef_degenerate_sample_exit_3(tmp_path, capsys):
         "\n1\n\n  \n2\n3\n\n",  # blank lines
         "1,9\n 2 , x\n3,\n",  # second column ignored
         "x,y\n1,a\r\n2,b\n,\n3,c",  # header, CRLF, empty first field, no final newline
+        "1,\x0c2\n3\n",  # a form feed starts a line (not for loadtxt on a file handle)
+        "1\u20282\r3",  # line separator, lone CR
+        "x\n1_0e-1\n\u0662\n3\n",  # tokens only float() reads
     ],
-    ids=["plain", "header", "blank_lines", "second_column", "mixed"],
+    ids=["plain", "header", "blank_lines", "second_column", "mixed", "form_feed", "line_separators", "float_only"],
 )
 def test_sample_file_reads_first_column(tmp_path, capsys, text):
     path = tmp_path / "s.txt"

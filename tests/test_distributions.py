@@ -355,8 +355,16 @@ def test_near_gaussian_gig_is_right_or_refused():
         except NumericError:
             continue
         assert sf == pytest.approx(stats.norm.sf(z), abs=0.01)
-    with pytest.raises(NumericError):
-        dist_isf(d, 0.5)
+    # GIG(-1/2, chi, psi) is the inverse Gaussian of mean s = sqrt(chi / psi)
+    # and shape chi; its survival function, at 60 digits since e^(2 chi / s)
+    # overflows doubles, is the oracle for the quantiles
+    with mpmath.workdps(60):
+        shape, s = mpmath.mpf(9e10), mpmath.sqrt(mpmath.mpf(9e10) / mpmath.mpf(1e12))
+        for p in (0.9, 0.5, 1e-6):
+            x = mpmath.mpf(dist_isf(d, p))
+            r = mpmath.sqrt(shape / x)
+            sf = 1 - mpmath.ncdf(r * (x / s - 1)) - mpmath.exp(2 * shape / s) * mpmath.ncdf(-r * (x / s + 1))
+            assert float(sf) == pytest.approx(p, rel=1e-9)
 
 
 # GH laws whose interior terms reach the ends of double range, each with

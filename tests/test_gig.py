@@ -2,13 +2,16 @@
 Bessel-ratio moments, including the Gamma and Inverse Gamma boundaries."""
 
 import math
+import signal
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
 from meanex import gig
+from meanex.gh import GhParams, gh_sample
 from meanex.gig import gig_mode
 
 
@@ -135,6 +138,33 @@ def test_pdf_matches_scipy():
     assert gig_pdf(lam, chi, psi, w) == pytest.approx(ref.pdf(w), rel=1e-10)
 
 
+def _mp_gig_pdf(lam, chi, psi, w):
+    with mpmath.workdps(50):
+        lam, chi, psi, w = (mpmath.mpf(v) for v in (lam, chi, psi, w))
+        norm = (psi / chi) ** (lam / 2) / (2 * mpmath.besselk(lam, mpmath.sqrt(chi * psi)))
+        return float(norm * w ** (lam - 1) * mpmath.exp(-(chi / w + psi * w) / 2))
+
+
+@pytest.mark.parametrize(
+    "triple, ws",
+    [
+        # omega = 3e11: log norm (about +omega) plus log h (about -omega)
+        # lost log10(omega) digits, 4e-5 to 8e-5 off at these points
+        ((-0.5, 9e10, 1e12), [0.3, 0.3 + 1e-6, 0.3 - 1e-6, 0.3 + 3e-7, 0.3 - 2.5e-6]),
+        ((2.0, 1e30, 1e30), [1.0, 1.0 + 2.0**-50, 1.0 - 2.0**-51]),
+        ((0.7, 3.3e7, 1e-5), [1816590.0, 1816600.0, 1816000.0]),
+        ((-0.5, 1.3, 2.7), [0.1, 0.7, 3.0]),
+        ((0.3, 1e-8, 1e-8), [1e-6, 1.0, 50.0]),
+    ],
+    ids=["omega-3e11", "omega-1e30", "lambda-0.7-wide", "plain", "small-chi-psi"],
+)
+def test_pdf_matches_mpmath(triple, ws):
+    for w in ws:
+        want = _mp_gig_pdf(*triple, w)
+        assert want > 0.0
+        assert gig_pdf(*triple, w) == pytest.approx(want, rel=1e-12)
+
+
 def test_mode_is_density_maximum():
     lam, chi, psi = 1.7, 0.8, 1.9
     m = gig_mode(lam, chi, psi)
@@ -247,3 +277,54 @@ def test_sample_extreme_mixing_parameters():
     w = gig_sample(-0.5, 9e10, 1e12 - 4.0, rng, 10_000)
     assert np.isfinite(w).all()
     assert w.mean() == pytest.approx(0.3, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "triple, thin",
+    [((-0.5, 1.3, 2.7), False), ((0.0, 1e-3, 1e-3), False), ((0.01, 1e-8, 1e-8), True), ((-0.3, 1e-4, 1.0), True)],
+)
+def test_acceptance_matches_the_share_of_candidates_kept(triple, thin):
+    # the expected acceptance, from the norming constant, against the share
+    # of 400000 candidates that the sampler's own test keeps
+    lam, chi, psi = triple
+    assert gig._thinning_wins(*triple) == thin
+    rng = np.random.default_rng(12)
+    k = 400_000
+    if thin:
+        w = gig._boundary_draws(lam, chi, psi, rng, k)
+        with np.errstate(divide="ignore"):  # Gamma(0.01) draws underflow to 0
+            kept = np.exp(-0.5 * chi / w if lam > 0 else -0.5 * psi * w)
+    else:
+        m, lh_m, v_lo, v_hi = gig._rou_envelope(*triple)
+        u = rng.uniform(0.0, 1.0, size=k)
+        w = m + rng.uniform(v_lo, v_hi, size=k) / u
+        ok = w > 0.0
+        kept = np.zeros(k)
+        kept[ok] = 2.0 * np.log(u[ok]) <= gig._log_h(w[ok], lam, chi, psi) - lh_m
+    se = kept.std() / math.sqrt(k)
+    assert math.exp(gig._log_acceptance(lam, chi, psi, thin)) == pytest.approx(kept.mean(), abs=5.0 * se)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_sampler_below_the_acceptance_floor_is_refused_at_once():
+    # GIG(0, 1e-20, 6400), the mixing law of gh(0, 80, 0, 1e-10, 0), has
+    # no boundary law to thin, and its ROU box keeps 2e-7 of the
+    # candidates: 4000 draws took about 2e10 of them
+    assert math.exp(gig._log_acceptance(0.0, 1e-20, 6400.0, False)) == pytest.approx(2.0e-7, rel=0.05)
+
+    def expired(signum, frame):
+        raise TimeoutError("still sampling after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(5)
+    try:
+        with pytest.raises(NumericError, match=r"GIG\(lambda=0, chi=1e-20, psi=6400\)"):
+            gig_sample(0.0, 1e-20, 6400.0, np.random.default_rng(0), 4000)
+        with pytest.raises(NumericError, match="ratio-of-uniforms"):
+            gh_sample(GhParams(0.0, 80.0, 0.0, 1e-10, 0.0), np.random.default_rng(0), 4000)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # above the floor, the same class of law still samples
+    w = gig_sample(0.0, 1e-3, 1e-3, np.random.default_rng(0), 2000)
+    assert w.shape == (2000,) and (w > 0).all()

@@ -171,6 +171,34 @@ def test_compare_csv_and_headerless_table_match_oracle():
     assert table(None, []) == "\n"
 
 
+def benchmark_columns(k, n, seed):
+    """k columns of n values over 24 decades, with NaN, infinities,
+    signed zeros and extreme magnitudes sprinkled in."""
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-12, 12, size=(k, n))
+    edge = np.array([NAN, INF, -INF, -0.0, 0.0, 1e300, -1e-300, 5e-324])
+    for col in cols:
+        col[rng.integers(0, n, size=200)] = rng.choice(edge, 200)
+    return cols
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_table_at_benchmark_scale_matches_oracle(k):
+    # a 200k-value series writes band tables of this size
+    cols = benchmark_columns(k, 100_000, k)
+    header = ",".join(f"c{j}" for j in range(k))
+    assert table(header, *cols) == oracle_table(header, *cols)
+
+
+def test_table_edge_shapes_match_oracle():
+    assert table("u,e", [], []) == oracle_table("u,e", [], []) == "u,e\n"
+    assert table(None, [], []) == oracle_table(None, [], []) == "\n"
+    col = benchmark_columns(1, 1000, 7)[0]
+    assert table("x", col) == oracle_table("x", col)
+    assert table(None, col) == oracle_table(None, col)
+    assert table("a,b", col, col[:10]) == oracle_table("a,b", col, col[:10])  # rows stop at the shortest
+
+
 def test_ohlcv_csv_matches_oracle():
     with open(FIXTURE, encoding="utf-8") as fh:
         series = parse_ohlcv_csv(fh.read())
@@ -242,6 +270,18 @@ def test_long_path_with_many_gaps_matches_oracle():
     x = np.linspace(-3.0, 7.0, 501)
     y = np.where(np.arange(501) % 37 < 3, NAN, np.sin(x))
     series = [line_series("s", x, y)]
+    assert svg_paths(svg_plot(series)) == oracle_paths(series)
+
+
+def test_path_restarting_every_3_points_matches_oracle():
+    n = 100_000
+    x = np.linspace(-1.0, 1.0, n)
+    y = np.where(np.arange(n) % 4 == 3, NAN, np.cos(40.0 * x))
+    series = [line_series("s", x, y)]
+    to_px = default_to_px(series)
+    d = _segments(x, y, to_px)
+    assert d == oracle_segments(x, y, to_px)
+    assert d.count("M") == n // 4
     assert svg_paths(svg_plot(series)) == oracle_paths(series)
 
 
