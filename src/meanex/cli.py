@@ -58,14 +58,42 @@ FULL_SIZE = 4000  # full-protocol sample size
 
 
 def _parse_file(path, parse):
-    """parse(fh) of the UTF-8 text file at path; InputError if it is not one."""
+    """parse(fh) of the UTF-8 text file at path, a leading byte-order mark
+    dropped; InputError if it is not one."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def _first_field(line):
+    return line.strip().split(",")[0].strip()
+
+
+def _loadtxt(lines):
+    """np.loadtxt of the lines' first comma fields; None where it raises
+    or reads nothing."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(lines, dtype=float, delimiter=",", usecols=0, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return values if values.size else None
+
+
+def _is_header(line):
+    """Whether the line loop skips line, read first, as a header: its
+    first field is not blank and ``float`` rejects it."""
+    tok = _first_field(line)
+    try:
+        float(tok)
+    except ValueError:
+        return bool(tok)
+    return False
 
 
 def _sample_values(path):
@@ -74,23 +102,20 @@ def _sample_values(path):
     skipped, and a non-numeric first line is skipped as a header.
 
     ``np.loadtxt`` parses the split lines in one C call (on the file
-    handle it would not split at form feeds or U+2028). It reads every
-    token it accepts to the bits ``float`` gives, and accepts no token
-    ``float`` rejects. Where it raises or reads nothing (a header, a
-    blank field, ``1_000``, non-ASCII digits, no number), the line loop
-    reads the file and words every error."""
+    handle it would not split at form feeds or U+2028), past the header
+    line if there is one. It reads every token it accepts to the bits
+    ``float`` gives, and accepts no token ``float`` rejects. Where it
+    raises or reads nothing (a blank field, ``1_000``, non-ASCII digits,
+    no number), the line loop reads the file and words every error."""
     lines = _parse_file(path, lambda fh: fh.read().splitlines())
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            values = np.loadtxt(lines, dtype=float, delimiter=",", usecols=0, comments=None, ndmin=1)
-        if values.size:
-            return values
-    except ValueError:
-        pass
+    values = _loadtxt(lines)
+    if values is None and lines and _is_header(lines[0]):
+        values = _loadtxt(lines[1:])
+    if values is not None:
+        return values
     values = []
     for i, line in enumerate(lines):
-        tok = line.strip().split(",")[0].strip()
+        tok = _first_field(line)
         if not tok:
             continue
         try:

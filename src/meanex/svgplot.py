@@ -9,7 +9,11 @@ from band envelopes.
 Paths are written a column at a time: the data-to-pixel transform runs
 once per array, with the same float operations per element as on one
 scalar, and each path is formatted by one ``%`` over the interleaved
-pixel columns (see ``_segments``).
+pixel columns (see ``_segments``). A vertex that repeats the one before
+it at 0.01 px is written once: an ``L`` to the same written point draws
+nothing under the default butt caps and adds no area to a fill. Every
+``M`` (the start of a path, or the first point after an undefined one)
+and a band's closing ``Z`` are kept.
 """
 
 from __future__ import annotations
@@ -51,19 +55,59 @@ def _px(v: float) -> str:
     return "%.2f" % v
 
 
+def _hundredths(v):
+    """k = rint(100 v) as int64 bits, and where it is exact.
+
+    For finite |v| < 1e7, 100 v is within 1e-7 of its exact value, so
+    wherever it is more than 1e-6 from a rounding tie, k is the count of
+    hundredths ``"%.2f" % v`` writes, and its sign bit is the sign that
+    text carries ("-0.00" from below zero). Two exact points write the
+    same text exactly when their k bits are equal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 100.0 * v
+        k = np.rint(s)
+        exact = (np.abs(s - k) < 0.5 - 1e-6) & (np.abs(v) < 1e7)
+    return k.view(np.int64), exact
+
+
+def _repeats(sx, sy):
+    """repeat[i]: point i + 1 writes the same "%.2f,%.2f" text as point i.
+
+    Decided from the hundredths keys, before any point is formatted; only
+    the pairs with a point that has no exact key (near a tie, beyond 1e7
+    px or not finite) are formatted and compared as text."""
+    kx, ex = _hundredths(sx)
+    ky, ey = _hundredths(sy)
+    repeat = (kx[1:] == kx[:-1]) & (ky[1:] == ky[:-1])
+    exact = ex & ey
+    odd = np.flatnonzero(~(exact[1:] & exact[:-1]))
+    if odd.size:
+        def text(i):
+            return "%.2f,%.2f" % (sx[i], sy[i])
+
+        repeat[odd] = [text(i) == text(i + 1) for i in odd.tolist()]
+    return repeat
+
+
 def _segments(x, y, to_px):
     """Polyline path data, restarting at every undefined point.
 
-    One ``%`` writes the whole path: the template ``"L%.2f,%.2f " * n``
-    has its command letter at byte 11 i for the i-th kept point, and the
-    letter of each point that follows a dropped one (or starts the path)
-    is set to ``M``. It is applied to the interleaved pixel coordinates,
-    and the trailing space is cut."""
+    An ``L`` point whose written pair equals the one before it is dropped
+    before formatting (``_repeats``). One ``%`` writes the rest: the
+    template ``"L%.2f,%.2f " * n`` has its command letter at byte 11 i for
+    the i-th written point, and the letter of each point that follows a
+    dropped undefined one (or starts the path) is set to ``M``. It is
+    applied to the interleaved pixel coordinates, and the trailing space
+    is cut."""
     ok = np.isfinite(x) & np.isfinite(y)
-    after_gap = np.concatenate(([True], ~ok))[:-1]
+    if not ok.any():
+        return ""
+    start = np.concatenate(([True], ~ok))[:-1][ok]
     sx, sy = to_px(x[ok], y[ok])
+    keep = start | np.concatenate(([True], ~_repeats(sx, sy)))
+    sx, sy, start = sx[keep], sy[keep], start[keep]
     template = bytearray(b"L%.2f,%.2f " * sx.size)
-    np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(after_gap[ok])] = ord("M")
+    np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(start)] = ord("M")
     return (template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))[:-1]
 
 

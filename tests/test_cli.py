@@ -90,8 +90,11 @@ def test_emef_degenerate_sample_exit_3(tmp_path, capsys):
         "1,\x0c2\n3\n",  # a form feed starts a line (not for loadtxt on a file handle)
         "1\u20282\r3",  # line separator, lone CR
         "x\n1_0e-1\n\u0662\n3\n",  # tokens only float() reads
+        "\ufeff1\n2\n3\n",  # a byte-order mark is not part of the first value
+        "\ufeffvalue\n1\n2\n3\n",  # nor of the header
     ],
-    ids=["plain", "header", "blank_lines", "second_column", "mixed", "form_feed", "line_separators", "float_only"],
+    ids=["plain", "header", "blank_lines", "second_column", "mixed", "form_feed", "line_separators", "float_only",
+         "byte_order_mark", "byte_order_mark_header"],
 )
 def test_sample_file_reads_first_column(tmp_path, capsys, text):
     path = tmp_path / "s.txt"
@@ -360,6 +363,17 @@ def test_ingest_reads_crlf_file_as_lf(tmp_path):
     crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     outs = []
     for data in (FIXTURE, str(crlf)):
+        out = tmp_path / f"lr{len(outs)}.txt"
+        assert main(["ingest", data, "--log-returns", "--csv", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_ingest_reads_file_with_byte_order_mark(tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + open(FIXTURE, "rb").read())
+    outs = []
+    for data in (FIXTURE, str(bom)):
         out = tmp_path / f"lr{len(outs)}.txt"
         assert main(["ingest", data, "--log-returns", "--csv", str(out)]) == 0
         outs.append(out.read_bytes())

@@ -1,12 +1,15 @@
 """Byte contracts of the CSV and SVG writers.
 
-The column-at-a-time writers in ``serialize`` and ``svgplot`` must give
-the same bytes as the value-at-a-time loops they replaced. Those loops
-are kept here as the oracle and compared with exact string equality on
-inputs with NaN runs, infinities, signed zero, extreme magnitudes, a
-single point and bands with dropped points. The CLI outputs of the
-bundled OHLCV fixture are also compared with the same commands run on
-the oracle writers, so the check holds on any numpy or scipy build.
+The column-at-a-time writers in ``serialize`` must give the same bytes
+as the value-at-a-time loops they replaced. ``svgplot`` paths must give
+the bytes of the vertex-at-a-time loop after each ``L`` token that
+repeats the token before it (at the written 0.01 px) is dropped. Those
+loops are kept here as the oracle and compared with exact string
+equality on inputs with NaN runs, infinities, signed zero, extreme
+magnitudes, a single point, rounding ties and bands with dropped points.
+The CLI outputs of the bundled OHLCV fixture are also compared with the
+same commands run on the oracle writers, so the check holds on any numpy
+or scipy build.
 """
 
 import re
@@ -20,9 +23,11 @@ from meanex import (
     band_series,
     compare_csv,
     curve_csv,
+    empirical_mef_curve,
     line_series,
     make_curve,
     make_grid,
+    make_sample,
     ohlcv_csv,
     parse_ohlcv_csv,
     svg_plot,
@@ -30,7 +35,7 @@ from meanex import (
 from meanex import cli, svgplot
 from meanex.cli import main
 from meanex.serialize import fmt, table
-from meanex.svgplot import _data_range, _segments
+from meanex.svgplot import _data_range, _hundredths, _segments
 from meanex.types import Band
 
 NAN, INF = float("nan"), float("inf")
@@ -64,6 +69,12 @@ def oracle_ohlcv_csv(series):
     return "\n".join(lines) + "\n"
 
 
+def drop_repeats(tokens):
+    """The path tokens left after each ``L`` token whose point text equals
+    that of the token before it is dropped; every ``M`` stays."""
+    return [t for i, t in enumerate(tokens) if t[0] == "M" or t[1:] != tokens[i - 1][1:]]
+
+
 def oracle_segments(x, y, to_px):
     parts = []
     pen_down = False
@@ -74,7 +85,7 @@ def oracle_segments(x, y, to_px):
         sx, sy = to_px(xi, yi)
         parts.append(f"{'L' if pen_down else 'M'}{'%.2f' % sx},{'%.2f' % sy}")
         pen_down = True
-    return " ".join(parts)
+    return " ".join(drop_repeats(parts))
 
 
 def oracle_envelope(x, lo, hi, to_px):
@@ -84,7 +95,8 @@ def oracle_envelope(x, lo, hi, to_px):
     xs, los, his = x[ok], lo[ok], hi[ok]
     pts = [to_px(xi, yi) for xi, yi in zip(xs, his)]
     pts += [to_px(xi, yi) for xi, yi in zip(xs[::-1], los[::-1])]
-    return "M" + " L".join(f"{'%.2f' % a},{'%.2f' % b}" for a, b in pts) + " Z"
+    tokens = [f"{'L' if i else 'M'}{'%.2f' % a},{'%.2f' % b}" for i, (a, b) in enumerate(pts)]
+    return " ".join(drop_repeats(tokens)) + " Z"
 
 
 def default_to_px(series):
@@ -117,6 +129,16 @@ def oracle_paths(series):
 
 def svg_paths(svg):
     return re.findall(r'<path d="([^"]*)"', svg)
+
+
+def vertices(d):
+    """(command, x, y) of each vertex of path data ``d``, parsed back."""
+    return [(c, float(a), float(b)) for c, a, b in re.findall(r"([ML])([^, ]+),([^ ]+)", d)]
+
+
+def pixels(x, y):
+    """A to_px that takes the values as pixel coordinates."""
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +305,89 @@ def test_path_restarting_every_3_points_matches_oracle():
     assert d == oracle_segments(x, y, to_px)
     assert d.count("M") == n // 4
     assert svg_paths(svg_plot(series)) == oracle_paths(series)
+
+
+def test_repeat_run_across_a_gap_keeps_its_m():
+    x = np.array([1.0, 1.001, 1.004, NAN, 1.0, 1.002, 2.0, 2.0])
+    y = np.array([5.0, 5.0, 5.003, 0.0, 5.0, 5.0, 6.0, 6.001])
+    d = _segments(x, y, pixels)
+    assert d == oracle_segments(x, y, pixels) == "M1.00,5.00 M1.00,5.00 L2.00,6.00"
+
+
+def test_subpath_collapsing_to_its_m():
+    x = np.array([3.0, 3.001, 2.999, 3.004, NAN, 7.0, 8.0])
+    y = np.array([4.0, 4.004, 3.996, 4.0, NAN, 1.0, 1.0])
+    d = _segments(x, y, pixels)
+    assert d == oracle_segments(x, y, pixels) == "M3.00,4.00 M7.00,1.00 L8.00,1.00"
+    assert _segments(x[:4], y[:4], pixels) == "M3.00,4.00"
+
+
+def test_band_polygon_repeating_before_z():
+    # the first two x values and lower bounds map to one pixel, so the
+    # polygon's last two vertices repeat just before its closing Z
+    x = np.array([0.0, 1e-7, 0.5, 1.0])
+    lo = np.array([0.25, 0.25, 0.5, 0.75])
+    hi = np.array([1.0, 1.0 + 1e-7, 1.5, 2.0])
+    series = [band_series("band", x, lo, hi)]
+    (d,) = svg_paths(svg_plot(series))
+    assert d == oracle_paths(series)[0]
+    assert d.endswith(" Z") and len(vertices(d)) == 6
+    assert d.split()[-2] == "L%.2f,%.2f" % default_to_px(series)(1e-7, 0.25)
+
+
+@pytest.mark.parametrize("grid", ["ties", "near_ties"])
+def test_pixels_at_rounding_ties_match_oracle(grid):
+    j = np.arange(0, 900 * 8 + 1) / 8.0 if grid == "ties" else np.arange(0, 30_001) / 100.0 + 0.005
+    # each tie between neighbours 0.002 px away, which round with it or not
+    x = np.sort(np.concatenate((j - 0.002, j, j + 0.002)))
+    for y in (x, np.full_like(x, 1.0), x[::-1]):
+        d = _segments(x, y, pixels)
+        assert d == oracle_segments(x, y, pixels)
+        assert d.count("M") == 1 and d.count("L") < x.size - 1
+
+
+def test_pixels_without_exact_keys_match_oracle():
+    # signed zeros write "-0.00" and "0.00"; NaN and values past 1e7 px
+    # are compared by their text
+    def to_px(x, y):
+        return np.where(x < -5.0, np.nan, np.where(x > 5.0, x * 1e20, x)), y
+
+    x = np.array([-0.003, 0.003, 0.0, -0.0, -0.001, -6.0, -7.0, 6.0, 6.0, 6.0 + 1e-12, 7.0])
+    y = np.zeros_like(x)
+    d = _segments(x, y, to_px)
+    assert d == oracle_segments(x, y, to_px)
+    assert d.split() == ["M-0.00,0.00", "L0.00,0.00", "L-0.00,0.00", "Lnan,0.00", "L%.2f,0.00" % 6e20,
+                         "L%.2f,0.00" % ((6.0 + 1e-12) * 1e20), "L%.2f,0.00" % 7e20]
+
+
+def test_hundredths_keys_equal_the_written_text():
+    rng = np.random.default_rng(14)
+    v = np.concatenate((
+        rng.uniform(0.0, 900.0, 1_000_000),
+        np.arange(0, 900 * 8 + 1) / 8.0,
+        np.arange(0, 90_001) / 100.0 + 0.005,
+        [-0.0, 0.0, -0.004, 0.004, -0.006, -1e-300, 9.99e6, -9.99e6],
+    ))
+    k, exact = _hundredths(v)
+    assert exact[:1_000_000].mean() > 0.99
+    assert not exact[1_000_001:1_007_201:2].any()  # the ties j/8, j odd
+    # the signed count of hundredths written, "-0.00" read as -0.0
+    written = np.array([float(t.replace(".", "")) for t in ("%.2f\n" * v.size % tuple(v.tolist())).split()])
+    assert np.array_equal(k[exact], written.view(np.int64)[exact])
+
+
+def test_gpd_emef_path_parses_back_to_deduplicated_oracle():
+    rng = np.random.default_rng(20_000)
+    xi = 0.25
+    sample = make_sample((rng.random(20_000) ** -xi - 1.0) / xi)
+    grid = make_grid(sample.values[:-1])
+    curve = empirical_mef_curve(sample, grid)
+    series = [line_series("emef", grid.points, curve.values)]
+    (d,) = svg_paths(svg_plot(series))
+    got, want = vertices(d), vertices(oracle_paths(series)[0])
+    assert got == want
+    assert got[0][0] == "M" and all(c == "L" for c, _, _ in got[1:])
+    assert len(got) < 0.5 * grid.points.size  # most of the 20k points repeat at 0.01 px
 
 
 # ---------------------------------------------------------------------------

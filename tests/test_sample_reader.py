@@ -12,7 +12,7 @@ non-ASCII digits), nan and inf, and bad tokens.
 
 import numpy as np
 
-from meanex import InputError
+from meanex import InputError, cli
 from meanex.cli import _read_sample_file, _sample_values
 from meanex.types import make_sample
 
@@ -131,3 +131,15 @@ def test_reader_matches_line_loop(tmp_path):
         assert sorted_outcome(_read_sample_file, path) == sorted_outcome(lambda p: make_sample(oracle_values(p)), path)
     # the mix exercises both outcomes, and files whose separators split fields
     assert min(kinds.values()) >= 40, kinds
+
+
+def test_header_file_stays_on_the_fast_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    body = "".join("%r\n" % v for v in (rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 9, 5000)).tolist())
+    plain, headed = tmp_path / "plain.txt", tmp_path / "headed.txt"
+    plain.write_text(body, encoding="utf-8")
+    headed.write_text("value,note\n" + body, encoding="utf-8")
+    fields = []
+    monkeypatch.setattr(cli, "_first_field", lambda line: fields.append(line) or line.strip().split(",")[0].strip())
+    assert _sample_values(headed).tobytes() == _sample_values(plain).tobytes()
+    assert fields == ["value,note"]  # only the header check; the line loop never ran
