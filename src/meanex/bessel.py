@@ -10,9 +10,8 @@ It admits the integral representation
 is symmetric in the order (K_lambda = K_{-lambda}) and satisfies the
 three-term recurrence K_{lambda+1}(x) = K_{lambda-1}(x) + (2 lambda / x) K_lambda(x).
 
-Evaluation strategy: exact closed forms at half-integer orders
-(K_{1/2}(x) = sqrt(pi/(2x)) e^{-x} and the recurrence upward), the
-scipy series/asymptotic machinery otherwise. The integral
+Evaluation strategy: scipy's series/asymptotic machinery (``kv``,
+``kve``) at every order, half-integer ones included. The integral
 representation is kept in the test suite as an independent quadrature
 oracle rather than as the production path.
 """
@@ -26,29 +25,7 @@ from scipy import special
 
 from .errors import DomainError, NumericError
 
-__all__ = ["bessel_k", "bessel_k_scaled", "bessel_k_half_integer"]
-
-
-def bessel_k_half_integer(order: float, x: float) -> float:
-    """Closed-form K at half-integer order (|order| = k + 1/2, k >= 0).
-
-    Uses K_{1/2}(x) = sqrt(pi/(2x)) e^{-x} and the upward recurrence;
-    exact apart from rounding, no quadrature or series involved.
-    """
-    a = abs(order)
-    k = a - 0.5
-    if k != int(k) or k < 0:
-        raise DomainError(f"order {order} is not half-integer")
-    if x <= 0:
-        raise DomainError("bessel_k requires x > 0")
-    k_minus = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)  # K_{1/2}
-    if k == 0:
-        return k_minus
-    k_cur = k_minus * (1.0 + 1.0 / x)  # K_{3/2} = K_{1/2} (1 + 1/x)
-    for j in range(1, int(k)):
-        lam = j + 0.5
-        k_minus, k_cur = k_cur, k_minus + (2.0 * lam / x) * k_cur
-    return k_cur
+__all__ = ["bessel_k", "bessel_k_scaled"]
 
 
 def bessel_k(order: float, x: float) -> float:
@@ -66,13 +43,8 @@ def bessel_k(order: float, x: float) -> float:
         raise DomainError("bessel_k requires a finite order")
     if not np.isfinite(x) or x <= 0.0:
         raise DomainError("bessel_k requires x > 0")
-    a = abs(order)
-    if (a - 0.5) == int(a - 0.5) and a >= 0.5 and x > 1e-6:
-        # exact half-integer path; for very small x the recurrence is
-        # itself the overflow-prone region, let kv report it uniformly
-        val = bessel_k_half_integer(a, x)
-    else:
-        val = float(special.kv(a, x))
+    # kv underflows to 0 from x ~ 697.9, though K_{1/2}(700) = 4.67e-306: take e^-x kve
+    val = float(special.kv(abs(order), x)) or float(bessel_k_scaled(order, x)) * math.exp(-x)
     if not np.isfinite(val):
         raise NumericError(f"range: K_{order}({x}) overflows")
     return val

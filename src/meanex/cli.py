@@ -164,6 +164,14 @@ def _grid_arg(args, points=None):
     return m
 
 
+def _count_arg(args, name, default):
+    """--reps or --size: the default when absent, else a count of at least 1."""
+    value = getattr(args, name)
+    if value is not None and value < 1:
+        raise InputError(f"--{name} must be at least 1, got {value}")
+    return default if value is None else value
+
+
 def _window(args, u0=None, u1=None):
     """The [u0, u1] window from --u0/--u1. u0 and u1 are the callables
     that give a command's default bounds; without them the options are
@@ -232,8 +240,8 @@ def cmd_stallion(args):
     from .distributions import dist_isf, dist_ppf, parse_distribution_spec
 
     dist = parse_distribution_spec(args.dist)
-    reps = FULL_REPS if args.full and args.reps is None else (args.reps or 200)
-    size = FULL_SIZE if args.full and args.size is None else (args.size or 2000)
+    reps = _count_arg(args, "reps", FULL_REPS if args.full else 200)
+    size = _count_arg(args, "size", FULL_SIZE if args.full else 2000)
     u0, u1 = _window(args, lambda: dist_ppf(dist, 0.01), lambda: dist_isf(dist, 0.01))
     grid = make_grid(np.linspace(u0, u1, _grid_arg(args, 200)))
     result = stallion(dist, n_reps=reps, sample_size=size, grid=grid, seed=args.seed)
@@ -251,8 +259,8 @@ def cmd_coverage(args):
 
     dist = parse_distribution_spec(args.dist)
     u0, u1 = _window(args)
-    reps = FULL_REPS if args.full and args.reps is None else (args.reps or 500)
-    size = FULL_SIZE if args.full and args.size is None else (args.size or 4000)
+    reps = _count_arg(args, "reps", FULL_REPS if args.full else 500)
+    size = _count_arg(args, "size", FULL_SIZE if args.full else 4000)
     constants = band_constants(u0, u1, A=args.A, A1=args.A1)
     report = coverage_experiment(
         dist, u0, u1, constants,
@@ -311,7 +319,7 @@ def cmd_gh_sample(args):
     from .distributions import parse_distribution_spec, std_sample
 
     dist = parse_distribution_spec(args.dist)
-    size = args.size or 1000
+    size = _count_arg(args, "size", 1000)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
     _emit(args, table(None, std_sample(dist, rng, size)))
     return 0

@@ -338,7 +338,7 @@ def std_cdf(dist: DistributionSpec, x):
 
 def std_survival(dist: DistributionSpec, x):
     """F_bar at x: scipy's own for a standard law. For GH/GIG the gap
-    walker's, which takes each point's tail on the far side of the law's
+    walker's, which starts from a tail on the far side of the law's
     centre, so F_bar keeps its relative accuracy far out."""
     return _frozen(dist).sf(x)
 
@@ -453,13 +453,6 @@ def _check_mass(frame: _Frame) -> tuple[float, float]:
     return halves
 
 
-def _restarts(walk: np.ndarray, scale: float) -> np.ndarray:
-    """Where a walk over points takes a fresh tail instead of the gap from
-    the previous point: at its first point and after any gap wider than
-    the law's bulk, which could hold the whole mass between quad's nodes."""
-    return np.concatenate(([True], np.abs(np.diff(walk)) > scale))
-
-
 def _tail(frame: _Frame, x: float, upper: bool) -> float:
     """F_bar(x) (upper) or F(x), one integral over that tail."""
     return _integrate(frame, _one, x, frame.hi) if upper else _integrate(frame, _one, frame.lo, x)
@@ -468,11 +461,11 @@ def _tail(frame: _Frame, x: float, upper: bool) -> float:
 def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     """F_bar (upper) or F at every point of x, the one builder of both.
 
-    F_bar is walked down from the upper edge and F up from the lower one:
-    each point adds the mass of its gap to the previous point, one short
-    quad. Where ``_restarts`` says so, a point takes one quad over its
-    tail on the far side of the centre instead, so whichever of F and
-    F_bar is small keeps its relative accuracy.
+    F_bar is walked down from the upper edge and F up from the lower one.
+    The first point takes its tail on the far side of the centre, so
+    whichever of F and F_bar is small keeps its relative accuracy. Each
+    later point adds the mass of its gap to the previous point: one
+    ``_integrate``, which finds the mass of a gap however wide.
     """
     _check_mass(frame)
     flat = np.ravel(x)
@@ -480,10 +473,9 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     if upper:
         order = order[::-1]
     walk = flat[order]
-    fresh = _restarts(walk, frame.scale)
     vals = np.empty(walk.size)
     for i, v in enumerate(walk):
-        if fresh[i]:
+        if i == 0:
             above = v >= frame.centre
             piece = _tail(frame, v, above)
             vals[i] = piece if above == upper else 1.0 - piece
@@ -565,21 +557,18 @@ def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
 def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F_bar(u_i), the law's own, and S(u_i) = E[(X - u_i)^+] at strictly
     increasing thresholds inside the support. S is walked from the top
-    down with the restarts of the gap walker: a restart point takes S from
-    ``dist_stop_loss``, and every other point adds its gap to the point
-    above, S(u_i) = S(u_{i+1}) + (u_{i+1} - u_i) F_bar(u_{i+1})
-    + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx, three nonnegative terms.
+    down: the top threshold takes S from ``dist_stop_loss``, and every
+    other one adds its gap to the one above, S(u_i) = S(u_{i+1})
+    + (u_{i+1} - u_i) F_bar(u_{i+1}) + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx,
+    three nonnegative terms.
     """
     sf = np.atleast_1d(np.asarray(_frozen(dist).sf(u), dtype=float))
-    fresh = _restarts(u[::-1], _frame(dist).scale)[::-1]
     s = np.zeros(u.size)
-    for i in range(u.size - 1, -1, -1):
-        a = u[i]
-        if not fresh[i]:
-            b = u[i + 1]
-            s[i] = s[i + 1] + (b - a) * sf[i + 1] + integrate_density(dist, lambda x: x - a, a, b)
-        elif sf[i] > 0.0:
-            s[i] = dist_stop_loss(dist, a)
+    if sf[-1] > 0.0:
+        s[-1] = dist_stop_loss(dist, u[-1])
+    for i in range(u.size - 2, -1, -1):
+        a, b = u[i], u[i + 1]
+        s[i] = s[i + 1] + (b - a) * sf[i + 1] + integrate_density(dist, lambda x: x - a, a, b)
     return sf, s
 
 

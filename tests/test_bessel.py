@@ -1,15 +1,16 @@
 """Tests for the modified Bessel function of the second kind: closed
-half-integer forms, symmetry in the order, the three-term recurrence,
-and agreement with the integral definition."""
+half-integer forms and mpmath at half-integer orders, symmetry in the
+order, the three-term recurrence, and agreement with the integral
+definition."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from meanex import DomainError, NumericError, bessel_k, bessel_k_scaled
-from meanex.bessel import bessel_k_half_integer
 
 
 def k_by_quadrature(order, x):
@@ -70,17 +71,14 @@ def test_matches_integral_definition():
             assert bessel_k(lam, x) == pytest.approx(k_by_quadrature(lam, x), rel=1e-9)
 
 
-def test_half_integer_helper_against_general_path():
-    for order in (0.5, 1.5, 2.5, 3.5, -2.5):
-        for x in (0.3, 1.0, 7.0):
-            assert bessel_k_half_integer(order, x) == pytest.approx(
-                k_by_quadrature(abs(order), x), rel=1e-10
-            )
-
-
-def test_half_integer_helper_rejects_other_orders():
-    with pytest.raises(DomainError):
-        bessel_k_half_integer(1.0, 1.0)
+def test_half_integer_orders_against_mpmath():
+    # kv alone underflows to 0 from x ~ 697.9; K_{1/2}(700) = 4.67e-306
+    with mpmath.workdps(40):
+        for order in np.arange(0.5, 30.0, 1.0):
+            for x in np.geomspace(1e-5, 700.0, 25):
+                exact = mpmath.besselk(mpmath.mpf(float(order)), mpmath.mpf(float(x)))
+                got = bessel_k(float(order), float(x))
+                assert abs(got - exact) <= 1e-13 * exact, (order, x)
 
 
 def test_domain_errors():

@@ -489,6 +489,20 @@ def test_missing_window_bound_exit_2(command, sample3, capsys):
     assert f"{command} requires --u0 and --u1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("stallion", "--reps"), ("stallion", "--size"), ("coverage", "--reps"), ("coverage", "--size"), ("gh-sample", "--size")],
+)
+def test_count_below_one_exit_2(command, flag, value, sample3, capsys):
+    # an explicit 0 used to run the default count; a negative --size of gh-sample exited 3
+    window = [] if command == "gh-sample" else ["--u0", "0.1", "--u1", "1"]
+    assert main(_argv(command, sample3) + window + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 1, got {value}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("grid", ["order-stats", "order-statistics"])
 @pytest.mark.parametrize("command", ["stallion", "gh-pdf", "compare"])
 def test_order_stats_grid_rejected_without_sample_file(command, grid, sample3, capsys):

@@ -11,7 +11,9 @@ quadrature of the GH density. The scipy
 oracles are used only up to the 1 - 1e-3 quantile; beyond it their own
 quadrature drifts (about 2% for Student nu=1.5 at 1 - 1e-6), so the far
 tail is held to the closed forms and the invariants e(u) >= 0 and
-u + e(u) non-decreasing.
+u + e(u) non-decreasing. GH and GIG F_bar and F are checked on a coarse
+grid, with gaps wider than the law's bulk, against the mixture, scipy's
+closed-form laws or mpmath.
 """
 
 import functools
@@ -32,10 +34,12 @@ from meanex import (
     make_grid,
     make_spec,
     parse_distribution_spec,
+    std_cdf,
+    std_survival,
     theoretical_mef,
     theoretical_mef_curve,
 )
-from meanex.distributions import FAMILIES
+from meanex.distributions import FAMILIES, _frame
 
 LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)
 EXPECT_MAX_LEVEL = 1 - 1e-3
@@ -130,30 +134,46 @@ def _conditional(law):
     return lambda u: law.expect(lambda x: x - u, lb=u, conditional=True, **_TIGHT)
 
 
+def _gig_law(lam, chi, psi):
+    """scipy's law of GIG(lam, chi, psi), by its class."""
+    if psi == 0.0:
+        return stats.invgamma(-lam, scale=0.5 * chi)
+    if chi == 0.0:
+        return stats.gamma(lam, scale=2.0 / psi)
+    return stats.geninvgauss(lam, math.sqrt(chi * psi), scale=math.sqrt(chi / psi))
+
+
+def _mixing(params: GhParams):
+    """scipy's law of the mixing variable W, GIG(lam, delta^2, alpha^2 - beta^2),
+    and d(w, u) = (mu + beta w - u) / sqrt(w): P(X > u | W = w) = Phi(d)."""
+    mixing = _gig_law(params.lam, params.delta ** 2, params.alpha ** 2 - params.beta ** 2)
+    return mixing, lambda w, u: (params.mu + params.beta * w - u) / math.sqrt(w)
+
+
 def _gh_mixture(params: GhParams):
     """E[(X - u)^+] / P(X > u) with X = mu + beta W + sqrt(W) Z given W,
     averaged over scipy's law of the mixing variable W."""
-    lam, chi, psi = params.lam, params.delta ** 2, params.alpha ** 2 - params.beta ** 2
-    if psi == 0.0:
-        mixing = stats.invgamma(-lam, scale=0.5 * chi)
-    elif chi == 0.0:
-        mixing = stats.gamma(lam, scale=2.0 / psi)
-    else:
-        mixing = stats.geninvgauss(lam, math.sqrt(chi * psi), scale=math.sqrt(chi / psi))
+    mixing, d = _mixing(params)
 
     def e(u):
-        def d(w):
-            return (params.mu + params.beta * w - u) / math.sqrt(w)
-
-        excess = mixing.expect(lambda w: math.sqrt(w) * (stats.norm.pdf(d(w)) + d(w) * stats.norm.cdf(d(w))), **_TIGHT)
-        return excess / mixing.expect(lambda w: stats.norm.cdf(d(w)), **_TIGHT)
+        excess = mixing.expect(
+            lambda w: math.sqrt(w) * (stats.norm.pdf(d(w, u)) + d(w, u) * stats.norm.cdf(d(w, u))), **_TIGHT)
+        return excess / mixing.expect(lambda w: stats.norm.cdf(d(w, u)), **_TIGHT)
     return e
 
 
+def _gh_mixture_tails(params: GhParams):
+    """(F_bar(u), F(u)) = (E Phi(d(W, u)), E Phi(-d(W, u))) over scipy's
+    law of the mixing variable."""
+    mixing, d = _mixing(params)
+    return lambda u: tuple(mixing.expect(lambda w: stats.norm.cdf(s * d(w, u)), **_TIGHT) for s in (1.0, -1.0))
+
+
 def _mp_gh(params: GhParams):
-    """(density, e) of an interior GH law from its closed form in mpmath,
-    independent of meanex.gh: e(u) is a ratio of mpmath quadratures over
-    (u, inf), split at the mean + k sd of the mixture's Bessel-ratio
+    """(density, e, tails) of an interior GH law from its closed form in
+    mpmath, independent of meanex.gh: e(u) is a ratio of mpmath quadratures
+    over (u, inf) and tails(u) = (F_bar(u), F(u)) quadratures over (u, inf)
+    and (-inf, u), split at the mean + k sd of the mixture's Bessel-ratio
     moments and at mu +- delta 10^k, where a small delta leaves a spike.
     The precision is 20 digits plus those of alpha delta, the size of the
     exponents that cancel in the density."""
@@ -179,11 +199,18 @@ def _mp_gh(params: GhParams):
             pts = [u] + sorted(x for x in breaks if x > u) + [mpmath.inf]
             return float(mpmath.quad(lambda x: (x - u) * pdf(x), pts) / mpmath.quad(pdf, pts))
 
+    def tails(u):
+        with mpmath.workdps(dps):
+            u = mpmath.mpf(u)
+            above = [u] + sorted(x for x in breaks if x > u) + [mpmath.inf]
+            below = [-mpmath.inf] + sorted(x for x in breaks if x < u) + [u]
+            return float(mpmath.quad(pdf, above)), float(mpmath.quad(pdf, below))
+
     def density(x):
         with mpmath.workdps(dps):
             return float(pdf(mpmath.mpf(x)))
 
-    return density, e
+    return density, e, tails
 
 
 # spec -> (far-tail closed form or None, scipy oracle or None); "undefined"
@@ -274,7 +301,7 @@ NEAR_LIMITS = [
 def test_interior_law_near_a_limit_matches_mpmath(text):
     d = parse_distribution_spec(text)
     p = GhParams(*(v for _, v in d.params))
-    density, e = _mp_gh(p)
+    density, e, _ = _mp_gh(p)
     x = [dist_isf(d, q) for q in (0.99, 0.5, 0.01)]
     np.testing.assert_allclose(gh_pdf(p, np.array(x)), [density(v) for v in x], rtol=1e-12, atol=0.0)
     for u in x[1:]:
@@ -374,6 +401,19 @@ def _quantile_grid(text):
     return q, pts
 
 
+COARSE_LEVELS = (0.001, 0.05, 0.5, 0.95, 0.999, 1 - 1e-6)
+
+
+@functools.lru_cache(maxsize=None)
+def _coarse_grid(text):
+    """Thresholds at COARSE_LEVELS, with gaps wider than the law's bulk:
+    a walk must find the mass inside each gap from the gap alone."""
+    d = parse_distribution_spec(text)
+    pts = np.array([dist_isf(d, 1.0 - level) for level in COARSE_LEVELS])
+    assert np.diff(pts).max() > _frame(d).scale
+    return pts
+
+
 def _tail_means_never_decrease(u, e):
     # up to the rounding of quad's results, ~1e-14 relative
     assert np.all(e >= 0.0), e
@@ -389,15 +429,50 @@ def test_theoretical_mef_curve_against_oracles(text):
             theoretical_mef_curve(d, make_grid([dist_isf(d, 0.5), dist_isf(d, 0.25)]))
         return
     closed, expect = CASES[text]
-    quantiles, pts = _quantile_grid(text)
-    assert pts.size == 101
-    e = theoretical_mef_curve(d, make_grid(pts)).values
-    _tail_means_never_decrease(pts, e)
-    if closed is not None:
-        np.testing.assert_allclose(e, [closed(u) for u in pts], rtol=1e-8)
-    if expect is not None:
-        at = np.flatnonzero(np.isin(pts, quantiles[np.array(LEVELS) <= EXPECT_MAX_LEVEL]))
-        np.testing.assert_allclose(e[at], [expect(pts[i]) for i in at], rtol=1e-8)
+    quantiles, fine = _quantile_grid(text)
+    assert fine.size == 101
+    coarse = _coarse_grid(text)
+    grids = (
+        (fine, np.flatnonzero(np.isin(fine, quantiles[np.array(LEVELS) <= EXPECT_MAX_LEVEL]))),
+        (coarse, np.flatnonzero(np.array(COARSE_LEVELS) <= EXPECT_MAX_LEVEL)),
+    )
+    for pts, at in grids:
+        e = theoretical_mef_curve(d, make_grid(pts)).values
+        _tail_means_never_decrease(pts, e)
+        if closed is not None:
+            np.testing.assert_allclose(e, [closed(u) for u in pts], rtol=1e-8)
+        if expect is not None:
+            np.testing.assert_allclose(e[at], [expect(pts[i]) for i in at], rtol=1e-8)
+
+
+def _tails_oracle(d):
+    """u -> (F_bar(u), F(u)) of a GH or GIG law, independent of meanex, and
+    whether it holds past EXPECT_MAX_LEVEL: scipy's gamma, inverse gamma
+    and t, and mpmath, do; scipy's generic quadrature does not."""
+    p = [v for _, v in d.params]
+    if d.family == "gig":
+        law = _gig_law(*p)
+        return (lambda u: (law.sf(u), law.cdf(u))), 0.0 in p[1:]
+    params = GhParams(*p)
+    if params.alpha == 0.0:  # Student t with nu = -2 lam, Cauchy at lam = -1/2
+        nu = -2.0 * params.lam
+        law = stats.t(nu, loc=params.mu, scale=params.delta / math.sqrt(nu))
+        return (lambda u: (law.sf(u), law.cdf(u))), True
+    if params.alpha * params.delta >= 1e6:  # near the Gaussian limit, where scipy's mixing law fails
+        return _mp_gh(params)[2], True
+    return _gh_mixture_tails(params), False
+
+
+@pytest.mark.parametrize("text", [t for t in CASES if t.startswith(("gh(", "gig("))])
+def test_in_house_tails_on_the_coarse_grid(text):
+    # one vector call walks the coarse grid's gaps, some wider than the law's bulk
+    d = parse_distribution_spec(text)
+    pts = _coarse_grid(text)
+    oracle, far = _tails_oracle(d)
+    at = np.arange(pts.size) if far else np.flatnonzero(np.array(COARSE_LEVELS) <= EXPECT_MAX_LEVEL)
+    sf_expected, cdf_expected = np.array([oracle(pts[i]) for i in at]).T
+    np.testing.assert_allclose(std_survival(d, pts)[at], sf_expected, rtol=1e-8)
+    np.testing.assert_allclose(std_cdf(d, pts)[at], cdf_expected, rtol=1e-8)
 
 
 @pytest.mark.parametrize(
