@@ -45,7 +45,7 @@ from .mef import (
     theoretical_mef_curve,
     sup_deviation,
 )
-from .montecarlo import coverage_experiment, stallion
+from .montecarlo import _replicate_rng, coverage_experiment, stallion
 from .ohlcv import log_returns, parse_ohlcv_csv, returns
 from .serialize import band_csv, compare_csv, curve_csv, experiment_csv, fit_csv, fmt, table, write_text
 from .svgplot import PlotSpec, band_series, line_series, svg_plot
@@ -188,27 +188,24 @@ def _window(args, u0=None, u1=None):
     return lo, hi
 
 
-def _emit(args, text, svg_builder=None):
+def _emit(args, text, spec=None, series=()):
+    """The one writer of a command's output: text to --csv, else stdout,
+    and with --svg the plot of series under spec. Only the commands that
+    pass series declare --svg."""
     if args.csv:
         write_text(args.csv, text)
     else:
         sys.stdout.write(text)
     if getattr(args, "svg", None):
-        if svg_builder is None:
-            raise InputError("--svg is not supported for this command")
-        write_text(args.svg, svg_builder())
+        write_text(args.svg, svg_plot(series, spec))
 
 
 def cmd_emef(args):
     sample = _read_sample_file(args.sample)
     grid = default_grid(sample, _grid_arg(args))
     curve = empirical_mef_curve(sample, grid)
-
-    def build_svg():
-        spec = PlotSpec(title="empirical mean excess")
-        return svg_plot([line_series("emef", grid.points, curve.values)], spec)
-
-    _emit(args, curve_csv(curve), build_svg)
+    spec = PlotSpec(title="empirical mean excess")
+    _emit(args, curve_csv(curve), spec, [line_series("emef", grid.points, curve.values)])
     return 0
 
 
@@ -226,13 +223,8 @@ def cmd_band(args):
     else:
         grid = make_grid(np.linspace(u0, u1, g))
     band = consistency_band(sample, grid, constants)
-
-    def build_svg():
-        spec = PlotSpec(title="mean excess consistency band")
-        series = [band_series("band", grid.points, band.lower, band.upper, band.curve.values)]
-        return svg_plot(series, spec)
-
-    _emit(args, band_csv(band), build_svg)
+    spec = PlotSpec(title="mean excess consistency band")
+    _emit(args, band_csv(band), spec, [band_series("band", grid.points, band.lower, band.upper, band.curve.values)])
     return 0
 
 
@@ -245,12 +237,8 @@ def cmd_stallion(args):
     u0, u1 = _window(args, lambda: dist_ppf(dist, 0.01), lambda: dist_isf(dist, 0.01))
     grid = make_grid(np.linspace(u0, u1, _grid_arg(args, 200)))
     result = stallion(dist, n_reps=reps, sample_size=size, grid=grid, seed=args.seed)
-
-    def build_svg():
-        spec = PlotSpec(title=f"stallion: {args.dist}")
-        return svg_plot([line_series("stallion", grid.points, result.curve.values)], spec)
-
-    _emit(args, curve_csv(result.curve), build_svg)
+    spec = PlotSpec(title=f"stallion: {args.dist}")
+    _emit(args, curve_csv(result.curve), spec, [line_series("stallion", grid.points, result.curve.values)])
     return 0
 
 
@@ -306,12 +294,8 @@ def cmd_gh_pdf(args):
     u0, u1 = _window(args, lambda: dist_ppf(dist, 0.001), lambda: dist_isf(dist, 0.001))
     x = np.linspace(u0, u1, _grid_arg(args, 401))
     y = np.asarray(std_pdf(dist, x), dtype=float)
-
-    def build_svg():
-        spec = PlotSpec(title=args.dist, xlabel="x", ylabel="density")
-        return svg_plot([line_series("pdf", x, y)], spec)
-
-    _emit(args, table("x,pdf", x, y), build_svg)
+    spec = PlotSpec(title=args.dist, xlabel="x", ylabel="density")
+    _emit(args, table("x,pdf", x, y), spec, [line_series("pdf", x, y)])
     return 0
 
 
@@ -320,8 +304,7 @@ def cmd_gh_sample(args):
 
     dist = parse_distribution_spec(args.dist)
     size = _count_arg(args, "size", 1000)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
-    _emit(args, table(None, std_sample(dist, rng, size)))
+    _emit(args, table(None, std_sample(dist, _replicate_rng(args.seed, 0), size)))
     return 0
 
 
@@ -344,18 +327,12 @@ def cmd_compare(args):
     grid = make_grid(np.linspace(u0, u1, _grid_arg(args, 101)))
     data_curve = empirical_mef_curve(sample, grid)
     model_curve = theoretical_mef_curve(dist, grid)
-
-    def build_svg():
-        spec = PlotSpec(title="mean excess: data vs model")
-        return svg_plot(
-            [
-                line_series("data emef", grid.points, data_curve.values),
-                line_series("model mef", grid.points, model_curve.values),
-            ],
-            spec,
-        )
-
-    _emit(args, compare_csv(data_curve, model_curve), build_svg)
+    spec = PlotSpec(title="mean excess: data vs model")
+    series = [
+        line_series("data emef", grid.points, data_curve.values),
+        line_series("model mef", grid.points, model_curve.values),
+    ]
+    _emit(args, compare_csv(data_curve, model_curve), spec, series)
     print(f"sup_deviation = {fmt(sup_deviation(data_curve, model_curve))}")
     return 0
 
@@ -371,10 +348,11 @@ def _add_common(p, *names):
     if "band" in names:
         p.add_argument("--A", type=float, default=1.0)
         p.add_argument("--A1", type=float, default=1.0)
-    if "mc" in names:
+    if "draws" in names:
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=int, default=None)
         p.add_argument("--size", type=int, default=None)
+    if "reps" in names:
+        p.add_argument("--reps", type=int, default=None)
         p.add_argument("--full", action="store_true", help="full-protocol reps/size (6000 x 4000)")
     if "out" in names:
         p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
@@ -401,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("stallion", help="replicate-averaged mean excess curve")
-    _add_common(p, "dist", "grid", "window", "mc", "out", "svg")
+    _add_common(p, "dist", "grid", "window", "draws", "reps", "out", "svg")
     p.set_defaults(func=cmd_stallion)
 
     p = sub.add_parser("coverage", help="band coverage experiment")
-    _add_common(p, "dist", "window", "band", "mc", "out")
+    _add_common(p, "dist", "window", "band", "draws", "reps", "out")
     p.add_argument("--eps", type=float, default=0.05, help="nominal miss level recorded in the report")
     p.set_defaults(func=cmd_coverage)
 
@@ -423,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gh_pdf)
 
     p = sub.add_parser("gh-sample", help="seeded draws")
-    _add_common(p, "dist", "mc", "out")
+    _add_common(p, "dist", "draws", "out")
     p.set_defaults(func=cmd_gh_sample)
 
     p = sub.add_parser("ingest", help="OHLCV to return series")

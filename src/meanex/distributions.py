@@ -58,7 +58,6 @@ __all__ = [
     "dist_mean_abs",
     "dist_isf",
     "dist_ppf",
-    "integrate_density",
     "dist_stop_loss",
     "dist_tail_moments",
     "fdelta_check",
@@ -407,8 +406,9 @@ def _beyond_span(g, value: float, what: str) -> None:
         )
 
 
-def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
-    """int_a^b weight(x) f(x) dx, one checked quad per piece.
+def _integrate(frame: _Frame, a: float, b: float, ref=None) -> float:
+    """int_a^b f(x) dx, or int_a^b (x - ref) f(x) dx when ref is given,
+    one checked quad per piece.
 
     The interval is split at the centre (where a variance-gamma density
     has its kink or pole). A side no wider than the law's bulk w
@@ -420,24 +420,21 @@ def _integrate(frame: _Frame, weight, a: float, b: float) -> float:
     """
     c = frame.centre
     if a < c < b:
-        return _integrate(frame, weight, a, c) + _integrate(frame, weight, c, b)
+        return _integrate(frame, a, c, ref) + _integrate(frame, c, b, ref)
+    f = frame.pdf if ref is None else (lambda x: (x - ref) * frame.pdf(x))
     if b - a <= frame.scale:
-        return _checked_quad(lambda x: weight(x) * frame.pdf(x), a, b, frame.name)
+        return _checked_quad(f, a, b, frame.name)
     x0, w = (a, frame.scale) if a >= c else (b, -frame.scale)
 
     def g(s):
         x = x0 + w * math.expm1(s)
-        return weight(x) * frame.pdf(x) * frame.scale * math.exp(s)
+        return f(x) * frame.scale * math.exp(s)
 
     top = math.log1p((b - a) / frame.scale)
     value = _checked_quad(lambda s: 0.0 if s > _LOG_SPAN else g(s), 0.0, top, frame.name)
     if top > _LOG_SPAN:
         _beyond_span(g, value, frame.name)
     return value
-
-
-def _one(x):
-    return 1.0
 
 
 @lru_cache(maxsize=256)
@@ -455,7 +452,7 @@ def _check_mass(frame: _Frame) -> tuple[float, float]:
 
 def _tail(frame: _Frame, x: float, upper: bool) -> float:
     """F_bar(x) (upper) or F(x), one integral over that tail."""
-    return _integrate(frame, _one, x, frame.hi) if upper else _integrate(frame, _one, frame.lo, x)
+    return _integrate(frame, x, frame.hi) if upper else _integrate(frame, frame.lo, x)
 
 
 def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
@@ -481,7 +478,7 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
             vals[i] = piece if above == upper else 1.0 - piece
         else:
             lo, hi = sorted((walk[i - 1], v))
-            vals[i] = vals[i - 1] + _integrate(frame, _one, lo, hi)
+            vals[i] = vals[i - 1] + _integrate(frame, lo, hi)
     out = np.empty(walk.size)
     out[order] = np.clip(vals, 0.0, 1.0)
     return out.reshape(np.shape(x))
@@ -517,7 +514,7 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
         a, b = sorted((at(inner), at(outer)))
         if not math.isfinite(b - a):
             raise NumericError(f"no quantile at {q:g} for {frame.name}: its tail never falls that low")
-        t -= _integrate(frame, _one, a, b)
+        t -= _integrate(frame, a, b)
         if t - q <= 3.0 * _EPSREL * anchor:
             anchor = t = _tail(frame, at(outer), upper)
             if t <= q:
@@ -528,30 +525,24 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
     @lru_cache(maxsize=None)  # brentq asks again for the value at inner
     def excess(v):
         x = at(v)
-        return math.log(max(t + _integrate(frame, _one, min(x, x_out), max(x, x_out)), _TINY)) - log_q
+        return math.log(max(t + _integrate(frame, min(x, x_out), max(x, x_out)), _TINY)) - log_q
 
     if excess(inner) <= 0.0:
         return at(inner)
     return at(optimize.brentq(excess, inner, outer, xtol=1e-15))
 
 
-def integrate_density(dist: DistributionSpec, weight, a: float, b: float) -> float:
-    """int_a^b weight(x) f(x) dx by ``_integrate`` after the law's one-time
-    mass check; NumericError when quad flags a piece or it is not finite."""
-    frame = _frame(dist)
-    _check_mass(frame)
-    return _integrate(frame, weight, a, b)
-
-
 def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
     """E[(X - u)^+], the numerator of the mean excess function, by one
     quadrature over u's tail on the far side of the law's centre, where
     the mass is the small side: int_u^b (x - u) f(x) dx for u at or above
-    the centre, E[X] - u + int_a^u (u - x) f(x) dx below it."""
+    the centre, E[X] - u - int_a^u (x - u) f(x) dx below it. NumericError
+    when the law fails its one-time mass check, or quad flags a piece."""
     frame, mean = _frame(dist), dist_mean(dist)
+    _check_mass(frame)
     if u >= frame.centre:
-        return integrate_density(dist, lambda x: x - u, u, frame.hi)
-    return mean - u + integrate_density(dist, lambda x: u - x, frame.lo, u)
+        return _integrate(frame, u, frame.hi, ref=u)
+    return mean - u - _integrate(frame, frame.lo, u, ref=u)
 
 
 def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,9 +557,11 @@ def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray
     s = np.zeros(u.size)
     if sf[-1] > 0.0:
         s[-1] = dist_stop_loss(dist, u[-1])
+    frame = _frame(dist)
+    _check_mass(frame)
     for i in range(u.size - 2, -1, -1):
         a, b = u[i], u[i + 1]
-        s[i] = s[i + 1] + (b - a) * sf[i + 1] + integrate_density(dist, lambda x: x - a, a, b)
+        s[i] = s[i + 1] + (b - a) * sf[i + 1] + _integrate(frame, a, b, ref=a)
     return sf, s
 
 

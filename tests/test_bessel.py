@@ -94,6 +94,10 @@ def test_overflow_raises_range_error():
     # small argument with large order blows past the double range
     with pytest.raises(NumericError, match="range"):
         bessel_k(200.0, 1e-4)
+    # K = 2.6e307 is representable, but scipy's kv reports overflow from
+    # about 2.5e303: "range" starts there, as the docstring says
+    with pytest.raises(NumericError, match="range"):
+        bessel_k(41.5, 1.148e-6)
 
 
 def test_scaled_kernel_matches_unscaled():

@@ -1,14 +1,17 @@
 """Integration tests for the command-line interface: exit codes, CSV
 bytes, SVG structure, and flag validation."""
 
+import argparse
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meanex import dist_isf, dist_ppf, parse_distribution_spec, std_pdf
-from meanex.cli import main
-from meanex.serialize import fmt
+from meanex import dist_isf, dist_ppf, parse_distribution_spec, std_pdf, std_sample
+from meanex.cli import build_parser, main
+from meanex.serialize import fmt, table
 
 FIXTURE = "tests/data/synthetic_ohlcv.csv"
 
@@ -66,6 +69,20 @@ def test_emef_numeric_grid_flag(sample3, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "u,e"
     assert len(lines) == 4
+
+
+def test_emef_order_stats_grid_is_the_default(sample3, capsys):
+    assert main(["emef", sample3, "--grid", "order-stats"]) == 0
+    assert capsys.readouterr().out == "u,e\n1,1.5\n2,1\n"
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [("abc", "--grid expects an integer or 'order-stats', got 'abc'"), ("0", "--grid size must be positive")],
+)
+def test_emef_bad_grid_exit_2(grid, message, sample3, capsys):
+    assert main(["emef", sample3, "--grid", grid]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_emef_degenerate_sample_exit_3(tmp_path, capsys):
@@ -147,6 +164,11 @@ def test_band_csv_shape(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "u,e,lower,upper"
     assert len(lines) == 22
+
+
+def test_band_window_without_order_statistic_exit_2(sample3, capsys):
+    assert main(["band", sample3, "--u0", "1.2", "--u1", "1.8"]) == 2
+    assert "no grid points inside [u0, u1]" in capsys.readouterr().err
 
 
 def test_band_too_small_sample_exit_3(sample3, capsys):
@@ -346,6 +368,25 @@ def test_gh_sample_deterministic(tmp_path):
     assert len(a.read_text(encoding="utf-8").strip().split("\n")) == 50
 
 
+def test_gh_sample_draws_replicate_zero_of_the_seed(tmp_path):
+    out = tmp_path / "draws.txt"
+    assert main(["gh-sample", "--dist", "exponential(lambda=1)", "--size", "5", "--seed", "7", "--csv", str(out)]) == 0
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
+    expected = std_sample(parse_distribution_spec("exponential(lambda=1)"), rng, 5)
+    assert out.read_text(encoding="utf-8") == table(None, expected)
+
+
+@pytest.mark.parametrize("flag", [["--reps", "5"], ["--full"]])
+def test_gh_sample_refuses_replicate_options(flag, capsys):
+    # gh-sample draws one sample: --reps and --full are stallion's and coverage's
+    with pytest.raises(SystemExit) as err:
+        main(["gh-sample", "--dist", "exponential(lambda=1)", "--size", "2"] + flag)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # ingest / compare
 
@@ -461,6 +502,48 @@ def test_unknown_flag_exits_2(sample3):
     with pytest.raises(SystemExit) as err:
         main(["emef", sample3, "--bogus"])
     assert err.value.code == 2
+
+
+# each command's positionals (by dest) and option strings: an option added
+# to a group that a command does not read fails here
+OPTIONS = {
+    "emef": {"sample", "--grid", "--csv", "--svg"},
+    "band": {"sample", "--grid", "--u0", "--u1", "--A", "--A1", "--csv", "--svg"},
+    "stallion": {"--dist", "--grid", "--u0", "--u1", "--seed", "--size", "--reps", "--full", "--csv", "--svg"},
+    "coverage": {"--dist", "--u0", "--u1", "--A", "--A1", "--seed", "--size", "--reps", "--full", "--eps", "--csv"},
+    "fit-gpd": {"sample", "--grid", "--csv"},
+    "fdelta": {"--dist", "--u0", "--u1", "--csv"},
+    "gh-pdf": {"--dist", "--grid", "--u0", "--u1", "--csv", "--svg"},
+    "gh-sample": {"--dist", "--seed", "--size", "--csv"},
+    "ingest": {"data", "--field", "--log-returns", "--kind", "--csv"},
+    "compare": {"--data", "--dist", "--grid", "--u0", "--u1", "--field", "--log-returns", "--kind", "--csv", "--svg"},
+}
+
+
+def test_each_command_declares_exactly_its_options():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {
+        name: {s for a in p._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings or [a.dest]}
+        for name, p in commands.items()
+    }
+    assert declared == OPTIONS
+
+
+def test_readme_synopsis_lists_each_command_s_options():
+    # a synopsis is its "meanex NAME" line and the indented "[" lines after it
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    synopsis, name = {}, None
+    for line in block.splitlines():
+        if line.startswith("meanex "):
+            name = line.split()[1]
+            synopsis[name] = set()
+        elif not line.lstrip().startswith("["):
+            name = None
+        if name is not None:
+            synopsis[name] |= set(re.findall(r"--[\w-]+", line))
+    assert synopsis == {name: {s for s in opts if s.startswith("--")} for name, opts in OPTIONS.items()}
 
 
 # ---------------------------------------------------------------------------

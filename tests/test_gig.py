@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
+from meanex import make_grid, parse_distribution_spec, std_survival, theoretical_mef_curve
 from meanex import gig
 from meanex.gh import GhParams, gh_sample
 from meanex.gig import gig_mode
@@ -181,6 +182,20 @@ def test_mode_near_the_gamma_boundary():
     w = gig_sample(0.3, 1e-20, 6400.0, np.random.default_rng(4), 20_000)
     # W is Gamma(0.3, scale 2 / 6400) to double precision: mean 9.375e-5
     assert w.mean() == pytest.approx(9.375e-5, rel=0.05)
+
+
+@pytest.mark.parametrize("lam, psi", [(0.5, 2.0), (1.0, 2.0), (0.5, 0.3)])
+def test_gamma_law_with_mode_zero_matches_scipy(lam, psi):
+    # chi = 0 and lambda <= 1 put the mode at 0, so gig_bulk takes the
+    # mean 2 lambda / psi as the bulk's width
+    assert gig.gig_bulk(lam, 0.0, psi) == (0.0, 2.0 * lam / psi)
+    spec = parse_distribution_spec(f"gig(lambda={lam},chi=0,psi={psi})")
+    law = stats.gamma(a=lam, scale=2.0 / psi)
+    u = law.ppf([0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
+    # E[X 1{X > u}] = E[X] F_bar(u) of the Gamma law of shape lambda + 1
+    e = law.mean() * stats.gamma(a=lam + 1.0, scale=2.0 / psi).sf(u) / law.sf(u) - u
+    np.testing.assert_allclose(std_survival(spec, u), law.sf(u), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(theoretical_mef_curve(spec, make_grid(u)).values, e, rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

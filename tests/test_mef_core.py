@@ -336,6 +336,14 @@ def test_band_undefined_when_n_too_small():
         consistency_band(s, g, consts, survival_u1=crit, mean_abs=1.0)
 
 
+def test_band_undefined_without_exceedances_at_u1():
+    # every value is at most u1, so the plug-in F_bar(u1) is 0
+    s = make_sample([0.2, 0.5, 1.0])
+    g = make_grid(np.linspace(0.0, 1.0, 5))
+    with pytest.raises(DomainError, match="no exceedances at u1"):
+        consistency_band(s, g, band_constants(0.0, 1.0))
+
+
 def test_band_symmetry_is_bitwise():
     # both envelopes are the same stored half-width applied to the curve;
     # reconstructing them reproduces the stored arrays bit for bit
