@@ -6,7 +6,10 @@ Every family is a scipy law. The standard families are scipy's own
 frozen distributions. GH and GIG are one ``rv_continuous`` subclass over
 the in-house density, mean and sampler of ``gh`` / ``gig``. Every
 integral of a density, GH/GIG F, F_bar and quantiles among them, is one
-checked quadrature path (``_integrate``).
+checked quadrature path (``_integrate``): all intervals of a walk over a
+grid go into one vectorised ``quad_vec`` call, each interval scaled to a
+first estimate of its own value so that it keeps quad's relative
+tolerance.
 
 Text format: ``family(name=value,...)``, e.g. ``gpd(xi=0.25,beta=1)`` or
 ``gh(lambda=-0.5,alpha=7.6,beta=-1.24,delta=0.052,mu=0.0103)``.
@@ -39,10 +42,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from .errors import DomainError, InputError, NumericError
-from .gh import GhParams, gh_bulk, gh_mean, gh_pdf, gh_sample
+from .gh import GhParams, gh_bulk, gh_mean, gh_pdf_near, gh_sample, gh_validate
 from .gig import gig_bulk, gig_moment, gig_pdf, gig_sample, gig_validate
 
 __all__ = [
@@ -189,8 +192,10 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 
 @dataclass(frozen=True)
 class _Frame:
-    """What quadrature needs of a law: its density, its support [lo, hi],
-    a centre in its bulk and a length no wider than that bulk."""
+    """What quadrature needs of a law: its density, called as pdf(x0, dx)
+    for the density at x0 + dx, its support [lo, hi], a centre in its bulk,
+    a length no wider than that bulk, and whether the density has a pole
+    at the centre."""
 
     name: str
     pdf: object
@@ -198,6 +203,7 @@ class _Frame:
     hi: float
     centre: float
     scale: float
+    pole: bool = False
 
 
 class _InHouseLaw(stats.rv_continuous):
@@ -219,7 +225,7 @@ class _InHouseLaw(stats.rv_continuous):
         self.frame, self._mean, self._sample = frame, mean, sample
 
     def _pdf(self, x):
-        return self.frame.pdf(x)
+        return self.frame.pdf(x, 0.0)
 
     def _stats(self):
         return self._mean(), None, None, None
@@ -272,12 +278,15 @@ def _frozen(spec: DistributionSpec):
         return stats.cauchy(loc=p["mu"], scale=p["delta"])
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
-        frame = _Frame(fam, partial(gh_pdf, gh), -np.inf, np.inf, *gh_bulk(gh))
+        pole = gh_validate(gh) == "variance-gamma" and gh.lam <= 0.5  # K_(lam-1/2)(alpha |x - mu|)
+        frame = _Frame(fam, partial(gh_pdf_near, gh), -np.inf, np.inf, *gh_bulk(gh), pole)
         return _InHouseLaw(frame, partial(gh_mean, gh), partial(gh_sample, gh))
     if fam == "gig":
         lam, chi, psi = p["lambda"], p["chi"], p["psi"]
         gig_validate(lam, chi, psi)
-        frame = _Frame(fam, partial(gig_pdf, lam, chi, psi), 0.0, np.inf, *gig_bulk(lam, chi, psi))
+        centre, scale = gig_bulk(lam, chi, psi)
+        pole = centre == 0.0 and lam < 1.0  # a Gamma law's w^(lam - 1)
+        frame = _Frame(fam, partial(_shifted, partial(gig_pdf, lam, chi, psi)), 0.0, np.inf, centre, scale, pole)
         return _InHouseLaw(frame, partial(gig_moment, lam, chi, psi, 1), partial(gig_sample, lam, chi, psi))
     raise InputError(f"unknown family '{fam}'")
 
@@ -312,8 +321,8 @@ def _frame(spec: DistributionSpec) -> _Frame:
     dist = law.dist
     shapes, loc, scale = dist._parse_args(*law.args, **law.kwds)
 
-    def pdf(x):
-        z = (np.asarray(x, dtype=float) - loc) / scale
+    def pdf(x0, dx):
+        z = (np.asarray(x0 + dx, dtype=float) - loc) / scale
         inside = dist._support_mask(z, *shapes)
         out = np.where(np.isnan(z), np.nan, 0.0)
         out[inside] = dist._pdf(z[inside], *shapes) / scale
@@ -322,6 +331,12 @@ def _frame(spec: DistributionSpec) -> _Frame:
     lo, hi = law.support()
     iqr = law.ppf(0.75) - law.ppf(0.25)
     return _Frame(spec.family, pdf, float(lo), float(hi), float(law.median()), float(iqr))
+
+
+def _shifted(pdf, x0, dx):
+    """pdf at x0 + dx, rounded as x0 + dx: a GIG law's only pole is at
+    0, where x0 + dx is dx."""
+    return pdf(x0 + dx)
 
 
 def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -344,7 +359,7 @@ def std_survival(dist: DistributionSpec, x):
 
 def std_pdf(dist: DistributionSpec, x):
     """Density at x, without scipy's per-call argument handling."""
-    return _frame(dist).pdf(x)
+    return _frame(dist).pdf(x, 0.0)
 
 
 def dist_support(dist: DistributionSpec) -> tuple[float, float]:
@@ -367,92 +382,206 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
     return float(_frozen(dist).ppf(q))
 
 
-def _checked_quad(f, a: float, b: float, what: str) -> float:
-    """int_a^b f by quad (limit 400), the one quad call of meanex, held to
-    its relative tolerance alone: a far tail lies well below the default
-    epsabs 1.49e-8. NumericError when quad flags (ier != 0) or is not finite."""
-    out = integrate.quad(f, a, b, full_output=1, limit=400, epsabs=0.0)
-    if len(out) > 3:  # quad appends a message exactly when ier != 0
-        raise NumericError(f"quadrature over [{a:g}, {b:g}] failed for {what}: {out[3]}")
-    if not np.isfinite(out[0]):
-        raise NumericError(f"quadrature over [{a:g}, {b:g}] is not finite for {what}")
-    return float(out[0])
-
-
 # The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w, where x^2
-# stays finite. What lies beyond is bounded by ``_beyond_span``: a tail
-# of index k holds about 10^(-130 k) of its mass there.
+# stays finite; a piece with an end at an anchor starts _INNER_SPAN below
+# s = min(0, its own far end), within w e^-40 ~ 4e-18 w of the anchor.
+# ``_power_rest`` adds what lies past either cut.
 _LOG_SPAN = 300.0
-# quad's default relative tolerance, the one every piece is held to
+_INNER_SPAN = 40.0
+# quad's default relative tolerance, the one every interval is held to
 _EPSREL = 1.49e-8
 _TINY = np.finfo(float).tiny
+# where quad_vec's first subintervals of a log-mapped integrand end, in s:
+# on GH laws of daily-return scale these took half the nodes of [0, 1]
+# alone, and a far tail's value stays within 1e-14 of mpmath
+_LOG_BREAKS = (-16.0, -4.0, 2.0, 8.0, 32.0)
 
 
-def _beyond_span(g, value: float, what: str) -> None:
-    """NumericError unless the mapped integrand g, cut at s = _LOG_SPAN,
-    drops a negligible part of ``value``. Past the cut g is taken to decay
-    as e^-(k s), k read off g over the last unit of s, so the part dropped
-    is g(_LOG_SPAN) / k: a heavy tail such as (x - u) f(x) of a Student
-    law with nu = 1.02 (k = 0.02) is refused, not cut short."""
-    last = abs(g(_LOG_SPAN))
-    if last == 0.0:
-        return
-    prev = abs(g(_LOG_SPAN - 1.0))
-    k = math.log(prev / last) if prev > 0.0 else 0.0
-    if not (k > 0.0 and last / k <= _EPSREL * abs(value)):
-        raise NumericError(
-            f"quadrature for {what} cuts its half-line at {_LOG_SPAN:g} in log scale, "
-            f"and the tail beyond is not negligible"
-        )
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """A 20-node Gauss-Legendre rule on [0, 1], the nodes as a column:
+    the first estimate of each piece, which its integrand is divided by.
+    Worked out on first use, so a process that integrates nothing never
+    starts LAPACK for it (about 0.5 MB)."""
+    nodes, weights = special.roots_legendre(20)
+    return 0.5 * (nodes[:, None] + 1.0), 0.5 * weights
 
 
-def _integrate(frame: _Frame, a: float, b: float, ref=None) -> float:
-    """int_a^b f(x) dx, or int_a^b (x - ref) f(x) dx when ref is given,
-    one checked quad per piece.
+def _power_rest(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What a mapped integrand holds past a cut in s, from g, its values
+    two units, one unit and zero units before the cut (three rows), and
+    how far the same rest read one unit earlier lies from it.
 
-    The interval is split at the centre (where a variance-gamma density
-    has its kink or pole). A side no wider than the law's bulk w
-    (``scale``) is one quad in x; a wider one is mapped to
-    x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer the centre: the
-    bulk stays on the scale w near s = 0, and a power tail x^-(k+1)
-    becomes e^-(k s), so a half-line is flag-free far out. The map stops
-    at s = _LOG_SPAN, and ``_beyond_span`` refuses a tail cut short there.
+    Past the cut g is taken to decay as e^-(k |s|), as a power of the
+    distance from the map's origin does (a power tail, or a density with
+    a pole or a smooth value at an end of its piece), so the rest is
+    g(cut) / k, k read over the last unit. NaN where g does not decay.
     """
-    c = frame.centre
-    if a < c < b:
-        return _integrate(frame, a, c, ref) + _integrate(frame, c, b, ref)
-    f = frame.pdf if ref is None else (lambda x: (x - ref) * frame.pdf(x))
-    if b - a <= frame.scale:
-        return _checked_quad(f, a, b, frame.name)
-    x0, w = (a, frame.scale) if a >= c else (b, -frame.scale)
+    g0, g1, g2 = g
+    gone = g2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k_before, k_last = np.log(g0 / g1), np.log(g1 / g2)
+        rest = np.where(gone, 0.0, g2 / k_last)
+        spread = np.where(gone, 0.0, np.abs(g2 / k_before - rest))
+    return np.where(gone | ((k_before > 0.0) & (k_last > 0.0)), rest, np.nan), spread
 
-    def g(s):
-        x = x0 + w * math.expm1(s)
-        return f(x) * frame.scale * math.exp(s)
 
-    top = math.log1p((b - a) / frame.scale)
-    value = _checked_quad(lambda s: 0.0 if s > _LOG_SPAN else g(s), 0.0, top, frame.name)
-    if top > _LOG_SPAN:
-        _beyond_span(g, value, frame.name)
-    return value
+def _integrate(frame: _Frame, a, b, ref=None) -> np.ndarray:
+    """int f(x) dx over each interval [a_i, b_i] (a <= b, arrays or
+    scalars), or int (x - ref_i) f(x) dx when ref is given: one value per
+    interval, all from one ``quad_vec`` call.
+
+    Each interval is split at the law's centre c, where a variance-gamma
+    density has its kink or pole, and w inside each finite end of the
+    support (w is the bulk length ``scale``). Each piece is mapped onto t
+    in [0, 1]:
+
+    - a piece with an end at an anchor, a finite end of the support or a
+      centre where the density has a pole (``pole``): x = anchor +- w e^s,
+      from _INNER_SPAN below s = min(0, log(width / w)) up to
+      log(width / w), so a density that goes as a power of the distance
+      to the anchor becomes e^(k s). The density is asked for as
+      pdf(anchor, dx), which keeps every digit of dx at a pole; next to
+      an end other than 0, s starts where x is 2^20 ulps from the end;
+    - any other piece no wider than w: linearly;
+    - a wider one: x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer
+      c, so the bulk stays on the scale w near s = 0 and a power tail
+      x^-(k+1) becomes e^-(k s).
+
+    s stops at _LOG_SPAN, and ``_power_rest`` adds what lies past that cut
+    and below a piece's inner start. ``quad_vec`` holds all pieces to one
+    tolerance under its max norm, so each piece's integrand is divided by
+    a first estimate of its value, a 20-node Gauss-Legendre sum: every
+    piece keeps quad's relative tolerance of its own. A zero-width
+    interval is exactly 0. NumericError when quad_vec reports a status
+    other than 0, a cut leaves a rest that is not a power law's, or a
+    value is not finite.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    c, w = frame.centre, frame.scale
+    cuts = np.unique([-np.inf, frame.lo + w, c, frame.hi - w, np.inf])
+    lo = np.clip(a[:, None], cuts[:-1], cuts[1:]).ravel()
+    hi = np.clip(b[:, None], cuts[:-1], cuts[1:]).ravel()
+    keep = hi > lo
+    owner, lo, hi = np.repeat(np.arange(a.size), cuts.size - 1)[keep], lo[keep], hi[keep]
+    if not owner.size:
+        return np.zeros(shape)
+    if ref is not None:
+        ref = np.broadcast_to(np.asarray(ref, dtype=float), shape).ravel()[owner]
+
+    width = hi - lo
+    # an anchor is a point where the density may be singular: a finite end
+    # of the support, or the centre of a law with a pole there
+    pole_lo, pole_hi = frame.pole & (lo == c), frame.pole & (hi == c)
+    at_lo = pole_lo | ((lo == frame.lo) & np.isfinite(lo))
+    at_hi = ~at_lo & (pole_hi | ((hi == frame.hi) & np.isfinite(hi)))
+    with np.errstate(divide="ignore"):
+        log_width = np.log(width / w)
+        # pdf(x0, dx) keeps every digit of dx next to a pole at the centre;
+        # next to an end of the support other than 0 the points stay 2^20
+        # ulps of the end away from it, and a piece with no room for that
+        # is not mapped from its anchor
+        floor = np.where(pole_lo | pole_hi, -np.inf,
+                         np.log(np.spacing(np.abs(np.where(at_lo, lo, hi))) * 2.0 ** 20 / w))
+    inner = (at_lo | at_hi) & (floor < log_width - 2.0)
+    lin = ~inner & (width <= w)
+    up = np.where(inner, at_lo, lin | (lo >= c))  # dx runs up from lo, else down from hi
+    x0 = np.where(up, lo, hi)
+    span = np.where(inner, log_width, np.log1p(width / w))  # s at the far end
+    far_cut = ~lin & (span > _LOG_SPAN)
+    # every piece as x0 + dx, dx = slope t + reach (e^s - shift) with
+    # s = start + rate t: the three maps of the docstring
+    start = np.where(inner, np.maximum(np.minimum(span, 0.0) - _INNER_SPAN, floor), 0.0)
+    rate = np.where(lin, 0.0, np.minimum(span, _LOG_SPAN) - start)
+    columns = (
+        x0,
+        np.where(lin, width, 0.0),  # slope
+        np.where(lin, 0.0, np.where(up, w, -w)),  # reach
+        np.where(inner, 0.0, 1.0),  # shift
+        start,
+        rate,
+        ref,
+    )
+
+    def mapped(x0, slope, reach, shift, start, rate, ref):
+        pull = w * rate
+
+        def integrand(t):
+            e = np.exp(start + rate * t)
+            dx = slope * t + reach * (e - shift)
+            y = frame.pdf(x0, dx) * (slope + pull * e)
+            return y if ref is None else y * ((x0 - ref) + dx)
+
+        return integrand
+
+    def pick(sel):
+        return [None if v is None else v[sel] for v in columns]
+
+    nodes, weights = _gauss_legendre()
+    estimate = np.abs(weights @ mapped(*columns)(nodes))
+    units = np.where(estimate > 0.0, estimate, 1.0)
+    if owner.size == 1:  # on numpy scalars the integrand takes numpy's faster scalar paths
+        integrand, unit = mapped(*pick(0)), units[0]
+    else:
+        integrand, unit = mapped(*columns), units
+    # quad_vec starts from subintervals that end at s = _LOG_BREAKS of the
+    # longest log map, so no round of nodes is spent closing in on s = 0
+    i = np.argmax(rate)
+    breaks = [(s - start[i]) / rate[i] for s in _LOG_BREAKS if start[i] < s < start[i] + rate[i]]
+    value, _, info = integrate.quad_vec(
+        lambda t: integrand(t) / unit, 0.0, 1.0, epsrel=_EPSREL, norm="max", full_output=True, points=breaks)
+    value = np.atleast_1d(value) * units
+    where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
+    if info.status != 0:
+        raise NumericError(f"quadrature over {where} failed for {frame.name}: {info.message} (status {info.status})")
+
+    def past(sel, outward):
+        # what the pieces sel hold past their cut, NaN unless the rest read
+        # over the last unit and the unit before agree to quad's tolerance;
+        # (x - ref) f is (x0 - ref) f + dx f, each a power on its own
+        x0, slope, reach, shift, start, rate, ref = pick(sel)
+        steps = np.array([[2.0], [1.0], [0.0]]) / rate
+        t = 1.0 - steps if outward else steps
+        rest, spread = _power_rest(mapped(x0, slope, reach, shift, start, rate, None)(t) / rate)
+        if ref is not None:
+            more, off = _power_rest(mapped(x0, slope, reach, shift, start, rate, x0)(t) / rate)
+            rest, spread = (x0 - ref) * rest + more, np.abs(x0 - ref) * spread + off
+        return np.where(spread <= _EPSREL * np.abs(value[sel] + rest), rest, np.nan)
+
+    if np.any(inner):
+        rest = past(inner, False)
+        if np.any(np.isnan(rest)):
+            raise NumericError(f"quadrature over {where} for {frame.name} stops short of an end or pole of the "
+                               f"density, and the rest there does not read as a power of the distance")
+        value[inner] += rest
+    if np.any(far_cut):
+        rest = past(far_cut, True)
+        if np.any(np.isnan(rest)):
+            raise NumericError(f"quadrature for {frame.name} cuts its half-line at {_LOG_SPAN:g} in log scale, "
+                               f"and the tail beyond does not fall as a power of x")
+        value[far_cut] += rest
+    if not np.all(np.isfinite(value)):
+        raise NumericError(f"quadrature over {where} is not finite for {frame.name}")
+    return np.bincount(owner, weights=value, minlength=a.size).reshape(shape)
 
 
 @lru_cache(maxsize=256)
 def _check_mass(frame: _Frame) -> tuple[float, float]:
-    """F and F_bar at the centre, once quad finds mass 1 under the
+    """F and F_bar at the centre, once quadrature finds mass 1 under the
     density; NumericError otherwise (a law far narrower than its
-    ``scale`` can fall between quad's nodes, and its F would come back as
-    a step function)."""
-    halves = _tail(frame, frame.centre, False), _tail(frame, frame.centre, True)
-    total = halves[0] + halves[1]
+    ``scale`` can fall between the nodes, and its F would come back as
+    a step function). Both halves are one ``_integrate`` call."""
+    below, above = _integrate(frame, [frame.lo, frame.centre], [frame.centre, frame.hi])
+    total = below + above
     if not abs(total - 1.0) <= 1e-6:
         raise NumericError(f"quadrature finds mass {total:.6g} under the density, not 1")
-    return halves
+    return float(below), float(above)
 
 
 def _tail(frame: _Frame, x: float, upper: bool) -> float:
     """F_bar(x) (upper) or F(x), one integral over that tail."""
-    return _integrate(frame, x, frame.hi) if upper else _integrate(frame, frame.lo, x)
+    return float(_integrate(frame, x, frame.hi) if upper else _integrate(frame, frame.lo, x))
 
 
 def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
@@ -461,8 +590,9 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     F_bar is walked down from the upper edge and F up from the lower one.
     The first point takes its tail on the far side of the centre, so
     whichever of F and F_bar is small keeps its relative accuracy. Each
-    later point adds the mass of its gap to the previous point: one
-    ``_integrate``, which finds the mass of a gap however wide.
+    later point adds the mass of its gap to the previous point. The tail
+    and every gap, however wide, are one ``_integrate`` call; the walk
+    then adds them up in its own order.
     """
     _check_mass(frame)
     flat = np.ravel(x)
@@ -470,17 +600,11 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
     if upper:
         order = order[::-1]
     walk = flat[order]
-    vals = np.empty(walk.size)
-    for i, v in enumerate(walk):
-        if i == 0:
-            above = v >= frame.centre
-            piece = _tail(frame, v, above)
-            vals[i] = piece if above == upper else 1.0 - piece
-        else:
-            lo, hi = sorted((walk[i - 1], v))
-            vals[i] = vals[i - 1] + _integrate(frame, lo, hi)
+    above = walk[0] >= frame.centre
+    first = _tail(frame, walk[0], above)
+    gaps = _integrate(frame, np.minimum(walk[:-1], walk[1:]), np.maximum(walk[:-1], walk[1:]))
     out = np.empty(walk.size)
-    out[order] = np.clip(vals, 0.0, 1.0)
+    out[order] = np.clip(np.cumsum(np.append(first if above == upper else 1.0 - first, gaps)), 0.0, 1.0)
     return out.reshape(np.shape(x))
 
 
@@ -497,7 +621,7 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
     last tail integral, so a step whose difference lands that close to q,
     or below it, takes its tail as one integral instead. brentq then
     solves log T = log q in v inside the bracket, with T the outer end's
-    tail plus the gap.
+    tail plus the gap. Every integral is one interval of ``_integrate``.
     """
     if q > _check_mass(frame)[upper]:
         q, upper = 1.0 - q, not upper
@@ -514,7 +638,7 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
         a, b = sorted((at(inner), at(outer)))
         if not math.isfinite(b - a):
             raise NumericError(f"no quantile at {q:g} for {frame.name}: its tail never falls that low")
-        t -= _integrate(frame, a, b)
+        t -= float(_integrate(frame, a, b))
         if t - q <= 3.0 * _EPSREL * anchor:
             anchor = t = _tail(frame, at(outer), upper)
             if t <= q:
@@ -525,7 +649,7 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
     @lru_cache(maxsize=None)  # brentq asks again for the value at inner
     def excess(v):
         x = at(v)
-        return math.log(max(t + _integrate(frame, min(x, x_out), max(x, x_out)), _TINY)) - log_q
+        return math.log(max(t + float(_integrate(frame, min(x, x_out), max(x, x_out))), _TINY)) - log_q
 
     if excess(inner) <= 0.0:
         return at(inner)
@@ -537,12 +661,12 @@ def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
     quadrature over u's tail on the far side of the law's centre, where
     the mass is the small side: int_u^b (x - u) f(x) dx for u at or above
     the centre, E[X] - u - int_a^u (x - u) f(x) dx below it. NumericError
-    when the law fails its one-time mass check, or quad flags a piece."""
+    when the law fails its one-time mass check, or the quadrature fails."""
     frame, mean = _frame(dist), dist_mean(dist)
     _check_mass(frame)
     if u >= frame.centre:
-        return _integrate(frame, u, frame.hi, ref=u)
-    return mean - u - _integrate(frame, frame.lo, u, ref=u)
+        return float(_integrate(frame, u, frame.hi, ref=u))
+    return mean - u - float(_integrate(frame, frame.lo, u, ref=u))
 
 
 def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -551,18 +675,17 @@ def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray
     down: the top threshold takes S from ``dist_stop_loss``, and every
     other one adds its gap to the one above, S(u_i) = S(u_{i+1})
     + (u_{i+1} - u_i) F_bar(u_{i+1}) + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx,
-    three nonnegative terms.
+    three nonnegative terms. The integrals of all gaps are one
+    ``_integrate`` call.
     """
     sf = np.atleast_1d(np.asarray(_frozen(dist).sf(u), dtype=float))
-    s = np.zeros(u.size)
-    if sf[-1] > 0.0:
-        s[-1] = dist_stop_loss(dist, u[-1])
+    top = dist_stop_loss(dist, u[-1]) if sf[-1] > 0.0 else 0.0
     frame = _frame(dist)
     _check_mass(frame)
-    for i in range(u.size - 2, -1, -1):
-        a, b = u[i], u[i + 1]
-        s[i] = s[i + 1] + (b - a) * sf[i + 1] + _integrate(frame, a, b, ref=a)
-    return sf, s
+    gaps = _integrate(frame, u[:-1], u[1:], ref=u[:-1])
+    # S(u_{i+1}) + (u_{i+1} - u_i) F_bar(u_{i+1}), then + the gap, from the top down
+    steps = np.column_stack([np.diff(u) * sf[1:], gaps])[::-1].ravel()
+    return sf, np.cumsum(np.append(top, steps))[::-2]
 
 
 def dist_mean_abs(dist: DistributionSpec) -> float:

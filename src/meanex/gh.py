@@ -144,9 +144,9 @@ def gh_norming(params: GhParams) -> float:
 
 
 # Each builder below takes a law of its class and returns its density
-# x -> f(x) for finite x, with every per-law constant worked out once.
-# The same ufuncs run on a 0-d x (a quadrature node) and on an array,
-# so a scalar gets the bits of the matching array element.
+# d -> f(mu + d) for finite offsets d, with every per-law constant worked
+# out once. The same ufuncs run on a 0-d d (a quadrature node) and on an
+# array, so a scalar gets the bits of the matching array element.
 
 
 def _interior(params: GhParams):
@@ -155,15 +155,14 @@ def _interior(params: GhParams):
     # its terms cancel when alpha delta or beta d is large. As
     # (d - d0) (beta - alpha (d + d0) / (q + q0)) it cancels only near d0.
     order = params.lam - 0.5
-    al, be, de, mu = params.alpha, params.beta, params.delta, params.mu
+    al, be, de = params.alpha, params.beta, params.delta
     c, log_kve, gam = _log_norming_terms(params)
     log_a = c - log_kve
     if not np.isfinite(log_a):
         raise NumericError(f"the norming constant is out of double range at K_{params.lam:g}({de * gam:g})")
     d0, q0 = de * (be / gam), de * (al / gam)
 
-    def pdf(x):
-        d = x - mu
+    def pdf(d):
         q = np.hypot(de, d)
         return np.exp(log_a + order * np.log(q) + (d - d0) * (be - al * ((d + d0) / (q + q0)))
                       + np.log(bessel_k_scaled(order, al * q)))
@@ -174,7 +173,7 @@ def _interior(params: GhParams):
 def _skew_student(params: GhParams):
     # alpha = |beta| > 0, lam < 0; the gamma -> 0 limit of the interior
     # norming constant (K_lam(z) ~ Gamma(-lam)/2 * (2/z)^(-lam) as z -> 0)
-    lam, al, be, de, mu = params.lam, params.alpha, params.beta, params.delta, params.mu
+    lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     order = lam - 0.5
     log_a = (
         (lam + 1.0) * np.log(2.0)
@@ -185,8 +184,7 @@ def _skew_student(params: GhParams):
     )
     neg_al_de2 = -al * de * de
 
-    def pdf(x):
-        d = x - mu
+    def pdf(d):
         q = np.hypot(de, d)
         # beta d - alpha q cancels on the heavy side, where beta d = alpha |d|;
         # there it equals -alpha delta^2 / (q + |d|)
@@ -201,13 +199,13 @@ def _student(params: GhParams):
     # scipy's t density term for term. Where z^2 / nu overflows, z^2 / nu
     # dwarfs 1 and log1p(z^2 / nu) is 2 log|z| - log nu: the power tail of a
     # law with nu below about 1.1 is still above the double range's floor there.
-    nu, mu = -2.0 * params.lam, params.mu
+    nu = -2.0 * params.lam
     s = params.delta / np.sqrt(nu)
     log_c = np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
     k, log_nu = (nu + 1) / 2, np.log(nu)
 
-    def pdf(x):
-        z = (x - mu) / s
+    def pdf(d):
+        z = d / s
         with np.errstate(over="ignore"):
             t = z * z / nu
         log1p_t = np.log1p(t)
@@ -221,7 +219,7 @@ def _student(params: GhParams):
 
 def _variance_gamma(params: GhParams):
     # variance gamma (delta = 0), skew-Laplace at lam = 1
-    lam, al, be, mu = params.lam, params.alpha, params.beta, params.mu
+    lam, al, be = params.lam, params.alpha, params.beta
     order = lam - 0.5
     gam2 = al * al - be * be
     log_a = (
@@ -236,8 +234,7 @@ def _variance_gamma(params: GhParams):
     else:
         centre = np.inf  # a pole at mu
 
-    def pdf(x):
-        d = x - mu
+    def pdf(d):
         at_centre = d == 0.0
         y = np.where(at_centre, 1.0, np.abs(d))
         out = np.exp(log_a + order * np.log(y) + be * d - al * y + np.log(bessel_k_scaled(order, al * y)))
@@ -260,22 +257,18 @@ _BUILDERS = {
 
 @lru_cache(maxsize=256)
 def _density(params: GhParams):
-    """The law's density on the whole line, resolved once per parameter
-    set: the class and its constants. A quadrature asks for the density
-    node by node, so a call pays only its class's arithmetic. The density
-    is 0 at +-inf, where the formulas would give inf - inf, and a float
-    at a scalar x."""
+    """The law's density at mu + d, as a function of the offset d,
+    resolved once per parameter set: the class and its constants. A
+    quadrature asks for the density node by node, so a call pays only its
+    class's arithmetic. The density is 0 at d = +-inf, where the formulas
+    would give inf - inf."""
     f = _BUILDERS[_require_valid(params)](params)
-    mu = params.mu
 
-    def pdf(x):
-        arr = np.asarray(x, dtype=float)
-        far = np.isinf(arr)
+    def pdf(d):
+        far = np.isinf(d)
         if any_true(far):
-            out = np.where(far, 0.0, f(np.where(far, mu, arr)))
-        else:
-            out = f(arr)
-        return float(out) if arr.ndim == 0 else out
+            return np.where(far, 0.0, f(np.where(far, 0.0, d)))
+        return f(d)
 
     return pdf
 
@@ -283,7 +276,16 @@ def _density(params: GhParams):
 def gh_pdf(params: GhParams, x) -> np.ndarray | float:
     """Density at x (scalar or array), dispatching limit classes to
     their closed forms. Total on the real line for valid parameters."""
-    return _density(params)(x)
+    arr = np.asarray(x, dtype=float)
+    out = _density(params)(arr - params.mu)
+    return float(out) if arr.ndim == 0 else out
+
+
+def gh_pdf_near(params: GhParams, x0, dx) -> np.ndarray:
+    """Density at x0 + dx, with the offset from mu taken as (x0 - mu) + dx:
+    at x0 = mu, where a variance-gamma density with lambda < 1/2 has its
+    pole, a point dx away keeps every digit of dx."""
+    return _density(params)((np.asarray(x0, dtype=float) - params.mu) + dx)
 
 
 def _mixing(params: GhParams) -> tuple[str, float, float]:

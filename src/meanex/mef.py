@@ -10,8 +10,10 @@ exponential, GPD and Pareto families have closed forms. Every other
 family takes the integral by quadrature of the density, built from the
 top of a threshold grid down (``dist_tail_moments``): the top threshold
 takes one quadrature over its tail on the far side of the law's centre,
-and each lower one adds one short quadrature over the gap to the
-threshold above. A single threshold is the one-point case of a grid.
+and each lower one adds the integral over the gap to the threshold
+above. The integrals of all gaps are one vectorised quadrature, each
+gap scaled to a first estimate of its own value. A single threshold is
+the one-point case of a grid.
 
 The plug-in estimator from a sample is
 
@@ -153,7 +155,7 @@ def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
     Closed form for the exponential, GPD and Pareto families. Otherwise
     E[(X - u)^+] / F_bar(u), both built from the top of the grid down by
     ``dist_tail_moments``: one quadrature over the tail of the top point,
-    then one short quadrature per gap, each value a sum of
+    then one vectorised quadrature of every gap, each value a sum of
     nonnegative terms. e = E[X] - u below the support, and 0 from its
     upper end on and wherever F_bar(u) = 0. DomainError for a law without
     a finite mean, NumericError when a quadrature fails.

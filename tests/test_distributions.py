@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from meanex import (
     DomainError,
@@ -33,7 +33,7 @@ from meanex import (
     std_survival,
     theoretical_mef,
 )
-from meanex.distributions import FAMILIES, _frozen
+from meanex.distributions import FAMILIES, _frame, _frozen, _integrate
 
 # one representative parameterization per family
 REPRESENTATIVES = [
@@ -413,8 +413,8 @@ def test_extreme_gh_laws_are_right_or_refused(text):
 
 @pytest.mark.parametrize("text", IN_HOUSE_LAWS)
 def test_in_house_vector_cdf_matches_scalar(text):
-    # a vector call sums gap quads walked in from one edge; each value must
-    # still be the one-quad scalar value
+    # a vector call sums the gaps of one quadrature walked in from one edge;
+    # each value must still be the scalar value
     d = parse_distribution_spec(text)
     draws = std_sample(d, np.random.default_rng(3), 30)
     x = np.concatenate((draws, draws[:3], [np.median(draws)]))
@@ -424,6 +424,27 @@ def test_in_house_vector_cdf_matches_scalar(text):
     for i in (0, 7, 19, 29, 31, 33):
         assert cdf[i] == pytest.approx(std_cdf(d, x[i]), abs=1e-12)
         assert sf[i] == pytest.approx(std_survival(d, x[i]), abs=1e-12)
+
+
+def test_zero_width_interval_is_zero_without_quadrature(monkeypatch):
+    # an interval of zero width is 0 with no quadrature at all; the root
+    # search of a quantile asks for such intervals
+    frame = _frame(parse_distribution_spec("gh(lambda=-0.5,alpha=60,beta=-5,delta=0.012,mu=0.0008)"))
+    whole = _integrate(frame, [-0.02, 0.0], [0.0, 0.02], ref=[-0.02, 0.0])
+
+    def no_quad_vec(*args, **kwargs):
+        raise AssertionError("quad_vec called for zero-width intervals")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "quad_vec", no_quad_vec)
+        assert _integrate(frame, 0.01, 0.01) == 0.0
+        assert _integrate(frame, [0.01, -0.03], [0.01, -0.03], ref=[0.0, 0.0]).tolist() == [0.0, 0.0]
+    mixed = _integrate(frame, [-0.02, 0.01, 0.0], [0.0, 0.01, 0.02], ref=[-0.02, 0.01, 0.0])
+    assert mixed[1] == 0.0
+    np.testing.assert_allclose(mixed[[0, 2]], whole, rtol=1e-12)
+    d = parse_distribution_spec("gh(lambda=-0.5,alpha=61,beta=-5,delta=0.012,mu=0.0008)")
+    for q in (1e-6, 0.01, 0.5, 0.99):
+        assert float(std_survival(d, dist_isf(d, q))) == pytest.approx(q, rel=1e-8)
 
 
 def _skew_student_sf(x_values, alpha=0.5, beta=0.5, delta=1.0, mu=0.0):

@@ -27,7 +27,7 @@ from meanex import (
     theoretical_mef,
     theoretical_mef_curve,
 )
-from meanex.distributions import dist_stop_loss, std_survival
+from meanex.distributions import _frame, _integrate, dist_stop_loss, std_survival
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +176,21 @@ def test_theoretical_mef_gpd_quadrature_agreement():
 
 @pytest.mark.parametrize("flaw", ["ier", "nan"])
 def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
-    real_quad = integrate.quad
+    real_quad_vec = integrate.quad_vec
 
-    def flawed_quad(*args, **kwargs):
-        out = real_quad(*args, **kwargs)
+    def flawed_quad_vec(*args, **kwargs):
+        value, err, info = real_quad_vec(*args, **kwargs)
         if flaw == "nan":
-            return (math.nan,) + tuple(out[1:])
-        if kwargs.get("full_output"):  # quad's report of ier != 0
-            return tuple(out[:3]) + ("The maximum number of subdivisions (400) has been achieved.",)
-        return out
+            return value * math.nan, err, info
+        # quad_vec's report of a status other than 0, as quad's ier != 0
+        info.status, info.message = 1, "Target precision not reached."
+        return value, err, info
 
     # a GH law seen nowhere else, mass-checked before the flaw, so the
-    # flaw meets the quads of the curve and of the law's own survival
+    # flaw meets the quadratures of the curve and of the law's own survival
     gh = make_spec("gh", **{"lambda": -0.5, "alpha": 3.0, "beta": 0.4, "delta": 1.3, "mu": 0.1})
     std_survival(gh, 0.0)
-    monkeypatch.setattr(integrate, "quad", flawed_quad)
+    monkeypatch.setattr(integrate, "quad_vec", flawed_quad_vec)
     d = make_spec("normal", mu=0.0, sigma=1.0)
     with pytest.raises(NumericError):
         theoretical_mef(d, 0.5)
@@ -201,10 +201,12 @@ def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
         theoretical_mef_curve(d, grid)
     with pytest.raises(NumericError):
         theoretical_mef_curve(gh, grid)
-    with pytest.raises(NumericError):  # a tail quad, then one per gap between points
+    with pytest.raises(NumericError):  # a tail, then every gap between points in one call
         std_survival(gh, grid.points)
-    with pytest.raises(NumericError):  # a half-line tail quad raises like any other
+    with pytest.raises(NumericError):  # a half-line tail raises like any other interval
         std_survival(gh, 0.5)
+    with pytest.raises(NumericError):  # short gaps alone, with no cut whose rest could flag them
+        _integrate(_frame(gh), [0.0, 0.1], [0.1, 0.2])
 
 
 def test_theoretical_mef_curve_shape():

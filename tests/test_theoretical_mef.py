@@ -346,16 +346,19 @@ def test_theoretical_mef_far_tail(text):
 
 
 @pytest.mark.parametrize("nu", [1.02, 1.05, 1.1])
-def test_theoretical_mef_tail_past_the_log_map_is_right_or_refused(nu):
+def test_theoretical_mef_tail_past_the_log_map_is_right(nu):
     # the log map stops near 1e130; beyond it (x - u) f(x) of nu = 1.02
-    # still holds about 0.25% of E[(X - u)^+]
+    # still holds about 0.25% of E[(X - u)^+], and its power-law rest is added
     d = make_spec("student", nu=nu, mu=0.0)
-    for u in (0.0, 10.0):
-        try:
-            e = theoretical_mef(d, u)
-        except NumericError:
-            continue
-        assert e == pytest.approx(_student(nu, 0.0)(u), rel=1e-6)
+    for u in (0.0, 1.0, 10.0):
+        assert theoretical_mef(d, u) == pytest.approx(_student(nu, 0.0)(u), rel=1e-6), u
+
+
+def test_survival_past_the_log_map_is_right():
+    # Student t with nu = 0.06: about 1.5e-8 of F_bar(10) lies past the log map
+    d = parse_distribution_spec("gh(lambda=-0.03,alpha=0,beta=0,delta=1,mu=0)")
+    law = stats.t(0.06, scale=1.0 / math.sqrt(0.06))
+    assert std_survival(d, 10.0) == pytest.approx(law.sf(10.0), rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -383,6 +386,31 @@ def test_theoretical_mef_finds_narrow_mass(text, u):
 def test_theoretical_mef_bounded_support_integrates_to_the_endpoint():
     d = make_spec("beta", a=2.0, b=3.0)
     assert theoretical_mef(d, 0.5) == pytest.approx(_beta(2.0, 3.0)(0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text, u, closed",
+    [
+        ("beta(a=2,b=0.5)", 0.95, _beta(2.0, 0.5)),
+        ("beta(a=0.5,b=0.5)", 0.3, _beta(0.5, 0.5)),
+        ("beta(a=0.5,b=0.5)", 0.7, _beta(0.5, 0.5)),
+        ("gamma(alpha=0.2,beta=1)", 0.001, _gamma(0.2, 1.0)),
+        ("weibull(beta=1,tau=0.5)", 0.1, _weibull(1.0, 0.5)),
+    ],
+)
+def test_theoretical_mef_density_with_a_pole_at_an_end(text, u, closed):
+    # the density goes as a power of the distance to an end of its support
+    # that is infinite there; the integral from u runs to that end
+    assert theoretical_mef(parse_distribution_spec(text), u) == pytest.approx(closed(u), rel=1e-9)
+
+
+def test_variance_gamma_pole_at_the_centre():
+    # lam = 0.05: the density goes as |x - mu|^-0.9, and 1% of the mass lies
+    # within 1e-30 of mu. F(mu) from mpmath at 30 digits, integrating
+    # |d|^(lam - 1/2) e^(beta d) K_(lam - 1/2)(alpha |d|) over each side of
+    # d = 0 with breakpoints at 1e-30, 1e-20, 1e-12, 1e-6, 1e-3, 1 and 10
+    d = parse_distribution_spec("gh(lambda=0.05,alpha=1.1,beta=0.1,delta=0,mu=2)")
+    assert float(std_cdf(d, 2.0)) == pytest.approx(0.49573145306913715, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
