@@ -7,9 +7,11 @@ frozen distributions. GH and GIG are one ``rv_continuous`` subclass over
 the in-house density, mean and sampler of ``gh`` / ``gig``. Every
 integral of a density, GH/GIG F, F_bar and quantiles among them, is one
 checked quadrature path (``_integrate``): all intervals of a walk over a
-grid go into one vectorised ``quad_vec`` call, each interval scaled to a
-first estimate of its own value so that it keeps quad's relative
-tolerance.
+grid go into one ``scipy.integrate.cubature`` call, which evaluates the
+density at a region's nodes for all intervals as one array, each
+interval scaled to a first estimate of its own value. A call can integrate
+(x - ref) f beside f from the same density values, so a walk gets F_bar
+and the stop loss E[(X - u)^+] of every threshold together.
 
 Text format: ``family(name=value,...)``, e.g. ``gpd(xi=0.25,beta=1)`` or
 ``gh(lambda=-0.5,alpha=7.6,beta=-1.24,delta=0.052,mu=0.0103)``.
@@ -388,10 +390,17 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
 # ``_power_rest`` adds what lies past either cut.
 _LOG_SPAN = 300.0
 _INNER_SPAN = 40.0
-# quad's default relative tolerance, the one every interval is held to
+# quad's default relative tolerance: how closely the two readings of a
+# rest past a cut must agree, and what a quantile's gap steps allow for
 _EPSREL = 1.49e-8
+# cubature's relative tolerance. It bounds |K21 - G10|, the error of the
+# 10-node Gauss sum, not that of the 21-node Kronrod value cubature
+# returns. Held to 1.49e-8, F_bar of a GIG law walked over a grid and
+# taken point by point differed by 1.5e-10; held to 1e-10, by at most
+# 7e-15 on every law tried, as closely as with quad_vec
+_RTOL = 1e-10
 _TINY = np.finfo(float).tiny
-# where quad_vec's first subintervals of a log-mapped integrand end, in s:
+# where cubature's first subintervals of a log-mapped integrand end, in s:
 # on GH laws of daily-return scale these took half the nodes of [0, 1]
 # alone, and a far tail's value stays within 1e-14 of mpmath
 _LOG_BREAKS = (-16.0, -4.0, 2.0, 8.0, 32.0)
@@ -426,10 +435,12 @@ def _power_rest(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(gone | ((k_before > 0.0) & (k_last > 0.0)), rest, np.nan), spread
 
 
-def _integrate(frame: _Frame, a, b, ref=None) -> np.ndarray:
+def _integrate(frame: _Frame, a, b, ref=None):
     """int f(x) dx over each interval [a_i, b_i] (a <= b, arrays or
-    scalars), or int (x - ref_i) f(x) dx when ref is given: one value per
-    interval, all from one ``quad_vec`` call.
+    scalars), one value per interval; with ref given, the pair of that
+    mass and the moment int (x - ref_i) f(x) dx. All of it comes from one
+    ``cubature`` call, which evaluates the density at a region's nodes for
+    all pieces as one array, so a moment costs no density value of its own.
 
     Each interval is split at the law's centre c, where a variance-gamma
     density has its kink or pole, and w inside each finite end of the
@@ -449,13 +460,13 @@ def _integrate(frame: _Frame, a, b, ref=None) -> np.ndarray:
       x^-(k+1) becomes e^-(k s).
 
     s stops at _LOG_SPAN, and ``_power_rest`` adds what lies past that cut
-    and below a piece's inner start. ``quad_vec`` holds all pieces to one
-    tolerance under its max norm, so each piece's integrand is divided by
-    a first estimate of its value, a 20-node Gauss-Legendre sum: every
-    piece keeps quad's relative tolerance of its own. A zero-width
-    interval is exactly 0. NumericError when quad_vec reports a status
-    other than 0, a cut leaves a rest that is not a power law's, or a
-    value is not finite.
+    and below a piece's inner start. ``cubature`` holds each value to
+    _RTOL of its own, but splits first the region whose largest error is
+    largest, so each piece's integrand is divided by a first estimate of
+    its value, a 20-node Gauss-Legendre sum, which puts the errors of all
+    pieces on one scale. A zero-width interval is exactly 0 without a
+    call. NumericError when cubature does not converge, a cut leaves a
+    rest that is not a power law's, or a value is not finite.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape, a, b = a.shape, a.ravel(), b.ravel()
@@ -466,7 +477,8 @@ def _integrate(frame: _Frame, a, b, ref=None) -> np.ndarray:
     keep = hi > lo
     owner, lo, hi = np.repeat(np.arange(a.size), cuts.size - 1)[keep], lo[keep], hi[keep]
     if not owner.size:
-        return np.zeros(shape)
+        zero = np.zeros(shape)
+        return zero if ref is None else (zero, np.zeros(shape))
     if ref is not None:
         ref = np.broadcast_to(np.asarray(ref, dtype=float), shape).ravel()[owner]
 
@@ -511,59 +523,59 @@ def _integrate(frame: _Frame, a, b, ref=None) -> np.ndarray:
             e = np.exp(start + rate * t)
             dx = slope * t + reach * (e - shift)
             y = frame.pdf(x0, dx) * (slope + pull * e)
-            return y if ref is None else y * ((x0 - ref) + dx)
+            return y[..., None, :] if ref is None else np.stack((y, y * ((x0 - ref) + dx)), axis=-2)
 
         return integrand
 
     def pick(sel):
         return [None if v is None else v[sel] for v in columns]
 
+    integrand = mapped(*columns)
     nodes, weights = _gauss_legendre()
-    estimate = np.abs(weights @ mapped(*columns)(nodes))
+    estimate = np.abs(np.tensordot(weights, integrand(nodes), 1))
     units = np.where(estimate > 0.0, estimate, 1.0)
-    if owner.size == 1:  # on numpy scalars the integrand takes numpy's faster scalar paths
-        integrand, unit = mapped(*pick(0)), units[0]
-    else:
-        integrand, unit = mapped(*columns), units
-    # quad_vec starts from subintervals that end at s = _LOG_BREAKS of the
+    # cubature starts from subintervals that end at s = _LOG_BREAKS of the
     # longest log map, so no round of nodes is spent closing in on s = 0
     i = np.argmax(rate)
-    breaks = [(s - start[i]) / rate[i] for s in _LOG_BREAKS if start[i] < s < start[i] + rate[i]]
-    value, _, info = integrate.quad_vec(
-        lambda t: integrand(t) / unit, 0.0, 1.0, epsrel=_EPSREL, norm="max", full_output=True, points=breaks)
-    value = np.atleast_1d(value) * units
+    breaks = [[(s - start[i]) / rate[i]] for s in _LOG_BREAKS if start[i] < s < start[i] + rate[i]]
+    res = integrate.cubature(lambda t: integrand(t) / units, [0.0], [1.0], rule="gk21", rtol=_RTOL, atol=0.0,
+                             points=breaks)
     where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
-    if info.status != 0:
-        raise NumericError(f"quadrature over {where} failed for {frame.name}: {info.message} (status {info.status})")
+    if res.status != "converged":
+        raise NumericError(f"quadrature over {where} failed for {frame.name}: not converged after "
+                           f"{res.subdivisions} subdivisions")
+    value = res.estimate * units
 
     def past(sel, outward):
         # what the pieces sel hold past their cut, NaN unless the rest read
-        # over the last unit and the unit before agree to quad's tolerance;
+        # over the last unit and the unit before agree to the tolerance;
         # (x - ref) f is (x0 - ref) f + dx f, each a power on its own
         x0, slope, reach, shift, start, rate, ref = pick(sel)
         steps = np.array([[2.0], [1.0], [0.0]]) / rate
         t = 1.0 - steps if outward else steps
-        rest, spread = _power_rest(mapped(x0, slope, reach, shift, start, rate, None)(t) / rate)
+        g = mapped(x0, slope, reach, shift, start, rate, None if ref is None else x0)(t)
+        rest, spread = _power_rest(g / rate)
         if ref is not None:
-            more, off = _power_rest(mapped(x0, slope, reach, shift, start, rate, x0)(t) / rate)
-            rest, spread = (x0 - ref) * rest + more, np.abs(x0 - ref) * spread + off
-        return np.where(spread <= _EPSREL * np.abs(value[sel] + rest), rest, np.nan)
+            rest[1] += (x0 - ref) * rest[0]
+            spread[1] += np.abs(x0 - ref) * spread[0]
+        return np.where(spread <= _EPSREL * np.abs(value[:, sel] + rest), rest, np.nan)
 
     if np.any(inner):
         rest = past(inner, False)
         if np.any(np.isnan(rest)):
             raise NumericError(f"quadrature over {where} for {frame.name} stops short of an end or pole of the "
                                f"density, and the rest there does not read as a power of the distance")
-        value[inner] += rest
+        value[:, inner] += rest
     if np.any(far_cut):
         rest = past(far_cut, True)
         if np.any(np.isnan(rest)):
             raise NumericError(f"quadrature for {frame.name} cuts its half-line at {_LOG_SPAN:g} in log scale, "
                                f"and the tail beyond does not fall as a power of x")
-        value[far_cut] += rest
+        value[:, far_cut] += rest
     if not np.all(np.isfinite(value)):
         raise NumericError(f"quadrature over {where} is not finite for {frame.name}")
-    return np.bincount(owner, weights=value, minlength=a.size).reshape(shape)
+    sums = tuple(np.bincount(owner, weights=v, minlength=a.size).reshape(shape) for v in value)
+    return sums[0] if ref is None else sums
 
 
 @lru_cache(maxsize=256)
@@ -584,15 +596,22 @@ def _tail(frame: _Frame, x: float, upper: bool) -> float:
     return float(_integrate(frame, x, frame.hi) if upper else _integrate(frame, frame.lo, x))
 
 
-def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
-    """F_bar (upper) or F at every point of x, the one builder of both.
+def _walk(frame: _Frame, x, upper: bool, mean=None):
+    """F_bar (upper) or F at every point of x, the one builder of both;
+    with the law's mean given (upper only), the pair of F_bar and the stop
+    loss S(x) = E[(X - x)^+].
 
     F_bar is walked down from the upper edge and F up from the lower one.
     The first point takes its tail on the far side of the centre, so
     whichever of F and F_bar is small keeps its relative accuracy. Each
-    later point adds the mass of its gap to the previous point. The tail
-    and every gap, however wide, are one ``_integrate`` call; the walk
-    then adds them up in its own order.
+    later point adds the mass of its gap to the previous point. S walks
+    down beside F_bar: the first point x_0 takes the tail's integral of
+    (x - x_0) f above it, or E[X] - x_0 minus that integral below it, and
+    each later point adds three nonnegative terms,
+    S(x_{k+1}) = S(x_k) + (x_k - x_{k+1}) F_bar(x_k)
+    + int_{x_{k+1}}^{x_k} (x - x_{k+1}) f(x) dx. The tail is one
+    ``_integrate`` call and every gap, however wide, one more; each gives
+    the masses and the moments from the same density values.
     """
     _check_mass(frame)
     flat = np.ravel(x)
@@ -601,11 +620,23 @@ def _walk(frame: _Frame, x, upper: bool) -> np.ndarray:
         order = order[::-1]
     walk = flat[order]
     above = walk[0] >= frame.centre
-    first = _tail(frame, walk[0], above)
-    gaps = _integrate(frame, np.minimum(walk[:-1], walk[1:]), np.maximum(walk[:-1], walk[1:]))
+    tail = (walk[0], frame.hi) if above else (frame.lo, walk[0])
+    near, far = np.minimum(walk[:-1], walk[1:]), np.maximum(walk[:-1], walk[1:])
+    if mean is None:
+        first, gaps = _integrate(frame, *tail), _integrate(frame, near, far)
+    else:
+        first, first_moment = _integrate(frame, *tail, ref=walk[0])
+        gaps, moments = _integrate(frame, near, far, ref=near)
+    mass = np.clip(np.cumsum(np.append(first if above == upper else 1.0 - first, gaps)), 0.0, 1.0)
     out = np.empty(walk.size)
-    out[order] = np.clip(np.cumsum(np.append(first if above == upper else 1.0 - first, gaps)), 0.0, 1.0)
-    return out.reshape(np.shape(x))
+    out[order] = mass
+    if mean is None:
+        return out.reshape(np.shape(x))
+    # S(x_k) + (x_k - x_{k+1}) F_bar(x_k), then + the gap's moment
+    steps = np.column_stack([(walk[:-1] - walk[1:]) * mass[:-1], moments]).ravel()
+    stop_loss = np.empty(walk.size)
+    stop_loss[order] = np.cumsum(np.append(first_moment if above else mean - walk[0] - first_moment, steps))[::2]
+    return out.reshape(np.shape(x)), stop_loss.reshape(np.shape(x))
 
 
 def _quantile(frame: _Frame, q: float, upper: bool) -> float:
@@ -657,35 +688,24 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
 
 
 def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
-    """E[(X - u)^+], the numerator of the mean excess function, by one
-    quadrature over u's tail on the far side of the law's centre, where
-    the mass is the small side: int_u^b (x - u) f(x) dx for u at or above
-    the centre, E[X] - u - int_a^u (x - u) f(x) dx below it. NumericError
+    """E[(X - u)^+], the numerator of the mean excess function: the
+    one-point walk (``_walk``), one quadrature over u's tail on the far
+    side of the law's centre, where the mass is the small side. NumericError
     when the law fails its one-time mass check, or the quadrature fails."""
-    frame, mean = _frame(dist), dist_mean(dist)
-    _check_mass(frame)
-    if u >= frame.centre:
-        return float(_integrate(frame, u, frame.hi, ref=u))
-    return mean - u - float(_integrate(frame, frame.lo, u, ref=u))
+    return float(_walk(_frame(dist), float(u), True, dist_mean(dist))[1])
 
 
 def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F_bar(u_i), the law's own, and S(u_i) = E[(X - u_i)^+] at strictly
-    increasing thresholds inside the support. S is walked from the top
-    down: the top threshold takes S from ``dist_stop_loss``, and every
-    other one adds its gap to the one above, S(u_i) = S(u_{i+1})
-    + (u_{i+1} - u_i) F_bar(u_{i+1}) + int_{u_i}^{u_{i+1}} (x - u_i) f(x) dx,
-    three nonnegative terms. The integrals of all gaps are one
-    ``_integrate`` call.
-    """
-    sf = np.atleast_1d(np.asarray(_frozen(dist).sf(u), dtype=float))
-    top = dist_stop_loss(dist, u[-1]) if sf[-1] > 0.0 else 0.0
-    frame = _frame(dist)
-    _check_mass(frame)
-    gaps = _integrate(frame, u[:-1], u[1:], ref=u[:-1])
-    # S(u_{i+1}) + (u_{i+1} - u_i) F_bar(u_{i+1}), then + the gap, from the top down
-    steps = np.column_stack([np.diff(u) * sf[1:], gaps])[::-1].ravel()
-    return sf, np.cumsum(np.append(top, steps))[::-2]
+    """F_bar(u_i), the law's own, and S(u_i) = E[(X - u_i)^+] at
+    thresholds inside the support, walked together from the top down
+    (``_walk``): one quadrature over the top threshold's tail and one of
+    every gap, each giving mass and moment. A GH/GIG law's F_bar is the
+    walk's; a standard law's is scipy's own."""
+    law = _frozen(dist)
+    sf, stop_loss = _walk(_frame(dist), u, True, dist_mean(dist))
+    if not isinstance(law, _InHouseLaw):
+        sf = np.asarray(law.sf(u), dtype=float)
+    return sf, stop_loss
 
 
 def dist_mean_abs(dist: DistributionSpec) -> float:

@@ -174,23 +174,28 @@ def test_theoretical_mef_gpd_quadrature_agreement():
         assert quad == pytest.approx(closed, abs=1e-6)
 
 
-@pytest.mark.parametrize("flaw", ["ier", "nan"])
+@pytest.mark.parametrize("flaw", ["status", "nan", "moment"])
 def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
-    real_quad_vec = integrate.quad_vec
+    real_cubature = integrate.cubature
 
-    def flawed_quad_vec(*args, **kwargs):
-        value, err, info = real_quad_vec(*args, **kwargs)
+    def flawed_cubature(*args, **kwargs):
+        res = real_cubature(*args, **kwargs)
         if flaw == "nan":
-            return value * math.nan, err, info
-        # quad_vec's report of a status other than 0, as quad's ier != 0
-        info.status, info.message = 1, "Target precision not reached."
-        return value, err, info
+            res.estimate = res.estimate * math.nan
+        elif flaw == "moment":
+            # the estimate of a call for masses and moments holds a row of
+            # each; only the moments go bad
+            if res.estimate.shape[0] == 2:
+                res.estimate = res.estimate * np.array([[1.0], [math.nan]])
+        else:
+            res.status = "not_converged"
+        return res
 
     # a GH law seen nowhere else, mass-checked before the flaw, so the
     # flaw meets the quadratures of the curve and of the law's own survival
     gh = make_spec("gh", **{"lambda": -0.5, "alpha": 3.0, "beta": 0.4, "delta": 1.3, "mu": 0.1})
     std_survival(gh, 0.0)
-    monkeypatch.setattr(integrate, "quad_vec", flawed_quad_vec)
+    monkeypatch.setattr(integrate, "cubature", flawed_cubature)
     d = make_spec("normal", mu=0.0, sigma=1.0)
     with pytest.raises(NumericError):
         theoretical_mef(d, 0.5)
@@ -201,12 +206,34 @@ def test_quadrature_failure_raises_numeric_error(monkeypatch, flaw):
         theoretical_mef_curve(d, grid)
     with pytest.raises(NumericError):
         theoretical_mef_curve(gh, grid)
-    with pytest.raises(NumericError):  # a tail, then every gap between points in one call
-        std_survival(gh, grid.points)
-    with pytest.raises(NumericError):  # a half-line tail raises like any other interval
-        std_survival(gh, 0.5)
-    with pytest.raises(NumericError):  # short gaps alone, with no cut whose rest could flag them
-        _integrate(_frame(gh), [0.0, 0.1], [0.1, 0.2])
+    # F_bar alone integrates no moment, so the moment flaw leaves it alone
+    survival_checks = [
+        lambda: std_survival(gh, grid.points),  # a tail, then every gap between points in one call
+        lambda: std_survival(gh, 0.5),  # a half-line tail raises like any other interval
+        lambda: _integrate(_frame(gh), [0.0, 0.1], [0.1, 0.2]),  # short gaps alone, no cut whose rest could flag them
+    ]
+    for check in survival_checks:
+        if flaw == "moment":
+            assert np.all(np.isfinite(check()))
+        else:
+            with pytest.raises(NumericError):
+                check()
+
+
+def test_fresh_gh_curve_takes_three_quadrature_calls(monkeypatch):
+    # the law's mass check, the top threshold's tail and every gap at once,
+    # each tail and gap call giving the mass and the moment together
+    real_cubature = integrate.cubature
+    calls = []
+
+    def counted_cubature(*args, **kwargs):
+        calls.append(1)
+        return real_cubature(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "cubature", counted_cubature)
+    gh = make_spec("gh", **{"lambda": -0.5, "alpha": 61.7, "beta": -4.3, "delta": 0.0117, "mu": 0.0006})
+    theoretical_mef_curve(gh, make_grid(np.linspace(-0.04, 0.05, 101)))
+    assert len(calls) == 3
 
 
 def test_theoretical_mef_curve_shape():

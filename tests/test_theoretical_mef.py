@@ -28,6 +28,7 @@ from meanex import (
     DomainError,
     NumericError,
     dist_isf,
+    dist_ppf,
     gh_pdf,
     gh_validate,
     GhParams,
@@ -39,7 +40,7 @@ from meanex import (
     theoretical_mef,
     theoretical_mef_curve,
 )
-from meanex.distributions import FAMILIES, _frame
+from meanex.distributions import FAMILIES, _frame, dist_stop_loss, dist_tail_moments
 
 LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)
 EXPECT_MAX_LEVEL = 1 - 1e-3
@@ -501,6 +502,26 @@ def test_in_house_tails_on_the_coarse_grid(text):
     sf_expected, cdf_expected = np.array([oracle(pts[i]) for i in at]).T
     np.testing.assert_allclose(std_survival(d, pts)[at], sf_expected, rtol=1e-8)
     np.testing.assert_allclose(std_cdf(d, pts)[at], cdf_expected, rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gh(lambda=-0.5,alpha=60,beta=-5,delta=0.012,mu=0.0008)",  # NIG
+        "gh(lambda=1,alpha=50,beta=4,delta=0.01,mu=0)",  # hyperbolic
+        "gh(lambda=0.37,alpha=45,beta=-3,delta=0.02,mu=0.001)",  # interior lambda
+        "gig(lambda=0.4,chi=0,psi=3)",  # Gamma class, a pole at 0
+    ],
+)
+def test_grid_walk_matches_one_tail_per_point(text):
+    # F_bar and S of a grid come from one tail and the gaps below it, each
+    # call giving mass and moment; one tail quadrature per point must agree
+    d = parse_distribution_spec(text)
+    lo = 0.0 if d.family == "gig" else dist_ppf(d, 0.02)
+    u = np.linspace(lo, dist_isf(d, 1e-3), 101)
+    sf, stop_loss = dist_tail_moments(d, u)
+    np.testing.assert_allclose(sf, [float(std_survival(d, v)) for v in u], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(stop_loss, [dist_stop_loss(d, v) for v in u], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
