@@ -135,8 +135,9 @@ def _read_sample_file(path):
 
 def _read_returns(args):
     """The return series --field/--kind/--log-returns select from --data."""
-    # parsed from the open file, so the file's text is never held whole
-    series = _parse_file(args.data, parse_ohlcv_csv)
+    # the text is read whole, once; the file is opened with universal
+    # newlines, so it splits at LF into the lines iterating the file gives
+    series = _parse_file(args.data, lambda fh: parse_ohlcv_csv(fh.read()))
     if args.log_returns and args.kind is not None:
         raise InputError("--log-returns conflicts with --kind")
     if args.log_returns:

@@ -13,10 +13,17 @@ Empty and whitespace-only rows are skipped. Errors carry the 1-based
 data row number of the first bad row in file order.
 
 A file is parsed and checked a column at a time: each date is parsed
-once, each number is read with Python's float, and each check runs once
-over whole columns. A PriceSeries stores the sorted dates as one
-datetime64[D] array and the five fields as one read-only 5 x n float
-array; ``records`` builds the per-row OhlcvRecord view on demand.
+once and each check runs once over whole columns. A plain file (no
+quote, no CR and no U+001C-U+001F, six comma fields on every row) takes one
+C pass: its five number columns come from one ``np.loadtxt`` call, which
+reads every token it takes to the bits Python's float gives. Any other
+file, and any file with a date or number token the C pass refuses, goes
+to the csv path: ``csv.reader`` rows, each number read with float. The
+two paths share the column checks, and the csv path words every parse
+error, so a file gives the same series or the same error on either. A
+PriceSeries stores the sorted dates as one datetime64[D] array and the
+five fields as one read-only 5 x n float array; ``records`` builds the
+per-row OhlcvRecord view on demand.
 
 Returns are computed from closes: gross R_t = P_t / P_{t-1}, simple
 R_t - 1, and log returns log(P_t / P_{t-1}), so a series of m records
@@ -30,7 +37,8 @@ import io
 import re
 from dataclasses import dataclass
 from datetime import date as _date
-from itertools import compress, count
+from itertools import compress, count, repeat
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -143,29 +151,78 @@ def _convert(convert, tokens):
         return convert(tokens[:i]), i
 
 
+def _is_header(fields) -> bool:
+    return [f.strip().lower() for f in fields] == _HEADER
+
+
 def _first(mask) -> int:
     """Index of the first True of a boolean vector, its length if none."""
     return int(mask.argmax()) if mask.any() else mask.size
 
 
-def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
-    """Parse OHLCV CSV from a string or text stream into a PriceSeries.
+# characters of a line the C pass declines: csv.reader reads a quote or a
+# CR apart, and np.loadtxt strips \x1c-\x1f around a number where float
+# refuses the number
+_DECLINED = '"\r\x1c\x1d\x1e\x1f'
 
-    The file is checked a column at a time. Each check runs over the rows
-    before the first bad row found so far, in the order the checks apply
-    within a row (field count, date, numbers, finiteness, positive prices,
-    volume, price bounds, duplicate date), so the InputError names the
-    first bad row in file order and the first check that row fails."""
-    if isinstance(text_or_stream, str):
-        stream = io.StringIO(text_or_stream)
-    else:
-        stream = text_or_stream
-    reader = csv.reader(stream)
+
+def _c_columns(text):
+    """The C pass: the dates, the 5 x n numbers and the data row numbers
+    of the kept rows of the text, or None where it declines the text (a
+    declined character, a line longer than csv's field limit, a bad
+    header, no rows, a row of other than six fields, a non-blank row
+    whose first field is blank, a date or a number token it cannot read),
+    so that the csv path reads it and words the error. The text splits
+    at LF into the lines csv.reader would read."""
+    if any(ch in text for ch in _DECLINED):
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if not _is_header(lines[0].split(",")):
+        return None
+    body = lines[1:]
+    heads = list(map(itemgetter(0), map(str.partition, body, repeat(","))))
+    # rows of a blank first field are skipped where they are commas and
+    # whitespace only, as on the csv path; the csv path words any other
+    kept = list(map(bool, map(str.strip, heads)))
+    if any(line.replace(",", "").strip() for line in compress(body, map(not_, kept))):
+        return None
+    rows = list(compress(body, kept))
+    if not rows or set(map(str.count, rows, repeat(","))) != {5}:
+        return None
+    try:
+        days = _days(list(compress(heads, kept)))
+        values = np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3, 4, 5), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return days, values.T, list(compress(count(1), kept))
+
+
+def _lf_joined(lines):
+    """The lines joined, where the text splits at LF into the same lines
+    (every line but the last ends in an LF and holds no other); else
+    None."""
+    try:
+        text = "".join(lines)
+    except TypeError:  # a line that is not a str
+        return None
+    ends = len(lines) - (not text.endswith("\n"))
+    if all(map(str.endswith, lines[:-1], repeat("\n"))) and text.count("\n") == ends:
+        return text
+    return None
+
+
+def _csv_columns(reader):
+    """The csv path: the dates and the 5 x n numbers of the rows before
+    the first row whose field count, date or numbers are bad, the data
+    row number of each kept row, and that bad row's error (None if every
+    row is read)."""
     try:
         header = next(reader, None)
         if header is None:
             raise InputError("no records: input is empty")
-        if [h.strip().lower() for h in header] != _HEADER:
+        if not _is_header(header):
             raise InputError(f"bad header: expected {','.join(_HEADER)}")
         rows = list(reader)
     except csv.Error as exc:  # a lone carriage return, a field over csv's size limit
@@ -180,7 +237,7 @@ def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
     n = _first(np.fromiter(map(len, rows), int, len(rows)) != 6)
     error = f"expected 6 fields, got {len(rows[n])}" if n < len(rows) else None
     columns = list(zip(*rows[:n])) or [()] * 6
-    del rows  # the row lists, and below the tokens, go once they are read
+    del rows  # the row lists go once they are read, the tokens on return
     days, i = _convert(_days, columns[0])
     if i < n:
         n, error = i, f"invalid date {columns[0][i]!r}"
@@ -190,22 +247,27 @@ def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
         if i < n:
             n, error = i, "non-numeric price or volume"
         numbers.append(vals)
-    del columns
-    days = days[:n]
-    values = np.array([vals[:n] for vals in numbers])
+    return days[:n], np.array([vals[:n] for vals in numbers]), rownums, error
 
+
+def _checked(days, values, rownums, error=None, symbol=""):
+    """The PriceSeries of the rows read, or the InputError naming the
+    first bad row: the first row a column check fails (finiteness,
+    positive prices, volume, price bounds, duplicate date), else the row
+    after the last one read, whose error is ``error``."""
+    n = days.size
     o, h, l, c, v = values
     order = np.argsort(days, kind="stable")
     sorted_days = days[order]
-    repeat = np.zeros(n, dtype=bool)  # rows whose date an earlier row has
-    repeat[order[1:][sorted_days[1:] == sorted_days[:-1]]] = True
+    repeated = np.zeros(n, dtype=bool)  # rows whose date an earlier row has
+    repeated[order[1:][sorted_days[1:] == sorted_days[:-1]]] = True
     checks = (
         (~np.isfinite(values).all(axis=0), "non-finite price or volume"),
         ((values[:4] <= 0).any(axis=0), "prices must be positive"),
         (v < 0, "volume must be nonnegative"),
         (~((l <= np.minimum(o, c)) & (np.maximum(o, c) <= h)),
          "price bounds violated (need low <= open,close <= high)"),
-        (repeat, "duplicate date {day}"),
+        (repeated, "duplicate date {day}"),
     )
     i = _first(np.logical_or.reduce([mask for mask, _ in checks]))
     if i < n:
@@ -213,6 +275,31 @@ def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
     if error is not None:
         raise InputError(f"row {rownums[n]}: {error}")
     return PriceSeries(sorted_days, values[:, order], symbol)
+
+
+def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
+    """Parse OHLCV CSV from a string or text stream into a PriceSeries.
+
+    One leading byte-order mark is dropped. The input is read once, and
+    the C pass reads it unless it declines it, in which case the csv
+    path does. The file is checked a column at a time. Each check runs
+    over the rows before the first bad row found so far, in the order
+    the checks apply within a row (field count, date, numbers,
+    finiteness, positive prices, volume, price bounds, duplicate date),
+    so the InputError names the first bad row in file order and the
+    first check that row fails."""
+    if isinstance(text_or_stream, str):
+        text = text_or_stream.removeprefix("\ufeff")
+        lines = None
+    else:  # the lines csv.reader would take from the stream
+        lines = list(text_or_stream)
+        if lines and isinstance(lines[0], str):
+            lines[0] = lines[0].removeprefix("\ufeff")
+        text = _lf_joined(lines)
+    columns = None if text is None else _c_columns(text)
+    if columns is None:
+        columns = _csv_columns(csv.reader(io.StringIO(text) if lines is None else lines))
+    return _checked(*columns, symbol=symbol)
 
 
 def _positive_field(series: PriceSeries, field: str) -> np.ndarray:

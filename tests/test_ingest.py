@@ -2,7 +2,8 @@
 subsampling, and serialization round-trips.
 
 The column-at-a-time parser is checked against the row-at-a-time parser
-it replaced (``oracle_parse``), kept here as an independent oracle."""
+it replaced (``oracle_parse``), kept here as an independent oracle, and
+its C pass against its csv path."""
 
 import csv
 import io
@@ -17,12 +18,14 @@ import pytest
 from meanex import (
     InputError,
     OhlcvRecord,
+    PriceSeries,
     log_returns,
     monthly_last,
     ohlcv_csv,
     parse_ohlcv_csv,
     returns,
 )
+from meanex import ohlcv
 from meanex.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "synthetic_ohlcv.csv"
@@ -457,3 +460,126 @@ def test_series_storage_is_read_only():
     with pytest.raises(ValueError):
         series.days[0] = series.days[1]
     assert hash(series) == hash(parse_ohlcv_csv(FIXTURE.read_text(encoding="utf-8")))
+
+
+# ---------------------------------------------------------------------------
+# the C pass against the csv path
+
+
+def csv_path_parse(text, monkeypatch):
+    """parse_ohlcv_csv with the C pass declining every input."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ohlcv, "_c_columns", lambda text: None)
+        return parse_ohlcv_csv(text)
+
+
+class CsvReaderCalled(Exception):
+    pass
+
+
+def c_pass_parse(text_or_stream, monkeypatch):
+    """parse_ohlcv_csv with csv.reader raising, so that an input the C
+    pass declines fails here instead of falling back."""
+    def refuse(*args, **kwargs):
+        raise CsvReaderCalled
+
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", refuse)
+        return parse_ohlcv_csv(text_or_stream)
+
+
+def _pad(rnd, token):
+    return rnd.choice(["", " ", "\t", "  ", " \t"]) + token + rnd.choice(["", " ", "\t", "\t "])
+
+
+def _number(rnd, x):
+    """A token float reads as x: repr, or an exponent form."""
+    return rnd.choice([repr, "{:.16e}".format, "{:.17E}".format, "{:.17g}".format])(x)
+
+
+def valid_file(seed):
+    """A valid file of 1 to 40 rows with shuffled dates, 17-digit and
+    exponent-form numbers padded with spaces or tabs, blank and
+    whitespace-only rows, and a mixed-case header with spaces."""
+    rnd = random.Random(seed)
+    scale = rnd.choice([1.0, 1e-5, 1e17])
+    days = [date.fromordinal(date(1999, 12, 20).toordinal() + k) for k in range(rnd.randint(1, 40))]
+    rnd.shuffle(days)
+    lines = []
+    for day in days:
+        low = rnd.uniform(5.0, 50.0) * scale
+        high = low * rnd.uniform(1.0, 1.1)
+        o, c = rnd.uniform(low, high), rnd.uniform(low, high)
+        volume = rnd.choice([str(rnd.randrange(0, 10**6)), "1e-05", "1.5E+3", "0", _number(rnd, rnd.uniform(0, 1e9))])
+        fields = [_pad(rnd, day.isoformat())] + [_pad(rnd, _number(rnd, x)) for x in (o, high, low, c)]
+        lines.append(",".join(fields + [_pad(rnd, volume)]))
+    for _ in range(rnd.randint(0, 3)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "  ", "\t", " , ,,, ,", ",,,,,"]))
+    header = ",".join(_pad(rnd, "".join(rnd.choice([ch, ch.upper()]) for ch in name)) for name in HEADER.split(","))
+    return header + "\n" + "\n".join(lines) + rnd.choice(["", "\n"])
+
+
+def assert_bitwise_equal(got, want):
+    assert isinstance(got, PriceSeries) and got == want
+    assert got.days.tobytes() == want.days.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.strides == want.values.strides
+
+
+def test_c_pass_matches_csv_path(monkeypatch):
+    texts = [FIXTURE.read_text(encoding="utf-8")] + [valid_file(seed) for seed in range(200)]
+    for text in texts:
+        want = csv_path_parse(text, monkeypatch)
+        assert_bitwise_equal(c_pass_parse(text, monkeypatch), want)
+        assert_bitwise_equal(c_pass_parse(io.StringIO(text), monkeypatch), want)
+        assert_bitwise_equal(parse_ohlcv_csv(text), want)
+
+
+def test_fixture_takes_the_c_pass(monkeypatch):
+    text = FIXTURE.read_text(encoding="utf-8")
+    assert c_pass_parse(text, monkeypatch).n == 500
+    with open(FIXTURE, encoding="utf-8") as fh:
+        assert c_pass_parse(fh, monkeypatch).n == 500
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        rows('"2024-01-31","10","11","9","10.5","90"', '2024-02-01,10,11,9,10,90'),
+        rows("2024-01-31,1_0,11,9,10,90"),
+        rows("2024-01-31,１０,11,9,10,90"),
+        rows("2024-01-31,10,11,9,10,90", "2024-02-01,10,11,9,10,90").replace("\n", "\r\n"),
+        rows('"2024-01-31\n",10,11,9,10,90', '2024-02-01,10,11,9," 10\n",90'),
+        # np.loadtxt strips \x1c-\x1f around a number, float refuses it
+        rows("2024-01-31,10,11,9,10,90\x1c"),
+        rows("2024-01-31,10,11,9,10,\x1f90", "2024-02-01,10,11,9,10,90"),
+    ],
+)
+def test_files_the_c_pass_declines_match_oracle(text, monkeypatch):
+    with pytest.raises(CsvReaderCalled):
+        c_pass_parse(text, monkeypatch)
+    assert parsed(text) == oracle_parse(text)
+
+
+def test_field_over_csv_limit_is_still_refused():
+    text = rows("2024-01-31,10,11,9,10," + "0" * csv.field_size_limit() + "90")
+    with pytest.raises(InputError, match="^line 2: malformed CSV: field larger than field limit"):
+        parse_ohlcv_csv(text)
+
+
+@pytest.mark.parametrize("wrap", [str, io.StringIO])
+def test_parse_drops_one_leading_byte_order_mark(wrap):
+    text = FIXTURE.read_text(encoding="utf-8")
+    assert parse_ohlcv_csv(wrap("\ufeff" + text)) == parse_ohlcv_csv(text)
+    with pytest.raises(InputError, match="bad header"):
+        parse_ohlcv_csv(wrap("\ufeff\ufeff" + text))
+
+
+def test_iterables_of_lines_are_read_as_csv_reader_reads_them(monkeypatch):
+    lines = rows("2024-01-31,10,11,9,10,90", "2024-02-01,10,11,9,10.5,90").splitlines()
+    # lines without their LFs, and one line holding two
+    assert parse_ohlcv_csv(lines) == parse_ohlcv_csv("\n".join(lines))
+    with pytest.raises(InputError, match="new-line character seen in unquoted field"):
+        parse_ohlcv_csv(["\n".join(lines)])
+    with pytest.raises(InputError, match="malformed CSV: iterator should return strings, not bytes"):
+        parse_ohlcv_csv(io.BytesIO("\n".join(lines).encode()))
