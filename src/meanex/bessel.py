@@ -65,13 +65,6 @@ def _scaled_asymptotic(order: float, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.pi / (2.0 * x)) * (1.0 + (t1 + (t2 + t3 / x) / x) / x)
 
 
-def any_true(mask) -> bool:
-    """``mask.any()`` of a boolean array; on the 0-d mask of a scalar
-    argument it skips numpy's reduction machinery (about 2-3 us a call,
-    a sizeable share of one quadrature node)."""
-    return bool(mask.any() if mask.ndim else mask)
-
-
 def bessel_k_scaled(order: float, x) -> np.ndarray:
     """Exponentially scaled kernel e^x K_lambda(x), vectorized over x.
 
@@ -83,11 +76,11 @@ def bessel_k_scaled(order: float, x) -> np.ndarray:
     NumericError ("out of double range") from there.
     """
     x = np.asarray(x, dtype=float)
-    if any_true(x <= 0):
+    if (x <= 0).any():
         raise DomainError("bessel_k_scaled requires x > 0")
     a = abs(order)
     out = np.asarray(special.kve(a, x), dtype=float)
     big = x > _ASYMPTOTIC_CUTOFF
-    if any_true(big):
+    if big.any():
         out = np.where(big, _scaled_asymptotic(a, np.where(big, x, 1.0)), out)
     return out

@@ -286,9 +286,12 @@ def _frozen(spec: DistributionSpec):
     if fam == "gig":
         lam, chi, psi = p["lambda"], p["chi"], p["psi"]
         gig_validate(lam, chi, psi)
-        centre, scale = gig_bulk(lam, chi, psi)
-        pole = centre == 0.0 and lam < 1.0  # a Gamma law's w^(lam - 1)
-        frame = _Frame(fam, partial(_shifted, partial(gig_pdf, lam, chi, psi)), 0.0, np.inf, centre, scale, pole)
+        mode, scale = gig_bulk(lam, chi, psi)
+        # a Gamma law whose mode is 0, the lower end of its support, is
+        # centred at its mean 2 lambda / psi (its scale), so that F has mass
+        # below the centre and a small F keeps its relative accuracy
+        centre = mode if mode > 0.0 else scale
+        frame = _Frame(fam, partial(_shifted, partial(gig_pdf, lam, chi, psi)), 0.0, np.inf, centre, scale)
         return _InHouseLaw(frame, partial(gig_moment, lam, chi, psi, 1), partial(gig_sample, lam, chi, psi))
     raise InputError(f"unknown family '{fam}'")
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .bessel import any_true, bessel_k_scaled
+from .bessel import bessel_k_scaled
 from .errors import DomainError, NumericError
 from .gig import gig_mode, gig_moment, gig_sample
 
@@ -145,8 +145,8 @@ def gh_norming(params: GhParams) -> float:
 
 # Each builder below takes a law of its class and returns its density
 # d -> f(mu + d) for finite offsets d, with every per-law constant worked
-# out once. The same ufuncs run on a 0-d d (a quadrature node) and on an
-# array, so a scalar gets the bits of the matching array element.
+# out once. The same ufuncs run on a scalar d and on an array, so a
+# scalar gets the bits of the matching array element.
 
 
 def _interior(params: GhParams):
@@ -210,7 +210,7 @@ def _student(params: GhParams):
             t = z * z / nu
         log1p_t = np.log1p(t)
         far = np.isinf(t)
-        if any_true(far):
+        if far.any():
             log1p_t = np.where(far, 2.0 * np.log(np.maximum(np.abs(z), 1.0)) - log_nu, log1p_t)
         return np.exp(log_c - k * log1p_t) / s
 
@@ -258,15 +258,14 @@ _BUILDERS = {
 @lru_cache(maxsize=256)
 def _density(params: GhParams):
     """The law's density at mu + d, as a function of the offset d,
-    resolved once per parameter set: the class and its constants. A
-    quadrature asks for the density node by node, so a call pays only its
-    class's arithmetic. The density is 0 at d = +-inf, where the formulas
-    would give inf - inf."""
+    resolved once per parameter set: the class and its constants, so a
+    call pays only its class's arithmetic. The density is 0 at d = +-inf,
+    where the formulas would give inf - inf."""
     f = _BUILDERS[_require_valid(params)](params)
 
     def pdf(d):
         far = np.isinf(d)
-        if any_true(far):
+        if far.any():
             return np.where(far, 0.0, f(np.where(far, 0.0, d)))
         return f(d)
 

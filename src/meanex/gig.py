@@ -228,8 +228,8 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
 @lru_cache(maxsize=256)
 def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float, float, float]:
     """The class, the log of the density's constant factor and s, once
-    per parameter set: a quadrature asks for the density point by point.
-    In the interior the factor is taken times e^(-omega), which
+    per parameter set, so a density call pays only its arithmetic. In the
+    interior the factor is taken times e^(-omega), which
     ``_log_h_centred`` adds back, so it comes from the scaled Bessel
     function with nothing added."""
     kind = gig_validate(lam, chi, psi)

@@ -12,15 +12,15 @@ Duplicate dates are rejected; records are sorted by date on ingest.
 Empty and whitespace-only rows are skipped. Errors carry the 1-based
 data row number of the first bad row in file order.
 
-A file is parsed and checked a column at a time: each date is parsed
-once and each check runs once over whole columns. A plain file (no
-quote, no CR and no U+001C-U+001F, six comma fields on every row) takes one
-C pass: its five number columns come from one ``np.loadtxt`` call, which
-reads every token it takes to the bits Python's float gives. Any other
-file, and any file with a date or number token the C pass refuses, goes
-to the csv path: ``csv.reader`` rows, each number read with float. The
-two paths share the column checks, and the csv path words every parse
-error, so a file gives the same series or the same error on either. A
+A str is read in one C pass where it is plain (no quote, no CR and no
+U+001C-U+001F, six comma fields on every row): its five number columns
+come from one ``np.loadtxt`` call, which reads every token it takes to
+the bits Python's float gives. Text the C pass declines, and any stream
+or other iterable of lines, takes the csv path: one loop over the
+``csv.reader`` rows in file order, each number read with float, which
+stops at the first row whose field count, date or numbers are bad and
+words that error. Both paths hand their columns to one set of column
+checks, so a file gives the same series or the same error on either. A
 PriceSeries stores the sorted dates as one datetime64[D] array and the
 five fields as one read-only 5 x n float array; ``records`` builds the
 per-row OhlcvRecord view on demand.
@@ -130,27 +130,6 @@ def _days(tokens) -> np.ndarray:
     return (ordinals - _EPOCH).astype("datetime64[D]")
 
 
-def _floats(tokens) -> np.ndarray:
-    return np.array(list(map(float, tokens)), dtype=float)
-
-
-def _convert(convert, tokens):
-    """``convert(tokens)`` and ``len(tokens)``; when convert refuses a
-    token (ValueError), the conversion of the tokens before the first
-    refused one and that token's index instead."""
-    try:
-        return convert(tokens), len(tokens)
-    except ValueError:
-        i = 0
-        for tok in tokens:
-            try:
-                convert((tok,))
-            except ValueError:
-                break
-            i += 1
-        return convert(tokens[:i]), i
-
-
 def _is_header(fields) -> bool:
     return [f.strip().lower() for f in fields] == _HEADER
 
@@ -199,25 +178,11 @@ def _c_columns(text):
     return days, values.T, list(compress(count(1), kept))
 
 
-def _lf_joined(lines):
-    """The lines joined, where the text splits at LF into the same lines
-    (every line but the last ends in an LF and holds no other); else
-    None."""
-    try:
-        text = "".join(lines)
-    except TypeError:  # a line that is not a str
-        return None
-    ends = len(lines) - (not text.endswith("\n"))
-    if all(map(str.endswith, lines[:-1], repeat("\n"))) and text.count("\n") == ends:
-        return text
-    return None
-
-
 def _csv_columns(reader):
-    """The csv path: the dates and the 5 x n numbers of the rows before
-    the first row whose field count, date or numbers are bad, the data
-    row number of each kept row, and that bad row's error (None if every
-    row is read)."""
+    """The csv path, one loop over the rows in file order: the dates and
+    the 5 x n numbers of the rows before the first row whose field count,
+    date or numbers are bad, the data row number of each kept row up to
+    that one, and that bad row's error (None if every row is read)."""
     try:
         header = next(reader, None)
         if header is None:
@@ -227,27 +192,33 @@ def _csv_columns(reader):
         rows = list(reader)
     except csv.Error as exc:  # a lone carriage return, a field over csv's size limit
         raise InputError(f"line {reader.line_num}: malformed CSV: {exc}") from None
-    # skip empty and whitespace-only rows; rownums keeps each kept row's number
-    kept = list(map(bool, map(str.strip, map("".join, rows))))
-    rownums = list(compress(count(1), kept))
-    rows = list(compress(rows, kept))
-    if not rows:
+    ordinals, numbers, rownums, error = [], [], [], None
+    for rownum, row in enumerate(rows, start=1):
+        if not "".join(row).strip():  # empty and whitespace-only rows are skipped
+            continue
+        rownums.append(rownum)
+        if len(row) != 6:
+            error = f"expected 6 fields, got {len(row)}"
+            break
+        token = row[0].strip()
+        try:
+            if not _ISO_DATE(token):
+                raise ValueError
+            day = _date.fromisoformat(token)
+        except ValueError:
+            error = f"invalid date {row[0]!r}"
+            break
+        try:
+            numbers.extend(map(float, row[1:]))
+        except ValueError:
+            del numbers[5 * len(ordinals):]  # the bad row's numbers before its bad one
+            error = "non-numeric price or volume"
+            break
+        ordinals.append(day.toordinal())
+    if not rownums:
         raise InputError("no records")
-
-    n = _first(np.fromiter(map(len, rows), int, len(rows)) != 6)
-    error = f"expected 6 fields, got {len(rows[n])}" if n < len(rows) else None
-    columns = list(zip(*rows[:n])) or [()] * 6
-    del rows  # the row lists go once they are read, the tokens on return
-    days, i = _convert(_days, columns[0])
-    if i < n:
-        n, error = i, f"invalid date {columns[0][i]!r}"
-    numbers = []
-    for col in columns[1:]:
-        vals, i = _convert(_floats, col[:n])
-        if i < n:
-            n, error = i, "non-numeric price or volume"
-        numbers.append(vals)
-    return days[:n], np.array([vals[:n] for vals in numbers]), rownums, error
+    days = (np.array(ordinals, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
+    return days, np.array(numbers, dtype=float).reshape(-1, 5).T, rownums, error
 
 
 def _checked(days, values, rownums, error=None, symbol=""):
@@ -280,26 +251,26 @@ def _checked(days, values, rownums, error=None, symbol=""):
 def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
     """Parse OHLCV CSV from a string or text stream into a PriceSeries.
 
-    One leading byte-order mark is dropped. The input is read once, and
-    the C pass reads it unless it declines it, in which case the csv
-    path does. The file is checked a column at a time. Each check runs
-    over the rows before the first bad row found so far, in the order
-    the checks apply within a row (field count, date, numbers,
-    finiteness, positive prices, volume, price bounds, duplicate date),
-    so the InputError names the first bad row in file order and the
-    first check that row fails."""
+    One leading byte-order mark is dropped. A str takes the C pass, and
+    the csv path's row loop only where the C pass declines it; a stream
+    or other iterable of lines always takes the row loop. The columns
+    read are then checked a column at a time. Each check runs over the
+    rows before the first bad row found so far, in the order the checks
+    apply within a row (field count, date, numbers, finiteness, positive
+    prices, volume, price bounds, duplicate date), so the InputError
+    names the first bad row in file order and the first check that row
+    fails."""
     if isinstance(text_or_stream, str):
         text = text_or_stream.removeprefix("\ufeff")
-        lines = None
+        columns = _c_columns(text)
+        if columns is not None:
+            return _checked(*columns, symbol=symbol)
+        lines = io.StringIO(text)
     else:  # the lines csv.reader would take from the stream
         lines = list(text_or_stream)
         if lines and isinstance(lines[0], str):
             lines[0] = lines[0].removeprefix("\ufeff")
-        text = _lf_joined(lines)
-    columns = None if text is None else _c_columns(text)
-    if columns is None:
-        columns = _csv_columns(csv.reader(io.StringIO(text) if lines is None else lines))
-    return _checked(*columns, symbol=symbol)
+    return _checked(*_csv_columns(csv.reader(lines)), symbol=symbol)
 
 
 def _positive_field(series: PriceSeries, field: str) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
-from meanex import make_grid, parse_distribution_spec, std_survival, theoretical_mef_curve
+from meanex import dist_ppf, make_grid, parse_distribution_spec, std_cdf, std_survival, theoretical_mef_curve
 from meanex import gig
 from meanex.gh import GhParams, gh_sample
 from meanex.gig import gig_mode
@@ -196,6 +196,24 @@ def test_gamma_law_with_mode_zero_matches_scipy(lam, psi):
     e = law.mean() * stats.gamma(a=lam + 1.0, scale=2.0 / psi).sf(u) / law.sf(u) - u
     np.testing.assert_allclose(std_survival(spec, u), law.sf(u), rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(theoretical_mef_curve(spec, make_grid(u)).values, e, rtol=1e-10, atol=0.0)
+
+
+# a Gamma-class law's F and ppf against scipy's, to a relative tolerance
+# fixed before the run: cubature holds each integral to 1e-10 of itself,
+# and x ~ q^(1 / lambda) moves by 1 / lambda of F's relative error
+GAMMA_CLASS_RTOL = 1e-8
+
+
+@pytest.mark.parametrize("lam, psi", [(0.5, 2.0), (0.8, 3.0), (1.0, 1.0)])
+def test_gamma_class_lower_tail_keeps_relative_accuracy(lam, psi):
+    # the mode is 0, the support's lower end: F taken as 1 - F_bar there
+    # made ppf(1e-9) of gig(0.5, 0, 2) come back as 0
+    spec = parse_distribution_spec(f"gig(lambda={lam},chi=0,psi={psi})")
+    law = stats.gamma(a=lam, scale=2.0 / psi)
+    q = np.logspace(-2, -30, 15)
+    x = law.ppf(q)
+    np.testing.assert_allclose([dist_ppf(spec, v) for v in q], x, rtol=GAMMA_CLASS_RTOL, atol=0.0)
+    np.testing.assert_allclose(std_cdf(spec, x), law.cdf(x), rtol=GAMMA_CLASS_RTOL, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

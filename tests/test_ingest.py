@@ -1,9 +1,9 @@
 """Tests for OHLCV CSV parsing, return construction, monthly
 subsampling, and serialization round-trips.
 
-The column-at-a-time parser is checked against the row-at-a-time parser
-it replaced (``oracle_parse``), kept here as an independent oracle, and
-its C pass against its csv path."""
+The parser is checked against the row-at-a-time parser of an earlier
+version (``oracle_parse``), kept here as an independent oracle, and its
+C pass against its csv path."""
 
 import csv
 import io
@@ -531,7 +531,7 @@ def test_c_pass_matches_csv_path(monkeypatch):
     for text in texts:
         want = csv_path_parse(text, monkeypatch)
         assert_bitwise_equal(c_pass_parse(text, monkeypatch), want)
-        assert_bitwise_equal(c_pass_parse(io.StringIO(text), monkeypatch), want)
+        assert_bitwise_equal(parse_ohlcv_csv(io.StringIO(text)), want)
         assert_bitwise_equal(parse_ohlcv_csv(text), want)
 
 
@@ -539,7 +539,7 @@ def test_fixture_takes_the_c_pass(monkeypatch):
     text = FIXTURE.read_text(encoding="utf-8")
     assert c_pass_parse(text, monkeypatch).n == 500
     with open(FIXTURE, encoding="utf-8") as fh:
-        assert c_pass_parse(fh, monkeypatch).n == 500
+        assert_bitwise_equal(parse_ohlcv_csv(fh), csv_path_parse(text, monkeypatch))
 
 
 @pytest.mark.parametrize(
