@@ -15,8 +15,8 @@ SVG artifacts:
     compare    data emef vs model mef overlay plus sup deviation
 
 Exit codes: 0 success, 2 usage or input error (an empty --u0/--u1
-window, or --grid order-stats on stallion, gh-pdf or compare, among
-them), 3 numeric or domain error. Sample files carry one number per
+window, --grid order-stats on stallion, gh-pdf or compare, or an output
+path that cannot be written, among them), 3 numeric or domain error. Sample files carry one number per
 line, in the first comma field; blank fields are skipped and a
 non-numeric first line is tolerated as a header. Every command is
 deterministic given --seed.
@@ -30,6 +30,7 @@ ingest run on numpy alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -47,7 +48,16 @@ from .mef import (
 )
 from .montecarlo import _replicate_rng, coverage_experiment, stallion
 from .ohlcv import log_returns, parse_ohlcv_csv, returns
-from .serialize import band_csv, compare_csv, curve_csv, experiment_csv, fit_csv, fmt, table, write_text
+from .serialize import (
+    _band_blocks,
+    _blocks,
+    _compare_blocks,
+    _curve_blocks,
+    experiment_csv,
+    fit_csv,
+    fmt,
+    write_text,
+)
 from .svgplot import PlotSpec, band_series, line_series, svg_plot
 from .types import make_grid, make_sample
 
@@ -189,16 +199,32 @@ def _window(args, u0=None, u1=None):
     return lo, hi
 
 
-def _emit(args, text, spec=None, series=()):
-    """The one writer of a command's output: text to --csv, else stdout,
-    and with --svg the plot of series under spec. Only the commands that
-    pass series declare --svg."""
+def _write(path, text):
+    """write_text(path, text); InputError if path cannot be written."""
+    try:
+        write_text(path, text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
+def _emit(args, blocks, spec=None, series=()):
+    """The one writer of a command's output: the text blocks to --csv,
+    else stdout, written as they are made, and with --svg the plot of
+    series under spec. Only the commands that pass series declare --svg.
+
+    A reader that closes stdout early (``meanex emef x.txt | head -1``)
+    ends the output there: stdout is pointed at the null device, so the
+    rest of the command runs and exits as before."""
     if args.csv:
-        write_text(args.csv, text)
+        _write(args.csv, blocks)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if getattr(args, "svg", None):
-        write_text(args.svg, svg_plot(series, spec))
+        _write(args.svg, svg_plot(series, spec))
 
 
 def cmd_emef(args):
@@ -206,7 +232,7 @@ def cmd_emef(args):
     grid = default_grid(sample, _grid_arg(args))
     curve = empirical_mef_curve(sample, grid)
     spec = PlotSpec(title="empirical mean excess")
-    _emit(args, curve_csv(curve), spec, [line_series("emef", grid.points, curve.values)])
+    _emit(args, _curve_blocks(curve), spec, [line_series("emef", grid.points, curve.values)])
     return 0
 
 
@@ -225,7 +251,7 @@ def cmd_band(args):
         grid = make_grid(np.linspace(u0, u1, g))
     band = consistency_band(sample, grid, constants)
     spec = PlotSpec(title="mean excess consistency band")
-    _emit(args, band_csv(band), spec, [band_series("band", grid.points, band.lower, band.upper, band.curve.values)])
+    _emit(args, _band_blocks(band), spec, [band_series("band", grid.points, band.lower, band.upper, band.curve.values)])
     return 0
 
 
@@ -239,7 +265,7 @@ def cmd_stallion(args):
     grid = make_grid(np.linspace(u0, u1, _grid_arg(args, 200)))
     result = stallion(dist, n_reps=reps, sample_size=size, grid=grid, seed=args.seed)
     spec = PlotSpec(title=f"stallion: {args.dist}")
-    _emit(args, curve_csv(result.curve), spec, [line_series("stallion", grid.points, result.curve.values)])
+    _emit(args, _curve_blocks(result.curve), spec, [line_series("stallion", grid.points, result.curve.values)])
     return 0
 
 
@@ -255,7 +281,7 @@ def cmd_coverage(args):
         dist, u0, u1, constants,
         sample_size=size, n_reps=reps, seed=args.seed, eps=args.eps,
     )
-    _emit(args, experiment_csv(report))
+    _emit(args, [experiment_csv(report)])
     return 0
 
 
@@ -267,7 +293,7 @@ def cmd_fit_gpd(args):
     fit = ols_fit(x, y)
     params, label = gpd_from_ols(fit), _tail_label(x, y, fit)
     if args.csv:
-        write_text(args.csv, fit_csv(params, fit))
+        _write(args.csv, fit_csv(params, fit))
     print(f"xi_hat = {fmt(params.xi)}")
     print(f"beta_hat = {fmt(params.beta)}")
     print(f"a_hat = {fmt(fit.a_hat)}")
@@ -284,7 +310,7 @@ def cmd_fdelta(args):
     u0, u1 = _window(args)
     deltas = [0.1, 0.01, 0.001]
     stats = fdelta_check(dist, u0, u1, deltas)
-    _emit(args, table("delta,statistic", deltas, stats))
+    _emit(args, _blocks("delta,statistic", deltas, stats))
     return 0
 
 
@@ -296,7 +322,7 @@ def cmd_gh_pdf(args):
     x = np.linspace(u0, u1, _grid_arg(args, 401))
     y = np.asarray(std_pdf(dist, x), dtype=float)
     spec = PlotSpec(title=args.dist, xlabel="x", ylabel="density")
-    _emit(args, table("x,pdf", x, y), spec, [line_series("pdf", x, y)])
+    _emit(args, _blocks("x,pdf", x, y), spec, [line_series("pdf", x, y)])
     return 0
 
 
@@ -305,12 +331,12 @@ def cmd_gh_sample(args):
 
     dist = parse_distribution_spec(args.dist)
     size = _count_arg(args, "size", 1000)
-    _emit(args, table(None, std_sample(dist, _replicate_rng(args.seed, 0), size)))
+    _emit(args, _blocks(None, std_sample(dist, _replicate_rng(args.seed, 0), size)))
     return 0
 
 
 def cmd_ingest(args):
-    _emit(args, table(None, _read_returns(args)))
+    _emit(args, _blocks(None, _read_returns(args)))
     return 0
 
 
@@ -333,7 +359,7 @@ def cmd_compare(args):
         line_series("data emef", grid.points, data_curve.values),
         line_series("model mef", grid.points, model_curve.values),
     ]
-    _emit(args, compare_csv(data_curve, model_curve), spec, series)
+    _emit(args, _compare_blocks(data_curve, model_curve), spec, series)
     print(f"sup_deviation = {fmt(sup_deviation(data_curve, model_curve))}")
     return 0
 

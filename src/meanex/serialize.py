@@ -5,10 +5,12 @@ numbers formatted with %.12g, so identical inputs yield byte-identical
 files. Undefined values appear as nan, infinities as inf and -inf, and
 negative zero as -0.
 
-Each table is formatted by one ``%``: ``table`` interleaves its columns
-row by row into one float array and applies ``"%.12g,...,%.12g\\n"``
-repeated once per row to its ``tolist()`` floats, the same Python floats
-``fmt`` formats one at a time.
+Tables are formatted in blocks of ``_BLOCK`` rows, one ``%`` per block:
+``_blocks`` interleaves a block of the columns row by row into one float
+array and applies ``"%.12g,...,%.12g\\n"`` repeated once per row to its
+``tolist()`` floats, the same Python floats ``fmt`` formats one at a
+time. ``table`` and the table emitters join the blocks; the CLI writes
+them as they are made, so its memory does not grow with the row count.
 """
 
 from __future__ import annotations
@@ -32,27 +34,53 @@ __all__ = [
     "write_text",
 ]
 
+_BLOCK = 4096  # rows per block of a table, and points per block of an SVG path
+
 
 def fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
+def _blocks(header, *columns):
+    """The text of ``table(header, *columns)`` in pieces: the header line,
+    then one str per ``_BLOCK`` rows, each formatted when it is taken."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = min((c.size for c in cols), default=0)
+    row = ",".join(["%.12g"] * len(cols)) + "\n"
+    if header is not None or n == 0:
+        yield ("" if header is None else header) + "\n"
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)  # rows stop at the shortest column
+        flat = np.array([c[i:j] for c in cols]).T.ravel()  # row by row
+        yield row * (j - i) % tuple(flat.tolist())
+
+
 def table(header, *columns) -> str:
     """CSV text with one %.12g row per index of ``columns`` (rows stop at
     the shortest column), under ``header`` unless it is None."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    n = min((c.size for c in cols), default=0)
-    flat = np.array([c[:n] for c in cols]).T.ravel()  # row by row
-    text = (",".join(["%.12g"] * len(cols)) + "\n") * n % tuple(flat.tolist())
-    return ("" if header is None else header + "\n") + text or "\n"
+    return "".join(_blocks(header, *columns))
+
+
+def _curve_blocks(curve: MefCurve):
+    return _blocks("u,e", curve.grid.points, curve.values)
+
+
+def _band_blocks(band: Band):
+    return _blocks("u,e,lower,upper", band.curve.grid.points, band.curve.values, band.lower, band.upper)
+
+
+def _compare_blocks(data_curve: MefCurve, model_curve: MefCurve):
+    if not np.array_equal(data_curve.grid.points, model_curve.grid.points):
+        raise DomainError("compare requires identical grids")
+    return _blocks("u,e_data,e_model", data_curve.grid.points, data_curve.values, model_curve.values)
 
 
 def curve_csv(curve: MefCurve) -> str:
-    return table("u,e", curve.grid.points, curve.values)
+    return "".join(_curve_blocks(curve))
 
 
 def band_csv(band: Band) -> str:
-    return table("u,e,lower,upper", band.curve.grid.points, band.curve.values, band.lower, band.upper)
+    return "".join(_band_blocks(band))
 
 
 def fit_csv(params: GpdParams, fit: OlsFit) -> str:
@@ -73,9 +101,7 @@ def experiment_csv(report: ExperimentReport) -> str:
 
 def compare_csv(data_curve: MefCurve, model_curve: MefCurve) -> str:
     """Side-by-side empirical vs model mean excess on a shared grid."""
-    if not np.array_equal(data_curve.grid.points, model_curve.grid.points):
-        raise DomainError("compare requires identical grids")
-    return table("u,e_data,e_model", data_curve.grid.points, data_curve.values, model_curve.values)
+    return "".join(_compare_blocks(data_curve, model_curve))
 
 
 def ohlcv_csv(series: PriceSeries) -> str:
@@ -85,6 +111,8 @@ def ohlcv_csv(series: PriceSeries) -> str:
     return "\n".join(["date,open,high,low,close,volume", *map(row, zip(*columns))]) + "\n"
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, text) -> None:
+    """Write text, a str or an iterable of str pieces written as they are
+    taken, to path as UTF-8 with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)

@@ -6,24 +6,25 @@ tick labels, LF line endings, a fixed color cycle. Undefined points
 point after a dropped one starts a new ``M`` subpath. They are dropped
 from band envelopes.
 
-Paths are written a column at a time: the data-to-pixel transform runs
-once per array, with the same float operations per element as on one
-scalar, and each path is formatted by one ``%`` over the interleaved
-pixel columns (see ``_segments``). A vertex that repeats the one before
-it at 0.01 px is written once: an ``L`` to the same written point draws
-nothing under the default butt caps and adds no area to a fill. Every
-``M`` (the start of a path, or the first point after an undefined one)
-and a band's closing ``Z`` are kept.
+Paths are written a block of points at a time: the data-to-pixel
+transform runs once per block, with the same float operations per
+element as on one scalar, and each block is formatted by one ``%`` over
+the interleaved pixel columns (see ``_segments``). A vertex that repeats
+the one before it at 0.01 px is written once: an ``L`` to the same
+written point draws nothing under the default butt caps and adds no
+area to a fill. Every ``M`` (the start of a path, or the first point
+after an undefined one) and a band's closing ``Z`` are kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
 from .errors import InputError
+from .serialize import _BLOCK
 
 __all__ = ["PlotSpec", "line_series", "band_series", "svg_plot"]
 
@@ -49,6 +50,11 @@ def band_series(label: str, x, lower, upper, center=None):
     hi = np.asarray(upper, dtype=float)
     c = None if center is None else np.asarray(center, dtype=float)
     return ("band", str(label), x, lo, hi, c)
+
+
+def _escape(s: str) -> str:
+    """s with &, < and > escaped for XML text."""
+    return escape(s, quote=False)
 
 
 def _px(v: float) -> str:
@@ -92,23 +98,31 @@ def _repeats(sx, sy):
 def _segments(x, y, to_px):
     """Polyline path data, restarting at every undefined point.
 
-    An ``L`` point whose written pair equals the one before it is dropped
-    before formatting (``_repeats``). One ``%`` writes the rest: the
-    template ``"L%.2f,%.2f " * n`` has its command letter at byte 11 i for
-    the i-th written point, and the letter of each point that follows a
-    dropped undefined one (or starts the path) is set to ``M``. It is
-    applied to the interleaved pixel coordinates, and the trailing space
-    is cut."""
-    ok = np.isfinite(x) & np.isfinite(y)
-    if not ok.any():
-        return ""
-    start = np.concatenate(([True], ~ok))[:-1][ok]
-    sx, sy = to_px(x[ok], y[ok])
-    keep = start | np.concatenate(([True], ~_repeats(sx, sy)))
-    sx, sy, start = sx[keep], sy[keep], start[keep]
-    template = bytearray(b"L%.2f,%.2f " * sx.size)
-    np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(start)] = ord("M")
-    return (template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))[:-1]
+    The points are taken ``_BLOCK`` at a time. In each block an ``L``
+    point whose written pair equals the one before it is dropped before
+    formatting (``_repeats``); the last point of the block before, when
+    it is defined, is carried in as the first point's predecessor. One
+    ``%`` writes the rest of the block: the template ``"L%.2f,%.2f " * n``
+    has its command letter at byte 11 i for the i-th written point, and
+    the letter of each point that follows a dropped undefined one (or
+    starts the path) is set to ``M``. It is applied to the interleaved
+    pixel coordinates, and the trailing space of the path is cut."""
+    parts = []
+    tail_x = tail_y = np.empty(0)  # the point before the block, when it is defined
+    for i in range(0, x.size, _BLOCK):
+        xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
+        ok = np.isfinite(xb) & np.isfinite(yb)
+        start = np.concatenate(([tail_x.size == 0], ~ok))[:-1][ok]
+        sx, sy = to_px(xb[ok], yb[ok])
+        if tail_x.size == 0:
+            tail_x, tail_y = sx[:1], sy[:1]  # the first point starts a subpath: any predecessor will do
+        keep = start | ~_repeats(np.concatenate((tail_x, sx)), np.concatenate((tail_y, sy)))
+        tail_x, tail_y = (sx[-1:], sy[-1:]) if ok[-1] else (sx[:0], sy[:0])
+        sx, sy, start = sx[keep], sy[keep], start[keep]
+        template = bytearray(b"L%.2f,%.2f " * sx.size)
+        np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(start)] = ord("M")
+        parts.append(template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))
+    return "".join(parts)[:-1]
 
 
 def _data_range(series):
@@ -179,7 +193,7 @@ def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
         )
         out.append(
             f'<text x="{_px(sx)}" y="{_px(fy1 + 18 * scale)}" font-size="{_px(font)}" '
-            f'text-anchor="middle" font-family="sans-serif">{escape("%.6g" % tx)}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape("%.6g" % tx)}</text>'
         )
     for ty in np.linspace(y0, y1, 5):
         _, sy = to_px(x0, ty)
@@ -189,23 +203,23 @@ def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
         )
         out.append(
             f'<text x="{_px(fx0 - 8 * scale)}" y="{_px(sy + 0.35 * font)}" font-size="{_px(font)}" '
-            f'text-anchor="end" font-family="sans-serif">{escape("%.6g" % ty)}</text>'
+            f'text-anchor="end" font-family="sans-serif">{_escape("%.6g" % ty)}</text>'
         )
     # axis titles
     out.append(
         f'<text x="{_px((fx0 + fx1) / 2)}" y="{_px(h - 14 * scale)}" font-size="{_px(font)}" '
-        f'text-anchor="middle" font-family="sans-serif">{escape(spec.xlabel)}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(spec.xlabel)}</text>'
     )
     out.append(
         f'<text x="{_px(16 * scale)}" y="{_px((fy0 + fy1) / 2)}" font-size="{_px(font)}" '
         f'text-anchor="middle" font-family="sans-serif" '
         f'transform="rotate(-90 {_px(16 * scale)} {_px((fy0 + fy1) / 2)})">'
-        f"{escape(spec.ylabel)}</text>"
+        f"{_escape(spec.ylabel)}</text>"
     )
     if spec.title:
         out.append(
             f'<text x="{_px(w / 2)}" y="{_px(24 * scale)}" font-size="{_px(font * 1.25)}" '
-            f'text-anchor="middle" font-family="sans-serif">{escape(spec.title)}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape(spec.title)}</text>'
         )
     # series
     legend = []
@@ -247,7 +261,7 @@ def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
         )
         out.append(
             f'<text x="{_px(lx + 28 * scale)}" y="{_px(ly)}" font-size="{_px(font)}" '
-            f'font-family="sans-serif">{escape(label)}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
         ly += 1.5 * font
     out.append("</svg>")

@@ -2,18 +2,23 @@
 bytes, SVG structure, and flag validation."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meanex import dist_isf, dist_ppf, parse_distribution_spec, std_pdf, std_sample
+from meanex import cli, dist_isf, dist_ppf, parse_distribution_spec, std_pdf, std_sample
 from meanex.cli import build_parser, main
 from meanex.serialize import fmt, table
 
 FIXTURE = "tests/data/synthetic_ohlcv.csv"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -486,6 +491,64 @@ def test_compare_byte_identical_runs(tmp_path):
     assert main(args + ["--csv", str(a)]) == 0
     assert main(args + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# output streams
+
+
+@pytest.mark.parametrize("command,flag", [("emef", "--csv"), ("emef", "--svg"), ("fit-gpd", "--csv")])
+def test_unwritable_output_path_exit_2(command, flag, gpd_sample, tmp_path, capsys):
+    bad = str(tmp_path / "no" / "such" / "dir" / "out")
+    argv = [command, gpd_sample, flag, bad]
+    if flag == "--svg":
+        argv += ["--csv", str(tmp_path / "ok.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ") and "No such file or directory" in err
+
+
+def _gpd_file(path, n, seed):
+    u = np.random.default_rng(seed).random(n)
+    path.write_text("\n".join(map(repr, ((u ** -0.25 - 1.0) / 0.25).tolist())) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_reader_closing_stdout_early_exits_0(tmp_path):
+    # 20000 rows are several blocks and far more than a pipe holds, so a
+    # write after the reader has gone meets a closed pipe
+    sample = _gpd_file(tmp_path / "gpd.txt", 20_000, 1)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "meanex.cli", "emef", sample],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"u,e\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_band_csv_write_stage_memory_is_bounded(tmp_path, monkeypatch):
+    # written a block at a time, the CSV of a 2e5-value band needs about
+    # 1 MB; formatted whole before its first byte, it needs about 45 MB
+    sample = _gpd_file(tmp_path / "gpd.txt", 200_000, 3)
+    band = cli.consistency_band
+
+    def computed(*args, **kwargs):
+        result = band(*args, **kwargs)
+        tracemalloc.start()  # from here on the band is formatted and written
+        return result
+
+    monkeypatch.setattr(cli, "consistency_band", computed)
+    out = tmp_path / "band.csv"
+    try:
+        assert main(["band", sample, "--u0", "0", "--u1", "5", "--csv", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) > 150_000
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cold start: ``import meanex`` and the sample-only commands load no
-scipy, and the lazily exported names resolve to the defining modules.
+scipy and none of ``urllib.request``, ``http.client`` and ``email``, and
+the lazily exported names resolve to the defining modules.
 
 The checks run in a fresh interpreter, because the test process has
 scipy loaded already (pytest's IntegrationWarning filter imports
@@ -41,10 +42,14 @@ import contextlib, io, json, os, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def web_modules():
+    return sorted(m for m in sys.modules if m in ("urllib.request", "http.client") or m.split(".")[0] == "email")
+
 fixture, out = sys.argv[1], sys.argv[2]
 report = {}
 import meanex
 report["after_import"] = scipy_modules()
+report["web_after_import"] = web_modules()
 
 from meanex import cli
 returns = os.path.join(out, "returns.txt")
@@ -62,6 +67,7 @@ sample = meanex.make_sample(-np.log1p(-(np.arange(4000) + 0.5) / 4000))  # exp(1
 meanex.consistency_band(sample, meanex.make_grid([0.0, 0.5, 1.0]), meanex.band_constants(0.0, 1.0))
 meanex.asymptotic_variance(sample, 1.0)
 report["after_sample_work"] = scipy_modules()
+report["web_after_sample_work"] = web_modules()
 
 stallion = ["stallion", "--dist", "exponential(lambda=1)", "--reps", "3", "--size", "50",
             "--grid", "5", "--csv", os.path.join(out, "stallion.csv")]
@@ -94,6 +100,7 @@ def test_sample_only_work_loads_no_scipy_and_a_law_loads_it(tmp_path):
     assert report["after_import"] == []
     assert report["codes"] == [0, 0, 0, 0]
     assert report["after_sample_work"] == []
+    assert report["web_after_import"] == report["web_after_sample_work"] == []
     assert report["stallion_code"] == 0
     assert "scipy.stats" in report["after_stallion"]
     assert (tmp_path / "stallion.csv").read_text(encoding="utf-8").startswith("u,e\n")

@@ -34,7 +34,7 @@ from meanex import (
 )
 from meanex import cli, svgplot
 from meanex.cli import main
-from meanex.serialize import fmt, table
+from meanex.serialize import _BLOCK, fmt, table
 from meanex.svgplot import _data_range, _hundredths, _segments
 from meanex.types import Band
 
@@ -221,6 +221,24 @@ def test_table_edge_shapes_match_oracle():
     assert table("a,b", col, col[:10]) == oracle_table("a,b", col, col[:10])  # rows stop at the shortest
 
 
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("header", [None, "h"])
+def test_table_at_block_edges_matches_oracle(rows, k, header):
+    rng = np.random.default_rng(rows + k)
+    special = [NAN, INF, -INF, -0.0]
+    cols = []
+    for j in range(k):
+        c = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        c[np.arange(rows) % 11 == j] = special[j % 4]
+        for i in (_BLOCK - 1, _BLOCK, 2 * _BLOCK):  # the rows on each side of a block edge
+            if i < rows:
+                c[i] = special[(i + j) % 4]
+        cols.append(c)
+    header = None if header is None else ",".join(f"{header}{j}" for j in range(k))
+    assert table(header, *cols) == oracle_table(header, *cols)
+
+
 def test_ohlcv_csv_matches_oracle():
     with open(FIXTURE, encoding="utf-8") as fh:
         series = parse_ohlcv_csv(fh.read())
@@ -305,6 +323,61 @@ def test_path_restarting_every_3_points_matches_oracle():
     assert d == oracle_segments(x, y, to_px)
     assert d.count("M") == n // 4
     assert svg_paths(svg_plot(series)) == oracle_paths(series)
+
+
+def block_edge_line(case):
+    """A line of 2 _BLOCK + 3 points in pixels with ``case`` at the first
+    block edge."""
+    b = _BLOCK
+    x = np.arange(2 * b + 3) * 0.37
+    y = np.round(100.0 * np.sin(np.arange(2 * b + 3) * 0.01), 3)
+    if case == "repeat_run_across":
+        x[b - 3:b + 3], y[b - 3:b + 3] = x[b - 3], y[b - 3]
+    elif case == "repeat_of_last_point":
+        x[b], y[b] = x[b - 1], y[b - 1]
+    elif case == "nan_last_of_block":
+        y[b - 1] = NAN
+    elif case == "nan_first_of_block":
+        y[b] = NAN
+    elif case == "nan_gap_across":
+        y[b - 2:b + 2] = NAN
+    elif case == "nan_whole_block":
+        y[b:2 * b] = NAN
+    elif case == "repeat_across_gap":
+        y[b - 1] = NAN
+        x[b], y[b] = x[b - 2], y[b - 2]
+    elif case == "subpath_collapsing_across":
+        y[b - 3] = y[b + 2] = NAN
+        x[b - 2:b + 2], y[b - 2:b + 2] = x[b - 2], y[b - 2]
+    elif case == "inf_x_first_of_block":
+        x[b] = INF
+    return x, y
+
+
+@pytest.mark.parametrize("case", [
+    "repeat_run_across", "repeat_of_last_point", "nan_last_of_block", "nan_first_of_block",
+    "nan_gap_across", "nan_whole_block", "repeat_across_gap", "subpath_collapsing_across",
+    "inf_x_first_of_block",
+])
+def test_segments_at_block_edges_match_oracle(case):
+    x, y = block_edge_line(case)
+    assert _segments(x, y, pixels) == oracle_segments(x, y, pixels)
+    series = [line_series(case, x, y)]
+    assert svg_paths(svg_plot(series)) == oracle_paths(series)
+
+
+def test_band_envelope_repeating_across_a_block_edge_matches_oracle():
+    # the upper edge has _BLOCK - 1 points: the envelope turns onto the
+    # lower edge at the first block edge, through a run of repeated points
+    n = _BLOCK - 1
+    x = np.linspace(0.0, 1.0, n)
+    hi = 2.0 + np.sin(3.0 * x)
+    lo = hi - 1.0
+    x[-3:] = x[-3]
+    hi[-3:] = lo[-3:] = lo[-3]
+    series = [band_series("band", x, lo, hi)]
+    (d,) = svg_paths(svg_plot(series))
+    assert d == oracle_paths(series)[0]
 
 
 def test_repeat_run_across_a_gap_keeps_its_m():
@@ -427,10 +500,11 @@ def test_cli_outputs_match_oracle_writers(tmp_path, monkeypatch, capsys):
     (tmp_path / "new").mkdir()
     (tmp_path / "oracle").mkdir()
     got = run_cli(tmp_path / "new")
-    monkeypatch.setattr(cli, "curve_csv", oracle_curve_csv)
-    monkeypatch.setattr(cli, "band_csv", oracle_band_csv)
-    monkeypatch.setattr(cli, "compare_csv", oracle_compare_csv)
-    monkeypatch.setattr(cli, "table", oracle_table)
+    # the CLI writes the blocks of each table; the oracles give each table whole
+    monkeypatch.setattr(cli, "_curve_blocks", lambda curve: [oracle_curve_csv(curve)])
+    monkeypatch.setattr(cli, "_band_blocks", lambda band: [oracle_band_csv(band)])
+    monkeypatch.setattr(cli, "_compare_blocks", lambda a, b: [oracle_compare_csv(a, b)])
+    monkeypatch.setattr(cli, "_blocks", lambda header, *cols: [oracle_table(header, *cols)])
     monkeypatch.setattr(svgplot, "_segments", oracle_segments)
     want = run_cli(tmp_path / "oracle")
     assert len(got) == 8
