@@ -400,7 +400,7 @@ _EPSREL = 1.49e-8
 # 10-node Gauss sum, not that of the 21-node Kronrod value cubature
 # returns. Held to 1.49e-8, F_bar of a GIG law walked over a grid and
 # taken point by point differed by 1.5e-10; held to 1e-10, by at most
-# 7e-15 on every law tried, as closely as with quad_vec
+# 7e-15 on every law tried
 _RTOL = 1e-10
 _TINY = np.finfo(float).tiny
 # where cubature's first subintervals of a log-mapped integrand end, in s:

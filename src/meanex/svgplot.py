@@ -3,17 +3,26 @@
 The output is deterministic text: fixed %.2f pixel coordinates, %.6g
 tick labels, LF line endings, a fixed color cycle. Undefined points
 (NaN or infinite) split a polyline into separate segments: the first
-point after a dropped one starts a new ``M`` subpath. They are dropped
-from band envelopes.
+point after a dropped one starts a new ``M`` subpath. A band envelope
+drops every point where x, the lower or the upper bound is undefined,
+and is one subpath: the upper edge left to right, then the lower edge
+right to left, then ``Z``.
+
+The plot range is reduced from each series array in place, a finite
+min and max per array, so no data array is copied. A range whose
+padded span is past the double range raises ``NumericError``.
 
 Paths are written a block of points at a time: the data-to-pixel
 transform runs once per block, with the same float operations per
 element as on one scalar, and each block is formatted by one ``%`` over
-the interleaved pixel columns (see ``_segments``). A vertex that repeats
-the one before it at 0.01 px is written once: an ``L`` to the same
-written point draws nothing under the default butt caps and adds no
-area to a fill. Every ``M`` (the start of a path, or the first point
-after an undefined one) and a band's closing ``Z`` are kept.
+the interleaved pixel columns (see ``_segments``). A path may be walked
+from several pieces, as the envelope is from its upper edge and the
+reversed views of its lower one, without joining them into one array.
+A vertex that repeats the one before it at 0.01 px is written once: an
+``L`` to the same written point draws nothing under the default butt
+caps and adds no area to a fill. Every ``M`` (the start of a path, or
+the first point after an undefined one) and a band's closing ``Z`` are
+kept.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from html import escape
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .serialize import _BLOCK
 
 __all__ = ["PlotSpec", "line_series", "band_series", "svg_plot"]
@@ -52,13 +61,24 @@ def band_series(label: str, x, lower, upper, center=None):
     return ("band", str(label), x, lo, hi, c)
 
 
-def _escape(s: str) -> str:
-    """s with &, < and > escaped for XML text."""
-    return escape(s, quote=False)
-
-
 def _px(v: float) -> str:
     return "%.2f" % v
+
+
+def _text(x, y, size, anchor, rotate, s):
+    """A <text> element of s, escaped, at (x, y) px, with a text-anchor
+    unless anchor is None; rotated a quarter turn back about (x, y) when
+    rotate is set."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    rotate = f' transform="rotate(-90 {_px(x)} {_px(y)})"' if rotate else ""
+    return (f'<text x="{_px(x)}" y="{_px(y)}" font-size="{_px(size)}"{anchor} '
+            f'font-family="sans-serif"{rotate}>{escape(s, quote=False)}</text>')
+
+
+def _line(x1, y1, x2, y2, color, width):
+    """A <line> element from (x1, y1) to (x2, y2) px."""
+    return (f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+            f'stroke="{color}" stroke-width="{_px(width)}"/>')
 
 
 def _hundredths(v):
@@ -95,68 +115,73 @@ def _repeats(sx, sy):
     return repeat
 
 
-def _segments(x, y, to_px):
+def _segments(x, y, to_px, *pieces):
     """Polyline path data, restarting at every undefined point.
 
-    The points are taken ``_BLOCK`` at a time. In each block an ``L``
-    point whose written pair equals the one before it is dropped before
-    formatting (``_repeats``); the last point of the block before, when
-    it is defined, is carried in as the first point's predecessor. One
-    ``%`` writes the rest of the block: the template ``"L%.2f,%.2f " * n``
-    has its command letter at byte 11 i for the i-th written point, and
-    the letter of each point that follows a dropped undefined one (or
-    starts the path) is set to ``M``. It is applied to the interleaved
-    pixel coordinates, and the trailing space of the path is cut."""
+    The path walks (x, y) and then each further (x, y) piece in order,
+    as one polyline: a piece's first point continues from the last point
+    before it, as a block's does. The points of each piece are taken
+    ``_BLOCK`` at a time. In each block an ``L`` point whose written pair
+    equals the one before it is dropped before formatting (``_repeats``);
+    the last point before the block (in this piece or the one before),
+    when it is defined, is carried in as the first point's predecessor.
+    One ``%`` writes the rest of the block: the template
+    ``"L%.2f,%.2f " * n`` has its command letter at byte 11 i for the
+    i-th written point, and the letter of each point that follows a
+    dropped undefined one (or starts the path) is set to ``M``. It is
+    applied to the interleaved pixel coordinates, and the trailing space
+    of the path is cut."""
     parts = []
     tail_x = tail_y = np.empty(0)  # the point before the block, when it is defined
-    for i in range(0, x.size, _BLOCK):
-        xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
-        ok = np.isfinite(xb) & np.isfinite(yb)
-        start = np.concatenate(([tail_x.size == 0], ~ok))[:-1][ok]
-        sx, sy = to_px(xb[ok], yb[ok])
-        if tail_x.size == 0:
-            tail_x, tail_y = sx[:1], sy[:1]  # the first point starts a subpath: any predecessor will do
-        keep = start | ~_repeats(np.concatenate((tail_x, sx)), np.concatenate((tail_y, sy)))
-        tail_x, tail_y = (sx[-1:], sy[-1:]) if ok[-1] else (sx[:0], sy[:0])
-        sx, sy, start = sx[keep], sy[keep], start[keep]
-        template = bytearray(b"L%.2f,%.2f " * sx.size)
-        np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(start)] = ord("M")
-        parts.append(template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))
+    for x, y in ((x, y), *pieces):
+        for i in range(0, x.size, _BLOCK):
+            xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
+            ok = np.isfinite(xb) & np.isfinite(yb)
+            start = np.concatenate(([tail_x.size == 0], ~ok))[:-1][ok]
+            sx, sy = to_px(xb[ok], yb[ok])
+            if tail_x.size == 0:
+                tail_x, tail_y = sx[:1], sy[:1]  # the first point starts a subpath: any predecessor will do
+            keep = start | ~_repeats(np.concatenate((tail_x, sx)), np.concatenate((tail_y, sy)))
+            tail_x, tail_y = (sx[-1:], sy[-1:]) if ok[-1] else (sx[:0], sy[:0])
+            sx, sy, start = sx[keep], sy[keep], start[keep]
+            template = bytearray(b"L%.2f,%.2f " * sx.size)
+            np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(start)] = ord("M")
+            parts.append(template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))
     return "".join(parts)[:-1]
 
 
+def _axis_range(arrays):
+    """(min, max) over the finite values of arrays, each reduced in place."""
+    lo = min((np.min(a, where=np.isfinite(a), initial=np.inf) for a in arrays), default=np.inf)
+    hi = max((np.max(a, where=np.isfinite(a), initial=-np.inf) for a in arrays), default=-np.inf)
+    return float(lo), float(hi)
+
+
 def _data_range(series):
-    xs, ys = [], []
-    for s in series:
-        if s[0] == "line":
-            _, _, x, y = s
-            xs.append(x)
-            ys.append(y)
-        else:
-            _, _, x, lo, hi, c = s
-            xs.append(x)
-            ys.extend([lo, hi] if c is None else [lo, hi, c])
-    x = np.concatenate(xs) if xs else np.array([])
-    y = np.concatenate(ys) if ys else np.array([])
-    x = x[np.isfinite(x)]
-    y = y[np.isfinite(y)]
-    if x.size == 0 or y.size == 0:
+    """((x0, x1), (y0, y1)): the finite data range of series, padded.
+
+    A range of more than one value is padded by 5% of its span on each
+    side; one value v by max(0.5, 5% of |v|). InputError when an axis
+    has no finite value; NumericError when a padded span is past the
+    double range, where no point could be placed."""
+    ranges = {
+        "x": _axis_range([s[2] for s in series]),
+        "y": _axis_range([a for s in series for a in s[3:] if a is not None]),
+    }
+    if any(lo > hi for lo, hi in ranges.values()):
         raise InputError("no finite data to plot")
-
-    def widen(lo, hi):
-        if hi > lo:
-            pad = 0.05 * (hi - lo)
-            return lo - pad, hi + pad
-        pad = max(0.5, abs(lo) * 0.05)
-        return lo - pad, hi + pad
-
-    return widen(float(x.min()), float(x.max())), widen(float(y.min()), float(y.max()))
+    out = []
+    for axis, (lo, hi) in ranges.items():
+        pad = 0.05 * (hi - lo) if hi > lo else max(0.5, abs(lo) * 0.05)
+        lo, hi = lo - pad, hi + pad
+        if not np.isfinite(hi - lo):
+            raise NumericError(f"plot range of {axis} overflows: padded, it spans {lo!r} to {hi!r}")
+        out.append((lo, hi))
+    return tuple(out)
 
 
 def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
     """Render line and band series to a standalone SVG document."""
-    if not series:
-        raise InputError("no finite data to plot")
     (x0, x1), (y0, y1) = _data_range(series)
     w, h = int(spec.width), int(spec.height)
     scale = max(w / 900.0, 0.5)
@@ -179,90 +204,45 @@ def svg_plot(series, spec: PlotSpec = PlotSpec()) -> str:
     # axes frame
     fx0, fy1 = to_px(x0, y0)
     fx1, fy0 = to_px(x1, y1)
+    tick = stroke * 0.67
     out.append(
         f'<rect x="{_px(fx0)}" y="{_px(fy0)}" width="{_px(fx1 - fx0)}" '
-        f'height="{_px(fy1 - fy0)}" fill="none" stroke="#444444" '
-        f'stroke-width="{_px(stroke * 0.67)}"/>'
+        f'height="{_px(fy1 - fy0)}" fill="none" stroke="#444444" stroke-width="{_px(tick)}"/>'
     )
     # ticks and labels
     for tx in np.linspace(x0, x1, 5):
         sx, _ = to_px(tx, y0)
-        out.append(
-            f'<line x1="{_px(sx)}" y1="{_px(fy1)}" x2="{_px(sx)}" y2="{_px(fy1 + 5 * scale)}" '
-            f'stroke="#444444" stroke-width="{_px(stroke * 0.67)}"/>'
-        )
-        out.append(
-            f'<text x="{_px(sx)}" y="{_px(fy1 + 18 * scale)}" font-size="{_px(font)}" '
-            f'text-anchor="middle" font-family="sans-serif">{_escape("%.6g" % tx)}</text>'
-        )
+        out.append(_line(sx, fy1, sx, fy1 + 5 * scale, "#444444", tick))
+        out.append(_text(sx, fy1 + 18 * scale, font, "middle", False, "%.6g" % tx))
     for ty in np.linspace(y0, y1, 5):
         _, sy = to_px(x0, ty)
-        out.append(
-            f'<line x1="{_px(fx0 - 5 * scale)}" y1="{_px(sy)}" x2="{_px(fx0)}" y2="{_px(sy)}" '
-            f'stroke="#444444" stroke-width="{_px(stroke * 0.67)}"/>'
-        )
-        out.append(
-            f'<text x="{_px(fx0 - 8 * scale)}" y="{_px(sy + 0.35 * font)}" font-size="{_px(font)}" '
-            f'text-anchor="end" font-family="sans-serif">{_escape("%.6g" % ty)}</text>'
-        )
+        out.append(_line(fx0 - 5 * scale, sy, fx0, sy, "#444444", tick))
+        out.append(_text(fx0 - 8 * scale, sy + 0.35 * font, font, "end", False, "%.6g" % ty))
     # axis titles
-    out.append(
-        f'<text x="{_px((fx0 + fx1) / 2)}" y="{_px(h - 14 * scale)}" font-size="{_px(font)}" '
-        f'text-anchor="middle" font-family="sans-serif">{_escape(spec.xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="{_px(16 * scale)}" y="{_px((fy0 + fy1) / 2)}" font-size="{_px(font)}" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 {_px(16 * scale)} {_px((fy0 + fy1) / 2)})">'
-        f"{_escape(spec.ylabel)}</text>"
-    )
+    out.append(_text((fx0 + fx1) / 2, h - 14 * scale, font, "middle", False, spec.xlabel))
+    out.append(_text(16 * scale, (fy0 + fy1) / 2, font, "middle", True, spec.ylabel))
     if spec.title:
-        out.append(
-            f'<text x="{_px(w / 2)}" y="{_px(24 * scale)}" font-size="{_px(font * 1.25)}" '
-            f'text-anchor="middle" font-family="sans-serif">{_escape(spec.title)}</text>'
-        )
-    # series
-    legend = []
-    color_i = 0
-    for s in series:
-        color = _PALETTE[color_i % len(_PALETTE)]
-        color_i += 1
-        if s[0] == "line":
-            _, label, x, y = s
-            d = _segments(x, y, to_px)
-            if d:
-                out.append(
-                    f'<path d="{d}" fill="none" stroke="{color}" '
-                    f'stroke-width="{_px(stroke)}"/>'
-                )
-            legend.append((label, color))
-        else:
-            _, label, x, lo, hi, c = s
+        out.append(_text(w / 2, 24 * scale, font * 1.25, "middle", False, spec.title))
+    # series: a band's envelope, then the line of a line series or a band's centre
+    for i, (kind, label, x, *ys) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        if kind == "band":
+            lo, hi, y = ys
             ok = np.isfinite(x) & np.isfinite(lo) & np.isfinite(hi)
-            if np.any(ok):
-                xs, los, his = x[ok], lo[ok], hi[ok]
-                d = _segments(np.concatenate([xs, xs[::-1]]), np.concatenate([his, los[::-1]]), to_px) + " Z"
+            xs, lo, hi = (x, lo, hi) if ok.all() else (x[ok], lo[ok], hi[ok])
+            if xs.size:
+                d = _segments(xs, hi, to_px, (xs[::-1], lo[::-1])) + " Z"
                 out.append(f'<path d="{d}" fill="{color}" fill-opacity="0.18" stroke="none"/>')
-            if c is not None:
-                d = _segments(x, c, to_px)
-                if d:
-                    out.append(
-                        f'<path d="{d}" fill="none" stroke="{color}" '
-                        f'stroke-width="{_px(stroke)}"/>'
-                    )
-            legend.append((label, color))
+        else:
+            (y,) = ys
+        d = "" if y is None else _segments(x, y, to_px)
+        if d:
+            out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="{_px(stroke)}"/>')
     # legend block, top right inside the frame
-    ly = fy0 + 16 * scale
-    for label, color in legend:
-        lx = fx1 - 150 * scale
-        out.append(
-            f'<line x1="{_px(lx)}" y1="{_px(ly - 0.3 * font)}" x2="{_px(lx + 22 * scale)}" '
-            f'y2="{_px(ly - 0.3 * font)}" stroke="{color}" stroke-width="{_px(stroke)}"/>'
-        )
-        out.append(
-            f'<text x="{_px(lx + 28 * scale)}" y="{_px(ly)}" font-size="{_px(font)}" '
-            f'font-family="sans-serif">{_escape(label)}</text>'
-        )
+    lx, ly = fx1 - 150 * scale, fy0 + 16 * scale
+    for i, s in enumerate(series):
+        out.append(_line(lx, ly - 0.3 * font, lx + 22 * scale, ly - 0.3 * font, _PALETTE[i % len(_PALETTE)], stroke))
+        out.append(_text(lx + 28 * scale, ly, font, None, False, s[1]))
         ly += 1.5 * font
     out.append("</svg>")
     return "\n".join(out) + "\n"

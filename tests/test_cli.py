@@ -551,6 +551,31 @@ def test_band_csv_write_stage_memory_is_bounded(tmp_path, monkeypatch):
     assert peak < 16e6
 
 
+def test_band_csv_and_svg_write_stage_memory_is_bounded(tmp_path, monkeypatch):
+    # the plot range is reduced from each array in place and the envelope
+    # walked from views of its two edges, so the SVG adds its path text and
+    # O(block) temporaries; copying each data array to plot it read 16 MB
+    sample = _gpd_file(tmp_path / "gpd.txt", 200_000, 3)
+    band = cli.consistency_band
+
+    def computed(*args, **kwargs):
+        result = band(*args, **kwargs)
+        tracemalloc.start()  # from here on the band is formatted, plotted and written
+        return result
+
+    monkeypatch.setattr(cli, "consistency_band", computed)
+    out, svg = tmp_path / "band.csv", tmp_path / "band.svg"
+    try:
+        assert main(["band", sample, "--u0", "0", "--u1", "5", "--csv", str(out), "--svg", str(svg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) > 150_000
+    assert svg.read_text(encoding="utf-8").count("<path") == 2
+    assert peak < 12e6
+
+
 # ---------------------------------------------------------------------------
 # parser-level behavior
 

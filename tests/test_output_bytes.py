@@ -3,10 +3,12 @@
 The column-at-a-time writers in ``serialize`` must give the same bytes
 as the value-at-a-time loops they replaced. ``svgplot`` paths must give
 the bytes of the vertex-at-a-time loop after each ``L`` token that
-repeats the token before it (at the written 0.01 px) is dropped. Those
-loops are kept here as the oracle and compared with exact string
-equality on inputs with NaN runs, infinities, signed zero, extreme
-magnitudes, a single point, rounding ties and bands with dropped points.
+repeats the token before it (at the written 0.01 px) is dropped, and
+its plot range must equal that of the concatenate-and-filter reduction
+it replaced. Those loops are kept here as the oracle and compared with
+exact string equality on inputs with NaN runs, infinities, signed zero,
+extreme magnitudes, a single point, rounding ties and bands with dropped
+points.
 The CLI outputs of the bundled OHLCV fixture are also compared with the
 same commands run on the oracle writers, so the check holds on any numpy
 or scipy build.
@@ -34,6 +36,7 @@ from meanex import (
 )
 from meanex import cli, svgplot
 from meanex.cli import main
+from meanex.errors import InputError, NumericError
 from meanex.serialize import _BLOCK, fmt, table
 from meanex.svgplot import _data_range, _hundredths, _segments
 from meanex.types import Band
@@ -99,10 +102,38 @@ def oracle_envelope(x, lo, hi, to_px):
     return " ".join(drop_repeats(tokens)) + " Z"
 
 
+def oracle_data_range(series):
+    """The padded plot range, from every x and every y value of series
+    joined into one array each and filtered to the finite ones."""
+    xs, ys = [], []
+    for s in series:
+        if s[0] == "line":
+            _, _, x, y = s
+            xs.append(x)
+            ys.append(y)
+        else:
+            _, _, x, lo, hi, c = s
+            xs.append(x)
+            ys.extend([lo, hi] if c is None else [lo, hi, c])
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    x = x[np.isfinite(x)]
+    y = y[np.isfinite(y)]
+
+    def widen(lo, hi):
+        if hi > lo:
+            pad = 0.05 * (hi - lo)
+            return lo - pad, hi + pad
+        pad = max(0.5, abs(lo) * 0.05)
+        return lo - pad, hi + pad
+
+    return widen(float(x.min()), float(x.max())), widen(float(y.min()), float(y.max()))
+
+
 def default_to_px(series):
     """The data-to-pixel map of ``svg_plot`` under the default PlotSpec
     (900 x 600, no title: margins 70, 20, 24, 52)."""
-    (x0, x1), (y0, y1) = _data_range(series)
+    (x0, x1), (y0, y1) = oracle_data_range(series)
 
     def to_px(x, y):
         sx = 70.0 + (x - x0) / (x1 - x0) * (900 - 70.0 - 20.0)
@@ -325,6 +356,60 @@ def test_path_restarting_every_3_points_matches_oracle():
     assert svg_paths(svg_plot(series)) == oracle_paths(series)
 
 
+RANGE_CASES = {
+    "nan_and_inf_runs": [line_series("a", LINE_X, VALUE_CASES["nan_runs"]),
+                         line_series("b", [INF, NAN, 2.0, -INF, 5.0, NAN, NAN, INF], VALUE_CASES["infinities"])],
+    "all_nan_beside_finite": [line_series("a", [NAN, NAN], [NAN, NAN]),
+                              line_series("b", [3.0, 4.0], [1.0, 0.5])],
+    "band_without_center": [band_series("band", LINE_X, [0.5, NAN, 0.7, 0.8, -INF, 0.9, 1.0, 1.1],
+                                        [1.5, 1.6, NAN, 1.8, 1.9, 2.0, INF, 2.2])],
+    "band_with_center": [band_series("band", LINE_X, [NAN] * 8, [NAN] * 8,
+                                     [NAN, 0.5, 0.6, NAN, 0.8, 0.9, 1.0, NAN]),
+                         line_series("ref", LINE_X, VALUE_CASES["finite"])],
+    "one_value_small": [line_series("a", [NAN, 2.0, NAN], [NAN, 3.0, INF])],
+    "one_value_large": [line_series("a", [-40.0], [100.0])],
+    "signed_zero": [line_series("a", [-0.0, 0.0, -0.0], [0.0, -0.0, NAN]),
+                    band_series("band", [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0])],
+    "all_negative": [line_series("a", -np.arange(1.0, 9.0), -np.exp(LINE_X)),
+                     band_series("band", [-3.0, -2.0], [-9.0, -8.0], [-1e-300, -0.5])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_data_range_matches_oracle(case):
+    series = RANGE_CASES[case]
+    assert repr(_data_range(series)) == repr(oracle_data_range(series))
+    assert svg_paths(svg_plot(series)) == oracle_paths(series)
+
+
+def test_plot_of_no_series_has_no_finite_data():
+    with pytest.raises(InputError, match="no finite data"):
+        svg_plot([])
+
+
+@pytest.mark.parametrize("x,y,axis", [([-1e308, 1e308], [0.0, 1.0], "x"), ([0.0, 1.0], [1.0, 1.7e308], "y")])
+def test_plot_range_past_the_double_range_raises(x, y, axis):
+    # padded, the span from the least to the greatest value overflows to inf:
+    # no point could be placed on this axis
+    with pytest.raises(NumericError, match=f"plot range of {axis} overflows"):
+        svg_plot([line_series("a", x, y)])
+
+
+def test_plot_range_spanning_most_of_the_double_range_matches_oracle():
+    series = [line_series("a", [-8e307, 0.0, 8e307], [1.0, 1e308, 2.0])]
+    assert repr(_data_range(series)) == repr(oracle_data_range(series))
+    assert svg_paths(svg_plot(series)) == oracle_paths(series)
+
+
+def test_plot_range_overflow_exits_3(tmp_path, capsys):
+    sample = tmp_path / "wide.txt"
+    # the curve is finite: u = 1 and 1.7e308, e = 1.725e308 and 5e306
+    sample.write_text("1\n1.7e308\n1.75e308\n", encoding="utf-8")
+    argv = ["emef", str(sample), "--csv", str(tmp_path / "emef.csv"), "--svg", str(tmp_path / "emef.svg")]
+    assert main(argv) == 3
+    assert "error: plot range of x overflows" in capsys.readouterr().err
+
+
 def block_edge_line(case):
     """A line of 2 _BLOCK + 3 points in pixels with ``case`` at the first
     block edge."""
@@ -505,7 +590,9 @@ def test_cli_outputs_match_oracle_writers(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_band_blocks", lambda band: [oracle_band_csv(band)])
     monkeypatch.setattr(cli, "_compare_blocks", lambda a, b: [oracle_compare_csv(a, b)])
     monkeypatch.setattr(cli, "_blocks", lambda header, *cols: [oracle_table(header, *cols)])
-    monkeypatch.setattr(svgplot, "_segments", oracle_segments)
+    # a band envelope walks its lower edge as a second piece; the oracle takes the pieces joined
+    monkeypatch.setattr(svgplot, "_segments", lambda x, y, to_px, *pieces: oracle_segments(
+        np.concatenate([x, *(p[0] for p in pieces)]), np.concatenate([y, *(p[1] for p in pieces)]), to_px))
     want = run_cli(tmp_path / "oracle")
     assert len(got) == 8
     assert got == want
