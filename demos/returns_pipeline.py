@@ -12,7 +12,8 @@ from meanex import (
     empirical_mef_curve, fit_gpd_curve, classify_tail,
 )
 
-text = open("tests/data/synthetic_ohlcv.csv", encoding="utf-8").read()
+with open("tests/data/synthetic_ohlcv.csv", encoding="utf-8") as fh:
+    text = fh.read()
 series = parse_ohlcv_csv(text, symbol="SYN")
 print("records:", len(series.records), "symbol:", series.symbol)
 

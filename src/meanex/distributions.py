@@ -194,13 +194,16 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 
 @dataclass(frozen=True)
 class _Frame:
-    """What quadrature needs of a law: its density, called as pdf(x0, dx)
-    for the density at x0 + dx, its support [lo, hi], a centre in its bulk,
-    a length no wider than that bulk, and whether the density has a pole
-    at the centre."""
+    """What meanex computes from a law directly, resolved once per law:
+    its density, called as pdf(x0, dx) for the density at x0 + dx, and
+    its draws, draw(rng, n) for n of them in draw order; and what
+    quadrature needs beside the density: the support [lo, hi], a centre
+    in the bulk, a length no wider than that bulk, and whether the
+    density has a pole at the centre."""
 
     name: str
     pdf: object
+    draw: object
     lo: float
     hi: float
     centre: float
@@ -211,7 +214,8 @@ class _Frame:
 class _InHouseLaw(stats.rv_continuous):
     """A scipy law over one of meanex's own densities (GH or GIG).
 
-    The density, mean and sampler stay in-house: they work in log space
+    The density, mean and sampler stay in-house (the density and the
+    sampler are the hooks of its ``_Frame``): they work in log space
     with scaled Bessel functions, where scipy's ``genhyperbolic`` mean is
     NaN once delta sqrt(alpha^2 - beta^2) reaches the hundreds and
     ``geninvgauss`` is NaN at chi psi ~ 1e23. The CDF and the survival
@@ -222,9 +226,9 @@ class _InHouseLaw(stats.rv_continuous):
     code supplies ``expect``.
     """
 
-    def __init__(self, frame: _Frame, mean, sample):
+    def __init__(self, frame: _Frame, mean):
         super().__init__(a=frame.lo, name="meanex")
-        self.frame, self._mean, self._sample = frame, mean, sample
+        self.frame, self._mean = frame, mean
 
     def _pdf(self, x):
         return self.frame.pdf(x, 0.0)
@@ -233,7 +237,7 @@ class _InHouseLaw(stats.rv_continuous):
         return self._mean(), None, None, None
 
     def _rvs(self, size=None, random_state=None):
-        return self._sample(random_state, int(np.prod(size))).reshape(size)
+        return self.frame.draw(random_state, int(np.prod(size))).reshape(size)
 
     def _cdf(self, x):
         return _walk(self.frame, x, upper=False)
@@ -281,8 +285,8 @@ def _frozen(spec: DistributionSpec):
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
         pole = gh_validate(gh) == "variance-gamma" and gh.lam <= 0.5  # K_(lam-1/2)(alpha |x - mu|)
-        frame = _Frame(fam, partial(gh_pdf_near, gh), -np.inf, np.inf, *gh_bulk(gh), pole)
-        return _InHouseLaw(frame, partial(gh_mean, gh), partial(gh_sample, gh))
+        frame = _Frame(fam, partial(gh_pdf_near, gh), partial(gh_sample, gh), -np.inf, np.inf, *gh_bulk(gh), pole)
+        return _InHouseLaw(frame, partial(gh_mean, gh))
     if fam == "gig":
         lam, chi, psi = p["lambda"], p["chi"], p["psi"]
         gig_validate(lam, chi, psi)
@@ -291,35 +295,20 @@ def _frozen(spec: DistributionSpec):
         # centred at its mean 2 lambda / psi (its scale), so that F has mass
         # below the centre and a small F keeps its relative accuracy
         centre = mode if mode > 0.0 else scale
-        frame = _Frame(fam, partial(_shifted, partial(gig_pdf, lam, chi, psi)), 0.0, np.inf, centre, scale)
-        return _InHouseLaw(frame, partial(gig_moment, lam, chi, psi, 1), partial(gig_sample, lam, chi, psi))
+        pdf = partial(_shifted, partial(gig_pdf, lam, chi, psi))
+        frame = _Frame(fam, pdf, partial(gig_sample, lam, chi, psi), 0.0, np.inf, centre, scale)
+        return _InHouseLaw(frame, partial(gig_moment, lam, chi, psi, 1))
     raise InputError(f"unknown family '{fam}'")
 
 
 @lru_cache(maxsize=256)
-def _sampler(spec: DistributionSpec):
-    """draw(rng, n) for a law, resolved once: the in-house sampler of a GH
-    or GIG law, else the scipy law's ``_rvs`` hook with its shapes, loc
-    and scale parsed once and applied as ``rv_generic.rvs`` does. The
-    draws are those of ``rvs``, without its per-call argument handling."""
-    law = _frozen(spec)
-    if isinstance(law, _InHouseLaw):
-        return law._sample
-    shapes, loc, scale = law.dist._parse_args(*law.args, **law.kwds)
-    rvs = law.dist._rvs
-
-    def draw(rng, n):
-        return rvs(*shapes, size=n, random_state=rng) * scale + loc
-
-    return draw
-
-
-@lru_cache(maxsize=256)
 def _frame(spec: DistributionSpec) -> _Frame:
-    """The law's quadrature frame, resolved once. A scipy law's density is
-    its ``_pdf`` hook with shapes, loc and scale parsed once and applied as
-    ``rv_continuous.pdf`` does, without its per-call argument handling; its
-    centre is the median and its bulk the interquartile range."""
+    """The law's frame, resolved once. A scipy law's two hooks, its
+    ``_pdf`` and its ``_rvs``, take shapes, loc and scale from one
+    ``_parse_args`` and apply them as ``rv_continuous.pdf`` and
+    ``rv_generic.rvs`` do, without their per-call argument handling: the
+    density and the draws are scipy's own. Its centre is the median and
+    its bulk the interquartile range."""
     law = _frozen(spec)
     if isinstance(law, _InHouseLaw):
         return law.frame
@@ -333,9 +322,12 @@ def _frame(spec: DistributionSpec) -> _Frame:
         out[inside] = dist._pdf(z[inside], *shapes) / scale
         return out[()]
 
+    def draw(rng, n):
+        return dist._rvs(*shapes, size=n, random_state=rng) * scale + loc
+
     lo, hi = law.support()
     iqr = law.ppf(0.75) - law.ppf(0.25)
-    return _Frame(spec.family, pdf, float(lo), float(hi), float(law.median()), float(iqr))
+    return _Frame(spec.family, pdf, draw, float(lo), float(hi), float(law.median()), float(iqr))
 
 
 def _shifted(pdf, x0, dx):
@@ -348,7 +340,7 @@ def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.n
     """n independent draws, in draw order."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
-    return np.asarray(_sampler(dist)(rng, n), dtype=float)
+    return np.asarray(_frame(dist).draw(rng, n), dtype=float)
 
 
 def std_cdf(dist: DistributionSpec, x):

@@ -22,11 +22,13 @@ u^2 <= h(w)/h(m), where h is the unnormalized density, m its mode and
 v-, v+ the extrema of (w - m) sqrt(h(w)/h(m)). All envelope work is done
 on log h relative to the mode, so extreme parameter magnitudes (for
 instance the near-Gaussian mixing laws with chi*psi ~ 1e23) stay inside
-double range. Where the ROU box is nearly empty (0 < |lambda| < 1, small
-chi psi), boundary-law draws are thinned instead. Rejection is vectorized.
-A law whose chosen sampler would keep fewer than 1e-4 of its candidates
-(lambda = 0 with small chi psi, where no boundary law can be thinned) is
-refused with NumericError.
+double range. For 0 < |lambda| < 1 a second sampler draws from the
+boundary law (Gamma for lambda > 0, Inverse Gamma for lambda < 0) and
+thins. The expected acceptance of each sampler, the share of its
+candidates it keeps, comes from the norming constant (``_log_acceptance``),
+and the sampler whose acceptance is larger runs. A law whose figure is
+below 1e-4 (lambda = 0 with small chi psi, where no boundary law can be
+thinned) is refused with NumericError. Rejection is vectorized.
 
 The interior density writes its exponent as -(psi / (2 w)) (w - s)^2,
 s = sqrt(chi / psi), beside the scaled Bessel constant, so at large
@@ -144,29 +146,17 @@ def _boundary_draws(lam: float, chi: float, psi: float, rng: np.random.Generator
     return (0.5 * chi) / rng.gamma(shape=-lam, scale=1.0, size=n)
 
 
-def _thinning_wins(lam: float, chi: float, psi: float) -> bool:
-    """Whether keeping a boundary draw w with probability e^(-chi / (2 w))
-    (lambda > 0) or e^(-psi w / 2) (lambda < 0) accepts more often than ROU
-    (6e-6 at lambda = 0.3, chi = psi = 1e-8): the former accepts int h (c /
-    2)^a / Gamma(a), a = |lambda|, c = psi or chi, ROU int h / (2 h(m) (v+ - v-))."""
-    a = abs(lam)
-    if not 0.0 < a < 1.0:
-        return False
-    _, lh_m, v_lo, v_hi = _rou_envelope(lam, chi, psi)
-    c = psi if lam > 0 else chi
-    return v_hi > v_lo and np.log(2.0 * (v_hi - v_lo)) + lh_m + a * np.log(0.5 * c) - special.gammaln(a) > 0.0
-
-
 # below this expected acceptance a sampler is refused rather than run:
 # 4000 draws at 1e-4 take about 4e7 candidates
 _ACCEPTANCE_FLOOR = 1e-4
 
 
 def _log_acceptance(lam: float, chi: float, psi: float, thin: bool) -> float:
-    """Log of the share of its candidates the chosen sampler keeps: int h
-    (c / 2)^a / Gamma(a) when thinning, int h / (2 h(m) (v+ - v-)) for
-    ROU, with int h the inverse of the norming constant. +inf where
-    K_lambda(omega) overflows, as int h then does."""
+    """Log of the share of its candidates a sampler keeps: int h (c / 2)^a
+    / Gamma(a) when thinning a boundary draw (a = |lambda|, c = psi or
+    chi), int h / (2 h(m) (v+ - v-)) for ROU, with int h the inverse of
+    the norming constant. +inf where K_lambda(omega) overflows, as int h
+    then does, and for an empty ROU box."""
     try:
         _, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
     except NumericError:
@@ -184,18 +174,22 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
     """Draw n independent variates from GIG(lambda, chi, psi).
 
     Degenerate boundaries dispatch to the exact Gamma / Inverse Gamma
-    samplers. The interior uses mode-shifted ratio-of-uniforms, or
-    thinned boundary draws where they accept more often. NumericError
-    where the chosen sampler would keep fewer than 1e-4 of its
-    candidates (lambda = 0 with small chi psi), instead of running on.
+    samplers. In the interior the sampler is the one whose
+    ``_log_acceptance`` is larger: mode-shifted ratio-of-uniforms, or for
+    0 < |lambda| < 1 thinned boundary draws (ROU on a tie). NumericError
+    where that figure is below 1e-4 (lambda = 0 with small chi psi),
+    instead of running on.
     """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     if gig_validate(lam, chi, psi) != "interior":
         return _boundary_draws(lam, chi, psi, rng, n)
 
-    thin = _thinning_wins(lam, chi, psi)
-    log_acc = _log_acceptance(lam, chi, psi, thin)
+    log_acc, thin = _log_acceptance(lam, chi, psi, False), False
+    if 0.0 < abs(lam) < 1.0:
+        log_thin = _log_acceptance(lam, chi, psi, True)
+        if log_thin > log_acc:
+            log_acc, thin = log_thin, True
     if log_acc < np.log(_ACCEPTANCE_FLOOR):
         raise NumericError(
             f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: its "

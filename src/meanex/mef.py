@@ -49,11 +49,12 @@ sqrt(n) (e_n(u) - e(u)).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .types import Band, BandConstants, Grid, MefCurve, Sample, make_curve, make_grid
 
 if TYPE_CHECKING:
@@ -76,11 +77,21 @@ __all__ = [
 def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """For sorted values v: the count of the values above each threshold
     u, the sum of their excess over c = v[n // 2], and c. One reversed
-    cumsum of v - c in its own buffer, and one searchsorted."""
+    cumsum of v - c in its own buffer, and one searchsorted. NumericError
+    when a sum is past the double range; only a sample whose bound on the
+    sums, n max|v - c| with room for rounding, is past it takes that check."""
     c = v[v.size // 2]
     suffix = np.zeros(v.size + 1)  # suffix[k] = sum of v[k:] - c
-    tail = np.subtract(v[::-1], c, out=suffix[-2::-1])
-    np.cumsum(tail, out=tail)
+    tail = suffix[-2::-1]
+    if 2.0 * v.size * max(float(v[-1]) - float(c), float(c) - float(v[0])) < math.inf:
+        np.cumsum(np.subtract(v[::-1], c, out=tail), out=tail)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(np.subtract(v[::-1], c, out=tail), out=tail)
+        # an overflow leaves every later sum inf or NaN, and suffix[0] is the last
+        if not np.isfinite(suffix[0]):
+            raise NumericError(f"the sample's values, from {v[0]:g} to {v[-1]:g}, sum past the double range "
+                               f"about their middle value {c:g}")
     k = np.searchsorted(v, u, side="right")
     return v.size - k, suffix[k], c
 

@@ -82,7 +82,7 @@ def make_grid(points) -> Grid:
         raise InputError("grid must contain at least one point")
     if not np.all(np.isfinite(arr)):
         raise InputError("grid points must be finite")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
+    if not np.all(arr[1:] > arr[:-1]):
         raise InputError("grid points must be strictly increasing")
     return Grid(points=arr)
 

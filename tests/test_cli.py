@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -95,6 +96,41 @@ def test_emef_degenerate_sample_exit_3(tmp_path, capsys):
     path.write_text("5\n5\n5\n", encoding="utf-8")
     assert main(["emef", str(path)]) == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [
+    "-9e307 0 9e307 9e307",  # the sums of v - c about the middle value overflow
+    "-1e308 1e308 1.1e308",  # so do the neighbour differences of its grid
+])
+def test_emef_sample_summing_past_the_double_range_exit_3(values, tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text(values.replace(" ", "\n") + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["emef", str(path)]) == 3
+    assert caught == []
+    assert "past the double range" in capsys.readouterr().err
+
+
+def test_emef_sample_spanning_the_double_range_whose_sums_fit(tmp_path, capsys):
+    # v - c stays finite about the middle value 0, so the sums are checked
+    # and kept
+    path = tmp_path / "wide.txt"
+    path.write_text("-1e308\n0\n0\n1e308\n", encoding="utf-8")
+    assert main(["emef", str(path)]) == 0
+    assert capsys.readouterr().out == "u,e\n-1e+308,1.33333333333e+308\n0,1e+308\n"
+
+
+def test_two_main_calls_parse_with_one_parser(sample3, monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a: parsers.append(self) or parse_args(self, *a))
+    # the second call's defaults are its own, not the first call's options
+    assert main(["emef", sample3, "--grid", "2"]) == 0
+    assert main(["emef", sample3]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
+    assert capsys.readouterr().out == "u,e\n1,1.5\n2.96,0.04\nu,e\n1,1.5\n2,1\n"
 
 
 # ---------------------------------------------------------------------------

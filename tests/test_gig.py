@@ -7,7 +7,7 @@ import signal
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
 from meanex import dist_ppf, make_grid, parse_distribution_spec, std_cdf, std_survival, theoretical_mef_curve
@@ -289,13 +289,36 @@ def test_sample_rejects_invalid_domain():
         gig_sample(1.0, 1.0, 1.0, np.random.default_rng(0), -1)
 
 
-@pytest.mark.parametrize("triple", [(-0.5, 1e-8, 1e-8), (-0.5, 0.0026, 62.6), (0.5, 1e-4, 1.0)])
+def oracle_thinning_wins(lam, chi, psi):
+    """Whether keeping a boundary draw w with probability e^(-chi / (2 w))
+    (lambda > 0) or e^(-psi w / 2) (lambda < 0) accepts more often than ROU
+    (6e-6 at lambda = 0.3, chi = psi = 1e-8): the former accepts int h (c /
+    2)^a / Gamma(a), a = |lambda|, c = psi or chi, ROU int h / (2 h(m) (v+ - v-)).
+
+    The sampler choice from the terms in which the two acceptances differ,
+    with log h(m) uncentred and without the norming constant: gig_sample
+    compares the two whole ``_log_acceptance`` figures instead."""
+    a = abs(lam)
+    if not 0.0 < a < 1.0:
+        return False
+    _, lh_m, v_lo, v_hi = gig._rou_envelope(lam, chi, psi)
+    c = psi if lam > 0 else chi
+    return v_hi > v_lo and np.log(2.0 * (v_hi - v_lo)) + lh_m + a * np.log(0.5 * c) - special.gammaln(a) > 0.0
+
+
+THINNING_TRIPLES = [(-0.5, 1e-8, 1e-8), (-0.5, 0.0026, 62.6), (0.5, 1e-4, 1.0)]
+ACCEPTANCE_CASES = [
+    ((-0.5, 1.3, 2.7), False), ((0.0, 1e-3, 1e-3), False), ((0.01, 1e-8, 1e-8), True), ((-0.3, 1e-4, 1.0), True),
+]
+
+
+@pytest.mark.parametrize("triple", THINNING_TRIPLES)
 def test_sample_by_thinning_the_boundary_law(triple):
     # the ROU box accepts 1.5e-4 of its candidates at (-0.5, 1e-8, 1e-8).
     # GIG(-1/2, chi, psi) is the inverse Gaussian of mean sqrt(chi / psi)
     # and shape chi, scipy's invgauss(mean / chi, scale=chi); 1 / W is
     # GIG(-lambda, psi, chi)
-    assert gig._thinning_wins(*triple)
+    assert oracle_thinning_wins(*triple)
     lam, chi, psi = triple
     w = gig_sample(lam, chi, psi, np.random.default_rng(1), 20_000)
     if lam > 0:
@@ -312,15 +335,12 @@ def test_sample_extreme_mixing_parameters():
     assert w.mean() == pytest.approx(0.3, rel=0.01)
 
 
-@pytest.mark.parametrize(
-    "triple, thin",
-    [((-0.5, 1.3, 2.7), False), ((0.0, 1e-3, 1e-3), False), ((0.01, 1e-8, 1e-8), True), ((-0.3, 1e-4, 1.0), True)],
-)
+@pytest.mark.parametrize("triple, thin", ACCEPTANCE_CASES)
 def test_acceptance_matches_the_share_of_candidates_kept(triple, thin):
     # the expected acceptance, from the norming constant, against the share
     # of 400000 candidates that the sampler's own test keeps
     lam, chi, psi = triple
-    assert gig._thinning_wins(*triple) == thin
+    assert oracle_thinning_wins(*triple) == thin
     rng = np.random.default_rng(12)
     k = 400_000
     if thin:
@@ -336,6 +356,50 @@ def test_acceptance_matches_the_share_of_candidates_kept(triple, thin):
         kept[ok] = 2.0 * np.log(u[ok]) <= gig._log_h(w[ok], lam, chi, psi) - lh_m
     se = kept.std() / math.sqrt(k)
     assert math.exp(gig._log_acceptance(lam, chi, psi, thin)) == pytest.approx(kept.mean(), abs=5.0 * se)
+
+
+def choice_sweep():
+    """The seven triples above, then 200 seeded ones: lambda = 0, 0 < |lambda|
+    < 1 and 1 <= |lambda| <= 3 in turn, chi psi from 1e-300 up to 1e23."""
+    triples = THINNING_TRIPLES + [t for t, _ in ACCEPTANCE_CASES]
+    rng = np.random.default_rng(2310)
+    for i in range(200):
+        lam = [0.0, rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0)][i % 3]
+        log_prod = -300.0 + 323.0 * i / 199
+        tilt = rng.uniform(-8.0, 8.0)
+        triples.append((float(lam), 10.0 ** (0.5 * log_prod + tilt), 10.0 ** (0.5 * log_prod - tilt)))
+    return triples
+
+
+def test_sampler_that_runs_is_the_oracle_s_choice(monkeypatch):
+    # only thinning draws boundary-law candidates, so counting the calls of
+    # _boundary_draws on an interior law shows which sampler ran
+    calls = []
+    boundary_draws = gig._boundary_draws
+    monkeypatch.setattr(gig, "_boundary_draws", lambda *a: calls.append(a) or boundary_draws(*a))
+    ran = {True: 0, False: 0, "refused": 0}
+    for i, (lam, chi, psi) in enumerate(choice_sweep()):
+        calls.clear()
+        try:
+            gig._rou_envelope(lam, chi, psi)
+        except (RuntimeError, RuntimeWarning) as exc:
+            # the envelope's root search fails for lambda < -1 with small chi
+            # psi (brentq does not converge), and overflows at psi ~ 1e-154;
+            # the sampler, which needs it for either choice, fails alike
+            with pytest.raises(type(exc)):
+                gig_sample(lam, chi, psi, np.random.default_rng(i), 20)
+            continue
+        thin = oracle_thinning_wins(lam, chi, psi)
+        try:
+            w = gig_sample(lam, chi, psi, np.random.default_rng(i), 20)
+        except NumericError as exc:
+            assert not calls and ("thinning" if thin else "ratio-of-uniforms") in str(exc), (lam, chi, psi)
+            ran["refused"] += 1
+        else:
+            assert w.shape == (20,) and bool(calls) == thin, (lam, chi, psi)
+            ran[thin] += 1
+    # both samplers ran, and some laws were refused
+    assert min(ran.values()) >= 5, ran
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")

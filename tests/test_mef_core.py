@@ -11,6 +11,7 @@ from scipy import integrate
 
 from meanex import (
     DomainError,
+    InputError,
     NumericError,
     asymptotic_variance,
     band_constants,
@@ -136,6 +137,21 @@ def test_default_grid_degenerate_sample():
     s = make_sample([5.0, 5.0, 5.0])
     with pytest.raises(DomainError, match="degenerate sample"):
         default_grid(s)
+
+
+def test_grid_order_is_checked_without_differences():
+    # neighbours 2e308 apart: their difference overflows, their order does not
+    assert make_grid([-1e308, 1e308]).points.tolist() == [-1e308, 1e308]
+    assert make_grid([7.0]).points.tolist() == [7.0]
+    for points in ([1e308, -1e308], [1.0, 1.0]):
+        with pytest.raises(InputError, match="strictly increasing"):
+            make_grid(points)
+
+
+def test_empirical_mef_of_sums_past_the_double_range_raises():
+    s = make_sample([-9e307, 0.0, 9e307, 9e307])
+    with pytest.raises(NumericError, match="past the double range"):
+        empirical_mef(s, 0.0)
 
 
 # ---------------------------------------------------------------------------
