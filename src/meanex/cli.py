@@ -30,7 +30,6 @@ ingest run on numpy alone.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import warnings
@@ -392,10 +391,7 @@ def _add_common(p, *names):
         p.add_argument("--kind", choices=["simple", "gross"], default=None)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command tree, built once per process: every in-process ``main``
-    call parses with it, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="meanex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

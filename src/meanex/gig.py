@@ -26,7 +26,8 @@ double range. For 0 < |lambda| < 1 a second sampler draws from the
 boundary law (Gamma for lambda > 0, Inverse Gamma for lambda < 0) and
 thins. The expected acceptance of each sampler, the share of its
 candidates it keeps, comes from the norming constant (``_log_acceptance``),
-and the sampler whose acceptance is larger runs. A law whose figure is
+and the sampler whose acceptance is larger runs: the two are compared by
+the terms in which they differ (``_log_kept``). A law whose figure is
 below 1e-4 (lambda = 0 with small chi psi, where no boundary law can be
 thinned) is refused with NumericError. Rejection is vectorized.
 
@@ -151,23 +152,28 @@ def _boundary_draws(lam: float, chi: float, psi: float, rng: np.random.Generator
 _ACCEPTANCE_FLOOR = 1e-4
 
 
+def _log_kept(lam: float, chi: float, psi: float, thin: bool) -> float:
+    """The sampler's own term of ``_log_acceptance``: a log (c / 2) -
+    log Gamma(a) - omega when thinning, -log(2 h(m) e^omega (v+ - v-)) for
+    ROU (+inf for an empty box, which keeps every candidate). It leaves out
+    log int h + omega, which every sampler shares, so it stays finite where
+    K_lambda(omega), and int h with it, overflows."""
+    if thin:
+        c = psi if lam > 0 else chi
+        return abs(lam) * np.log(0.5 * c) - special.gammaln(abs(lam)) - np.sqrt(chi) * np.sqrt(psi)
+    _, _, s_hi, s_lo = _log_norm(lam, chi, psi)
+    m, _, v_lo, v_hi = _rou_envelope(lam, chi, psi)
+    with np.errstate(divide="ignore"):
+        return -_log_h_centred(m, lam, chi, psi, s_hi, s_lo) - np.log(2.0 * (v_hi - v_lo))
+
+
 def _log_acceptance(lam: float, chi: float, psi: float, thin: bool) -> float:
     """Log of the share of its candidates a sampler keeps: int h (c / 2)^a
     / Gamma(a) when thinning a boundary draw (a = |lambda|, c = psi or
     chi), int h / (2 h(m) (v+ - v-)) for ROU, with int h the inverse of
     the norming constant. +inf where K_lambda(omega) overflows, as int h
-    then does, and for an empty ROU box."""
-    try:
-        _, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
-    except NumericError:
-        return np.inf
-    if thin:
-        c = psi if lam > 0 else chi
-        om = np.sqrt(chi) * np.sqrt(psi)
-        return -log_norm - om + abs(lam) * np.log(0.5 * c) - special.gammaln(abs(lam))
-    m, _, v_lo, v_hi = _rou_envelope(lam, chi, psi)
-    with np.errstate(divide="ignore"):  # an empty box (v+ = v-) keeps every candidate
-        return -log_norm - _log_h_centred(m, lam, chi, psi, s_hi, s_lo) - np.log(2.0 * (v_hi - v_lo))
+    then does."""
+    return _log_kept(lam, chi, psi, thin) - _log_norm(lam, chi, psi)[1]
 
 
 def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -175,21 +181,18 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
 
     Degenerate boundaries dispatch to the exact Gamma / Inverse Gamma
     samplers. In the interior the sampler is the one whose
-    ``_log_acceptance`` is larger: mode-shifted ratio-of-uniforms, or for
-    0 < |lambda| < 1 thinned boundary draws (ROU on a tie). NumericError
-    where that figure is below 1e-4 (lambda = 0 with small chi psi),
-    instead of running on.
+    ``_log_acceptance`` is larger (compared by ``_log_kept``):
+    mode-shifted ratio-of-uniforms, or for 0 < |lambda| < 1 thinned
+    boundary draws (ROU on a tie). NumericError where that figure is
+    below 1e-4 (lambda = 0 with small chi psi), instead of running on.
     """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     if gig_validate(lam, chi, psi) != "interior":
         return _boundary_draws(lam, chi, psi, rng, n)
 
-    log_acc, thin = _log_acceptance(lam, chi, psi, False), False
-    if 0.0 < abs(lam) < 1.0:
-        log_thin = _log_acceptance(lam, chi, psi, True)
-        if log_thin > log_acc:
-            log_acc, thin = log_thin, True
+    thin = 0.0 < abs(lam) < 1.0 and _log_kept(lam, chi, psi, True) > _log_kept(lam, chi, psi, False)
+    log_acc = _log_acceptance(lam, chi, psi, thin)
     if log_acc < np.log(_ACCEPTANCE_FLOOR):
         raise NumericError(
             f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: its "
@@ -225,7 +228,7 @@ def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float, float, fl
     per parameter set, so a density call pays only its arithmetic. In the
     interior the factor is taken times e^(-omega), which
     ``_log_h_centred`` adds back, so it comes from the scaled Bessel
-    function with nothing added."""
+    function with nothing added; -inf where K_lambda(omega) overflows."""
     kind = gig_validate(lam, chi, psi)
     if kind == "gamma":
         return kind, lam * np.log(psi / 2.0) - special.gammaln(lam), 0.0, 0.0
@@ -234,8 +237,6 @@ def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float, float, fl
     om = np.sqrt(chi) * np.sqrt(psi)
     # (psi/chi)^(lam/2) / (2 e^-om K_lam(om))
     log_norm = 0.5 * lam * (np.log(psi) - np.log(chi)) - np.log(2.0) - np.log(bessel_k_scaled(lam, om))
-    if not np.isfinite(log_norm):
-        raise NumericError(f"gig norming constant out of double range: K_{lam:g}({om:g}) overflows")
     return kind, log_norm, *_centre(chi, psi)
 
 
@@ -243,6 +244,9 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     """Density of GIG(lambda, chi, psi), vectorized over w (0 outside
     support, and at +inf, where the formulas would give inf - inf)."""
     kind, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
+    if not np.isfinite(log_norm):
+        om = np.sqrt(chi) * np.sqrt(psi)
+        raise NumericError(f"gig norming constant out of double range: K_{lam:g}({om:g}) overflows")
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = (w > 0) & (w < np.inf)

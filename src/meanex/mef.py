@@ -83,6 +83,9 @@ def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     c = v[v.size // 2]
     suffix = np.zeros(v.size + 1)  # suffix[k] = sum of v[k:] - c
     tail = suffix[-2::-1]
+    # a sample whose sums may leave the double range takes the checked path:
+    # with np.errstate on every call, mc-protocol's wall time (7650 calls an
+    # op) read about 5% higher in alternated pairs
     if 2.0 * v.size * max(float(v[-1]) - float(c), float(c) - float(v[0])) < math.inf:
         np.cumsum(np.subtract(v[::-1], c, out=tail), out=tail)
     else:

@@ -113,24 +113,11 @@ def test_emef_sample_summing_past_the_double_range_exit_3(values, tmp_path, caps
 
 
 def test_emef_sample_spanning_the_double_range_whose_sums_fit(tmp_path, capsys):
-    # v - c stays finite about the middle value 0, so the sums are checked
-    # and kept
+    # v - c stays finite about the middle value 0, and so do its sums
     path = tmp_path / "wide.txt"
     path.write_text("-1e308\n0\n0\n1e308\n", encoding="utf-8")
     assert main(["emef", str(path)]) == 0
     assert capsys.readouterr().out == "u,e\n-1e+308,1.33333333333e+308\n0,1e+308\n"
-
-
-def test_two_main_calls_parse_with_one_parser(sample3, monkeypatch, capsys):
-    parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
-                        lambda self, *a: parsers.append(self) or parse_args(self, *a))
-    # the second call's defaults are its own, not the first call's options
-    assert main(["emef", sample3, "--grid", "2"]) == 0
-    assert main(["emef", sample3]) == 0
-    assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
-    assert capsys.readouterr().out == "u,e\n1,1.5\n2.96,0.04\nu,e\n1,1.5\n2,1\n"
 
 
 # ---------------------------------------------------------------------------
