@@ -47,8 +47,8 @@ import numpy as np
 from scipy import integrate, optimize, special, stats
 
 from .errors import DomainError, InputError, NumericError
-from .gh import GhParams, gh_bulk, gh_mean, gh_pdf_near, gh_sample, gh_validate
-from .gig import gig_bulk, gig_moment, gig_pdf, gig_sample, gig_validate
+from .gh import GhParams, gh_bulk, gh_mean, gh_pdf_near, gh_sample
+from .gig import gig_bulk, gig_moment, gig_pdf_near, gig_sample
 
 __all__ = [
     "DistributionSpec",
@@ -199,7 +199,8 @@ class _Frame:
     its draws, draw(rng, n) for n of them in draw order; and what
     quadrature needs beside the density: the support [lo, hi], a centre
     in the bulk, a length no wider than that bulk, and whether the
-    density has a pole at the centre."""
+    density has a pole at the centre. A GH or GIG law's family module
+    decides each of these (``gh_bulk``, ``gig_bulk``, ``*_pdf_near``)."""
 
     name: str
     pdf: object
@@ -254,6 +255,8 @@ class _InHouseLaw(stats.rv_continuous):
 
 @lru_cache(maxsize=256)
 def _frozen(spec: DistributionSpec):
+    """A standard family's frozen scipy law, or an ``_InHouseLaw`` over
+    the ``_Frame`` assembled from what ``gh`` or ``gig`` returns."""
     p = spec.as_dict()
     fam = spec.family
     if fam == "gpd":
@@ -284,20 +287,12 @@ def _frozen(spec: DistributionSpec):
         return stats.cauchy(loc=p["mu"], scale=p["delta"])
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
-        pole = gh_validate(gh) == "variance-gamma" and gh.lam <= 0.5  # K_(lam-1/2)(alpha |x - mu|)
-        frame = _Frame(fam, partial(gh_pdf_near, gh), partial(gh_sample, gh), -np.inf, np.inf, *gh_bulk(gh), pole)
+        frame = _Frame(fam, partial(gh_pdf_near, gh), partial(gh_sample, gh), -np.inf, np.inf, *gh_bulk(gh))
         return _InHouseLaw(frame, partial(gh_mean, gh))
     if fam == "gig":
-        lam, chi, psi = p["lambda"], p["chi"], p["psi"]
-        gig_validate(lam, chi, psi)
-        mode, scale = gig_bulk(lam, chi, psi)
-        # a Gamma law whose mode is 0, the lower end of its support, is
-        # centred at its mean 2 lambda / psi (its scale), so that F has mass
-        # below the centre and a small F keeps its relative accuracy
-        centre = mode if mode > 0.0 else scale
-        pdf = partial(_shifted, partial(gig_pdf, lam, chi, psi))
-        frame = _Frame(fam, pdf, partial(gig_sample, lam, chi, psi), 0.0, np.inf, centre, scale)
-        return _InHouseLaw(frame, partial(gig_moment, lam, chi, psi, 1))
+        gig = p["lambda"], p["chi"], p["psi"]
+        frame = _Frame(fam, partial(gig_pdf_near, *gig), partial(gig_sample, *gig), 0.0, np.inf, *gig_bulk(*gig))
+        return _InHouseLaw(frame, partial(gig_moment, *gig, 1))
     raise InputError(f"unknown family '{fam}'")
 
 
@@ -328,12 +323,6 @@ def _frame(spec: DistributionSpec) -> _Frame:
     lo, hi = law.support()
     iqr = law.ppf(0.75) - law.ppf(0.25)
     return _Frame(spec.family, pdf, draw, float(lo), float(hi), float(law.median()), float(iqr))
-
-
-def _shifted(pdf, x0, dx):
-    """pdf at x0 + dx, rounded as x0 + dx: a GIG law's only pole is at
-    0, where x0 + dx is dx."""
-    return pdf(x0 + dx)
 
 
 def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -586,11 +575,6 @@ def _check_mass(frame: _Frame) -> tuple[float, float]:
     return float(below), float(above)
 
 
-def _tail(frame: _Frame, x: float, upper: bool) -> float:
-    """F_bar(x) (upper) or F(x), one integral over that tail."""
-    return float(_integrate(frame, x, frame.hi) if upper else _integrate(frame, frame.lo, x))
-
-
 def _walk(frame: _Frame, x, upper: bool, mean=None):
     """F_bar (upper) or F at every point of x, the one builder of both;
     with the law's mean given (upper only), the pair of F_bar and the stop
@@ -645,7 +629,7 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
     outer end is at most q. Each step takes the gap from the tail at the
     step before; that difference is only good to about 3 epsrel of the
     last tail integral, so a step whose difference lands that close to q,
-    or below it, takes its tail as one integral instead. brentq then
+    or below it, takes a fresh tail from ``_walk`` instead. brentq then
     solves log T = log q in v inside the bracket, with T the outer end's
     tail plus the gap. Every integral is one interval of ``_integrate``.
     """
@@ -666,7 +650,7 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
             raise NumericError(f"no quantile at {q:g} for {frame.name}: its tail never falls that low")
         t -= float(_integrate(frame, a, b))
         if t - q <= 3.0 * _EPSREL * anchor:
-            anchor = t = _tail(frame, at(outer), upper)
+            anchor = t = float(_walk(frame, at(outer), upper))
             if t <= q:
                 break
         inner, outer = outer, 2.0 * outer

@@ -332,11 +332,12 @@ def gh_variance(params: GhParams) -> float:
     return w1 + params.beta ** 2 * (w2 - w1 * w1)
 
 
-def gh_bulk(params: GhParams) -> tuple[float, float]:
-    """A centre and a length no wider than the density's bulk.
+def gh_bulk(params: GhParams) -> tuple[float, float, bool]:
+    """A centre, a length no wider than the density's bulk, and whether
+    the density has a pole at the centre.
 
     The variance-gamma classes are centred on mu, where the density has
-    its kink or pole, with length 1/alpha. The others are
+    its kink, or for lam <= 1/2 its pole, with length 1/alpha. The others are
     centred on mu + beta m, m the mode of the mixing law, with length
     delta, shrunk to sqrt(delta/alpha) when alpha delta > 1 (a
     near-Gaussian core) and by sqrt(nu) for a Student core of
@@ -344,6 +345,7 @@ def gh_bulk(params: GhParams) -> tuple[float, float]:
     """
     kind, chi, psi = _mixing(params)
     if kind in ("variance-gamma", "skew-laplace"):
-        return params.mu, 1.0 / params.alpha
+        return params.mu, 1.0 / params.alpha, params.lam <= 0.5  # K_(lam-1/2)(alpha |x - mu|)
     centre = params.mu + params.beta * float(gig_mode(params.lam, chi, psi))
-    return centre, params.delta / float(np.sqrt(max(1.0, params.alpha * params.delta) * max(1.0, -2.0 * params.lam)))
+    shrink = max(1.0, params.alpha * params.delta) * max(1.0, -2.0 * params.lam)
+    return centre, params.delta / float(np.sqrt(shrink)), False

@@ -27,9 +27,11 @@ boundary law (Gamma for lambda > 0, Inverse Gamma for lambda < 0) and
 thins. The expected acceptance of each sampler, the share of its
 candidates it keeps, comes from the norming constant (``_log_acceptance``),
 and the sampler whose acceptance is larger runs: the two are compared by
-the terms in which they differ (``_log_kept``). A law whose figure is
-below 1e-4 (lambda = 0 with small chi psi, where no boundary law can be
-thinned) is refused with NumericError. Rejection is vectorized.
+the terms in which they differ (``_log_kept``); a ROU box that cannot
+be solved (chi or psi near the double range's floor) keeps nothing. A
+law whose figure is below 1e-4 (lambda = 0 with small chi psi, where no
+boundary law can be thinned) is refused with NumericError. Rejection is
+vectorized.
 
 The interior density writes its exponent as -(psi / (2 w)) (w - s)^2,
 s = sqrt(chi / psi), beside the scaled Bessel constant, so at large
@@ -47,7 +49,7 @@ from scipy import optimize, special
 from .bessel import bessel_k_scaled
 from .errors import DomainError, NumericError
 
-__all__ = ["gig_validate", "gig_sample", "gig_pdf", "gig_moment", "gig_mode", "gig_bulk"]
+__all__ = ["gig_validate", "gig_sample", "gig_pdf", "gig_pdf_near", "gig_moment", "gig_mode", "gig_bulk"]
 
 
 def gig_validate(lam: float, chi: float, psi: float) -> str:
@@ -79,13 +81,16 @@ def gig_mode(lam: float, chi: float, psi: float) -> float:
 
 
 def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
-    """The mode m and the width of the bulk around it: m / sqrt((psi m +
-    chi / m) / 2), the curvature scale of the log density at m; the mean
-    2 lambda / psi of a Gamma law whose mode is 0."""
+    """A centre, the mode m, and the bulk's width m / sqrt((psi m + chi /
+    m) / 2), the curvature scale of the log density at m; DomainError for
+    an invalid triple. A Gamma law whose mode is 0, the lower end of its
+    support, takes its mean 2 lambda / psi for both, so that F has mass
+    below the centre and a small F keeps its relative accuracy."""
+    gig_validate(lam, chi, psi)
     m = float(gig_mode(lam, chi, psi))
     if m > 0.0:
         return m, m / float(np.sqrt(0.5 * (psi * m + chi / m)))
-    return m, 2.0 * lam / psi
+    return (2.0 * lam / psi,) * 2
 
 
 def _log_h(w, lam, chi, psi):
@@ -115,29 +120,36 @@ def _log_h_centred(w, lam, chi, psi, s_hi, s_lo):
 def _rou_envelope(lam: float, chi: float, psi: float):
     """Mode, log h(mode) and the box bounds (v-, v+) for ratio-of-uniforms,
     solved once per parameter set: a Monte Carlo run draws many samples
-    from one law."""
-    m = gig_mode(lam, chi, psi)
-    lh_m = _log_h(m, lam, chi, psi)
+    from one law. None where the box cannot be solved: with chi or psi
+    near the double range's floor, 1 / psi or chi / w^2 divides by 0, or
+    the root search fails to bracket or converge. Floating-point warnings
+    are silenced: where w^2 or psi w overflows, g and log h take their
+    limits."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = gig_mode(lam, chi, psi)
+        lh_m = _log_h(m, lam, chi, psi)
 
-    def s(w):
-        # (w - m) * sqrt(h(w)/h(m))
-        return (w - m) * np.exp(0.5 * (_log_h(w, lam, chi, psi) - lh_m))
+        def s(w):
+            # (w - m) * sqrt(h(w)/h(m))
+            return (w - m) * np.exp(0.5 * (_log_h(w, lam, chi, psi) - lh_m))
 
-    def g(w):
-        # stationarity of (w - m)^2 h(w): 2 + (w - m) dlogh/dw = 0
-        return 2.0 + (w - m) * ((lam - 1.0) / w - 0.5 * psi + 0.5 * chi / (w * w))
+        def g(w):
+            # stationarity of (w - m)^2 h(w): 2 + (w - m) dlogh/dw = 0
+            return 2.0 + (w - m) * ((lam - 1.0) / w - 0.5 * psi + 0.5 * chi / (w * w))
 
-    hi = 2.0 * m + 1.0 / psi
-    while g(hi) > 0.0:
-        hi = 2.0 * hi + 1.0 / psi
-    w_plus = optimize.brentq(g, m, hi, xtol=1e-13 * max(m, 1.0), rtol=8.9e-16)
+        try:
+            hi = 2.0 * m + 1.0 / psi
+            while g(hi) > 0.0:
+                hi = 2.0 * hi + 1.0 / psi
+            w_plus = optimize.brentq(g, m, hi, xtol=1e-13 * max(m, 1.0), rtol=8.9e-16)
 
-    lo = 0.5 * m
-    while g(lo) > 0.0 and lo > 5e-324:
-        lo *= 0.5
-    w_minus = optimize.brentq(g, lo, m, xtol=5e-324, rtol=8.9e-16)
-
-    return m, lh_m, s(w_minus), s(w_plus)
+            lo = 0.5 * m
+            while g(lo) > 0.0 and lo > 5e-324:
+                lo *= 0.5
+            w_minus = optimize.brentq(g, lo, m, xtol=5e-324, rtol=8.9e-16)
+        except (ZeroDivisionError, RuntimeError, ValueError):
+            return None
+        return m, lh_m, s(w_minus), s(w_plus)
 
 
 def _boundary_draws(lam: float, chi: float, psi: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -155,14 +167,18 @@ _ACCEPTANCE_FLOOR = 1e-4
 def _log_kept(lam: float, chi: float, psi: float, thin: bool) -> float:
     """The sampler's own term of ``_log_acceptance``: a log (c / 2) -
     log Gamma(a) - omega when thinning, -log(2 h(m) e^omega (v+ - v-)) for
-    ROU (+inf for an empty box, which keeps every candidate). It leaves out
+    ROU (+inf for an empty box, which keeps every candidate, and -inf
+    for a box that cannot be solved, which keeps none). It leaves out
     log int h + omega, which every sampler shares, so it stays finite where
     K_lambda(omega), and int h with it, overflows."""
     if thin:
         c = psi if lam > 0 else chi
         return abs(lam) * np.log(0.5 * c) - special.gammaln(abs(lam)) - np.sqrt(chi) * np.sqrt(psi)
+    box = _rou_envelope(lam, chi, psi)
+    if box is None:
+        return -np.inf
     _, _, s_hi, s_lo = _log_norm(lam, chi, psi)
-    m, _, v_lo, v_hi = _rou_envelope(lam, chi, psi)
+    m, _, v_lo, v_hi = box
     with np.errstate(divide="ignore"):
         return -_log_h_centred(m, lam, chi, psi, s_hi, s_lo) - np.log(2.0 * (v_hi - v_lo))
 
@@ -172,8 +188,9 @@ def _log_acceptance(lam: float, chi: float, psi: float, thin: bool) -> float:
     / Gamma(a) when thinning a boundary draw (a = |lambda|, c = psi or
     chi), int h / (2 h(m) (v+ - v-)) for ROU, with int h the inverse of
     the norming constant. +inf where K_lambda(omega) overflows, as int h
-    then does."""
-    return _log_kept(lam, chi, psi, thin) - _log_norm(lam, chi, psi)[1]
+    then does, unless the sampler keeps nothing (-inf)."""
+    kept = _log_kept(lam, chi, psi, thin)
+    return kept if kept == -np.inf else kept - _log_norm(lam, chi, psi)[1]
 
 
 def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -183,8 +200,10 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
     samplers. In the interior the sampler is the one whose
     ``_log_acceptance`` is larger (compared by ``_log_kept``):
     mode-shifted ratio-of-uniforms, or for 0 < |lambda| < 1 thinned
-    boundary draws (ROU on a tie). NumericError where that figure is
-    below 1e-4 (lambda = 0 with small chi psi), instead of running on.
+    boundary draws (ROU on a tie). A ROU box that cannot be solved keeps
+    nothing, so such a law thins where it can. NumericError where the
+    chosen figure is below 1e-4 (lambda = 0 with small chi psi, or no
+    box and no thinning), instead of running on.
     """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
@@ -193,13 +212,15 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
 
     thin = 0.0 < abs(lam) < 1.0 and _log_kept(lam, chi, psi, True) > _log_kept(lam, chi, psi, False)
     log_acc = _log_acceptance(lam, chi, psi, thin)
+    box = _rou_envelope(lam, chi, psi)
     if log_acc < np.log(_ACCEPTANCE_FLOOR):
-        raise NumericError(
-            f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: its "
-            f"{'thinning' if thin else 'ratio-of-uniforms'} sampler would keep "
-            f"{np.exp(log_acc):.2g} of its candidates (floor {_ACCEPTANCE_FLOOR:g})"
-        )
-    m, lh_m, v_lo, v_hi = _rou_envelope(lam, chi, psi)
+        why = (f"its {'thinning' if thin else 'ratio-of-uniforms'} sampler would keep "
+               f"{np.exp(log_acc):.2g} of its candidates (floor {_ACCEPTANCE_FLOOR:g})")
+        if box is None:
+            why = "its ratio-of-uniforms box could not be solved" + (f", and {why}" if thin else "")
+        raise NumericError(f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: {why}")
+    if not thin:
+        m, lh_m, v_lo, v_hi = box
     out = np.empty(n, dtype=float)
     got = 0
     while got < n:
@@ -260,6 +281,12 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     else:
         out[pos] = np.exp(log_norm + _log_h_centred(wp, lam, chi, psi, s_hi, s_lo))
     return out
+
+
+def gig_pdf_near(lam: float, chi: float, psi: float, x0, dx) -> np.ndarray:
+    """Density at x0 + dx, rounded as x0 + dx: the density's only pole is
+    at 0, where x0 + dx is dx."""
+    return gig_pdf(lam, chi, psi, x0 + dx)
 
 
 def gig_moment(lam: float, chi: float, psi: float, k: int) -> float:

@@ -102,11 +102,15 @@ def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def _emef(u: np.ndarray, count: np.ndarray, total: np.ndarray, c, top) -> np.ndarray:
     """e_n at thresholds u from the exceedance counts, their sum centred on
     c, and the sample maximum top. Broadcasts: vectors for one sample; for
-    a block of replicates, a row each and a column of centres and maxima."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    a block of replicates, a row each and a column of centres and maxima.
+    NumericError when a mean excess is past the double range."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         e = total / count - (u - c)
     # no exceedance: 0 beyond the maximum, undefined (NaN) at it
-    return np.where(count == 0, np.where(u > top, 0.0, np.nan), e)
+    e = np.where(count == 0, np.where(u > top, 0.0, np.nan), e)
+    if np.isinf(e).any():
+        raise NumericError("a mean excess of the sample is past the double range")
+    return e
 
 
 def _emef_at(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

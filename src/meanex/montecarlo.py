@@ -176,8 +176,8 @@ def coverage_experiment(
     truth = theoretical_mef_curve(dist, grid).values
     sf_u1 = float(std_survival(dist, u1)) if oracle else None
     mabs = dist_mean_abs(dist) if oracle else None
-    if oracle and sf_u1 - constants.D1 / np.sqrt(sample_size) <= 0:
-        raise DomainError("band undefined: n too small for interval")
+    if oracle:
+        _band_en(sample_size, sf_u1, mabs, constants)  # DomainError where no replicate's band is defined
 
     root_n = np.sqrt(sample_size)
     covered, defined, en_sum, hw_sum = 0, 0, 0.0, 0.0

@@ -101,6 +101,7 @@ def test_emef_degenerate_sample_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("values", [
     "-9e307 0 9e307 9e307",  # the sums of v - c about the middle value overflow
     "-1e308 1e308 1.1e308",  # so do the neighbour differences of its grid
+    "-1.7e308 0 0 1.7e308",  # the sums fit, but e(-1.7e308) = 2.27e308 does not
 ])
 def test_emef_sample_summing_past_the_double_range_exit_3(values, tmp_path, capsys):
     path = tmp_path / "wide.txt"

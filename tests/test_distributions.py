@@ -34,6 +34,8 @@ from meanex import (
     theoretical_mef,
 )
 from meanex.distributions import FAMILIES, _frame, _frozen, _integrate
+from meanex.gh import gh_validate
+from meanex.gig import gig_mode, gig_validate
 
 # one representative parameterization per family
 REPRESENTATIVES = [
@@ -409,6 +411,77 @@ def test_extreme_gh_laws_are_right_or_refused(text):
     assert x.mean() == pytest.approx(dist_mean(same), abs=4.0 * x.std() / math.sqrt(x.size))
     var = gh_variance(GhParams(*(v for _, v in same.params))) if same.family == "gh" else _frozen(same).var()
     assert x.var() == pytest.approx(var, rel=0.05)
+
+
+def oracle_frame_fields(d):
+    """centre, scale and pole of a GH or GIG law's frame, worked out apart
+    from ``gh_bulk`` and ``gig_bulk``: the pole from the GH class and
+    lambda, and a GIG law centred at its mode, or at its scale when the
+    mode is 0."""
+    p = [v for _, v in d.params]
+    if d.family == "gh":
+        gh = GhParams(*p)
+        kind = gh_validate(gh)
+        pole = kind == "variance-gamma" and gh.lam <= 0.5
+        if kind in ("variance-gamma", "skew-laplace"):
+            return gh.mu, 1.0 / gh.alpha, pole
+        chi = gh.delta ** 2
+        psi = 0.0 if kind in ("student", "cauchy", "skew-student") else gh.alpha ** 2 - gh.beta ** 2
+        centre = gh.mu + gh.beta * float(gig_mode(gh.lam, chi, psi))
+        return centre, gh.delta / float(np.sqrt(max(1.0, gh.alpha * gh.delta) * max(1.0, -2.0 * gh.lam))), pole
+    lam, chi, psi = p
+    mode = float(gig_mode(lam, chi, psi))
+    scale = mode / float(np.sqrt(0.5 * (psi * mode + chi / mode))) if mode > 0.0 else 2.0 * lam / psi
+    return (mode if mode > 0.0 else scale), scale, False
+
+
+def frame_specs():
+    """220 seeded GH and GIG laws, 20 of each GH class (variance-gamma at
+    lambda <= 1/2 and > 1/2 apart) and of each GIG class (Gamma with its
+    mode at 0 and above 0 apart)."""
+    rng = np.random.default_rng(2404)
+    u = rng.uniform
+    gh_draws = {
+        "interior": lambda: (u(-3, 3), 2.0, u(-1.9, 1.9), u(0.01, 3)),
+        "hyperbolic": lambda: (1.0, 2.0, u(-1.9, 1.9), u(0.01, 3)),
+        "nig": lambda: (-0.5, u(0.5, 80), 0.4 * u(-1, 1), u(0.001, 2)),
+        "vg-pole": lambda: (rng.choice([0.5, u(0.01, 0.5)]), u(0.5, 5), 0.4 * u(-1, 1), 0.0),
+        "vg-kink": lambda: (u(0.51, 4), u(0.5, 5), 0.4 * u(-1, 1), 0.0),
+        "skew-laplace": lambda: (1.0, u(0.5, 5), 0.4 * u(-1, 1), 0.0),
+        "student": lambda: (u(-4, -0.6), 0.0, 0.0, u(0.1, 3)),
+        "skew-student": lambda: (u(-4, -0.1), *(2 * [u(0.1, 2)]), u(0.1, 3)),
+        "cauchy": lambda: (-0.5, 0.0, 0.0, u(0.1, 3)),
+    }
+    gig_draws = {
+        "interior": lambda: (u(-3, 3), 10 ** u(-4, 3), 10 ** u(-4, 3)),
+        "gamma-mode-0": lambda: (rng.choice([1.0, u(0.05, 1)]), 0.0, 10 ** u(-2, 2)),
+        "gamma": lambda: (u(1.01, 5), 0.0, 10 ** u(-2, 2)),
+        "inverse-gamma": lambda: (u(-5, -0.05), 10 ** u(-2, 2), 0.0),
+    }
+    for draw in gh_draws.values():
+        for _ in range(20):
+            lam, alpha, beta, delta = draw()
+            yield make_spec("gh", **{"lambda": float(lam), "alpha": alpha, "beta": beta, "delta": delta, "mu": u(-1, 1)})
+    for draw in gig_draws.values():
+        for _ in range(20):
+            lam, chi, psi = draw()
+            yield make_spec("gig", **{"lambda": float(lam), "chi": chi, "psi": psi})
+
+
+def test_in_house_frames_match_oracle_rules():
+    # gh_bulk and gig_bulk decide the pole and the centre; the oracle
+    # works them out from the class and the mode
+    classes = set()
+    for d in frame_specs():
+        frame = _frame(d)
+        assert (frame.centre, frame.scale, frame.pole) == oracle_frame_fields(d), d
+        p = [v for _, v in d.params]
+        if d.family == "gh":
+            classes.add((gh_validate(GhParams(*p)), frame.pole))
+        else:
+            classes.add((gig_validate(*p), gig_mode(*p) > 0.0))
+    # the variance-gamma class with and without its pole, Gamma with its mode at 0 and above
+    assert len(classes) == 13, classes
 
 
 @pytest.mark.parametrize("text", IN_HOUSE_LAWS)

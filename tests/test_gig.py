@@ -187,8 +187,8 @@ def test_mode_near_the_gamma_boundary():
 @pytest.mark.parametrize("lam, psi", [(0.5, 2.0), (1.0, 2.0), (0.5, 0.3)])
 def test_gamma_law_with_mode_zero_matches_scipy(lam, psi):
     # chi = 0 and lambda <= 1 put the mode at 0, so gig_bulk takes the
-    # mean 2 lambda / psi as the bulk's width
-    assert gig.gig_bulk(lam, 0.0, psi) == (0.0, 2.0 * lam / psi)
+    # mean 2 lambda / psi as the centre and as the bulk's width
+    assert gig.gig_bulk(lam, 0.0, psi) == (2.0 * lam / psi, 2.0 * lam / psi)
     spec = parse_distribution_spec(f"gig(lambda={lam},chi=0,psi={psi})")
     law = stats.gamma(a=lam, scale=2.0 / psi)
     u = law.ppf([0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
@@ -389,12 +389,9 @@ def test_sampler_that_runs_is_the_oracle_s_choice(monkeypatch):
     ran = {True: 0, False: 0, "refused": 0}
     for i, (lam, chi, psi) in enumerate(choice_sweep()):
         calls.clear()
-        try:
-            gig._rou_envelope(lam, chi, psi)
-        except (RuntimeError, RuntimeWarning):
-            # a known defect, not the choice under test: the envelope's root
-            # search fails for lambda < -1 with small chi psi (brentq does not
-            # converge) and overflows at psi ~ 1e-154, and either choice needs it
+        if gig._rou_envelope(lam, chi, psi) is None:
+            # the oracle needs the box; test_law_whose_box_cannot_be_solved_draws_or_is_refused
+            # takes these laws
             continue
         thin = oracle_thinning_wins(lam, chi, psi)
         try:
@@ -407,6 +404,34 @@ def test_sampler_that_runs_is_the_oracle_s_choice(monkeypatch):
             ran[thin] += 1
     # both samplers ran, and some laws were refused
     assert min(ran.values()) >= 5, ran
+
+
+def test_law_whose_box_cannot_be_solved_draws_or_is_refused(monkeypatch):
+    # the ROU box of these laws cannot be solved: chi / w^2 or 1 / psi
+    # divides by 0, or brentq does not converge (lambda < -1, small chi
+    # psi). The box keeps nothing, so a law thins where that passes the
+    # floor and is refused otherwise. The three named laws raised
+    # ZeroDivisionError, RuntimeError and an overflow RuntimeWarning; the
+    # last one's box solves with its warnings silenced
+    calls = []
+    boundary_draws = gig._boundary_draws
+    monkeypatch.setattr(gig, "_boundary_draws", lambda *a: calls.append(a) or boundary_draws(*a))
+    named = [(0.97, 1e-300, 1e-20), (-1.2, 1e-40, 1e-80), (0.0, 5.85e-147, 1.71e-154)]
+    ran = {"drew": 0, "refused": 0}
+    for i, (lam, chi, psi) in enumerate(named + choice_sweep()):
+        box = gig._rou_envelope(lam, chi, psi)
+        if i >= len(named) and box is not None:
+            continue
+        calls.clear()
+        try:
+            w = gig_sample(lam, chi, psi, np.random.default_rng(i), 20)
+        except NumericError as exc:
+            assert box is not None or "box could not be solved" in str(exc), (lam, chi, psi)
+            ran["refused"] += 1
+        else:
+            assert w.shape == (20,) and np.all(w > 0.0) and (box is not None or calls), (lam, chi, psi)
+            ran["drew"] += 1
+    assert min(ran.values()) >= 1, ran
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
