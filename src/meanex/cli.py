@@ -68,10 +68,10 @@ FULL_SIZE = 4000  # full-protocol sample size
 
 
 def _parse_file(path, parse):
-    """parse(fh) of the UTF-8 text file at path, a leading byte-order mark
-    dropped; InputError if it is not one."""
+    """parse(fh) of the UTF-8 text file at path; InputError if it is not
+    one. A byte-order mark is left to the reader of the file's format."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return parse(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
@@ -96,7 +96,7 @@ def _loadtxt(lines):
 
 
 def _is_header(line):
-    """Whether the line loop skips line, read first, as a header: its
+    """Whether a sample file's first line is skipped as a header: its
     first field is not blank and ``float`` rejects it."""
     tok = _first_field(line)
     try:
@@ -108,32 +108,30 @@ def _is_header(line):
 
 def _sample_values(path):
     """The first comma field of each line of the sample file at path, in
-    file order. Lines are split by ``str.splitlines``; blank fields are
-    skipped, and a non-numeric first line is skipped as a header.
+    file order. One leading byte-order mark is dropped, and lines are
+    split by ``str.splitlines``; blank fields are skipped, and a first
+    line ``_is_header`` takes is skipped as a header.
 
-    ``np.loadtxt`` parses the split lines in one C call (on the file
-    handle it would not split at form feeds or U+2028), past the header
-    line if there is one. It reads every token it accepts to the bits
-    ``float`` gives, and accepts no token ``float`` rejects. Where it
-    raises or reads nothing (a blank field, ``1_000``, non-ASCII digits,
-    no number), the line loop reads the file and words every error."""
-    lines = _parse_file(path, lambda fh: fh.read().splitlines())
-    values = _loadtxt(lines)
-    if values is None and lines and _is_header(lines[0]):
-        values = _loadtxt(lines[1:])
+    ``np.loadtxt`` parses the lines past the header in one C call (on the
+    file handle it would not split at form feeds or U+2028). It reads
+    every token it accepts to the bits ``float`` gives, and accepts no
+    token ``float`` rejects. Where it raises or reads nothing (a blank
+    field, ``1_000``, non-ASCII digits, no number), the line loop reads
+    the same lines and words every error."""
+    lines = _parse_file(path, lambda fh: fh.read().removeprefix("\ufeff").splitlines())
+    start = 1 if lines and _is_header(lines[0]) else 0
+    values = _loadtxt(lines[start:])
     if values is not None:
         return values
     values = []
-    for i, line in enumerate(lines):
+    for i, line in enumerate(lines[start:], start=start + 1):
         tok = _first_field(line)
         if not tok:
             continue
         try:
             values.append(float(tok))
         except ValueError:
-            if i == 0 and not values:
-                continue  # header line
-            raise InputError(f"{path}: line {i + 1} is not a number: {line!r}")
+            raise InputError(f"{path}: line {i} is not a number: {line!r}")
     if not values:
         raise InputError(f"{path}: no numeric values")
     return np.array(values, dtype=float)

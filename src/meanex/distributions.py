@@ -437,7 +437,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
       log(width / w), so a density that goes as a power of the distance
       to the anchor becomes e^(k s). The density is asked for as
       pdf(anchor, dx), which keeps every digit of dx at a pole; next to
-      an end other than 0, s starts where x is 2^20 ulps from the end;
+      an end, s starts where x is 2^20 ulps from the end, an ulp counted
+      as at least the smallest normal double;
     - any other piece no wider than w: linearly;
     - a wider one: x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer
       c, so the bulk stays on the scale w near s = 0 and a power tail
@@ -475,11 +476,12 @@ def _integrate(frame: _Frame, a, b, ref=None):
     with np.errstate(divide="ignore"):
         log_width = np.log(width / w)
         # pdf(x0, dx) keeps every digit of dx next to a pole at the centre;
-        # next to an end of the support other than 0 the points stay 2^20
-        # ulps of the end away from it, and a piece with no room for that
-        # is not mapped from its anchor
-        floor = np.where(pole_lo | pole_hi, -np.inf,
-                         np.log(np.spacing(np.abs(np.where(at_lo, lo, hi))) * 2.0 ** 20 / w))
+        # next to an end of the support the points stay 2^20 ulps of the
+        # end, and at least 2^20 smallest normal doubles, away from it (so
+        # no density is read at subnormal spacing next to 0), and a piece
+        # with no room for that is not mapped from its anchor
+        ulp = np.maximum(np.spacing(np.abs(np.where(at_lo, lo, hi))), _TINY)
+        floor = np.where(pole_lo | pole_hi, -np.inf, np.log(ulp * 2.0 ** 20 / w))
     inner = (at_lo | at_hi) & (floor < log_width - 2.0)
     lin = ~inner & (width <= w)
     up = np.where(inner, at_lo, lin | (lo >= c))  # dx runs up from lo, else down from hi

@@ -263,7 +263,8 @@ def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float, float, fl
 
 def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     """Density of GIG(lambda, chi, psi), vectorized over w (0 outside
-    support, and at +inf, where the formulas would give inf - inf)."""
+    support, and at +inf, where the formulas would give inf - inf; 0 with
+    no warning where log h overflows to -inf)."""
     kind, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
     if not np.isfinite(log_norm):
         om = np.sqrt(chi) * np.sqrt(psi)
@@ -279,7 +280,8 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     elif kind == "inverse-gamma":
         out[pos] = np.exp(log_norm - (1.0 - lam) * np.log(wp) - 0.5 * chi / wp)
     else:
-        out[pos] = np.exp(log_norm + _log_h_centred(wp, lam, chi, psi, s_hi, s_lo))
+        with np.errstate(over="ignore"):  # d * d overflows far from s, where exp(-inf) is the 0 wanted
+            out[pos] = np.exp(log_norm + _log_h_centred(wp, lam, chi, psi, s_hi, s_lo))
     return out
 
 

@@ -4,9 +4,9 @@ Input format: CSV with header exactly
 
     date,open,high,low,close,volume
 
-Dates in the form YYYY-MM-DD and nothing else (surrounding whitespace
-is ignored; 20240131 or 2024-W05-4 are refused on every Python),
-positive prices satisfying
+Dates in the form YYYY-MM-DD from year 0001 and nothing else (surrounding
+whitespace is ignored; 20240131, 2024-W05-4 and 0000-01-01 are refused
+on every Python), positive prices satisfying
 low <= min(open, close) <= max(open, close) <= high, nonnegative volume.
 Duplicate dates are rejected; records are sorted by date on ingest.
 Empty and whitespace-only rows are skipped. Errors carry the 1-based
@@ -15,15 +15,15 @@ data row number of the first bad row in file order.
 A str is read in one C pass where it is plain (no quote, no CR and no
 U+001C-U+001F, six comma fields on every row): its five number columns
 come from one ``np.loadtxt`` call, which reads every token it takes to
-the bits Python's float gives. Text the C pass declines, and any stream
-or other iterable of lines, takes the csv path: one loop over the
-``csv.reader`` rows in file order, each number read with float, which
-stops at the first row whose field count, date or numbers are bad and
-words that error. Both paths hand their columns to one set of column
-checks, so a file gives the same series or the same error on either. A
-PriceSeries stores the sorted dates as one datetime64[D] array and the
-five fields as one read-only 5 x n float array; ``records`` builds the
-per-row OhlcvRecord view on demand.
+the bits Python's float gives, and its dates from one regex call. Text
+the C pass declines, and any stream or other iterable of lines, takes
+the csv path: one loop over the ``csv.reader`` rows in file order, each
+number read with float, which stops at the first row whose field count,
+date or numbers are bad and words that error. Both paths hand their
+columns to one set of column checks, so a file gives the same series or
+the same error on either. A PriceSeries stores the sorted dates as one
+datetime64[D] array and the five fields as one read-only 5 x n float
+array; ``records`` builds the per-row OhlcvRecord view on demand.
 
 Returns are computed from closes: gross R_t = P_t / P_{t-1}, simple
 R_t - 1, and log returns log(P_t / P_{t-1}), so a series of m records
@@ -114,20 +114,20 @@ class PriceSeries:
         return hash((self.symbol, self.records))
 
 
-# a date token, once stripped, must read YYYY-MM-DD in ASCII digits: Python
-# 3.11's date.fromisoformat alone would also take 20240131 and 2024-W05-4
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
-_EPOCH = _date(1970, 1, 1).toordinal()
+# a date token, once stripped, is a line that reads YYYY-MM-DD in ASCII
+# digits from year 0001: Python 3.11's date.fromisoformat alone would also
+# take 20240131 and 2024-W05-4, and numpy's datetime64 year 0000
+_DATE = re.compile(r"^(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}$", re.MULTILINE)
 
 
 def _days(tokens) -> np.ndarray:
-    """datetime64[D] days of YYYY-MM-DD date tokens; ValueError when a
-    token has another form or names no date."""
+    """datetime64[D] days of the C pass's date tokens, checked in one
+    regex call over the tokens joined at LF; ValueError when a token has
+    another form or names no date."""
     stripped = list(map(str.strip, tokens))
-    if not all(map(_ISO_DATE, stripped)):
+    if len(_DATE.findall("\n".join(stripped))) != len(stripped):
         raise ValueError("date not in YYYY-MM-DD form")
-    ordinals = np.array(list(map(_date.toordinal, map(_date.fromisoformat, stripped))), dtype=np.int64)
-    return (ordinals - _EPOCH).astype("datetime64[D]")
+    return np.array(stripped, dtype="datetime64[D]")
 
 
 def _is_header(fields) -> bool:
@@ -192,7 +192,7 @@ def _csv_columns(reader):
         rows = list(reader)
     except csv.Error as exc:  # a lone carriage return, a field over csv's size limit
         raise InputError(f"line {reader.line_num}: malformed CSV: {exc}") from None
-    ordinals, numbers, rownums, error = [], [], [], None
+    dates, numbers, rownums, error = [], [], [], None
     for rownum, row in enumerate(rows, start=1):
         if not "".join(row).strip():  # empty and whitespace-only rows are skipped
             continue
@@ -202,7 +202,7 @@ def _csv_columns(reader):
             break
         token = row[0].strip()
         try:
-            if not _ISO_DATE(token):
+            if not _DATE.fullmatch(token):
                 raise ValueError
             day = _date.fromisoformat(token)
         except ValueError:
@@ -211,14 +211,13 @@ def _csv_columns(reader):
         try:
             numbers.extend(map(float, row[1:]))
         except ValueError:
-            del numbers[5 * len(ordinals):]  # the bad row's numbers before its bad one
+            del numbers[5 * len(dates):]  # the bad row's numbers before its bad one
             error = "non-numeric price or volume"
             break
-        ordinals.append(day.toordinal())
+        dates.append(day)
     if not rownums:
         raise InputError("no records")
-    days = (np.array(ordinals, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
-    return days, np.array(numbers, dtype=float).reshape(-1, 5).T, rownums, error
+    return np.array(dates, dtype="datetime64[D]"), np.array(numbers, dtype=float).reshape(-1, 5).T, rownums, error
 
 
 def _checked(days, values, rownums, error=None, symbol=""):
@@ -251,15 +250,15 @@ def _checked(days, values, rownums, error=None, symbol=""):
 def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
     """Parse OHLCV CSV from a string or text stream into a PriceSeries.
 
-    One leading byte-order mark is dropped. A str takes the C pass, and
-    the csv path's row loop only where the C pass declines it; a stream
-    or other iterable of lines always takes the row loop. The columns
-    read are then checked a column at a time. Each check runs over the
-    rows before the first bad row found so far, in the order the checks
-    apply within a row (field count, date, numbers, finiteness, positive
-    prices, volume, price bounds, duplicate date), so the InputError
-    names the first bad row in file order and the first check that row
-    fails."""
+    One leading byte-order mark is dropped, and a second is part of the
+    header. A str takes the C pass, and the csv path's row loop only
+    where the C pass declines it; a stream or other iterable of lines
+    always takes the row loop. The columns read are then checked a
+    column at a time. Each check runs over the rows before the first bad
+    row found so far, in the order the checks apply within a row (field
+    count, date, numbers, finiteness, positive prices, volume, price
+    bounds, duplicate date), so the InputError names the first bad row
+    in file order and the first check that row fails."""
     if isinstance(text_or_stream, str):
         text = text_or_stream.removeprefix("\ufeff")
         columns = _c_columns(text)

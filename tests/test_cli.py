@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanex import cli, dist_isf, dist_ppf, parse_distribution_spec, std_pdf, std_sample
+from meanex import InputError, cli, dist_isf, dist_ppf, parse_distribution_spec, parse_ohlcv_csv, std_pdf, std_sample
 from meanex.cli import build_parser, main
 from meanex.serialize import fmt, table
 
@@ -138,9 +138,10 @@ def test_emef_sample_spanning_the_double_range_whose_sums_fit(tmp_path, capsys):
         "x\n1_0e-1\n\u0662\n3\n",  # tokens only float() reads
         "\ufeff1\n2\n3\n",  # a byte-order mark is not part of the first value
         "\ufeffvalue\n1\n2\n3\n",  # nor of the header
+        "\ufeff\ufeff0\n1\n2\n3\n",  # a second mark is data: its line is a header
     ],
     ids=["plain", "header", "blank_lines", "second_column", "mixed", "form_feed", "line_separators", "float_only",
-         "byte_order_mark", "byte_order_mark_header"],
+         "byte_order_mark", "byte_order_mark_header", "two_byte_order_marks"],
 )
 def test_sample_file_reads_first_column(tmp_path, capsys, text):
     path = tmp_path / "s.txt"
@@ -448,6 +449,17 @@ def test_ingest_reads_file_with_byte_order_mark(tmp_path):
         assert main(["ingest", data, "--log-returns", "--csv", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["compare", "--dist", "normal(mu=0,sigma=0.02)", "--data"]])
+def test_ohlcv_file_behind_two_byte_order_marks_exit_2(tmp_path, capsys, command):
+    # parse_ohlcv_csv drops one mark, and the command line drops none of its own
+    path = tmp_path / "two-marks.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + open(FIXTURE, "rb").read())
+    with pytest.raises(InputError, match="bad header") as raised:
+        parse_ohlcv_csv(path.read_text(encoding="utf-8"))
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 def test_ingest_not_utf8_exit_2(tmp_path, capsys):

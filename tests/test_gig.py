@@ -129,6 +129,12 @@ def test_pdf_zero_at_infinity(triple):
     assert gig_pdf(*triple, np.inf) == 0.0
 
 
+def test_pdf_is_zero_without_warning_where_log_h_overflows():
+    # (w - s) / sqrt(w) is about 1e150 s at w = 1e-300: its square overflows,
+    # and exp(-inf) is the density there
+    assert np.array_equal(gig_pdf(0.5, 1221.87, 3.427e-6, np.array([1e-300, 5.5e-300, 1e-299])), [0.0, 0.0, 0.0])
+
+
 def test_pdf_matches_scipy():
     # scipy's geninvgauss(p, b) is GIG(p, chi=b*scale, psi=b/scale)
     lam, chi, psi = 1.4, 0.9, 2.3
@@ -211,6 +217,18 @@ def test_gamma_class_lower_tail_keeps_relative_accuracy(lam, psi):
     spec = parse_distribution_spec(f"gig(lambda={lam},chi=0,psi={psi})")
     law = stats.gamma(a=lam, scale=2.0 / psi)
     q = np.logspace(-2, -30, 15)
+    x = law.ppf(q)
+    np.testing.assert_allclose([dist_ppf(spec, v) for v in q], x, rtol=GAMMA_CLASS_RTOL, atol=0.0)
+    np.testing.assert_allclose(std_cdf(spec, x), law.cdf(x), rtol=GAMMA_CLASS_RTOL, atol=0.0)
+
+
+def test_gamma_class_quantile_near_the_subnormal_range():
+    # ppf(1e-15) is 1.67e-300: the piece anchored at 0 started its log map
+    # 2^20 ulps of 0 above it, a subnormal, where the density's points are
+    # coarse and its rest below the map did not read as a power
+    spec = parse_distribution_spec("gig(lambda=0.05,chi=0,psi=0.7)")
+    law = stats.gamma(a=0.05, scale=2.0 / 0.7)
+    q = np.array([1e-2, 1e-5, 1e-9, 1e-12, 1e-15])
     x = law.ppf(q)
     np.testing.assert_allclose([dist_ppf(spec, v) for v in q], x, rtol=GAMMA_CLASS_RTOL, atol=0.0)
     np.testing.assert_allclose(std_cdf(spec, x), law.cdf(x), rtol=GAMMA_CLASS_RTOL, atol=0.0)
