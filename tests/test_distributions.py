@@ -330,6 +330,38 @@ def test_sampler_cases_cover_every_family():
 
 
 @pytest.mark.parametrize("text", SAMPLER_CASES)
+def test_edges_of_support_and_unit_interval(text):
+    # F and F_bar are 0 or 1 outside the support and at +-inf, and NaN at
+    # NaN; q = 0 and q = 1 give the ends of the support, and q outside
+    # [0, 1] or NaN gives NaN. Arrays keep their shape, a scalar comes back
+    # as a float64, and the points inside reach F as they would alone
+    d = parse_distribution_spec(text)
+    lo, hi = dist_support(d)
+    below = lo - 1.0 if np.isfinite(lo) else -np.inf
+    above = hi + 1.0 if np.isfinite(hi) else np.inf
+    a, b = std_sample(d, np.random.default_rng(1), 2)
+    x = np.array([[below, np.nan, -np.inf, a], [above, np.nan, np.inf, b]])
+    for call, outer in ((std_cdf, (0.0, 1.0)), (std_survival, (1.0, 0.0))):
+        values = call(d, x)
+        assert values.shape == x.shape and values.dtype == np.float64
+        assert values[0, [0, 2]].tolist() == [outer[0]] * 2
+        assert values[1, [0, 2]].tolist() == [outer[1]] * 2
+        assert np.isnan(values[:, 1]).all()
+        assert np.all((values[:, 3] > 0.0) & (values[:, 3] < 1.0))
+        assert values[:, 3].tobytes() == call(d, x[:, 3]).tobytes()
+        for v in (below, above, np.nan, a):
+            assert type(call(d, v)) is np.float64
+    assert std_cdf(d, np.array([[above]])).shape == (1, 1)
+    for call, ends in ((dist_ppf, (lo, hi)), (dist_isf, (hi, lo))):
+        assert [call(d, 0.0), call(d, 1.0)] == list(ends)
+        assert all(math.isnan(call(d, q)) for q in (1.5, -0.5, np.nan))
+    if d.family == "gh":
+        assert dist_ppf(d, 0.0) == dist_isf(d, 1.0) == -np.inf
+    if d.family == "gig":
+        assert (std_cdf(d, -1.0), std_survival(d, -1.0), dist_ppf(d, 0.0), dist_isf(d, 1.0)) == (0.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("text", SAMPLER_CASES)
 def test_sampler_matches_scipy_rvs(text):
     # std_sample skips scipy's rvs wrapper; the public rvs is the oracle
     d = parse_distribution_spec(text)
