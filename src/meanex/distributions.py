@@ -2,10 +2,11 @@
 curves, plus the generalized hyperbolic and generalized inverse Gaussian
 laws, behind one text format.
 
-Every family is a scipy law. The standard families are scipy's own
-frozen distributions. GH and GIG are one ``rv_continuous`` subclass over
-the in-house density, mean and sampler of ``gh`` / ``gig``. Every
-integral of a density, GH/GIG F, F_bar and quantiles among them, is one
+Each law resolves once into a ``_Frame``, whose hooks give its density,
+draws, F, F_bar, quantiles and mean. A standard family's hooks are its
+frozen scipy law's methods. GH and GIG take their density, mean and
+sampler from ``gh`` / ``gig``, F and F_bar from the gap walker (``_walk``)
+and quantiles from ``_quantile``. Every integral of a density is one
 checked quadrature path (``_integrate``): all intervals of a walk over a
 grid go into one ``scipy.integrate.cubature`` call, which evaluates the
 density at a region's nodes for all intervals as one array, each
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -194,13 +195,15 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 
 @dataclass(frozen=True)
 class _Frame:
-    """What meanex computes from a law directly, resolved once per law:
-    its density, called as pdf(x0, dx) for the density at x0 + dx, and
-    its draws, draw(rng, n) for n of them in draw order; and what
-    quadrature needs beside the density: the support [lo, hi], a centre
-    in the bulk, a length no wider than that bulk, and whether the
-    density has a pole at the centre. A GH or GIG law's family module
-    decides each of these (``gh_bulk``, ``gig_bulk``, ``*_pdf_near``)."""
+    """What meanex computes from a law, resolved once per law: its
+    density, called as pdf(x0, dx) for the density at x0 + dx; its draws,
+    draw(rng, n) for n of them in draw order; cdf(x), sf(x), ppf(q),
+    isf(q) and mean(); and what quadrature needs beside the density: the
+    support [lo, hi], a centre in the bulk, a length no wider than that
+    bulk, and whether the density has a pole at the centre. ``walked``:
+    F and F_bar are ``_walk``'s. The five hooks from cdf on take no part
+    in equality, so a GH or GIG frame and the frame its hooks hold share
+    one mass check (``_in_house``)."""
 
     name: str
     pdf: object
@@ -210,103 +213,51 @@ class _Frame:
     centre: float
     scale: float
     pole: bool = False
+    walked: bool = False
+    cdf: object = field(default=None, compare=False)
+    sf: object = field(default=None, compare=False)
+    ppf: object = field(default=None, compare=False)
+    isf: object = field(default=None, compare=False)
+    mean: object = field(default=None, compare=False)
 
 
-class _InHouseLaw(stats.rv_continuous):
-    """A scipy law over one of meanex's own densities (GH or GIG).
-
-    The density, mean and sampler stay in-house (the density and the
-    sampler are the hooks of its ``_Frame``): they work in log space
-    with scaled Bessel functions, where scipy's ``genhyperbolic`` mean is
-    NaN once delta sqrt(alpha^2 - beta^2) reaches the hundreds and
-    ``geninvgauss`` is NaN at chi psi ~ 1e23. The CDF and the survival
-    function come from the gap walker (``_walk``), the one builder of F
-    and F_bar, and quantiles from a root search on the log of the tail
-    that holds them (``_quantile``), so ``isf(q)`` keeps its relative
-    accuracy below q ~ 1e-16, where 1 - q rounds to 1. scipy's generic
-    code supplies ``expect``.
-    """
-
-    def __init__(self, frame: _Frame, mean):
-        super().__init__(a=frame.lo, name="meanex")
-        self.frame, self._mean = frame, mean
-
-    def _pdf(self, x):
-        return self.frame.pdf(x, 0.0)
-
-    def _stats(self):
-        return self._mean(), None, None, None
-
-    def _rvs(self, size=None, random_state=None):
-        return self.frame.draw(random_state, int(np.prod(size))).reshape(size)
-
-    def _cdf(self, x):
-        return _walk(self.frame, x, upper=False)
-
-    def _sf(self, x):
-        return _walk(self.frame, x, upper=True)
-
-    def _ppf(self, q):
-        return np.array([_quantile(self.frame, v, upper=False) for v in np.ravel(q)]).reshape(np.shape(q))
-
-    def _isf(self, q):
-        return np.array([_quantile(self.frame, v, upper=True) for v in np.ravel(q)]).reshape(np.shape(q))
-
-
-@lru_cache(maxsize=256)
-def _frozen(spec: DistributionSpec):
-    """A standard family's frozen scipy law, or an ``_InHouseLaw`` over
-    the ``_Frame`` assembled from what ``gh`` or ``gig`` returns."""
-    p = spec.as_dict()
-    fam = spec.family
-    if fam == "gpd":
-        return stats.genpareto(c=p["xi"], scale=p["beta"])
-    if fam == "pareto":
-        return stats.lomax(c=p["alpha"], scale=p["lambda"])
-    if fam == "exponential":
-        return stats.expon(scale=1.0 / p["lambda"])
-    if fam == "weibull":
-        return stats.weibull_min(c=p["tau"], scale=p["beta"] ** (-1.0 / p["tau"]))
-    if fam == "burr":
-        return stats.burr12(c=p["tau"], d=p["alpha"], scale=p["lambda"] ** (1.0 / p["tau"]))
-    if fam == "gompertz":
-        return stats.gompertz(c=p["alpha"] / p["lambda"], scale=1.0 / p["lambda"])
-    if fam == "gamma":
-        return stats.gamma(a=p["alpha"], scale=1.0 / p["beta"])
-    if fam == "beta":
-        return stats.beta(a=p["a"], b=p["b"])
-    if fam == "lognormal":
-        return stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"]))
-    if fam == "normal":
-        return stats.norm(loc=p["mu"], scale=p["sigma"])
-    if fam == "laplace":
-        return stats.laplace_asymmetric(kappa=p["tau"], loc=p["mu"], scale=p["sigma"])
-    if fam == "student":
-        return stats.t(df=p["nu"], loc=p["mu"])
-    if fam == "cauchy":
-        return stats.cauchy(loc=p["mu"], scale=p["delta"])
-    if fam == "gh":
-        gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
-        frame = _Frame(fam, partial(gh_pdf_near, gh), partial(gh_sample, gh), -np.inf, np.inf, *gh_bulk(gh))
-        return _InHouseLaw(frame, partial(gh_mean, gh))
-    if fam == "gig":
-        gig = p["lambda"], p["chi"], p["psi"]
-        frame = _Frame(fam, partial(gig_pdf_near, *gig), partial(gig_sample, *gig), 0.0, np.inf, *gig_bulk(*gig))
-        return _InHouseLaw(frame, partial(gig_moment, *gig, 1))
-    raise InputError(f"unknown family '{fam}'")
+_SCIPY_LAWS = {
+    "gpd": lambda p: stats.genpareto(c=p["xi"], scale=p["beta"]),
+    "pareto": lambda p: stats.lomax(c=p["alpha"], scale=p["lambda"]),
+    "exponential": lambda p: stats.expon(scale=1.0 / p["lambda"]),
+    "weibull": lambda p: stats.weibull_min(c=p["tau"], scale=p["beta"] ** (-1.0 / p["tau"])),
+    "burr": lambda p: stats.burr12(c=p["tau"], d=p["alpha"], scale=p["lambda"] ** (1.0 / p["tau"])),
+    "gompertz": lambda p: stats.gompertz(c=p["alpha"] / p["lambda"], scale=1.0 / p["lambda"]),
+    "gamma": lambda p: stats.gamma(a=p["alpha"], scale=1.0 / p["beta"]),
+    "beta": lambda p: stats.beta(a=p["a"], b=p["b"]),
+    "lognormal": lambda p: stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"])),
+    "normal": lambda p: stats.norm(loc=p["mu"], scale=p["sigma"]),
+    "laplace": lambda p: stats.laplace_asymmetric(kappa=p["tau"], loc=p["mu"], scale=p["sigma"]),
+    "student": lambda p: stats.t(df=p["nu"], loc=p["mu"]),
+    "cauchy": lambda p: stats.cauchy(loc=p["mu"], scale=p["delta"]),
+}
 
 
 @lru_cache(maxsize=256)
 def _frame(spec: DistributionSpec) -> _Frame:
-    """The law's frame, resolved once. A scipy law's two hooks, its
-    ``_pdf`` and its ``_rvs``, take shapes, loc and scale from one
-    ``_parse_args`` and apply them as ``rv_continuous.pdf`` and
-    ``rv_generic.rvs`` do, without their per-call argument handling: the
-    density and the draws are scipy's own. Its centre is the median and
-    its bulk the interquartile range."""
-    law = _frozen(spec)
-    if isinstance(law, _InHouseLaw):
-        return law.frame
+    """The law's frame, resolved once. A standard family's density and
+    draws call its frozen scipy law's ``_pdf`` and ``_rvs`` with shapes,
+    loc and scale from one ``_parse_args``, as scipy's ``pdf`` and ``rvs``
+    do without their per-call argument handling; its other hooks are the
+    law's methods, its centre the median, its bulk the interquartile
+    range."""
+    p, fam = spec.as_dict(), spec.family
+    if fam == "gh":
+        gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
+        return _in_house(fam, partial(gh_pdf_near, gh), partial(gh_sample, gh), -np.inf, gh_bulk(gh),
+                         partial(gh_mean, gh))
+    if fam == "gig":
+        gig = p["lambda"], p["chi"], p["psi"]
+        return _in_house(fam, partial(gig_pdf_near, *gig), partial(gig_sample, *gig), 0.0, gig_bulk(*gig),
+                         partial(gig_moment, *gig, 1))
+    if fam not in _SCIPY_LAWS:
+        raise InputError(f"unknown family '{fam}'")
+    law = _SCIPY_LAWS[fam](p)
     dist = law.dist
     shapes, loc, scale = dist._parse_args(*law.args, **law.kwds)
 
@@ -322,7 +273,47 @@ def _frame(spec: DistributionSpec) -> _Frame:
 
     lo, hi = law.support()
     iqr = law.ppf(0.75) - law.ppf(0.25)
-    return _Frame(spec.family, pdf, draw, float(lo), float(hi), float(law.median()), float(iqr))
+    return _Frame(fam, pdf, draw, float(lo), float(hi), float(law.median()), float(iqr),
+                  cdf=law.cdf, sf=law.sf, ppf=law.ppf, isf=law.isf, mean=law.mean)
+
+
+def _in_house(name, pdf, draw, lo, bulk, mean) -> _Frame:
+    """A GH or GIG law's frame on [lo, inf). Its density, mean and draws
+    stay in-house: they work in log space with scaled Bessel functions,
+    where scipy's ``genhyperbolic`` mean is NaN once delta sqrt(alpha^2 -
+    beta^2) reaches the hundreds and ``geninvgauss`` is NaN at chi psi ~
+    1e23. F and F_bar come from ``_walk`` (``_edges``), quantiles from
+    ``_quantile`` (``_inverse``)."""
+    frame = _Frame(name, pdf, draw, lo, np.inf, *bulk, walked=True)
+    return replace(frame, cdf=partial(_edges, frame, upper=False), sf=partial(_edges, frame, upper=True),
+                   ppf=partial(_inverse, frame, upper=False), isf=partial(_inverse, frame, upper=True), mean=mean)
+
+
+def _edges(frame: _Frame, x, upper: bool):
+    """F_bar (upper) or F at x, in its shape (a float64 for a scalar):
+    NaN at NaN, 0 or 1 outside the open support, and ``_walk``'s inside.
+    The walk gets the inside points alone, flattened in C order, as
+    scipy's ``cdf`` hands them to ``_cdf``: its gaps depend on that set."""
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(x <= frame.lo if upper else x >= frame.hi, dtype=float)
+    out[np.isnan(x)] = np.nan
+    inside = (frame.lo < x) & (x < frame.hi)
+    if np.any(inside):
+        out[inside] = _walk(frame, x[inside], upper)
+    return out[()]
+
+
+def _inverse(frame: _Frame, q, upper: bool):
+    """x with F_bar(x) = q (upper) or F(x) = q, from ``_quantile`` for q
+    in (0, 1); q = 0 and q = 1 give the ends of the support, and any other
+    q NaN. The shape of q, a float64 for a scalar."""
+    q = np.asarray(q)
+    out = np.full(q.shape, np.nan)
+    out[q == 0], out[q == 1] = (frame.hi, frame.lo) if upper else (frame.lo, frame.hi)
+    inside = (0 < q) & (q < 1)
+    # + 0.0 reads a quantile of -0.0 as 0.0, as scipy's "* scale + loc" does
+    out[inside] = np.array([_quantile(frame, v, upper) for v in q[inside]]) + 0.0
+    return out[()]
 
 
 def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -333,14 +324,14 @@ def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.n
 
 
 def std_cdf(dist: DistributionSpec, x):
-    return _frozen(dist).cdf(x)
+    return _frame(dist).cdf(x)
 
 
 def std_survival(dist: DistributionSpec, x):
     """F_bar at x: scipy's own for a standard law. For GH/GIG the gap
     walker's, which starts from a tail on the far side of the law's
     centre, so F_bar keeps its relative accuracy far out."""
-    return _frozen(dist).sf(x)
+    return _frame(dist).sf(x)
 
 
 def std_pdf(dist: DistributionSpec, x):
@@ -349,23 +340,24 @@ def std_pdf(dist: DistributionSpec, x):
 
 
 def dist_support(dist: DistributionSpec) -> tuple[float, float]:
-    s = _frozen(dist).support()
-    return float(s[0]), float(s[1])
+    frame = _frame(dist)
+    return frame.lo, frame.hi
 
 
 def dist_mean(dist: DistributionSpec) -> float:
-    m = float(_frozen(dist).mean())
+    # + 0.0 reads a mean of -0.0 (a GH law's at mu = beta = -0) as 0.0, as scipy's "* scale + loc" does
+    m = float(_frame(dist).mean()) + 0.0
     if not np.isfinite(m):
         raise DomainError(f"{dist.family} has no finite mean at these parameters")
     return m
 
 
 def dist_isf(dist: DistributionSpec, q: float) -> float:
-    return float(_frozen(dist).isf(q))
+    return float(_frame(dist).isf(q))
 
 
 def dist_ppf(dist: DistributionSpec, q: float) -> float:
-    return float(_frozen(dist).ppf(q))
+    return float(_frame(dist).ppf(q))
 
 
 # The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w, where x^2
@@ -622,7 +614,8 @@ def _walk(frame: _Frame, x, upper: bool, mean=None):
 
 def _quantile(frame: _Frame, q: float, upper: bool) -> float:
     """x with F_bar(x) = q (upper) or F(x) = q, from the tail beyond the
-    centre that holds q, so a small q keeps its relative accuracy.
+    centre that holds q, so a small q keeps its relative accuracy: isf(q)
+    keeps it below q ~ 1e-16, where 1 - q rounds to 1.
 
     x runs from the centre at v = 0 out along the tail: x = centre +- w v
     toward an infinite end of the support, x = end + (centre - end) e^-v
@@ -682,10 +675,10 @@ def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray
     (``_walk``): one quadrature over the top threshold's tail and one of
     every gap, each giving mass and moment. A GH/GIG law's F_bar is the
     walk's; a standard law's is scipy's own."""
-    law = _frozen(dist)
-    sf, stop_loss = _walk(_frame(dist), u, True, dist_mean(dist))
-    if not isinstance(law, _InHouseLaw):
-        sf = np.asarray(law.sf(u), dtype=float)
+    frame = _frame(dist)
+    sf, stop_loss = _walk(frame, u, True, dist_mean(dist))
+    if not frame.walked:
+        sf = np.asarray(frame.sf(u), dtype=float)
     return sf, stop_loss
 
 

@@ -264,7 +264,8 @@ def _log_norm(lam: float, chi: float, psi: float) -> tuple[str, float, float, fl
 def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
     """Density of GIG(lambda, chi, psi), vectorized over w (0 outside
     support, and at +inf, where the formulas would give inf - inf; 0 with
-    no warning where log h overflows to -inf)."""
+    no warning where log h overflows to -inf, and inf with none where a
+    pole at 0 passes the double range)."""
     kind, log_norm, s_hi, s_lo = _log_norm(lam, chi, psi)
     if not np.isfinite(log_norm):
         om = np.sqrt(chi) * np.sqrt(psi)
@@ -276,7 +277,8 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
         return out
     wp = w[pos]
     if kind == "gamma":
-        out[pos] = np.exp(log_norm + (lam - 1.0) * np.log(wp) - 0.5 * psi * wp)
+        with np.errstate(over="ignore"):  # at subnormal w a pole (lambda < 1) passes the double range
+            out[pos] = np.exp(log_norm + (lam - 1.0) * np.log(wp) - 0.5 * psi * wp)
     elif kind == "inverse-gamma":
         out[pos] = np.exp(log_norm - (1.0 - lam) * np.log(wp) - 0.5 * chi / wp)
     else:

@@ -33,7 +33,7 @@ from meanex import (
     std_survival,
     theoretical_mef,
 )
-from meanex.distributions import FAMILIES, _frame, _frozen, _integrate
+from meanex.distributions import FAMILIES, _frame, _integrate
 from meanex.gh import gh_validate
 from meanex.gig import gig_mode, gig_validate
 
@@ -55,6 +55,28 @@ REPRESENTATIVES = [
     "gh(lambda=1,alpha=1.5,beta=-0.5,delta=0.75,mu=0.2)",
     "gig(lambda=1,chi=1,psi=1)",
 ]
+
+
+def scipy_law(d):
+    """A standard family's frozen scipy law, in the parameterization the
+    module docstring of meanex.distributions states."""
+    p = d.as_dict()
+    laws = {
+        "gpd": lambda: stats.genpareto(c=p["xi"], scale=p["beta"]),
+        "pareto": lambda: stats.lomax(c=p["alpha"], scale=p["lambda"]),
+        "exponential": lambda: stats.expon(scale=1.0 / p["lambda"]),
+        "weibull": lambda: stats.weibull_min(c=p["tau"], scale=p["beta"] ** (-1.0 / p["tau"])),
+        "burr": lambda: stats.burr12(c=p["tau"], d=p["alpha"], scale=p["lambda"] ** (1.0 / p["tau"])),
+        "gompertz": lambda: stats.gompertz(c=p["alpha"] / p["lambda"], scale=1.0 / p["lambda"]),
+        "gamma": lambda: stats.gamma(a=p["alpha"], scale=1.0 / p["beta"]),
+        "beta": lambda: stats.beta(a=p["a"], b=p["b"]),
+        "lognormal": lambda: stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"])),
+        "normal": lambda: stats.norm(loc=p["mu"], scale=p["sigma"]),
+        "laplace": lambda: stats.laplace_asymmetric(kappa=p["tau"], loc=p["mu"], scale=p["sigma"]),
+        "student": lambda: stats.t(df=p["nu"], loc=p["mu"]),
+        "cauchy": lambda: stats.cauchy(loc=p["mu"], scale=p["delta"]),
+    }
+    return laws[d.family]()
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +385,17 @@ def test_edges_of_support_and_unit_interval(text):
 
 @pytest.mark.parametrize("text", SAMPLER_CASES)
 def test_sampler_matches_scipy_rvs(text):
-    # std_sample skips scipy's rvs wrapper; the public rvs is the oracle
+    # std_sample skips scipy's rvs wrapper; the public rvs is a standard
+    # law's oracle. A GH or GIG law has no scipy law: its oracle is its
+    # family module's sampler, whose draws test_gig.py checks by KS and by
+    # moments
     d = parse_distribution_spec(text)
     for seed in (0, 1):
-        want = _frozen(d).rvs(size=777, random_state=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        if d.family in ("gh", "gig"):
+            want = _in_house(d)[1](rng, 777)
+        else:
+            want = scipy_law(d).rvs(size=777, random_state=rng)
         assert std_sample(d, np.random.default_rng(seed), 777).tobytes() == want.tobytes()
     assert std_sample(d, np.random.default_rng(0), 0).shape == (0,)
     with pytest.raises(DomainError):
@@ -441,7 +470,13 @@ def test_extreme_gh_laws_are_right_or_refused(text):
         return
     assert same
     assert x.mean() == pytest.approx(dist_mean(same), abs=4.0 * x.std() / math.sqrt(x.size))
-    var = gh_variance(GhParams(*(v for _, v in same.params))) if same.family == "gh" else _frozen(same).var()
+    p = [v for _, v in same.params]
+    if same.family == "gh":
+        var = gh_variance(GhParams(*p))
+    elif same.family == "gig":
+        var = gig_moment(*p, 2) - gig_moment(*p, 1) ** 2
+    else:
+        var = scipy_law(same).var()
     assert x.var() == pytest.approx(var, rel=0.05)
 
 
@@ -586,7 +621,7 @@ def test_skew_student_survival_far_out():
 def test_std_pdf_is_scipy_pdf(text):
     # the density callable skips scipy's argument handling, not its values
     d = parse_distribution_spec(text)
-    law = _frozen(d)
+    law = scipy_law(d)
     lo, hi = dist_support(d)
     x = np.concatenate((law.ppf(np.linspace(0.001, 0.999, 41)), [lo - 1.0, lo, hi, hi + 1.0, np.nan]))
     x = x[np.isfinite(x) | np.isnan(x)]

@@ -135,6 +135,15 @@ def test_pdf_is_zero_without_warning_where_log_h_overflows():
     assert np.array_equal(gig_pdf(0.5, 1221.87, 3.427e-6, np.array([1e-300, 5.5e-300, 1e-299])), [0.0, 0.0, 0.0])
 
 
+def test_gamma_class_pole_past_double_range_is_refused_without_warning():
+    # the quantile lies under the double range: next to it w^(lambda - 1)
+    # e^(log norm) overflowed with a RuntimeWarning (an error in this
+    # suite); the density is inf there, and the quadrature refuses it
+    assert gig_pdf(0.01, 0.0, 1e-3, 5e-324) == np.inf
+    with pytest.raises(NumericError, match="not finite"):
+        dist_ppf(parse_distribution_spec("gig(lambda=0.01,chi=0,psi=1e-3)"), 1e-4)
+
+
 def test_pdf_matches_scipy():
     # scipy's geninvgauss(p, b) is GIG(p, chi=b*scale, psi=b/scale)
     lam, chi, psi = 1.4, 0.9, 2.3
