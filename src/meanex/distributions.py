@@ -511,6 +511,9 @@ def _integrate(frame: _Frame, a, b, ref=None):
     integrand = mapped(*columns)
     nodes, weights = _gauss_legendre()
     estimate = np.abs(np.tensordot(weights, integrand(nodes), 1))
+    where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
+    if not np.all(np.isfinite(estimate)):  # a density past the double range: no unit to scale by
+        raise NumericError(f"quadrature over {where} is not finite for {frame.name}")
     units = np.where(estimate > 0.0, estimate, 1.0)
     # cubature starts from subintervals that end at s = _LOG_BREAKS of the
     # longest log map, so no round of nodes is spent closing in on s = 0
@@ -518,7 +521,6 @@ def _integrate(frame: _Frame, a, b, ref=None):
     breaks = [[(s - start[i]) / rate[i]] for s in _LOG_BREAKS if start[i] < s < start[i] + rate[i]]
     res = integrate.cubature(lambda t: integrand(t) / units, [0.0], [1.0], rule="gk21", rtol=_RTOL, atol=0.0,
                              points=breaks)
-    where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
     if res.status != "converged":
         raise NumericError(f"quadrature over {where} failed for {frame.name}: not converged after "
                            f"{res.subdivisions} subdivisions")

@@ -136,12 +136,14 @@ def test_pdf_is_zero_without_warning_where_log_h_overflows():
 
 
 def test_gamma_class_pole_past_double_range_is_refused_without_warning():
-    # the quantile lies under the double range: next to it w^(lambda - 1)
+    # the quantiles lie under the double range: next to them w^(lambda - 1)
     # e^(log norm) overflowed with a RuntimeWarning (an error in this
-    # suite); the density is inf there, and the quadrature refuses it
+    # suite); the density is inf there, and the quadrature refuses it, at
+    # q = 1e-20 from its first estimate, before an inf / inf
     assert gig_pdf(0.01, 0.0, 1e-3, 5e-324) == np.inf
-    with pytest.raises(NumericError, match="not finite"):
-        dist_ppf(parse_distribution_spec("gig(lambda=0.01,chi=0,psi=1e-3)"), 1e-4)
+    for q in (1e-4, 1e-20):
+        with pytest.raises(NumericError, match="not finite"):
+            dist_ppf(parse_distribution_spec("gig(lambda=0.01,chi=0,psi=1e-3)"), q)
 
 
 def test_pdf_matches_scipy():
