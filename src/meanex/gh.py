@@ -300,10 +300,22 @@ def _mixing(params: GhParams) -> tuple[str, float, float]:
 
 def gh_sample(params: GhParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws via the normal mean-variance mixture, in draw order."""
+    return _sampler(params)(rng, n)
+
+
+@lru_cache(maxsize=256)
+def _sampler(params: GhParams):
+    """The law's draw(rng, n), resolved once per parameter set: its
+    mixing law, whose own sampler ``gig_sample`` resolves once."""
     _, chi, psi = _mixing(params)
-    w = gig_sample(params.lam, chi, psi, rng, n)
-    z = rng.standard_normal(n)
-    return params.mu + params.beta * w + np.sqrt(w) * z
+    lam, mu, beta = params.lam, params.mu, params.beta
+
+    def draw(rng, n):
+        w = gig_sample(lam, chi, psi, rng, n)
+        z = rng.standard_normal(n)
+        return mu + beta * w + np.sqrt(w) * z
+
+    return draw
 
 
 def gh_mean(params: GhParams) -> float:

@@ -30,8 +30,12 @@ and the sampler whose acceptance is larger runs: the two are compared by
 the terms in which they differ (``_log_kept``); a ROU box that cannot
 be solved (chi or psi near the double range's floor) keeps nothing. A
 law whose figure is below 1e-4 (lambda = 0 with small chi psi, where no
-boundary law can be thinned) is refused with NumericError. Rejection is
-vectorized.
+boundary law can be thinned) is refused with NumericError. All of this
+is resolved once per law, on its first draw (``_sampler``). Rejection is
+vectorized: a batch of candidates is drawn whole, and only as many of
+its leading candidates are tested as the acceptance says are needed,
+the rest only when those fall short, so the draws and the generator's
+state are those of testing the whole batch.
 
 The interior density writes its exponent as -(psi / (2 w)) (w - s)^2,
 s = sqrt(chi / psi), beside the scaled Bessel constant, so at large
@@ -41,7 +45,8 @@ chi psi no term of size sqrt(chi psi) cancels.
 from __future__ import annotations
 
 import decimal
-from functools import lru_cache
+import math
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import optimize, special
@@ -203,13 +208,22 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
     boundary draws (ROU on a tie). A ROU box that cannot be solved keeps
     nothing, so such a law thins where it can. NumericError where the
     chosen figure is below 1e-4 (lambda = 0 with small chi psi, or no
-    box and no thinning), instead of running on.
+    box and no thinning), instead of running on. The choice is made once
+    per law (``_sampler``).
     """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
-    if gig_validate(lam, chi, psi) != "interior":
-        return _boundary_draws(lam, chi, psi, rng, n)
+    return _sampler(lam, chi, psi)(rng, n)
 
+
+@lru_cache(maxsize=256)
+def _sampler(lam: float, chi: float, psi: float):
+    """The law's draw(rng, n), resolved once per parameter set: its
+    class, the sampler that runs, that sampler's acceptance and the ROU
+    envelope, or the refusal, so a draw pays only for its candidates.
+    DomainError for an invalid triple."""
+    if gig_validate(lam, chi, psi) != "interior":
+        return lambda rng, n: _boundary_draws(lam, chi, psi, rng, n)
     thin = 0.0 < abs(lam) < 1.0 and _log_kept(lam, chi, psi, True) > _log_kept(lam, chi, psi, False)
     log_acc = _log_acceptance(lam, chi, psi, thin)
     box = _rou_envelope(lam, chi, psi)
@@ -218,26 +232,54 @@ def gig_sample(lam: float, chi: float, psi: float, rng: np.random.Generator, n: 
                f"{np.exp(log_acc):.2g} of its candidates (floor {_ACCEPTANCE_FLOOR:g})")
         if box is None:
             why = "its ratio-of-uniforms box could not be solved" + (f", and {why}" if thin else "")
-        raise NumericError(f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: {why}")
-    if not thin:
+        error = f"GIG(lambda={lam:g}, chi={chi:g}, psi={psi:g}) cannot be sampled: {why}"
+
+        def refuse(rng, n):
+            raise NumericError(error)
+
+        return refuse
+    if thin:
+        def candidates(rng, k):
+            return _boundary_draws(lam, chi, psi, rng, k), rng.random(k)
+
+        def kept(w, u):
+            return w[np.log(u) < (-0.5 * chi / w if lam > 0 else -0.5 * psi * w)]
+    else:
         m, lh_m, v_lo, v_hi = box
+
+        def candidates(rng, k):
+            # random(k) is uniform(0, 1, k) bit for bit: 0 + 1 * d = d
+            return rng.random(k), rng.uniform(v_lo, v_hi, size=k)
+
+        def kept(u, v):
+            w = m + v / u
+            ok = (u > 0.0) & (w > 0.0) & np.isfinite(w)
+            wv = np.where(ok, w, 1.0)
+            ok &= 2.0 * np.log(u) <= _log_h(wv, lam, chi, psi) - lh_m
+            return w[ok]
+
+    return partial(_rejection, candidates, kept, min(1.0, float(np.exp(log_acc))))
+
+
+def _rejection(candidates, kept, share, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws, the first n candidates that ``kept`` keeps, from batches
+    of k = max(1024, 1.8 (n - got)) candidates. Only the leading ones that
+    the acceptance share says are enough, with four standard deviations to
+    spare, are tested; the rest of a batch only when they fall short. So
+    the candidates drawn, the draws and the generator's state afterwards
+    are those of testing every batch whole."""
     out = np.empty(n, dtype=float)
     got = 0
     while got < n:
-        k = max(1024, int(1.8 * (n - got)))
+        need = n - got
+        k = max(1024, int(1.8 * need))
+        a, b = candidates(rng, k)
+        lead = min(k, int((need + 4.0 * math.sqrt(need) + 16.0) / share))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if thin:
-                w = _boundary_draws(lam, chi, psi, rng, k)
-                ok = np.log(rng.uniform(0.0, 1.0, size=k)) < (-0.5 * chi / w if lam > 0 else -0.5 * psi * w)
-            else:
-                u = rng.uniform(0.0, 1.0, size=k)
-                v = rng.uniform(v_lo, v_hi, size=k)
-                w = m + v / u
-                ok = (u > 0.0) & (w > 0.0) & np.isfinite(w)
-                wv = np.where(ok, w, 1.0)
-                ok &= 2.0 * np.log(u) <= _log_h(wv, lam, chi, psi) - lh_m
-        acc = w[ok]
-        take = min(n - got, acc.size)
+            acc = kept(a[:lead], b[:lead])
+            if acc.size < need and lead < k:
+                acc = np.concatenate((acc, kept(a[lead:], b[lead:])))
+        take = min(need, acc.size)
         out[got:got + take] = acc[:take]
         got += take
     return out

@@ -77,7 +77,8 @@ __all__ = [
 def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """For sorted values v: the count of the values above each threshold
     u, the sum of their excess over c = v[n // 2], and c. One reversed
-    cumsum of v - c in its own buffer, and one searchsorted. NumericError
+    running sum of v - c in its own buffer (``np.add.accumulate``, the
+    loop ``np.cumsum`` runs, without its wrapper), and one searchsorted. NumericError
     when a sum is past the double range; only a sample whose bound on the
     sums, n max|v - c| with room for rounding, is past it takes that check."""
     c = v[v.size // 2]
@@ -87,10 +88,10 @@ def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     # with np.errstate on every call, mc-protocol's wall time (7650 calls an
     # op) read about 5% higher in alternated pairs
     if 2.0 * v.size * max(float(v[-1]) - float(c), float(c) - float(v[0])) < math.inf:
-        np.cumsum(np.subtract(v[::-1], c, out=tail), out=tail)
+        np.add.accumulate(np.subtract(v[::-1], c, out=tail), out=tail)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            np.cumsum(np.subtract(v[::-1], c, out=tail), out=tail)
+            np.add.accumulate(np.subtract(v[::-1], c, out=tail), out=tail)
         # an overflow leaves every later sum inf or NaN, and suffix[0] is the last
         if not np.isfinite(suffix[0]):
             raise NumericError(f"the sample's values, from {v[0]:g} to {v[-1]:g}, sum past the double range "

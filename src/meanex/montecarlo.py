@@ -8,12 +8,14 @@ One engine runs the replicates of all three protocols. Replicate r
 draws from default_rng(SeedSequence(entropy=seed, spawn_key=prefix +
 (r,))); the prefix is () for stallion and coverage and (i,) for the
 i-th sample size of convergence. So each replicate's stream depends on
-its index alone. The replicates run serially in blocks of a fixed 64:
-each sample is drawn, checked finite and sorted on its own, and the
-mean-excess formula runs once per block on all its replicates. A
-block's sums add its rows in replicate order, and the block sums are
-combined in block order, so every result is a fixed function of the
-seed.
+its index alone, and the draws come from the law's frame hook, the
+one ``std_sample`` calls, so a replicate is the sample std_sample gives
+on that stream. The replicates run serially in blocks of a fixed 64:
+each sample is drawn and sorted on its own, and checked finite from its
+ends (NaN sorts last, -inf first), and the mean-excess formula runs
+once per block on all its replicates. A block's sums add its rows in
+replicate order, and the block sums are combined in block order, so
+every result is a fixed function of the seed.
 
 The fourth-moment identity: for iid centered X_1..X_n with kappa1 =
 E X^2 and kappa2 = E X^4,
@@ -27,8 +29,8 @@ supports for validation at machine precision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,7 +97,8 @@ def _emef_blocks(draw, points, size, seed, n_reps, prefix=(), stat=None):
     replicates, yield the (B, m) empirical mean excess on points, one row
     per replicate, the (B, m) exceedance counts, and stat of each sorted
     sample (an empty list without stat). draw(rng, size) draws one
-    sample. Memory per block is O(B m + size)."""
+    sample: the law's frame hook, looked up once per protocol call.
+    Memory per block is O(B m + size)."""
     for start in range(0, n_reps, _CHUNK):
         reps = range(start, min(start + _CHUNK, n_reps))
         count = np.empty((len(reps), points.size), dtype=np.int64)
@@ -105,8 +108,10 @@ def _emef_blocks(draw, points, size, seed, n_reps, prefix=(), stat=None):
         stats = []
         for b, r in enumerate(reps):
             x = draw(_replicate_rng(seed, *prefix, r), size)
-            require_finite(x)
             x.sort()
+            # NaN sorts last and -inf first, so the ends show a sample that is not finite
+            if not (x[0] > -math.inf and x[-1] < math.inf):
+                require_finite(x)
             count[b], total[b], centre[b] = _exceedances(x, points)
             top[b] = x[-1]
             if stat is not None:
@@ -117,7 +122,7 @@ def _emef_blocks(draw, points, size, seed, n_reps, prefix=(), stat=None):
 def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, seed: int) -> StallionCurve:
     """Average the empirical mean-excess curve over n_reps independent
     samples of sample_size draws each."""
-    from .distributions import dist_support, std_sample
+    from .distributions import _frame, dist_support
 
     if n_reps < 1 or sample_size < 1:
         raise InputError("stallion requires n_reps >= 1 and sample_size >= 1")
@@ -127,7 +132,7 @@ def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, 
         raise DomainError("grid outside support")
     sums = np.zeros(points.size)
     cnts = np.zeros(points.size, dtype=np.int64)
-    for e, _, _ in _emef_blocks(partial(std_sample, dist), points, sample_size, seed, n_reps):
+    for e, _, _ in _emef_blocks(_frame(dist).draw, points, sample_size, seed, n_reps):
         ok = np.isfinite(e)  # NaN points are skipped, not zero-filled
         # accumulate adds rows in replicate order for any grid size; sum
         # would add a one-point grid's column pairwise
@@ -164,7 +169,7 @@ def coverage_experiment(
     u1, the grid's last point, and the mean of |X_i|. A replicate whose
     band is undefined (too few exceedances) counts as not covered.
     """
-    from .distributions import dist_mean_abs, std_sample, std_survival
+    from .distributions import _frame, dist_mean_abs, std_survival
 
     if n_reps < 1 or sample_size < 1:
         raise InputError("coverage requires n_reps >= 1 and sample_size >= 1")
@@ -182,7 +187,7 @@ def coverage_experiment(
     root_n = np.sqrt(sample_size)
     covered, defined, en_sum, hw_sum = 0, 0, 0.0, 0.0
     stat = None if oracle else _plug_in_mean_abs
-    blocks = _emef_blocks(partial(std_sample, dist), grid.points, sample_size, seed, n_reps, stat=stat)
+    blocks = _emef_blocks(_frame(dist).draw, grid.points, sample_size, seed, n_reps, stat=stat)
     for e, count, mean_abs in blocks:
         half = np.full((len(e), 1), np.nan)  # stays NaN where the band is undefined
         for b in range(len(e)):
@@ -223,7 +228,7 @@ def convergence_experiment(
     The window starts at the support low end when finite, else at the
     0.1% quantile.
     """
-    from .distributions import dist_ppf, dist_support, std_sample
+    from .distributions import _frame, dist_ppf, dist_support
 
     if n_reps < 1:
         raise InputError("convergence requires n_reps >= 1")
@@ -239,7 +244,7 @@ def convergence_experiment(
         raise InputError("convergence window is empty")
     grid = make_grid(np.linspace(u0, u1, 101))
     truth = theoretical_mef_curve(dist, grid)
-    draw = partial(std_sample, dist)
+    draw = _frame(dist).draw
     metrics = []
     for i, size in enumerate(sizes):
         blocks = _emef_blocks(draw, grid.points, size, seed, n_reps, prefix=(i,))

@@ -3,6 +3,7 @@ Bessel-ratio moments, including the Gamma and Inverse Gamma boundaries."""
 
 import math
 import signal
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -13,7 +14,9 @@ from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, g
 from meanex import dist_ppf, make_grid, parse_distribution_spec, std_cdf, std_survival, theoretical_mef_curve
 from meanex import gig
 from meanex.gh import GhParams, gh_sample
+from meanex.gh import _mixing as gh_mixing
 from meanex.gig import gig_mode
+from test_distributions import SAMPLER_CASES
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +302,26 @@ def test_sample_deterministic_under_seed():
 
 
 def test_envelope_is_solved_once_per_triple(monkeypatch):
+    # the class, the sampler's choice, its acceptance and the ROU box are
+    # worked out on a law's first draw; later draws solve nothing again
     triple = (-0.5, 1.3, 2.7)
+    gig._sampler.cache_clear()
     gig._rou_envelope.cache_clear()
     fresh = gig_sample(*triple, np.random.default_rng(9), 500)
     assert gig._rou_envelope(*triple) == gig._rou_envelope.__wrapped__(*triple)
     calls = []
+    for name in ("gig_validate", "_log_kept", "_log_acceptance", "_rou_envelope"):
+        real = getattr(gig, name)
+        monkeypatch.setattr(gig, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     brentq = gig.optimize.brentq
-    monkeypatch.setattr(gig.optimize, "brentq", lambda *a, **k: calls.append(a) or brentq(*a, **k))
+    monkeypatch.setattr(gig.optimize, "brentq", lambda *a, **k: calls.append("brentq") or brentq(*a, **k))
     again = gig_sample(*triple, np.random.default_rng(9), 500)
     assert calls == []
     assert again.tobytes() == fresh.tobytes()
+    # resolved afresh, the law still finds its box in the cache: no second brentq call
+    gig._sampler.cache_clear()
+    assert gig_sample(*triple, np.random.default_rng(9), 500).tobytes() == fresh.tobytes()
+    assert "brentq" not in calls and "_rou_envelope" in calls
 
 
 def test_sample_rejects_invalid_domain():
@@ -362,6 +375,69 @@ def test_sample_extreme_mixing_parameters():
     w = gig_sample(-0.5, 9e10, 1e12 - 4.0, rng, 10_000)
     assert np.isfinite(w).all()
     assert w.mean() == pytest.approx(0.3, rel=0.01)
+
+
+def reference_gig_sample(lam, chi, psi, rng, n):
+    """The per-call sampler that ``gig._sampler`` replaced, the oracle of
+    its bits: it works out its set-up on every call, draws u with
+    uniform(0, 1) and tests every candidate of a batch."""
+    if gig.gig_validate(lam, chi, psi) != "interior":
+        return gig._boundary_draws(lam, chi, psi, rng, n)
+    thin = 0.0 < abs(lam) < 1.0 and gig._log_kept(lam, chi, psi, True) > gig._log_kept(lam, chi, psi, False)
+    if gig._log_acceptance(lam, chi, psi, thin) < math.log(gig._ACCEPTANCE_FLOOR):
+        raise NumericError("refused")
+    if not thin:
+        m, lh_m, v_lo, v_hi = gig._rou_envelope(lam, chi, psi)
+    out = np.empty(n, dtype=float)
+    got = 0
+    while got < n:
+        k = max(1024, int(1.8 * (n - got)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if thin:
+                w = gig._boundary_draws(lam, chi, psi, rng, k)
+                ok = np.log(rng.uniform(0.0, 1.0, size=k)) < (-0.5 * chi / w if lam > 0 else -0.5 * psi * w)
+            else:
+                u = rng.uniform(0.0, 1.0, size=k)
+                v = rng.uniform(v_lo, v_hi, size=k)
+                w = m + v / u
+                ok = (u > 0.0) & (w > 0.0) & np.isfinite(w)
+                wv = np.where(ok, w, 1.0)
+                ok &= 2.0 * np.log(u) <= gig._log_h(wv, lam, chi, psi) - lh_m
+        acc = w[ok]
+        take = min(n - got, acc.size)
+        out[got:got + take] = acc[:take]
+        got += take
+    return out
+
+
+def reference_gh_sample(params, rng, n):
+    _, chi, psi = gh_mixing(params)
+    w = reference_gig_sample(params.lam, chi, psi, rng, n)
+    z = rng.standard_normal(n)
+    return params.mu + params.beta * w + np.sqrt(w) * z
+
+
+# every GH and GIG law of test_distributions.py, and the laws that thin
+BIT_LAWS = [t for t in SAMPLER_CASES if t.startswith(("gh(", "gig("))] + [
+    f"gig(lambda={lam!r},chi={chi!r},psi={psi!r})" for lam, chi, psi in THINNING_TRIPLES]
+
+
+@pytest.mark.parametrize("text", BIT_LAWS)
+def test_resolved_sampler_is_the_per_call_sampler_bit_for_bit(text):
+    # the same draws and the same generator state afterwards, at sizes on
+    # either side of the 1024-candidate batch and over several batches
+    d = parse_distribution_spec(text)
+    p = [v for _, v in d.params]
+    if d.family == "gh":
+        params = GhParams(*p)
+        sample, reference = partial(gh_sample, params), partial(reference_gh_sample, params)
+    else:
+        sample, reference = partial(gig_sample, *p), partial(reference_gig_sample, *p)
+    for n in (1, 1023, 1024, 1025, 4000, 10007):
+        for seed in (0, 1, 2):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample(rng, n).tobytes() == reference(ref, n).tobytes(), (n, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state, (n, seed)
 
 
 @pytest.mark.parametrize("triple, thin", ACCEPTANCE_CASES)

@@ -3,6 +3,8 @@ coverage and convergence experiments, the replicate engine against the
 per-replicate loops it replaced, and the fourth-moment identity with its
 enumeration oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from meanex import (
     sup_deviation,
     theoretical_mef_curve,
 )
-from meanex import cli
+from meanex import cli, distributions
 from meanex.cli import main
 from meanex.montecarlo import ExperimentReport, StallionCurve, _replicate_rng
 from meanex.types import make_curve
@@ -343,6 +345,42 @@ def test_convergence_rejects_no_replicates():
     d = make_spec("exponential", **{"lambda": 1.0})
     with pytest.raises(InputError, match="n_reps"):
         convergence_experiment(d, u1=1.0, sizes=[100], n_reps=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the finiteness check
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [0, 250, -1], ids=["first", "middle", "last"])
+def test_sample_that_is_not_finite_is_refused(monkeypatch, bad, where):
+    # the engine sorts each sample before it checks it, from its ends: NaN
+    # sorts last and -inf first. The 70th draw, in the second block (and
+    # for convergence at the second size), puts a value that is not finite
+    # at a place in draw order, and each protocol refuses it with the
+    # InputError of require_finite
+    real = distributions._frame
+    frame = real(EXP2)
+    calls = []
+
+    def draw(rng, n):
+        x = frame.draw(rng, n)
+        calls.append(n)
+        if len(calls) == 70:
+            x[where] = bad
+        return x
+
+    monkeypatch.setattr(distributions, "_frame", lambda spec: replace(frame, draw=draw) if spec == EXP2 else real(spec))
+    runs = [
+        lambda: stallion(EXP2, 80, 500, make_grid(np.linspace(0.01, 2.0, 20)), seed=3),
+        lambda: coverage_experiment(EXP2, 0.0, 0.5, band_constants(0.0, 0.5), sample_size=1000, n_reps=80, seed=3),
+        lambda: convergence_experiment(EXP2, u1=1.0, sizes=[300, 500], n_reps=40, seed=3),
+    ]
+    for run in runs:
+        calls.clear()
+        with pytest.raises(InputError, match="sample values must be finite"):
+            run()
+        assert len(calls) == 70
 
 
 # ---------------------------------------------------------------------------
