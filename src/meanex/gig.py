@@ -39,7 +39,10 @@ state are those of testing the whole batch.
 
 The interior density writes its exponent as -(psi / (2 w)) (w - s)^2,
 s = sqrt(chi / psi), beside the scaled Bessel constant, so at large
-chi psi no term of size sqrt(chi psi) cancels.
+chi psi no term of size sqrt(chi psi) cancels. The ROU acceptance test
+compares the same centred log h at w and at m (``_log_h_centred``):
+written as log h(w) - log h(m), two terms of size sqrt(chi psi) cancel,
+and at chi = psi = 1e20 the draws came out ten times too wide.
 """
 
 from __future__ import annotations
@@ -245,7 +248,9 @@ def _sampler(lam: float, chi: float, psi: float):
         def kept(w, u):
             return w[np.log(u) < (-0.5 * chi / w if lam > 0 else -0.5 * psi * w)]
     else:
-        m, lh_m, v_lo, v_hi = box
+        m, _, v_lo, v_hi = box
+        _, _, s_hi, s_lo = _log_norm(lam, chi, psi)
+        lh_m = _log_h_centred(m, lam, chi, psi, s_hi, s_lo)
 
         def candidates(rng, k):
             # random(k) is uniform(0, 1, k) bit for bit: 0 + 1 * d = d
@@ -255,7 +260,7 @@ def _sampler(lam: float, chi: float, psi: float):
             w = m + v / u
             ok = (u > 0.0) & (w > 0.0) & np.isfinite(w)
             wv = np.where(ok, w, 1.0)
-            ok &= 2.0 * np.log(u) <= _log_h(wv, lam, chi, psi) - lh_m
+            ok &= 2.0 * np.log(u) <= _log_h_centred(wv, lam, chi, psi, s_hi, s_lo) - lh_m
             return w[ok]
 
     return partial(_rejection, candidates, kept, min(1.0, float(np.exp(log_acc))))
