@@ -430,7 +430,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
       to the anchor becomes e^(k s). The density is asked for as
       pdf(anchor, dx), which keeps every digit of dx at a pole; next to
       an end, s starts where x is 2^20 ulps from the end, an ulp counted
-      as at least the smallest normal double;
+      as at least the smallest normal double. A piece with no room for
+      that next to an end at 0 is refused;
     - any other piece no wider than w: linearly;
     - a wider one: x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer
       c, so the bulk stays on the scale w near s = 0 and a power tail
@@ -442,8 +443,9 @@ def _integrate(frame: _Frame, a, b, ref=None):
     largest, so each piece's integrand is divided by a first estimate of
     its value, a 20-node Gauss-Legendre sum, which puts the errors of all
     pieces on one scale. A zero-width interval is exactly 0 without a
-    call. NumericError when cubature does not converge, a cut leaves a
-    rest that is not a power law's, or a value is not finite.
+    call. NumericError when a piece is refused, cubature does not
+    converge, a cut leaves a rest that is not a power law's, or a value
+    is not finite.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape, a, b = a.shape, a.ravel(), b.ravel()
@@ -514,6 +516,15 @@ def _integrate(frame: _Frame, a, b, ref=None):
     where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
     if not np.all(np.isfinite(estimate)):  # a density past the double range: no unit to scale by
         raise NumericError(f"quadrature over {where} is not finite for {frame.name}")
+    # a piece with no room for its map from an end at 0 is read at
+    # subnormal spacing, where cubature spent its whole budget on a pole
+    # (about 7 s for a Gamma-class GIG law with lambda < 1): refused
+    cramped = (at_lo | at_hi) & ~inner & (ulp == _TINY)
+    if np.any(cramped):
+        i = np.flatnonzero(cramped)[0]
+        raise NumericError(f"quadrature over [{lo[i]:g}, {hi[i]:g}] is refused for {frame.name}: the piece is "
+                           f"narrower than the {np.exp(floor[i] + 2.0) * w:.3g} that its map from the end of the "
+                           f"support at {(lo if at_lo[i] else hi)[i]:g} needs to stay off subnormal spacing")
     units = np.where(estimate > 0.0, estimate, 1.0)
     # cubature starts from subintervals that end at s = _LOG_BREAKS of the
     # longest log map, so no round of nodes is spent closing in on s = 0

@@ -142,10 +142,12 @@ def test_gamma_class_pole_past_double_range_is_refused_without_warning():
     # the quantiles lie under the double range: next to them w^(lambda - 1)
     # e^(log norm) overflowed with a RuntimeWarning (an error in this
     # suite); the density is inf there, and the quadrature refuses it, at
-    # q = 1e-20 from its first estimate, before an inf / inf
+    # q = 1e-20 from its first estimate, before an inf / inf. At q = 1e-4
+    # brentq asks for F on [0, 3.98e-306], a piece too narrow for the map
+    # anchored at 0, which is refused before cubature reads it
     assert gig_pdf(0.01, 0.0, 1e-3, 5e-324) == np.inf
-    for q in (1e-4, 1e-20):
-        with pytest.raises(NumericError, match="not finite"):
+    for q, why in ((1e-4, r"\[0, 3.97517e-306\] is refused"), (1e-20, "not finite")):
+        with pytest.raises(NumericError, match=why):
             dist_ppf(parse_distribution_spec("gig(lambda=0.01,chi=0,psi=1e-3)"), q)
 
 
@@ -246,6 +248,31 @@ def test_gamma_class_quantile_near_the_subnormal_range():
     x = law.ppf(q)
     np.testing.assert_allclose([dist_ppf(spec, v) for v in q], x, rtol=GAMMA_CLASS_RTOL, atol=0.0)
     np.testing.assert_allclose(std_cdf(spec, x), law.cdf(x), rtol=GAMMA_CLASS_RTOL, atol=0.0)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_gamma_class_quantile_past_the_map_floor_is_refused_at_once():
+    # ppf(1e-16) is about 1e-320, a subnormal: brentq asked for F on [0,
+    # 4.8e-319], a piece too narrow for the map anchored at 0, and cubature
+    # read the pole there at subnormal spacing for about 7 s before it gave
+    # up. The piece is refused before any density value, and the message
+    # names it; ppf(1e-15) = 1.67e-300 still has room for the map
+    spec = parse_distribution_spec("gig(lambda=0.05,chi=0,psi=0.7)")
+
+    def expired(signum, frame):
+        raise TimeoutError("still integrating after 3 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(3)
+    try:
+        with pytest.raises(NumericError, match=r"quadrature over \[0, \d\.\d+e-3[12]\d\] is refused for gig"):
+            dist_ppf(spec, 1e-16)
+        with pytest.raises(NumericError, match="stay off subnormal spacing"):
+            std_cdf(spec, 1e-310)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert dist_ppf(spec, 1e-15) == pytest.approx(1.6699e-300, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
