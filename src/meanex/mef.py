@@ -78,9 +78,10 @@ def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """For sorted values v: the count of the values above each threshold
     u, the sum of their excess over c = v[n // 2], and c. One reversed
     running sum of v - c in its own buffer (``np.add.accumulate``, the
-    loop ``np.cumsum`` runs, without its wrapper), and one searchsorted. NumericError
-    when a sum is past the double range; only a sample whose bound on the
-    sums, n max|v - c| with room for rounding, is past it takes that check."""
+    loop ``np.cumsum`` runs, without its wrapper), and one searchsorted.
+    NumericError when a sum is past the double range; only a sample whose
+    bound on the sums, n max|v - c| with room for rounding, is past it
+    takes that check."""
     c = v[v.size // 2]
     suffix = np.zeros(v.size + 1)  # suffix[k] = sum of v[k:] - c
     tail = suffix[-2::-1]
