@@ -431,7 +431,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
       pdf(anchor, dx), which keeps every digit of dx at a pole; next to
       an end, s starts where x is 2^20 ulps from the end, an ulp counted
       as at least the smallest normal double. A piece with no room for
-      that next to an end at 0 is refused;
+      that next to an end at 0 is refused if its density grows toward
+      that end, a pole the linear map below cannot take;
     - any other piece no wider than w: linearly;
     - a wider one: x = x0 +- w (e^s - 1), s >= 0, from its end x0 nearer
       c, so the bulk stays on the scale w near s = 0 and a power tail
@@ -512,19 +513,24 @@ def _integrate(frame: _Frame, a, b, ref=None):
 
     integrand = mapped(*columns)
     nodes, weights = _gauss_legendre()
-    estimate = np.abs(np.tensordot(weights, integrand(nodes), 1))
+    first = integrand(nodes)
+    estimate = np.abs(np.tensordot(weights, first, 1))
     where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
     if not np.all(np.isfinite(estimate)):  # a density past the double range: no unit to scale by
         raise NumericError(f"quadrature over {where} is not finite for {frame.name}")
-    # a piece with no room for its map from an end at 0 is read at
-    # subnormal spacing, where cubature spent its whole budget on a pole
-    # (about 7 s for a Gamma-class GIG law with lambda < 1): refused
-    cramped = (at_lo | at_hi) & ~inner & (ulp == _TINY)
+    # a piece with no room for its map from an end at 0 is taken linearly.
+    # That is exact for a density bounded there, which cannot change across
+    # so narrow a piece; one that grows toward the end has a pole, on which
+    # cubature spent its whole budget (about 7 s for a Gamma-class GIG law
+    # with lambda < 1), so it is refused
+    rising = np.where(at_lo, first[0, 0] > first[-1, 0], first[-1, 0] > first[0, 0])
+    cramped = (at_lo | at_hi) & ~inner & (ulp == _TINY) & rising
     if np.any(cramped):
         i = np.flatnonzero(cramped)[0]
-        raise NumericError(f"quadrature over [{lo[i]:g}, {hi[i]:g}] is refused for {frame.name}: the piece is "
-                           f"narrower than the {np.exp(floor[i] + 2.0) * w:.3g} that its map from the end of the "
-                           f"support at {(lo if at_lo[i] else hi)[i]:g} needs to stay off subnormal spacing")
+        raise NumericError(f"quadrature over [{lo[i]:g}, {hi[i]:g}] is refused for {frame.name}: the density "
+                           f"grows toward the end of the support at {(lo if at_lo[i] else hi)[i]:g}, and the piece "
+                           f"is narrower than the {np.exp(floor[i] + 2.0) * w:.3g} that its map from that end needs "
+                           f"to stay off subnormal spacing")
     units = np.where(estimate > 0.0, estimate, 1.0)
     # cubature starts from subintervals that end at s = _LOG_BREAKS of the
     # longest log map, so no round of nodes is spent closing in on s = 0

@@ -255,8 +255,10 @@ def test_gamma_class_quantile_past_the_map_floor_is_refused_at_once():
     # ppf(1e-16) is about 1e-320, a subnormal: brentq asked for F on [0,
     # 4.8e-319], a piece too narrow for the map anchored at 0, and cubature
     # read the pole there at subnormal spacing for about 7 s before it gave
-    # up. The piece is refused before any density value, and the message
-    # names it; ppf(1e-15) = 1.67e-300 still has room for the map
+    # up. The piece is refused after its first estimate, and the message
+    # names it; ppf(1e-15) = 1.67e-300 still has room for the map. A
+    # density bounded at 0 cannot change across such a piece, and still
+    # takes it linearly: F of the unit exponential, GIG(1, 0, 2), is x there
     spec = parse_distribution_spec("gig(lambda=0.05,chi=0,psi=0.7)")
 
     def expired(signum, frame):
@@ -273,6 +275,7 @@ def test_gamma_class_quantile_past_the_map_floor_is_refused_at_once():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert dist_ppf(spec, 1e-15) == pytest.approx(1.6699e-300, rel=1e-4)
+    assert std_cdf(parse_distribution_spec("gig(lambda=1,chi=0,psi=2)"), 1e-305) == pytest.approx(1e-305, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
