@@ -468,6 +468,20 @@ BIT_LAWS = [t for t in SAMPLER_CASES if t.startswith(("gh(", "gig("))] + [
     f"gig(lambda={lam!r},chi={chi!r},psi={psi!r})" for lam, chi, psi in THINNING_TRIPLES]
 
 
+@pytest.mark.parametrize("triple", [(-0.5, 1.3, 2.7), (0.3, 0.2, 0.1)], ids=["rou", "thinning"])
+def test_rejection_tests_the_rest_of_a_batch_when_the_lead_falls_short(triple):
+    # told that every candidate is kept, the loop tests too few leading
+    # candidates of each batch (about 0.7 of them are kept) and must test
+    # the rest to give the per-call sampler's draws and generator state
+    candidates, kept, share = gig._sampler(*triple).args
+    assert share < 0.9
+    for n in (1, 1025, 4000):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = gig._rejection(candidates, kept, 1.0, rng, n)
+        assert got.tobytes() == reference_gig_sample(*triple, ref, n).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("text", BIT_LAWS)
 def test_resolved_sampler_is_the_per_call_sampler_bit_for_bit(text):
     # the same draws and the same generator state afterwards, at sizes on
