@@ -511,6 +511,12 @@ def test_compare_prints_sup_deviation(tmp_path, capsys):
     assert lines[0] == "u,e_data,e_model"
 
 
+def test_compare_pareto_without_finite_mean_exit_3(capsys):
+    code = main(["compare", "--data", FIXTURE, "--log-returns", "--dist", "pareto(alpha=1,lambda=1)"])
+    assert code == 3
+    assert "pareto has no finite mean at these parameters" in capsys.readouterr().err
+
+
 def test_compare_byte_identical_runs(tmp_path):
     args = [
         "compare",

@@ -33,7 +33,7 @@ from meanex import (
     std_survival,
     theoretical_mef,
 )
-from meanex.distributions import FAMILIES, _frame, _integrate
+from meanex.distributions import FAMILIES, DistributionSpec, _frame, _integrate
 from meanex.gh import gh_validate
 from meanex.gig import gig_mode, gig_validate
 
@@ -142,6 +142,80 @@ def test_make_spec_validates_domains():
         make_spec("exponential", **{"lambda": 0.0})
     with pytest.raises(DomainError):
         make_spec("normal", mu=0.0, sigma=-1.0)
+
+
+# every parameter's rule, stated apart from the registry, and the values
+# each rule refuses with the words of its message
+PARAMETER_RULES = {
+    "gpd": {"xi": "real", "beta": "positive"},
+    "pareto": {"alpha": "positive", "lambda": "positive"},
+    "exponential": {"lambda": "positive"},
+    "weibull": {"beta": "positive", "tau": "positive"},
+    "burr": {"alpha": "positive", "lambda": "positive", "tau": "positive"},
+    "gompertz": {"alpha": "positive", "lambda": "positive"},
+    "gamma": {"alpha": "positive", "beta": "positive"},
+    "beta": {"a": "positive", "b": "positive"},
+    "lognormal": {"mu": "real", "sigma": "positive"},
+    "normal": {"mu": "real", "sigma": "positive"},
+    "laplace": {"mu": "real", "sigma": "positive", "tau": "positive"},
+    "student": {"nu": "positive", "mu": "real"},
+    "cauchy": {"mu": "real", "delta": "positive"},
+    "gh": {"lambda": "real", "alpha": "nonnegative", "beta": "real", "delta": "nonnegative", "mu": "real"},
+    "gig": {"lambda": "real", "chi": "nonnegative", "psi": "nonnegative"},
+}
+REFUSALS = {
+    "real": [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite")],
+    "positive": [
+        (0.0, "must be positive, got 0"),
+        (-1.0, "must be positive, got -1"),
+        (math.nan, "must be positive, got nan"),
+        (-math.inf, "must be positive, got -inf"),
+    ],
+    "nonnegative": [
+        (-1.0, "must be nonnegative, got -1"),
+        (math.nan, "must be nonnegative, got nan"),
+        (-math.inf, "must be nonnegative, got -inf"),
+    ],
+}
+REFUSED_PARAMETERS = [
+    (text, name, value, words)
+    for text in REPRESENTATIVES
+    for name, rule in PARAMETER_RULES[parse_distribution_spec(text).family].items()
+    for value, words in REFUSALS[rule]
+]
+
+
+def test_parameter_rules_name_every_parameter_in_order():
+    assert set(PARAMETER_RULES) == set(FAMILIES)
+    for text in REPRESENTATIVES:
+        d = parse_distribution_spec(text)
+        assert list(PARAMETER_RULES[d.family]) == [name for name, _ in d.params]
+
+
+@pytest.mark.parametrize(
+    "text,name,value,words",
+    REFUSED_PARAMETERS,
+    ids=[f"{text.split('(')[0]}-{name}-{value:g}" for text, name, value, _ in REFUSED_PARAMETERS],
+)
+def test_refused_parameter_message(text, name, value, words):
+    """Each rule's message, the other parameters valid, from keyword
+    parameters and from the text format alike."""
+    d = parse_distribution_spec(text)
+    params = {**d.as_dict(), name: value}
+    expected = f"{d.family} parameter {name} {words}"
+    with pytest.raises(DomainError) as err:
+        make_spec(d.family, **params)
+    assert str(err.value) == expected
+    body = ",".join(f"{key}={val!r}" for key, val in params.items())
+    with pytest.raises(DomainError) as err:
+        parse_distribution_spec(f"{d.family}({body})")
+    assert str(err.value) == expected
+
+
+def test_hand_built_spec_of_unknown_family_is_refused():
+    with pytest.raises(InputError) as err:
+        std_pdf(DistributionSpec("nosuch", ()), 0.0)
+    assert str(err.value) == "unknown family 'nosuch'"
 
 
 # ---------------------------------------------------------------------------

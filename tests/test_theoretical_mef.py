@@ -265,6 +265,17 @@ def test_cases_cover_every_family_and_gh_class():
     }
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_pareto_without_finite_mean_is_refused(alpha):
+    """Pareto's closed form holds for alpha > 1 alone; below that the law's
+    mean, which every curve asks for first, refuses it."""
+    d = make_spec("pareto", alpha=alpha, **{"lambda": 1.0})
+    for mef in (lambda: theoretical_mef(d, 1.0), lambda: theoretical_mef_curve(d, make_grid([0.5, 1.0, 2.0]))):
+        with pytest.raises(DomainError) as err:
+            mef()
+        assert str(err.value) == "pareto has no finite mean at these parameters"
+
+
 @pytest.mark.parametrize("text", CASES)
 def test_theoretical_mef_against_oracles(text):
     d = parse_distribution_spec(text)
