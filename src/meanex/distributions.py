@@ -2,9 +2,12 @@
 curves, plus the generalized hyperbolic and generalized inverse Gaussian
 laws, behind one text format.
 
-Each law resolves once into a ``_Frame``, whose hooks give its density,
-draws, F, F_bar, quantiles and mean. A standard family's hooks are its
-frozen scipy law's methods. GH and GIG take their density, mean and
+``FAMILIES`` states each family once: its parameters in order, the rule
+each value keeps (real, positive or nonnegative, and finite in every
+case), and its frozen scipy law (none for GH and GIG). Each law resolves
+once into a ``_Frame``, whose hooks give its density, draws, F, F_bar,
+quantiles and mean. A standard family's hooks are its frozen scipy law's
+methods. GH and GIG take their density, mean and
 sampler from ``gh`` / ``gig``, F and F_bar from the gap walker (``_walk``)
 and quantiles from ``_quantile``. Every integral of a density is one
 checked quadrature path (``_integrate``): all intervals of a walk over a
@@ -86,51 +89,33 @@ class DistributionSpec:
         return dict(self.params)
 
 
-def _positive(name):
-    def check(v, fam):
-        if not v > 0:
-            raise DomainError(f"{fam} parameter {name} must be positive, got {v:g}")
-    return check
-
-
-def _real(name):
-    def check(v, fam):
-        if not np.isfinite(v):
-            raise DomainError(f"{fam} parameter {name} must be finite")
-    return check
-
-
-def _nonneg(name):
-    def check(v, fam):
-        if not v >= 0:
-            raise DomainError(f"{fam} parameter {name} must be nonnegative, got {v:g}")
-    return check
-
-
-# family -> ordered (param, validator) signature
-FAMILIES: dict[str, tuple[tuple[str, object], ...]] = {
-    "gpd": (("xi", _real("xi")), ("beta", _positive("beta"))),
-    "pareto": (("alpha", _positive("alpha")), ("lambda", _positive("lambda"))),
-    "exponential": (("lambda", _positive("lambda")),),
-    "weibull": (("beta", _positive("beta")), ("tau", _positive("tau"))),
-    "burr": (("alpha", _positive("alpha")), ("lambda", _positive("lambda")), ("tau", _positive("tau"))),
-    "gompertz": (("alpha", _positive("alpha")), ("lambda", _positive("lambda"))),
-    "gamma": (("alpha", _positive("alpha")), ("beta", _positive("beta"))),
-    "beta": (("a", _positive("a")), ("b", _positive("b"))),
-    "lognormal": (("mu", _real("mu")), ("sigma", _positive("sigma"))),
-    "normal": (("mu", _real("mu")), ("sigma", _positive("sigma"))),
-    "laplace": (("mu", _real("mu")), ("sigma", _positive("sigma")), ("tau", _positive("tau"))),
-    "student": (("nu", _positive("nu")), ("mu", _real("mu"))),
-    "cauchy": (("mu", _real("mu")), ("delta", _positive("delta"))),
-    "gh": (
-        ("lambda", _real("lambda")),
-        ("alpha", _nonneg("alpha")),
-        ("beta", _real("beta")),
-        ("delta", _nonneg("delta")),
-        ("mu", _real("mu")),
-    ),
-    "gig": (("lambda", _real("lambda")), ("chi", _nonneg("chi")), ("psi", _nonneg("psi"))),
+# family -> its parameters in order, each with the rule its value keeps
+# (``_RULES``), and its frozen scipy law from the parameters (None for GH and
+# GIG, whose frames ``gh`` and ``gig`` decide)
+FAMILIES: dict[str, tuple[dict[str, str], object]] = {
+    "gpd": ({"xi": "real", "beta": "positive"}, lambda p: stats.genpareto(c=p["xi"], scale=p["beta"])),
+    "pareto": ({"alpha": "positive", "lambda": "positive"}, lambda p: stats.lomax(c=p["alpha"], scale=p["lambda"])),
+    "exponential": ({"lambda": "positive"}, lambda p: stats.expon(scale=1.0 / p["lambda"])),
+    "weibull": ({"beta": "positive", "tau": "positive"},
+                lambda p: stats.weibull_min(c=p["tau"], scale=p["beta"] ** (-1.0 / p["tau"]))),
+    "burr": ({"alpha": "positive", "lambda": "positive", "tau": "positive"},
+             lambda p: stats.burr12(c=p["tau"], d=p["alpha"], scale=p["lambda"] ** (1.0 / p["tau"]))),
+    "gompertz": ({"alpha": "positive", "lambda": "positive"},
+                 lambda p: stats.gompertz(c=p["alpha"] / p["lambda"], scale=1.0 / p["lambda"])),
+    "gamma": ({"alpha": "positive", "beta": "positive"}, lambda p: stats.gamma(a=p["alpha"], scale=1.0 / p["beta"])),
+    "beta": ({"a": "positive", "b": "positive"}, lambda p: stats.beta(a=p["a"], b=p["b"])),
+    "lognormal": ({"mu": "real", "sigma": "positive"}, lambda p: stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"]))),
+    "normal": ({"mu": "real", "sigma": "positive"}, lambda p: stats.norm(loc=p["mu"], scale=p["sigma"])),
+    "laplace": ({"mu": "real", "sigma": "positive", "tau": "positive"},
+                lambda p: stats.laplace_asymmetric(kappa=p["tau"], loc=p["mu"], scale=p["sigma"])),
+    "student": ({"nu": "positive", "mu": "real"}, lambda p: stats.t(df=p["nu"], loc=p["mu"])),
+    "cauchy": ({"mu": "real", "delta": "positive"}, lambda p: stats.cauchy(loc=p["mu"], scale=p["delta"])),
+    "gh": ({"lambda": "real", "alpha": "nonnegative", "beta": "real", "delta": "nonnegative", "mu": "real"}, None),
+    "gig": ({"lambda": "real", "chi": "nonnegative", "psi": "nonnegative"}, None),
 }
+
+# rule -> the sign test a value must pass before it is checked to be finite
+_RULES = {"real": lambda v: True, "positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 _ALIASES = {"exp": "exponential", "studentt": "student", "t": "student", "lognorm": "lognormal", "gauss": "normal"}
 
@@ -142,18 +127,20 @@ def make_spec(family: str, **params: float) -> DistributionSpec:
     fam = _ALIASES.get(family.lower(), family.lower())
     if fam not in FAMILIES:
         raise InputError(f"unknown distribution family '{family}'")
-    sig = FAMILIES[fam]
-    names = [n for n, _ in sig]
-    missing = [n for n in names if n not in params]
-    extra = [n for n in params if n not in names]
+    rules, _ = FAMILIES[fam]
+    missing = [n for n in rules if n not in params]
+    extra = [n for n in params if n not in rules]
     if missing:
         raise InputError(f"{fam} missing parameter(s): {', '.join(missing)}")
     if extra:
         raise InputError(f"{fam} does not take parameter(s): {', '.join(extra)}")
     ordered = []
-    for name, check in sig:
+    for name, rule in rules.items():
         val = float(params[name])
-        check(val, fam)
+        if not _RULES[rule](val):
+            raise DomainError(f"{fam} parameter {name} must be {rule}, got {val:g}")
+        if not math.isfinite(val):
+            raise DomainError(f"{fam} parameter {name} must be finite")
         ordered.append((name, val))
     return DistributionSpec(family=fam, params=tuple(ordered))
 
@@ -221,31 +208,16 @@ class _Frame:
     mean: object = field(default=None, compare=False)
 
 
-_SCIPY_LAWS = {
-    "gpd": lambda p: stats.genpareto(c=p["xi"], scale=p["beta"]),
-    "pareto": lambda p: stats.lomax(c=p["alpha"], scale=p["lambda"]),
-    "exponential": lambda p: stats.expon(scale=1.0 / p["lambda"]),
-    "weibull": lambda p: stats.weibull_min(c=p["tau"], scale=p["beta"] ** (-1.0 / p["tau"])),
-    "burr": lambda p: stats.burr12(c=p["tau"], d=p["alpha"], scale=p["lambda"] ** (1.0 / p["tau"])),
-    "gompertz": lambda p: stats.gompertz(c=p["alpha"] / p["lambda"], scale=1.0 / p["lambda"]),
-    "gamma": lambda p: stats.gamma(a=p["alpha"], scale=1.0 / p["beta"]),
-    "beta": lambda p: stats.beta(a=p["a"], b=p["b"]),
-    "lognormal": lambda p: stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"])),
-    "normal": lambda p: stats.norm(loc=p["mu"], scale=p["sigma"]),
-    "laplace": lambda p: stats.laplace_asymmetric(kappa=p["tau"], loc=p["mu"], scale=p["sigma"]),
-    "student": lambda p: stats.t(df=p["nu"], loc=p["mu"]),
-    "cauchy": lambda p: stats.cauchy(loc=p["mu"], scale=p["delta"]),
-}
-
-
 @lru_cache(maxsize=256)
 def _frame(spec: DistributionSpec) -> _Frame:
-    """The law's frame, resolved once. A standard family's density and
-    draws call its frozen scipy law's ``_pdf`` and ``_rvs`` with shapes,
-    loc and scale from one ``_parse_args``, as scipy's ``pdf`` and ``rvs``
-    do without their per-call argument handling; its other hooks are the
-    law's methods, its centre the median, its bulk the interquartile
-    range."""
+    """The law's frame, resolved once: GH and GIG from ``gh`` / ``gig``,
+    a standard family from the frozen scipy law its ``FAMILIES`` entry
+    builds. That law's density and draws call its ``_pdf`` and ``_rvs``
+    with shapes, loc and scale from one ``_parse_args``, as scipy's ``pdf``
+    and ``rvs`` do without their per-call argument handling; its other
+    hooks are the law's methods, its centre the median, its bulk the
+    interquartile range. InputError for a family ``FAMILIES`` does not
+    name, which only a spec built by hand can carry."""
     p, fam = spec.as_dict(), spec.family
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
@@ -255,9 +227,9 @@ def _frame(spec: DistributionSpec) -> _Frame:
         gig = p["lambda"], p["chi"], p["psi"]
         return _in_house(fam, partial(gig_pdf_near, *gig), partial(gig_sample, *gig), 0.0, gig_bulk(*gig),
                          partial(gig_moment, *gig, 1))
-    if fam not in _SCIPY_LAWS:
+    if fam not in FAMILIES:
         raise InputError(f"unknown family '{fam}'")
-    law = _SCIPY_LAWS[fam](p)
+    law = FAMILIES[fam][1](p)
     dist = law.dist
     shapes, loc, scale = dist._parse_args(*law.args, **law.kwds)
 

@@ -170,11 +170,13 @@ REFUSALS = {
         (-1.0, "must be positive, got -1"),
         (math.nan, "must be positive, got nan"),
         (-math.inf, "must be positive, got -inf"),
+        (math.inf, "must be finite"),
     ],
     "nonnegative": [
         (-1.0, "must be nonnegative, got -1"),
         (math.nan, "must be nonnegative, got nan"),
         (-math.inf, "must be nonnegative, got -inf"),
+        (math.inf, "must be finite"),
     ],
 }
 REFUSED_PARAMETERS = [
