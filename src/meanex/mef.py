@@ -207,8 +207,6 @@ def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]
         out[inside] = (beta + xi * x) / (1.0 - xi)
     elif dist.family == "pareto":
         alpha, lam = p["alpha"], p["lambda"]
-        if alpha <= 1:
-            raise DomainError("pareto mean excess requires alpha > 1")
         out[inside] = (lam + x) / (alpha - 1.0)
     elif x.size:
         sf, stop_loss = dist_tail_moments(dist, x)
