@@ -7,9 +7,9 @@ each value keeps (real, positive or nonnegative, and finite in every
 case), and its frozen scipy law (none for GH and GIG). Each law resolves
 once into a ``_Frame``, whose hooks give its density, draws, F, F_bar,
 quantiles and mean. A standard family's hooks are its frozen scipy law's
-methods. GH and GIG take their density, mean and
-sampler from ``gh`` / ``gig``, F and F_bar from the gap walker (``_walk``)
-and quantiles from ``_quantile``. Every integral of a density is one
+methods. GH and GIG take their density, mean and sampler from ``gh`` /
+``gig``, F and F_bar from the gap walker (``_walk``) and quantiles from
+``_quantile``. Every integral of a density is one
 checked quadrature path (``_integrate``): all intervals of a walk over a
 grid go into one ``scipy.integrate.cubature`` call, which evaluates the
 density at a region's nodes for all intervals as one array, each
