@@ -217,7 +217,8 @@ def _frame(spec: DistributionSpec) -> _Frame:
     and ``rvs`` do without their per-call argument handling; its other
     hooks are the law's methods, its centre the median, its bulk the
     interquartile range. InputError for a family ``FAMILIES`` does not
-    name, which only a spec built by hand can carry."""
+    name, which only a spec built by hand can carry; NumericError where
+    the law's scale overflows, as 1 / lambda does at lambda = 1e-320."""
     p, fam = spec.as_dict(), spec.family
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
@@ -229,9 +230,14 @@ def _frame(spec: DistributionSpec) -> _Frame:
                          partial(gig_moment, *gig, 1))
     if fam not in FAMILIES:
         raise InputError(f"unknown family '{fam}'")
-    law = FAMILIES[fam][1](p)
+    try:
+        law = FAMILIES[fam][1](p)
+        shapes, loc, scale = law.dist._parse_args(*law.args, **law.kwds)
+    except OverflowError:  # a power or exp of finite parameters passed the double range
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NumericError(f"{format_distribution_spec(spec)}: the law's scale overflows")
     dist = law.dist
-    shapes, loc, scale = dist._parse_args(*law.args, **law.kwds)
 
     def pdf(x0, dx):
         z = (np.asarray(x0 + dx, dtype=float) - loc) / scale

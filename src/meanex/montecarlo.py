@@ -5,15 +5,21 @@ identity.
 Determinism contract
 --------------------
 One engine runs the replicates of all three protocols. Replicate r
-draws from default_rng(SeedSequence(entropy=seed, spawn_key=prefix +
-(r,))); the prefix is () for stallion and coverage and (i,) for the
-i-th sample size of convergence. So each replicate's stream depends on
-its index alone, and the draws come from the law's frame hook, the
-one ``std_sample`` calls, so a replicate is the sample std_sample gives
-on that stream. The replicates run serially in blocks of a fixed 64:
-each sample is drawn and sorted on its own, and checked finite from its
-ends (NaN sorts last, -inf first), and the mean-excess formula runs
-once per block on all its replicates. A block's sums add its rows in
+draws from the PCG64 stream default_rng(SeedSequence(entropy=seed,
+spawn_key=prefix + (r,))) gives; the prefix is () for stallion and
+coverage and (i,) for the i-th sample size of convergence. So each
+replicate's stream depends on its index alone. The streams are derived a
+block at a time (``_streams``): the pool of SeedSequence(entropy=seed,
+spawn_key=prefix) is built once per protocol call, and one vectorised
+uint32 pass of numpy's SeedSequence hash mixes in each replicate's r and
+gives the block's PCG64 seed words. numpy's SeedSequence is the oracle
+of these streams, state and draws, in the tests. The seed must be a
+non-negative integer (InputError). The draws come from the law's frame
+hook, the one ``std_sample`` calls, so a replicate is the sample
+std_sample gives on its stream. The replicates run serially in blocks
+of a fixed 64: each sample is drawn and sorted on its own, and checked
+finite from its ends (NaN sorts last, -inf first), and the mean-excess
+formula runs once per block on all its replicates. A block's sums add its rows in
 replicate order, and the block sums are combined in block order, so
 every result is a fixed function of the seed.
 
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, InputError
 from .mef import (
@@ -88,26 +95,116 @@ class ExperimentReport:
     seed: int
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_M32 = 0xFFFFFFFF
+
+
+def _hash_consts(start: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of n hash steps from start on: step k XORs the value
+    with c_k and multiplies it by c_(k+1) = c_k mult (mod 2^32)."""
+    c = [start]
+    for _ in range(n):
+        c.append(c[-1] * mult & _M32)
+    return np.array(c[:-1], dtype=np.uint32), np.array(c[1:], dtype=np.uint32)
+
+
+def _hashed(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Hash steps with the constants of ``_hash_consts``, one per column."""
+    v = (v ^ xor) * mult
+    return v ^ (v >> np.uint32(16))
+
+
+def _mixed(mixer: np.ndarray, word: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Each row's pool (B, 4) after one more entropy word of its own (B,)
+    from the pool mixer, (4,) or (B, 4): the word is hashed once per pool
+    word, and each pool word mixed with its hash."""
+    out = _MIX_L * mixer - _MIX_R * _hashed(word[:, None], xor, mult)
+    return out ^ (out >> np.uint32(16))
+
+
+def _words(k: int) -> int:
+    """How many uint32 words numpy's SeedSequence makes of the integer k."""
+    return max(1, -(-k.bit_length() // 32))
+
+
+# generate_state(4, uint64) reads the pool twice round, each word hashed
+# with the next constant of INIT_B's sequence: (2, 4), a row per round
+_STATE_CONSTS = tuple(c.reshape(2, 4) for c in _hash_consts(_INIT_B, _MULT_B, 8))
+
+
+class _Seeded(ISeedSequence):
+    """One replicate's PCG64 seed words, as its SeedSequence's
+    generate_state(4, uint64) gives them."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a replicate's seed words serve PCG64 alone")
+        return self._state
+
+
+def _streams(seed: int, prefix: tuple = ()):
+    """block(start, stop): the generators of replicates start..stop-1 under
+    (seed, prefix), replicate r's the one default_rng(SeedSequence(
+    entropy=seed, spawn_key=prefix + (r,))) gives, bit for bit.
+
+    SeedSequence(entropy=seed, spawn_key=prefix).pool is the state the
+    hash has reached after the seed (padded to 4 words) and the prefix's
+    words, W of them. Its constant has taken 16 steps for the first 4
+    words and the pool's own mixing, and 4 for each later word, so it
+    stands at INIT_A MULT_A^(4 W). A block takes up each replicate's words
+    of r from there in one uint32 pass, and each PCG64 is seeded from its
+    row. InputError for a seed that is not a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError("seed must be a non-negative integer")
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=prefix).pool
+    w = max(4, _words(int(seed))) + sum(_words(int(k)) for k in prefix)
+    hc = _INIT_A * pow(_MULT_A, 4 * w, 1 << 32) & _M32
+    low = _hash_consts(hc, _MULT_A, 4)
+    high = _hash_consts(int(low[1][-1]), _MULT_A, 4)  # for the second word of an r >= 2**32
+
+    def block(start: int, stop: int) -> list:
+        r = np.arange(start, stop, dtype=np.uint64)
+        mixer = _mixed(pool, r.astype(np.uint32), *low)
+        if stop - 1 > _M32:
+            big = r > _M32
+            mixer[big] = _mixed(mixer[big], (r[big] >> np.uint64(32)).astype(np.uint32), *high)
+        half = _hashed(mixer[:, None, :], *_STATE_CONSTS).reshape(-1, 8).astype(np.uint64)
+        state = half[:, 0::2] | half[:, 1::2] << np.uint64(32)
+        return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in state]
+
+    return block
+
+
 def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    """The generator of replicate key[-1] under (seed, key[:-1])."""
+    return _streams(seed, key[:-1])(key[-1], key[-1] + 1)[0]
 
 
-def _emef_blocks(draw, points, size, seed, n_reps, prefix=(), stat=None):
+def _emef_blocks(draw, points, size, streams, n_reps, stat=None):
     """The replicate engine: for each block of up to _CHUNK consecutive
     replicates, yield the (B, m) empirical mean excess on points, one row
     per replicate, the (B, m) exceedance counts, and stat of each sorted
     sample (an empty list without stat). draw(rng, size) draws one
-    sample: the law's frame hook, looked up once per protocol call.
+    sample: the law's frame hook, looked up once per protocol call;
+    streams(start, stop) gives the block's generators (``_streams``).
     Memory per block is O(B m + size)."""
     for start in range(0, n_reps, _CHUNK):
-        reps = range(start, min(start + _CHUNK, n_reps))
-        count = np.empty((len(reps), points.size), dtype=np.int64)
-        total = np.empty((len(reps), points.size))
-        centre = np.empty((len(reps), 1))
-        top = np.empty((len(reps), 1))
+        rngs = streams(start, min(start + _CHUNK, n_reps))
+        count = np.empty((len(rngs), points.size), dtype=np.int64)
+        total = np.empty((len(rngs), points.size))
+        centre = np.empty((len(rngs), 1))
+        top = np.empty((len(rngs), 1))
         stats = []
-        for b, r in enumerate(reps):
-            x = draw(_replicate_rng(seed, *prefix, r), size)
+        for b, rng in enumerate(rngs):
+            x = draw(rng, size)
             x.sort()
             # NaN sorts last and -inf first, so the ends show a sample that is not finite
             if not (x[0] > -math.inf and x[-1] < math.inf):
@@ -126,13 +223,14 @@ def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, 
 
     if n_reps < 1 or sample_size < 1:
         raise InputError("stallion requires n_reps >= 1 and sample_size >= 1")
+    streams = _streams(seed)
     lo, hi = dist_support(dist)
     points = grid.points
     if points[0] < lo or points[-1] >= hi:
         raise DomainError("grid outside support")
     sums = np.zeros(points.size)
     cnts = np.zeros(points.size, dtype=np.int64)
-    for e, _, _ in _emef_blocks(_frame(dist).draw, points, sample_size, seed, n_reps):
+    for e, _, _ in _emef_blocks(_frame(dist).draw, points, sample_size, streams, n_reps):
         ok = np.isfinite(e)  # NaN points are skipped, not zero-filled
         # accumulate adds rows in replicate order for any grid size; sum
         # would add a one-point grid's column pairwise
@@ -177,6 +275,7 @@ def coverage_experiment(
         raise InputError("eps must lie in [0, 1)")
     if (u0, u1) != (constants.u0, constants.u1):
         raise InputError("constants were built for a different [u0, u1]")
+    streams = _streams(seed)
     grid = make_grid(np.linspace(u0, u1, 101))
     truth = theoretical_mef_curve(dist, grid).values
     sf_u1 = float(std_survival(dist, u1)) if oracle else None
@@ -187,7 +286,7 @@ def coverage_experiment(
     root_n = np.sqrt(sample_size)
     covered, defined, en_sum, hw_sum = 0, 0, 0.0, 0.0
     stat = None if oracle else _plug_in_mean_abs
-    blocks = _emef_blocks(_frame(dist).draw, grid.points, sample_size, seed, n_reps, stat=stat)
+    blocks = _emef_blocks(_frame(dist).draw, grid.points, sample_size, streams, n_reps, stat=stat)
     for e, count, mean_abs in blocks:
         half = np.full((len(e), 1), np.nan)  # stays NaN where the band is undefined
         for b in range(len(e)):
@@ -237,6 +336,7 @@ def convergence_experiment(
         raise InputError("convergence requires sizes of at least 2 observations")
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise InputError("sizes must be strictly increasing")
+    streams = [_streams(seed, (i,)) for i in range(len(sizes))]
     lo_support, _ = dist_support(dist)
     if u0 is None:
         u0 = lo_support if np.isfinite(lo_support) else dist_ppf(dist, 0.001)
@@ -247,7 +347,7 @@ def convergence_experiment(
     draw = _frame(dist).draw
     metrics = []
     for i, size in enumerate(sizes):
-        blocks = _emef_blocks(draw, grid.points, size, seed, n_reps, prefix=(i,))
+        blocks = _emef_blocks(draw, grid.points, size, streams[i], n_reps)
         devs = np.concatenate([_sup_abs(e - truth.values) for e, _, _ in blocks])
         metrics.append((f"median_sup_dev_{size}", float(np.median(devs))))
     return ExperimentReport(name="convergence", metrics=tuple(metrics), replicate_count=n_reps, seed=seed)

@@ -406,6 +406,26 @@ def test_gh_sample_draws_replicate_zero_of_the_seed(tmp_path):
     assert out.read_text(encoding="utf-8") == table(None, expected)
 
 
+@pytest.mark.parametrize("command", [
+    ["gh-sample", "--dist", "exponential(lambda=1)", "--size", "3"],
+    ["stallion", "--dist", "exponential(lambda=1)", "--reps", "3", "--size", "10"],
+    ["coverage", "--dist", "exponential(lambda=1)", "--u0", "0.1", "--u1", "1", "--reps", "3", "--size", "50"],
+], ids=["gh-sample", "stallion", "coverage"])
+def test_negative_seed_exit_2(command, capsys):
+    assert main(command + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["exponential(lambda=1e-320)", "weibull(beta=1e-320,tau=1)"])
+def test_gh_sample_law_whose_scale_overflows_exit_3(spec, capsys):
+    assert main(["gh-sample", "--dist", spec, "--size", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.endswith(": the law's scale overflows\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", [["--reps", "5"], ["--full"]])
 def test_gh_sample_refuses_replicate_options(flag, capsys):
     # gh-sample draws one sample: --reps and --full are stallion's and coverage's

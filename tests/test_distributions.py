@@ -220,6 +220,34 @@ def test_hand_built_spec_of_unknown_family_is_refused():
     assert str(err.value) == "unknown family 'nosuch'"
 
 
+# finite parameters whose law's scale passes the double range: 1 / lambda or
+# 1 / beta is inf, or a power or exp of the parameters raises OverflowError
+SCALE_OVERFLOWS = [
+    "exponential(lambda=1e-320)",
+    "gamma(alpha=1,beta=1e-320)",
+    "gompertz(alpha=1,lambda=1e-320)",
+    "weibull(beta=1e-320,tau=1)",
+    "burr(alpha=1,lambda=1e300,tau=0.01)",
+    "lognormal(mu=800,sigma=1)",
+]
+
+
+@pytest.mark.parametrize("text", SCALE_OVERFLOWS)
+def test_law_whose_scale_overflows_is_refused(text):
+    d = parse_distribution_spec(text)
+    for use in (lambda: std_sample(d, np.random.default_rng(0), 3), lambda: std_pdf(d, 1.0), lambda: dist_mean(d)):
+        with pytest.raises(NumericError) as err:
+            use()
+        assert str(err.value) == f"{format_distribution_spec(d)}: the law's scale overflows"
+
+
+@pytest.mark.parametrize("text", ["exponential(lambda=1e-300)", "weibull(beta=1e-300,tau=1)", "lognormal(mu=700,sigma=1)"])
+def test_law_whose_scale_is_large_but_finite_is_kept(text):
+    d = parse_distribution_spec(text)
+    draws = std_sample(d, np.random.default_rng(0), 3)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
+
 # ---------------------------------------------------------------------------
 # registry values
 

@@ -33,7 +33,7 @@ from meanex import (
 )
 from meanex import cli, distributions
 from meanex.cli import main
-from meanex.montecarlo import ExperimentReport, StallionCurve, _replicate_rng
+from meanex.montecarlo import ExperimentReport, StallionCurve, _emef_blocks, _replicate_rng, _streams
 from meanex.types import make_curve
 
 EXP2 = make_spec("exponential", **{"lambda": 2.0})
@@ -167,6 +167,73 @@ def test_convergence_matches_per_replicate_oracle():
     d = make_spec("exponential", **{"lambda": 1.0})
     got = convergence_experiment(d, u1=1.5, sizes=[10, 100, 1000], n_reps=70, seed=4)
     assert repr(got) == repr(oracle_convergence(d, 1.5, [10, 100, 1000], 70, 4))
+
+
+# ---------------------------------------------------------------------------
+# the block streams against numpy's SeedSequence, the streams' oracle
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11, 2**130 + 9, 2**200 + 1]
+STREAM_PREFIXES = [(), (0,), (2,), (5, 3), (2**33,)]
+
+
+def assert_oracle_streams(rngs, seed, prefix, reps):
+    assert len(rngs) == len(reps)
+    for rng, r in zip(rngs, reps):
+        want = oracle_rng(seed, *prefix, r)
+        assert rng.bit_generator.state == want.bit_generator.state, r
+        assert rng.random(16).tobytes() == want.random(16).tobytes(), r
+
+
+@pytest.mark.parametrize("n_reps", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=str)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_engine_streams_are_seed_sequence_streams(seed, prefix, n_reps):
+    rngs = []
+
+    def draw(rng, size):  # the engine's draw hook: record the generator, draw nothing from it
+        rngs.append(rng)
+        return np.zeros(size)
+
+    blocks = list(_emef_blocks(draw, np.array([0.5]), 2, _streams(seed, prefix), n_reps))
+    assert [len(e) for e, _, _ in blocks] == [min(64, n_reps - s) for s in range(0, n_reps, 64)]
+    assert_oracle_streams(rngs, seed, prefix, range(n_reps))
+
+
+@pytest.mark.parametrize("start", [2**32 - 64, 2**32 - 20, 2**32, 2**40 + 5], ids=hex)
+@pytest.mark.parametrize("prefix", [(), (5, 3), (2**33,)], ids=str)
+@pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 9])
+def test_block_streams_across_two_to_the_32(seed, prefix, start):
+    # an r of 2**32 or more is two words of the spawn key
+    reps = range(start, start + 64)
+    assert_oracle_streams(_streams(seed, prefix)(reps.start, reps.stop), seed, prefix, reps)
+
+
+def test_replicate_rng_is_the_block_stream():
+    assert_oracle_streams([_replicate_rng(7, 0)], 7, (), [0])
+    assert_oracle_streams([_replicate_rng(7, 2, 65)], 7, (2,), [65])
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None, "3"])
+def test_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    d = make_spec("exponential", **{"lambda": 1.0})
+    grid = make_grid(np.linspace(0.1, 1.0, 5))
+    calls = [
+        lambda: stallion(d, n_reps=3, sample_size=10, grid=grid, seed=seed),
+        lambda: coverage_experiment(d, 0.1, 1.0, band_constants(0.1, 1.0), sample_size=50, n_reps=3, seed=seed),
+        lambda: convergence_experiment(d, u1=1.0, sizes=[10, 20], n_reps=3, seed=seed),
+        lambda: _replicate_rng(seed, 0),
+    ]
+    for call in calls:
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "seed must be a non-negative integer"
+
+
+def test_numpy_integer_seed_gives_the_int_seed_streams():
+    grid = make_grid(np.linspace(0.1, 1.0, 5))
+    a = stallion(EXP2, n_reps=3, sample_size=20, grid=grid, seed=np.uint64(2**63 + 1))
+    b = stallion(EXP2, n_reps=3, sample_size=20, grid=grid, seed=2**63 + 1)
+    assert a.curve.values.tobytes() == b.curve.values.tobytes()
 
 
 def run_mc_cli(out, capsys):
