@@ -19,9 +19,9 @@ hook, the one ``std_sample`` calls, so a replicate is the sample
 std_sample gives on its stream. The replicates run serially in blocks
 of a fixed 64: each sample is drawn and sorted on its own, and checked
 finite from its ends (NaN sorts last, -inf first), and the mean-excess
-formula runs once per block on all its replicates. A block's sums add its rows in
-replicate order, and the block sums are combined in block order, so
-every result is a fixed function of the seed.
+formula runs once per block on all its replicates. A block's sums add
+its rows in replicate order, and the block sums are combined in block
+order, so every result is a fixed function of the seed.
 
 The fourth-moment identity: for iid centered X_1..X_n with kappa1 =
 E X^2 and kappa2 = E X^4,
@@ -118,9 +118,10 @@ def _hashed(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
 
 
 def _mixed(mixer: np.ndarray, word: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Each row's pool (B, 4) after one more entropy word of its own (B,)
-    from the pool mixer, (4,) or (B, 4): the word is hashed once per pool
-    word, and each pool word mixed with its hash."""
+    """The (B, 4) pools after row b takes in the entropy word word[b],
+    from mixer, one pool (4,) for every row or a pool (B, 4) each: the
+    word is hashed once per pool word, and each pool word mixed with its
+    hash."""
     out = _MIX_L * mixer - _MIX_R * _hashed(word[:, None], xor, mult)
     return out ^ (out >> np.uint32(16))
 
