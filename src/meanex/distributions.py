@@ -7,9 +7,10 @@ each value keeps (real, positive or nonnegative, and finite in every
 case), and its frozen scipy law (none for GH and GIG). Each law resolves
 once into a ``_Frame``, whose hooks give its density, draws, F, F_bar,
 quantiles and mean. A standard family's hooks are its frozen scipy law's
-methods. GH and GIG take their density, mean and sampler from ``gh`` /
-``gig``, F and F_bar from the gap walker (``_walk``) and quantiles from
-``_quantile``. Every integral of a density is one
+public methods, but for its draws (``_frame``). GH and GIG take their
+density, mean and sampler from ``gh`` / ``gig``, F and F_bar from the gap
+walker (``_walk``) and quantiles from ``_quantile``. Every integral of a
+density is one
 checked quadrature path (``_integrate``): all intervals of a walk over a
 grid go into one ``scipy.integrate.cubature`` call, which evaluates the
 density at a region's nodes for all intervals as one array, each
@@ -52,7 +53,7 @@ from scipy import integrate, optimize, special, stats
 
 from .errors import DomainError, InputError, NumericError
 from .gh import GhParams, gh_bulk, gh_mean, gh_pdf_near, gh_sample
-from .gig import gig_bulk, gig_moment, gig_pdf_near, gig_sample
+from .gig import gig_bulk, gig_moment, gig_pdf, gig_sample
 
 __all__ = [
     "DistributionSpec",
@@ -212,13 +213,16 @@ class _Frame:
 def _frame(spec: DistributionSpec) -> _Frame:
     """The law's frame, resolved once: GH and GIG from ``gh`` / ``gig``,
     a standard family from the frozen scipy law its ``FAMILIES`` entry
-    builds. That law's density and draws call its ``_pdf`` and ``_rvs``
-    with shapes, loc and scale from one ``_parse_args``, as scipy's ``pdf``
-    and ``rvs`` do without their per-call argument handling; its other
-    hooks are the law's methods, its centre the median, its bulk the
-    interquartile range. InputError for a family ``FAMILIES`` does not
-    name, which only a spec built by hand can carry; NumericError where
-    the law's scale overflows, as 1 / lambda does at lambda = 1e-320."""
+    builds. That law's density is its public ``pdf`` at x0 + dx, and its
+    hooks but the draws are its methods; its centre is the median, its
+    bulk the interquartile range. Its draws call ``_rvs`` with shapes,
+    loc and scale from one ``_parse_args``, as scipy's ``rvs`` does
+    without its per-call argument handling, which a Monte Carlo protocol
+    would pay on every replicate. InputError for a family ``FAMILIES``
+    does not name, which only a spec built by hand can carry;
+    NumericError where the law's scale overflows, as 1 / lambda does at
+    lambda = 1e-320, or underflows to 0, as beta^(-1/tau) does at
+    beta = 1e300, tau = 0.01."""
     p, fam = spec.as_dict(), spec.family
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
@@ -226,8 +230,9 @@ def _frame(spec: DistributionSpec) -> _Frame:
                          partial(gh_mean, gh))
     if fam == "gig":
         gig = p["lambda"], p["chi"], p["psi"]
-        return _in_house(fam, partial(gig_pdf_near, *gig), partial(gig_sample, *gig), 0.0, gig_bulk(*gig),
-                         partial(gig_moment, *gig, 1))
+        # the density's only pole is at 0, where x0 + dx is dx
+        return _in_house(fam, lambda x0, dx: gig_pdf(*gig, x0 + dx), partial(gig_sample, *gig), 0.0,
+                         gig_bulk(*gig), partial(gig_moment, *gig, 1))
     if fam not in FAMILIES:
         raise InputError(f"unknown family '{fam}'")
     try:
@@ -237,21 +242,15 @@ def _frame(spec: DistributionSpec) -> _Frame:
         scale = math.inf
     if not math.isfinite(scale):
         raise NumericError(f"{format_distribution_spec(spec)}: the law's scale overflows")
-    dist = law.dist
-
-    def pdf(x0, dx):
-        z = (np.asarray(x0 + dx, dtype=float) - loc) / scale
-        inside = dist._support_mask(z, *shapes)
-        out = np.where(np.isnan(z), np.nan, 0.0)
-        out[inside] = dist._pdf(z[inside], *shapes) / scale
-        return out[()]
+    if scale == 0.0:
+        raise NumericError(f"{format_distribution_spec(spec)}: the law's scale underflows to 0")
 
     def draw(rng, n):
-        return dist._rvs(*shapes, size=n, random_state=rng) * scale + loc
+        return law.dist._rvs(*shapes, size=n, random_state=rng) * scale + loc
 
     lo, hi = law.support()
     iqr = law.ppf(0.75) - law.ppf(0.25)
-    return _Frame(fam, pdf, draw, float(lo), float(hi), float(law.median()), float(iqr),
+    return _Frame(fam, lambda x0, dx: law.pdf(x0 + dx), draw, float(lo), float(hi), float(law.median()), float(iqr),
                   cdf=law.cdf, sf=law.sf, ppf=law.ppf, isf=law.isf, mean=law.mean)
 
 
@@ -313,7 +312,8 @@ def std_survival(dist: DistributionSpec, x):
 
 
 def std_pdf(dist: DistributionSpec, x):
-    """Density at x, without scipy's per-call argument handling."""
+    """Density at x, the one the frame integrates: the frozen scipy law's
+    ``pdf`` for a standard family, ``gh_pdf`` or ``gig_pdf`` for GH/GIG."""
     return _frame(dist).pdf(x, 0.0)
 
 

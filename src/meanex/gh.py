@@ -70,15 +70,13 @@ class GhParams:
     mu: float
 
 
-@lru_cache(maxsize=256)
 def gh_validate(params: GhParams) -> str:
     """Total classification of a parameter bundle.
 
     Returns 'invalid', 'interior', or a subclass/limit name:
     'hyperbolic', 'nig', 'variance-gamma', 'skew-laplace', 'skew-student',
     'student', 'cauchy', the limit classes at exact values: alpha == 0,
-    alpha == |beta| > 0 with lam < 0, and delta == 0 with lam > 0. Cached
-    per parameter set: a Monte Carlo run draws from one law many times.
+    alpha == |beta| > 0 with lam < 0, and delta == 0 with lam > 0.
     """
     lam, al, be, de = params.lam, params.alpha, params.beta, params.delta
     for v in (lam, al, be, de, params.mu):

@@ -57,7 +57,7 @@ from scipy import optimize, special
 from .bessel import bessel_k_scaled
 from .errors import DomainError, NumericError
 
-__all__ = ["gig_validate", "gig_sample", "gig_pdf", "gig_pdf_near", "gig_moment", "gig_mode", "gig_bulk"]
+__all__ = ["gig_validate", "gig_sample", "gig_pdf", "gig_moment", "gig_mode", "gig_bulk"]
 
 
 def gig_validate(lam: float, chi: float, psi: float) -> str:
@@ -332,12 +332,6 @@ def gig_pdf(lam: float, chi: float, psi: float, w) -> np.ndarray:
         with np.errstate(over="ignore"):  # d * d overflows far from s, where exp(-inf) is the 0 wanted
             out[pos] = np.exp(log_norm + _log_h_centred(wp, lam, chi, psi, s_hi, s_lo))
     return out
-
-
-def gig_pdf_near(lam: float, chi: float, psi: float, x0, dx) -> np.ndarray:
-    """Density at x0 + dx, rounded as x0 + dx: the density's only pole is
-    at 0, where x0 + dx is dx."""
-    return gig_pdf(lam, chi, psi, x0 + dx)
 
 
 def gig_moment(lam: float, chi: float, psi: float, k: int) -> float:

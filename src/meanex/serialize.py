@@ -84,9 +84,7 @@ def band_csv(band: Band) -> str:
 
 
 def fit_csv(params: GpdParams, fit: OlsFit) -> str:
-    header = "xi_hat,beta_hat,a_hat,b_hat,r2"
-    row = ",".join(fmt(v) for v in (params.xi, params.beta, fit.a_hat, fit.b_hat, fit.r2))
-    return header + "\n" + row + "\n"
+    return table("xi_hat,beta_hat,a_hat,b_hat,r2", [params.xi], [params.beta], [fit.a_hat], [fit.b_hat], [fit.r2])
 
 
 def experiment_csv(report: ExperimentReport) -> str:

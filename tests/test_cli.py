@@ -426,6 +426,23 @@ def test_gh_sample_law_whose_scale_overflows_exit_3(spec, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["gh-sample", "--size", "3"],
+    ["gh-pdf"],
+    ["compare", "--data", FIXTURE, "--log-returns"],
+])
+def test_law_whose_scale_underflows_exit_3(command, capsys):
+    # beta^(-1/tau) = 1e300^-100 rounds to 0, a law with all its mass at 0: each command refuses it
+    # before it draws zeros, finds an empty window or writes e_model = 0
+    spec = "weibull(beta=1e300,tau=0.01)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command + ["--dist", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.endswith("weibull(beta=1e+300,tau=0.01): the law's scale underflows to 0\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", [["--reps", "5"], ["--full"]])
 def test_gh_sample_refuses_replicate_options(flag, capsys):
     # gh-sample draws one sample: --reps and --full are stallion's and coverage's

@@ -241,6 +241,31 @@ def test_law_whose_scale_overflows_is_refused(text):
         assert str(err.value) == f"{format_distribution_spec(d)}: the law's scale overflows"
 
 
+# beta^(-1/tau), lambda^(1/tau) and e^mu round to 0: a law with all its mass at 0
+SCALE_UNDERFLOWS = [
+    "weibull(beta=1e300,tau=0.01)",
+    "burr(alpha=1,lambda=1e-300,tau=0.01)",
+    "lognormal(mu=-800,sigma=1)",
+]
+
+
+@pytest.mark.parametrize("text", SCALE_UNDERFLOWS)
+def test_law_whose_scale_underflows_is_refused(text):
+    d = parse_distribution_spec(text)
+    for use in (lambda: std_sample(d, np.random.default_rng(0), 3), lambda: std_pdf(d, 1.0), lambda: dist_mean(d)):
+        with pytest.raises(NumericError) as err:
+            use()
+        assert str(err.value) == f"{format_distribution_spec(d)}: the law's scale underflows to 0"
+
+
+@pytest.mark.parametrize("text", ["gamma(alpha=2,beta=1e308)", "exponential(lambda=1e308)", "lognormal(mu=-700,sigma=1)"])
+def test_law_whose_scale_is_small_but_positive_is_kept(text):
+    d = parse_distribution_spec(text)
+    draws = std_sample(d, np.random.default_rng(0), 3)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+    assert 0.0 < dist_mean(d) < 1e-300
+
+
 @pytest.mark.parametrize("text", ["exponential(lambda=1e-300)", "weibull(beta=1e-300,tau=1)", "lognormal(mu=700,sigma=1)"])
 def test_law_whose_scale_is_large_but_finite_is_kept(text):
     d = parse_distribution_spec(text)
@@ -723,7 +748,7 @@ def test_skew_student_survival_far_out():
 
 @pytest.mark.parametrize("text", [t for t in REPRESENTATIVES if not t.startswith(("gh(", "gig("))])
 def test_std_pdf_is_scipy_pdf(text):
-    # the density callable skips scipy's argument handling, not its values
+    # the frame's density is the frozen law's public pdf, read at x0 + dx: at dx = 0, scipy's own bits
     d = parse_distribution_spec(text)
     law = scipy_law(d)
     lo, hi = dist_support(d)
