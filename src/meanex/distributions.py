@@ -5,13 +5,14 @@ laws, behind one text format.
 ``FAMILIES`` states each family once: its parameters in order, the rule
 each value keeps (real, positive or nonnegative, and finite in every
 case), and its frozen scipy law (none for GH and GIG). Each law resolves
-once into a ``_Frame``, whose hooks give its density, draws, F, F_bar,
-quantiles and mean. A standard family's hooks are its frozen scipy law's
-public methods, but for its draws (``_frame``). GH and GIG take their
-density, mean and sampler from ``gh`` / ``gig``, F and F_bar from the gap
-walker (``_walk``) and quantiles from ``_quantile``. Every integral of a
-density is one
-checked quadrature path (``_integrate``): all intervals of a walk over a
+once into a ``_Frame``, which gives its density, draws, F, F_bar,
+quantiles and mean. Every density is read at the offset d from the law's
+location ``loc``, so no digit of d is lost next to it. A standard family's
+F, F_bar, quantiles and mean are its frozen scipy law's public methods,
+its density scipy's public ``pdf`` in standard coordinates (``_frame``).
+GH and GIG take their density, mean and sampler from ``gh`` / ``gig``, F
+and F_bar from the gap walker (``_walk``) and quantiles from
+``_quantile``. Every integral of a density is one checked quadrature path (``_integrate``): all intervals of a walk over a
 grid go into one ``scipy.integrate.cubature`` call, which evaluates the
 density at a region's nodes for all intervals as one array, each
 interval scaled to a first estimate of its own value. A call can integrate
@@ -45,14 +46,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
 from .errors import DomainError, InputError, NumericError
-from .gh import GhParams, gh_bulk, gh_mean, gh_pdf_near, gh_sample
+from .gh import GhParams, _density, gh_bulk, gh_mean, gh_sample
 from .gig import gig_bulk, gig_moment, gig_pdf, gig_sample
 
 __all__ = [
@@ -184,55 +185,68 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 @dataclass(frozen=True)
 class _Frame:
     """What meanex computes from a law, resolved once per law: its
-    density, called as pdf(x0, dx) for the density at x0 + dx; its draws,
-    draw(rng, n) for n of them in draw order; cdf(x), sf(x), ppf(q),
-    isf(q) and mean(); and what quadrature needs beside the density: the
-    support [lo, hi], a centre in the bulk, a length no wider than that
-    bulk, and whether the density has a pole at the centre. ``walked``:
-    F and F_bar are ``_walk``'s. The five hooks from cdf on take no part
-    in equality, so a GH or GIG frame and the frame its hooks hold share
-    one mass check (``_in_house``)."""
+    density, called as pdf(d) for the density at loc + d, so a point read
+    next to the law's location keeps every digit of its offset; its draws,
+    draw(rng, n) for n of them in draw order; its mean(); and what
+    quadrature needs beside the density: the support [lo, hi], a centre
+    in the bulk, a length no wider than that bulk, and whether the density
+    has a pole at the centre. cdf(x), sf(x), ppf(q) and isf(q) are the
+    frozen scipy ``law``'s, or for GH/GIG (``law`` None) ``_walk``'s
+    (``_edges``) and ``_quantile``'s (``_inverse``)."""
 
     name: str
     pdf: object
     draw: object
+    mean: object
     lo: float
     hi: float
     centre: float
     scale: float
     pole: bool = False
-    walked: bool = False
-    cdf: object = field(default=None, compare=False)
-    sf: object = field(default=None, compare=False)
-    ppf: object = field(default=None, compare=False)
-    isf: object = field(default=None, compare=False)
-    mean: object = field(default=None, compare=False)
+    loc: float = 0.0
+    law: object = None
+
+    def cdf(self, x):
+        return _edges(self, x, upper=False) if self.law is None else self.law.cdf(x)
+
+    def sf(self, x):
+        return _edges(self, x, upper=True) if self.law is None else self.law.sf(x)
+
+    def ppf(self, q):
+        return _inverse(self, q, upper=False) if self.law is None else self.law.ppf(q)
+
+    def isf(self, q):
+        return _inverse(self, q, upper=True) if self.law is None else self.law.isf(q)
 
 
 @lru_cache(maxsize=256)
 def _frame(spec: DistributionSpec) -> _Frame:
-    """The law's frame, resolved once: GH and GIG from ``gh`` / ``gig``,
-    a standard family from the frozen scipy law its ``FAMILIES`` entry
-    builds. That law's density is its public ``pdf`` at x0 + dx, and its
-    hooks but the draws are its methods; its centre is the median, its
-    bulk the interquartile range. Its draws call ``_rvs`` with shapes,
-    loc and scale from one ``_parse_args``, as scipy's ``rvs`` does
-    without its per-call argument handling, which a Monte Carlo protocol
-    would pay on every replicate. InputError for a family ``FAMILIES``
-    does not name, which only a spec built by hand can carry;
+    """The law's frame, resolved once. GH and GIG take their density, mean
+    and draws from ``gh`` / ``gig`` (log space, scaled Bessel functions:
+    scipy's ``genhyperbolic`` mean is NaN once delta sqrt(alpha^2 -
+    beta^2) reaches the hundreds, ``geninvgauss`` NaN at chi psi ~ 1e23),
+    with loc mu or 0; a GH density is resolved on its first call, so a law
+    whose norming constant leaves the double range can still be drawn. A
+    standard family's frozen scipy law gives loc and scale from one
+    ``_parse_args``, its density as scipy's unfrozen ``pdf`` at d / scale,
+    its centre (the median), bulk (the interquartile range) and draws,
+    which call ``_rvs`` without the per-call argument handling of ``rvs``
+    that a Monte Carlo protocol would pay on every replicate. InputError
+    for a family ``FAMILIES`` does not name (a spec built by hand);
     NumericError where the law's scale overflows, as 1 / lambda does at
     lambda = 1e-320, or underflows to 0, as beta^(-1/tau) does at
-    beta = 1e300, tau = 0.01."""
+    beta = 1e300, tau = 0.01, or where its density is not finite at the
+    centre: 1 / scale times the standard density overflows at
+    ``normal(mu=0,sigma=1e-310)``, not at ``gamma(alpha=2,beta=1e308)``."""
     p, fam = spec.as_dict(), spec.family
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
-        return _in_house(fam, partial(gh_pdf_near, gh), partial(gh_sample, gh), -np.inf, gh_bulk(gh),
-                         partial(gh_mean, gh))
+        return _Frame(fam, lambda d: _density(gh)(d), partial(gh_sample, gh), partial(gh_mean, gh), -np.inf, np.inf,
+                      *gh_bulk(gh), loc=gh.mu)
     if fam == "gig":
         gig = p["lambda"], p["chi"], p["psi"]
-        # the density's only pole is at 0, where x0 + dx is dx
-        return _in_house(fam, lambda x0, dx: gig_pdf(*gig, x0 + dx), partial(gig_sample, *gig), 0.0,
-                         gig_bulk(*gig), partial(gig_moment, *gig, 1))
+        return _Frame(fam, partial(gig_pdf, *gig), partial(gig_sample, *gig), partial(gig_moment, *gig, 1), 0.0,
+                      np.inf, *gig_bulk(*gig))
     if fam not in FAMILIES:
         raise InputError(f"unknown family '{fam}'")
     try:
@@ -245,25 +259,21 @@ def _frame(spec: DistributionSpec) -> _Frame:
     if scale == 0.0:
         raise NumericError(f"{format_distribution_spec(spec)}: the law's scale underflows to 0")
 
+    def pdf(d):
+        return law.dist.pdf(d / scale, *shapes) / scale
+
     def draw(rng, n):
         return law.dist._rvs(*shapes, size=n, random_state=rng) * scale + loc
 
     lo, hi = law.support()
+    centre = float(law.median())
+    with np.errstate(all="ignore"):  # a refusal, not a warning, where the density fails
+        top = pdf(centre - loc)
+    if not np.isfinite(top):
+        raise NumericError(f"{format_distribution_spec(spec)}: the law's density is not finite at its centre "
+                           f"(scale {scale:.3g})")
     iqr = law.ppf(0.75) - law.ppf(0.25)
-    return _Frame(fam, lambda x0, dx: law.pdf(x0 + dx), draw, float(lo), float(hi), float(law.median()), float(iqr),
-                  cdf=law.cdf, sf=law.sf, ppf=law.ppf, isf=law.isf, mean=law.mean)
-
-
-def _in_house(name, pdf, draw, lo, bulk, mean) -> _Frame:
-    """A GH or GIG law's frame on [lo, inf). Its density, mean and draws
-    stay in-house: they work in log space with scaled Bessel functions,
-    where scipy's ``genhyperbolic`` mean is NaN once delta sqrt(alpha^2 -
-    beta^2) reaches the hundreds and ``geninvgauss`` is NaN at chi psi ~
-    1e23. F and F_bar come from ``_walk`` (``_edges``), quantiles from
-    ``_quantile`` (``_inverse``)."""
-    frame = _Frame(name, pdf, draw, lo, np.inf, *bulk, walked=True)
-    return replace(frame, cdf=partial(_edges, frame, upper=False), sf=partial(_edges, frame, upper=True),
-                   ppf=partial(_inverse, frame, upper=False), isf=partial(_inverse, frame, upper=True), mean=mean)
+    return _Frame(fam, pdf, draw, law.mean, float(lo), float(hi), centre, float(iqr), loc=loc, law=law)
 
 
 def _edges(frame: _Frame, x, upper: bool):
@@ -312,9 +322,10 @@ def std_survival(dist: DistributionSpec, x):
 
 
 def std_pdf(dist: DistributionSpec, x):
-    """Density at x, the one the frame integrates: the frozen scipy law's
-    ``pdf`` for a standard family, ``gh_pdf`` or ``gig_pdf`` for GH/GIG."""
-    return _frame(dist).pdf(x, 0.0)
+    """Density at x, the one the frame integrates, read at x - loc: for a
+    standard family bitwise the frozen scipy law's ``pdf``."""
+    frame = _frame(dist)
+    return frame.pdf(np.asarray(x, dtype=float) - frame.loc)
 
 
 def dist_support(dist: DistributionSpec) -> tuple[float, float]:
@@ -339,10 +350,13 @@ def dist_ppf(dist: DistributionSpec, q: float) -> float:
 
 
 # The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w, where x^2
-# stays finite; a piece with an end at an anchor starts _INNER_SPAN below
-# s = min(0, its own far end), within w e^-40 ~ 4e-18 w of the anchor.
-# ``_power_rest`` adds what lies past either cut.
+# stays finite, or where w e^s reaches e^_LOG_TOP, e^-8 of the largest
+# double (s ~ 10.7 for a normal law of sigma 1e300), so x0 + dx and the
+# map's slope stay finite; a piece with an end at an anchor starts
+# _INNER_SPAN below s = min(0, its own far end), within w e^-40 ~ 4e-18 w
+# of the anchor. ``_power_rest`` adds what lies past either cut.
 _LOG_SPAN = 300.0
+_LOG_TOP = math.log(np.finfo(float).max) - 8.0
 _INNER_SPAN = 40.0
 # quad's default relative tolerance: how closely the two readings of a
 # rest past a cut must agree, and what a quantile's gap steps allow for
@@ -405,8 +419,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
       centre where the density has a pole (``pole``): x = anchor +- w e^s,
       from _INNER_SPAN below s = min(0, log(width / w)) up to
       log(width / w), so a density that goes as a power of the distance
-      to the anchor becomes e^(k s). The density is asked for as
-      pdf(anchor, dx), which keeps every digit of dx at a pole; next to
+      to the anchor becomes e^(k s). The density is read at (anchor -
+      loc) + dx, which keeps every digit of dx at a pole; next to
       an end, s starts where x is 2^20 ulps from the end, an ulp counted
       as at least the smallest normal double. A piece with no room for
       that next to an end at 0 is refused if its density grows toward
@@ -416,7 +430,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
       c, so the bulk stays on the scale w near s = 0 and a power tail
       x^-(k+1) becomes e^-(k s).
 
-    s stops at _LOG_SPAN, and ``_power_rest`` adds what lies past that cut
+    s stops at _LOG_SPAN, or sooner for a w near the double range's top,
+    and ``_power_rest`` adds what lies past that cut
     and below a piece's inner start. ``cubature`` holds each value to
     _RTOL of its own, but splits first the region whose largest error is
     largest, so each piece's integrand is divided by a first estimate of
@@ -448,7 +463,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
     at_hi = ~at_lo & (pole_hi | ((hi == frame.hi) & np.isfinite(hi)))
     with np.errstate(divide="ignore"):
         log_width = np.log(width / w)
-        # pdf(x0, dx) keeps every digit of dx next to a pole at the centre;
+        cut = min(_LOG_SPAN, _LOG_TOP - np.log(w))
+        # (x0 - loc) + dx keeps every digit of dx next to a pole at the centre;
         # next to an end of the support the points stay 2^20 ulps of the
         # end, and at least 2^20 smallest normal doubles, away from it (so
         # no density is read at subnormal spacing next to 0), and a piece
@@ -460,11 +476,11 @@ def _integrate(frame: _Frame, a, b, ref=None):
     up = np.where(inner, at_lo, lin | (lo >= c))  # dx runs up from lo, else down from hi
     x0 = np.where(up, lo, hi)
     span = np.where(inner, log_width, np.log1p(width / w))  # s at the far end
-    far_cut = ~lin & (span > _LOG_SPAN)
+    far_cut = ~lin & (span > cut)
     # every piece as x0 + dx, dx = slope t + reach (e^s - shift) with
     # s = start + rate t: the three maps of the docstring
     start = np.where(inner, np.maximum(np.minimum(span, 0.0) - _INNER_SPAN, floor), 0.0)
-    rate = np.where(lin, 0.0, np.minimum(span, _LOG_SPAN) - start)
+    rate = np.where(lin, 0.0, np.minimum(span, cut) - start)
     columns = (
         x0,
         np.where(lin, width, 0.0),  # slope
@@ -476,12 +492,12 @@ def _integrate(frame: _Frame, a, b, ref=None):
     )
 
     def mapped(x0, slope, reach, shift, start, rate, ref):
-        pull = w * rate
+        pull, off = w * rate, x0 - frame.loc
 
         def integrand(t):
             e = np.exp(start + rate * t)
             dx = slope * t + reach * (e - shift)
-            y = frame.pdf(x0, dx) * (slope + pull * e)
+            y = frame.pdf(off + dx) * (slope + pull * e)
             return y[..., None, :] if ref is None else np.stack((y, y * ((x0 - ref) + dx)), axis=-2)
 
         return integrand
@@ -509,12 +525,16 @@ def _integrate(frame: _Frame, a, b, ref=None):
                            f"grows toward the end of the support at {(lo if at_lo[i] else hi)[i]:g}, and the piece "
                            f"is narrower than the {np.exp(floor[i] + 2.0) * w:.3g} that its map from that end needs "
                            f"to stay off subnormal spacing")
-    units = np.where(estimate > 0.0, estimate, 1.0)
+    # a subnormal estimate is no unit: values divided by it carry fewer than
+    # 53 bits, and cubature spent its whole budget on them (30 s for a GH
+    # curve whose F_bar reaches 1e-320). Such a piece keeps unit 1 and meets
+    # atol = _TINY, below which F_bar gives e = 0 (``mef``)
+    units = np.where(estimate >= _TINY, estimate, 1.0)
     # cubature starts from subintervals that end at s = _LOG_BREAKS of the
     # longest log map, so no round of nodes is spent closing in on s = 0
     i = np.argmax(rate)
     breaks = [[(s - start[i]) / rate[i]] for s in _LOG_BREAKS if start[i] < s < start[i] + rate[i]]
-    res = integrate.cubature(lambda t: integrand(t) / units, [0.0], [1.0], rule="gk21", rtol=_RTOL, atol=0.0,
+    res = integrate.cubature(lambda t: integrand(t) / units, [0.0], [1.0], rule="gk21", rtol=_RTOL, atol=_TINY,
                              points=breaks)
     if res.status != "converged":
         raise NumericError(f"quadrature over {where} failed for {frame.name}: not converged after "
@@ -544,7 +564,7 @@ def _integrate(frame: _Frame, a, b, ref=None):
     if np.any(far_cut):
         rest = past(far_cut, True)
         if np.any(np.isnan(rest)):
-            raise NumericError(f"quadrature for {frame.name} cuts its half-line at {_LOG_SPAN:g} in log scale, "
+            raise NumericError(f"quadrature for {frame.name} cuts its half-line at {cut:.3g} in log scale, "
                                f"and the tail beyond does not fall as a power of x")
         value[:, far_cut] += rest
     if not np.all(np.isfinite(value)):
@@ -674,7 +694,7 @@ def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray
     walk's; a standard law's is scipy's own."""
     frame = _frame(dist)
     sf, stop_loss = _walk(frame, u, True, dist_mean(dist))
-    if not frame.walked:
+    if frame.law is not None:
         sf = np.asarray(frame.sf(u), dtype=float)
     return sf, stop_loss
 

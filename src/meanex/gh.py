@@ -278,13 +278,6 @@ def gh_pdf(params: GhParams, x) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-def gh_pdf_near(params: GhParams, x0, dx) -> np.ndarray:
-    """Density at x0 + dx, with the offset from mu taken as (x0 - mu) + dx:
-    at x0 = mu, where a variance-gamma density with lambda < 1/2 has its
-    pole, a point dx away keeps every digit of dx."""
-    return _density(params)((np.asarray(x0, dtype=float) - params.mu) + dx)
-
-
 def _mixing(params: GhParams) -> tuple[str, float, float]:
     """The class, and chi = delta^2, psi = alpha^2 - beta^2 (0 at a limit) of W."""
     kind = _require_valid(params)

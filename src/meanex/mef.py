@@ -177,8 +177,10 @@ def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
     ``dist_tail_moments``: one quadrature over the tail of the top point,
     then one vectorised quadrature of every gap, each value a sum of
     nonnegative terms. e = E[X] - u below the support, and 0 from its
-    upper end on and wherever F_bar(u) = 0. DomainError for a law without
-    a finite mean, NumericError when a quadrature fails.
+    upper end on and wherever F_bar(u) is 0 or subnormal (below 2.2e-308),
+    where quadrature holds S and F_bar only to an absolute 2.2e-308 and
+    their ratio means nothing. DomainError for a law without a finite
+    mean, NumericError when a quadrature fails.
     """
     values, meta = _mef_values(dist, grid.points)
     return make_curve(grid, values, meta=meta)
@@ -211,7 +213,7 @@ def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]
     elif x.size:
         sf, stop_loss = dist_tail_moments(dist, x)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out[inside] = np.where(sf > 0.0, stop_loss / sf, 0.0)
+            out[inside] = np.where(sf >= np.finfo(float).tiny, stop_loss / sf, 0.0)
     return out, meta
 
 

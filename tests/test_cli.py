@@ -443,6 +443,29 @@ def test_law_whose_scale_underflows_exit_3(command, capsys):
     assert captured.out == ""
 
 
+def test_law_whose_density_overflows_exit_3(capsys):
+    # scale e^-740 = 4.2e-322: gh-pdf printed three inf densities, or under warnings as errors ended
+    # in scipy's "overflow encountered in divide"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gh-pdf", "--dist", "lognormal(mu=-740,sigma=1)", "--grid", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.endswith("lognormal(mu=-740,sigma=1): the law's density is not finite at its centre "
+                                 "(scale 4.2e-322)\n")
+    assert captured.out == ""
+
+
+def test_gh_law_whose_density_is_out_of_range_still_draws(capsys):
+    # the frame resolves a GH density on its first call: this law's norming constant leaves the
+    # double range, which its draws never need
+    spec = "gh(lambda=-200,alpha=1,beta=0,delta=1e-3,mu=0)"
+    assert main(["gh-sample", "--dist", spec, "--size", "3"]) == 0
+    draws = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(draws) == 3 and all(np.isfinite(draws))
+    assert main(["gh-pdf", "--dist", spec, "--u0", "-1", "--u1", "1", "--grid", "3"]) == 3
+    assert "norming constant" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--reps", "5"], ["--full"]])
 def test_gh_sample_refuses_replicate_options(flag, capsys):
     # gh-sample draws one sample: --reps and --full are stallion's and coverage's

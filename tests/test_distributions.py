@@ -2,6 +2,7 @@
 transforms, and the increment-regularity diagnostic."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -264,6 +265,44 @@ def test_law_whose_scale_is_small_but_positive_is_kept(text):
     draws = std_sample(d, np.random.default_rng(0), 3)
     assert np.all(np.isfinite(draws)) and np.all(draws > 0)
     assert 0.0 < dist_mean(d) < 1e-300
+
+
+# 1 / scale passes the double range: e^740, e^720 and 1e310 times the standard density at the
+# centre, and 1 / 1.34e-308 = 7.4e307 times lognormal's 39.9 at sigma = 0.01
+DENSITY_OVERFLOWS = [
+    "lognormal(mu=-740,sigma=1)",
+    "lognormal(mu=-720,sigma=1)",
+    "normal(mu=0,sigma=1e-310)",
+    "lognormal(mu=-708.9,sigma=0.01)",
+]
+
+
+@pytest.mark.parametrize("text", DENSITY_OVERFLOWS)
+def test_law_whose_density_overflows_is_refused(text):
+    # the density printed inf, or under warnings as errors ended in scipy's "overflow encountered
+    # in divide"
+    d = parse_distribution_spec(text)
+    scale = d.value("sigma") if d.family == "normal" else math.exp(d.value("mu"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for use in (lambda: std_sample(d, np.random.default_rng(0), 3), lambda: std_pdf(d, 1.0), lambda: dist_mean(d)):
+            with pytest.raises(NumericError) as err:
+                use()
+            assert str(err.value) == (f"{format_distribution_spec(d)}: the law's density is not finite at its "
+                                      f"centre (scale {scale:.3g})")
+
+
+@pytest.mark.parametrize("text", ["gamma(alpha=2,beta=1e308)", "exponential(lambda=1e308)",
+                                  "lognormal(mu=-708.5,sigma=1)", "normal(mu=0,sigma=6e-309)"])
+def test_law_whose_density_is_large_but_finite_is_kept(text):
+    # scales of 1e-308 and below, whose densities stay below the largest double
+    d = parse_distribution_spec(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = std_pdf(d, dist_ppf(d, 0.5))
+        draws = std_sample(d, np.random.default_rng(0), 3)
+    assert 1e300 < top < np.inf
+    assert np.all(np.isfinite(draws))
 
 
 @pytest.mark.parametrize("text", ["exponential(lambda=1e-300)", "weibull(beta=1e-300,tau=1)", "lognormal(mu=700,sigma=1)"])
@@ -748,7 +787,7 @@ def test_skew_student_survival_far_out():
 
 @pytest.mark.parametrize("text", [t for t in REPRESENTATIVES if not t.startswith(("gh(", "gig("))])
 def test_std_pdf_is_scipy_pdf(text):
-    # the frame's density is the frozen law's public pdf, read at x0 + dx: at dx = 0, scipy's own bits
+    # the frame's density is scipy's public pdf in standard coordinates, read at x - loc: scipy's own bits
     d = parse_distribution_spec(text)
     law = scipy_law(d)
     lo, hi = dist_support(d)

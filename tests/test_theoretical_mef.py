@@ -16,8 +16,10 @@ grid, with gaps wider than the law's bulk, against the mixture, scipy's
 closed-form laws or mpmath.
 """
 
+import contextlib
 import functools
 import math
+import signal
 
 import mpmath
 import numpy as np
@@ -580,3 +582,113 @@ def test_theoretical_mef_curve_finds_narrow_mass(text, points):
         expected = [_gh_mixture(GhParams(*(v for _, v in d.params)))(u) for u in points]
     np.testing.assert_allclose(e, expected, rtol=1e-8)
     _tail_means_never_decrease(np.asarray(points), e)
+
+
+# ---------------------------------------------------------------------------
+# location and scale: every density is read at its offset from the law's loc
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds``: a
+    quadrature that spends its whole budget fails here, not after it."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still integrating after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_EQUIVARIANT = {
+    "normal": lambda mu, sigma: make_spec("normal", mu=mu, sigma=sigma),
+    "laplace": lambda mu, sigma: make_spec("laplace", mu=mu, sigma=sigma, tau=0.6),
+    "student": lambda mu, sigma: make_spec("student", nu=3.5, mu=mu),  # no scale parameter: sigma = 1
+}
+
+
+def _equivariance_cases():
+    for family in _EQUIVARIANT:
+        for sigma in (1.0,) if family == "student" else (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300):
+            for k in (0.0, -3.7, 1e4, -1e8, 1e12):  # mu = k sigma, while mu stays below 1e307
+                if abs(k) * sigma <= 1e307:
+                    yield pytest.param(family, sigma, k, id=f"{family}-sigma{sigma:g}-k{k:g}")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("family, sigma, k", list(_equivariance_cases()))
+def test_standard_law_is_location_scale_equivariant(family, sigma, k):
+    # e(u) = sigma e_std((u - mu) / sigma), e_std from the law at mu = 0, sigma = 1, at the z that
+    # the threshold u, a double, stands for. Tolerance, fixed before the run: 1e-9 relative, the
+    # quadrature's own, plus two ulps of mu, because the law's mean mu + sigma m is one double and
+    # below the centre S reads mean - u. A density read at loc + d rounded to the ulp of mu spent
+    # cubature's whole budget once mu / sigma reached about 1e8
+    mu = k * sigma
+    law, standard = _EQUIVARIANT[family](mu, sigma), _EQUIVARIANT[family](0.0, 1.0)
+    with _within(5):
+        for z in (-1.5, 0.0, 0.7, 3.0):
+            u = mu + sigma * z
+            expected = sigma * theoretical_mef(standard, (u - mu) / sigma)
+            assert theoretical_mef(law, u) == pytest.approx(expected, rel=1e-9, abs=2.0 * np.spacing(abs(mu))), z
+
+
+def _student_half_mean(nu):
+    # E[T | T > 0] = sqrt(nu / pi) Gamma((nu - 1) / 2) / Gamma(nu / 2), to 30 digits
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(nu)
+        return float(mpmath.sqrt(nu / mpmath.pi) * mpmath.gamma((nu - 1) / 2) / mpmath.gamma(nu / 2))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "text, u, expected, rel",
+    [
+        # refused after about 9 s and 14 s, and 1.8e-11 off, while the density was read at loc + d
+        pytest.param(text, u, expected, rel, id=text)
+        for text, u, expected, rel in [
+            ("normal(mu=-22.885,sigma=1e-8)", -22.885, 1e-8 * math.sqrt(2.0 / math.pi), 1e-14),
+            ("student(nu=52.28,mu=-1e8)", -1e8, _student_half_mean(52.28), 1e-12),
+            ("student(nu=52.28,mu=0)", 0.0, _student_half_mean(52.28), 1e-12),
+            ("normal(mu=1e6,sigma=1)", 1e6, math.sqrt(2.0 / math.pi), 1e-15),
+        ]
+    ],
+)
+def test_far_shifted_or_narrow_law_at_its_centre(text, u, expected, rel):
+    d = parse_distribution_spec(text)
+    with _within(1):
+        e = theoretical_mef(d, u)
+    assert e == pytest.approx(expected, rel=rel, abs=0.0)
+    if d.family == "student":
+        assert e == pytest.approx(theoretical_mef(make_spec("student", nu=52.28, mu=0.0), 0.0), rel=1e-12, abs=0.0)
+
+
+# F_bar of this law falls below the smallest normal double between u = 6.5 and 6.6
+SUBNORMAL_TAIL = ("gh(lambda=0.224639102136,alpha=114.279785566,beta=6.44264365844,delta=0.00660634244206,"
+                  "mu=0.000192222274645)")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_subnormal_tail_neither_stalls_nor_gives_a_value():
+    # a piece whose first estimate is subnormal was divided by it: its values kept fewer than 53
+    # bits, and cubature spent all 10000 subdivisions (29.6 s for this curve, 6.1 s for e(6.765)).
+    # It now converges on an absolute 2.2e-308, so S and F_bar below that mean nothing: e(6.765)
+    # would read 0.009174 (7e-322 / 8e-320) against 0.009263 nearby. e is 0 wherever F_bar(u) is
+    # below the smallest normal double, as where F_bar(u) = 0
+    d = parse_distribution_spec(SUBNORMAL_TAIL)
+    grid = make_grid(np.linspace(0.0, 7.0, 101))
+    with _within(3):
+        e = theoretical_mef_curve(d, grid).values
+        at = theoretical_mef(d, 6.765), theoretical_mef(d, 6.6)
+    tiny = np.finfo(float).tiny
+    sf = std_survival(d, grid.points)
+    assert np.all(e[sf < tiny] == 0.0) and np.all(e[sf >= tiny] > 0.0)
+    assert np.count_nonzero(sf >= tiny) == 94 and std_survival(d, 6.6) < tiny
+    assert at == (0.0, 0.0)
+    last = np.flatnonzero(sf >= tiny)[-1]
+    assert e[last] == pytest.approx(theoretical_mef(d, grid.points[last]), rel=1e-9)
+    _tail_means_never_decrease(grid.points[: last + 1], e[: last + 1])
