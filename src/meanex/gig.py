@@ -28,7 +28,8 @@ thins. The expected acceptance of each sampler, the share of its
 candidates it keeps, comes from the norming constant (``_log_acceptance``),
 and the sampler whose acceptance is larger runs: the two are compared by
 the terms in which they differ (``_log_kept``); a ROU box that cannot
-be solved (chi or psi near the double range's floor) keeps nothing. A
+be solved (chi or psi near the double range's floor, or lambda < -1 at
+small chi psi) keeps nothing. A
 law whose figure is below 1e-4 (lambda = 0 with small chi psi, where no
 boundary law can be thinned) is refused with NumericError. All of this
 is resolved once per law, on its first draw (``_sampler``). Rejection is
@@ -39,10 +40,11 @@ state are those of testing the whole batch.
 
 The interior density writes its exponent as -(psi / (2 w)) (w - s)^2,
 s = sqrt(chi / psi), beside the scaled Bessel constant, so at large
-chi psi no term of size sqrt(chi psi) cancels. The ROU acceptance test
-compares the same centred log h at w and at m (``_log_h_centred``):
-written as log h(w) - log h(m), two terms of size sqrt(chi psi) cancel,
-and at chi = psi = 1e20 the draws came out ten times too wide.
+chi psi no term of size sqrt(chi psi) cancels. The ROU box and test
+read the same centred log h (``_log_h_centred``), the one log density
+here: as log h(w) - log h(m), two terms of size sqrt(chi psi) cancel,
+and draws came out ten times too wide at chi = psi = 1e20, and all
+below the mode at gig(-0.5, 1e10, 1e22).
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
     return (2.0 * lam / psi,) * 2
 
 
-def _log_h(w, lam, chi, psi):
-    return (lam - 1.0) * np.log(w) - 0.5 * (chi / w + psi * w)
-
-
 def _centre(chi: float, psi: float) -> tuple[float, float]:
     """s = sqrt(chi / psi) as a double-double s_hi + s_lo: w - s is then
     right to an ulp of itself near s, where the interior exponent
@@ -119,37 +117,40 @@ def _centre(chi: float, psi: float) -> tuple[float, float]:
 def _log_h_centred(w, lam, chi, psi, s_hi, s_lo):
     """log h(w) + omega, omega = sqrt(chi psi): (chi / w + psi w) / 2 - omega
     is written as (psi / 2) ((w - s) / sqrt(w))^2, so no term of size
-    omega cancels (``_log_h`` loses log10(omega) digits that way)."""
+    omega cancels (an uncentred log h loses log10(omega) digits)."""
     d = ((w - s_hi) - s_lo) / np.sqrt(w)
     return (lam - 1.0) * np.log(w) - 0.5 * psi * (d * d)
 
 
 @lru_cache(maxsize=256)
 def _rou_envelope(lam: float, chi: float, psi: float):
-    """Mode, log h(mode) and the box bounds (v-, v+) for ratio-of-uniforms,
-    solved once per parameter set: a Monte Carlo run draws many samples
-    from one law. None where the box cannot be solved: with chi or psi
-    near the double range's floor, 1 / psi or chi / w^2 divides by 0, or
-    the root search fails to bracket or converge. Floating-point warnings
-    are silenced: where w^2 or psi w overflows, g and log h take their
-    limits."""
+    """Mode m, the centred log h(m) and the box bounds (v-, v+) for
+    ratio-of-uniforms, solved once per parameter set: a Monte Carlo run
+    draws many samples from one law. v-+ is (w - m) sqrt(h(w) / h(m)) on
+    ``_log_h_centred`` at a root of 2 + (w - m) d log h / dw, written with
+    the mode's lambda - 1 = psi m / 2 - chi / (2 m) as 2 - ((w - m) / w)^2
+    (psi w + chi / m) / 2, where no term of size psi w cancels; the upper
+    root is solved to 1e-13 of the bulk's width (``gig_bulk``). None where
+    the mode or width leaves the double range or the root search fails to
+    bracket or converge. Where psi w overflows, g and log h take their
+    limits without a warning."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = gig_mode(lam, chi, psi)
-        lh_m = _log_h(m, lam, chi, psi)
+        m, width = gig_bulk(lam, chi, psi)
+        s_hi, s_lo = _centre(chi, psi)
+        lh_m = _log_h_centred(m, lam, chi, psi, s_hi, s_lo)
 
         def s(w):
-            # (w - m) * sqrt(h(w)/h(m))
-            return (w - m) * np.exp(0.5 * (_log_h(w, lam, chi, psi) - lh_m))
+            return (w - m) * np.exp(0.5 * (_log_h_centred(w, lam, chi, psi, s_hi, s_lo) - lh_m))
 
         def g(w):
-            # stationarity of (w - m)^2 h(w): 2 + (w - m) dlogh/dw = 0
-            return 2.0 + (w - m) * ((lam - 1.0) / w - 0.5 * psi + 0.5 * chi / (w * w))
+            d = (w - m) / w
+            return 2.0 - 0.5 * d * d * (psi * w + chi / m)
 
         try:
             hi = 2.0 * m + 1.0 / psi
             while g(hi) > 0.0:
                 hi = 2.0 * hi + 1.0 / psi
-            w_plus = optimize.brentq(g, m, hi, xtol=1e-13 * max(m, 1.0), rtol=8.9e-16)
+            w_plus = optimize.brentq(g, m, hi, xtol=1e-13 * width, rtol=8.9e-16)
 
             lo = 0.5 * m
             while g(lo) > 0.0 and lo > 5e-324:
@@ -185,10 +186,9 @@ def _log_kept(lam: float, chi: float, psi: float, thin: bool) -> float:
     box = _rou_envelope(lam, chi, psi)
     if box is None:
         return -np.inf
-    _, _, s_hi, s_lo = _log_norm(lam, chi, psi)
-    m, _, v_lo, v_hi = box
+    _, lh_m, v_lo, v_hi = box
     with np.errstate(divide="ignore"):
-        return -_log_h_centred(m, lam, chi, psi, s_hi, s_lo) - np.log(2.0 * (v_hi - v_lo))
+        return -lh_m - np.log(2.0 * (v_hi - v_lo))
 
 
 def _log_acceptance(lam: float, chi: float, psi: float, thin: bool) -> float:
@@ -248,9 +248,8 @@ def _sampler(lam: float, chi: float, psi: float):
         def kept(w, u):
             return w[np.log(u) < (-0.5 * chi / w if lam > 0 else -0.5 * psi * w)]
     else:
-        m, _, v_lo, v_hi = box
+        m, lh_m, v_lo, v_hi = box
         _, _, s_hi, s_lo = _log_norm(lam, chi, psi)
-        lh_m = _log_h_centred(m, lam, chi, psi, s_hi, s_lo)
 
         def candidates(rng, k):
             # random(k) is uniform(0, 1, k) bit for bit: 0 + 1 * d = d
@@ -278,9 +277,9 @@ def _rejection(candidates, kept, share, rng: np.random.Generator, n: int) -> np.
     while got < n:
         need = n - got
         k = max(1024, int(1.8 * need))
-        a, b = candidates(rng, k)
         lead = min(k, int((need + 4.0 * math.sqrt(need) + 16.0) / share))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a, b = candidates(rng, k)
             acc = kept(a[:lead], b[:lead])
             if acc.size < need and lead < k:
                 acc = np.concatenate((acc, kept(a[lead:], b[lead:])))

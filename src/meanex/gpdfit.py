@@ -115,10 +115,14 @@ def gpd_mef(params: GpdParams, u) -> np.ndarray:
     return e if e.ndim else float(e)
 
 
-def _central_window(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90):
-    """The grid points in [quantile(qlo), quantile(qhi)] and the curve there."""
+# the central window's ends, as quantiles of the grid points
+_QLO, _QHI = 0.10, 0.90
+
+
+def _central_window(curve: MefCurve):
+    """The grid points in [quantile(0.10), quantile(0.90)] and the curve there."""
     pts = curve.grid.points
-    inside = (pts >= np.quantile(pts, qlo)) & (pts <= np.quantile(pts, qhi))
+    inside = (pts >= np.quantile(pts, _QLO)) & (pts <= np.quantile(pts, _QHI))
     return pts[inside], curve.values[inside]
 
 
@@ -137,19 +141,19 @@ def _tail_label(x, y, fit: OlsFit | None = None) -> str:
     return "medium"
 
 
-def classify_tail(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90) -> str:
+def classify_tail(curve: MefCurve) -> str:
     """'heavy', 'light', or 'medium' from the slope of the mean-excess
     curve over the central grid window.
 
-    The window is [quantile(qlo), quantile(qhi)] of the grid points; the
+    The window is [quantile(0.10), quantile(0.90)] of the grid points; the
     flat-slope tolerance is 0.05 * mean|e| over the window divided by the
     window span, so the verdict is scale and location invariant.
     """
-    return _tail_label(*_central_window(curve, qlo, qhi))
+    return _tail_label(*_central_window(curve))
 
 
-def fit_gpd_curve(curve: MefCurve, qlo: float = 0.10, qhi: float = 0.90):
+def fit_gpd_curve(curve: MefCurve):
     """OLS over the central window of a mean-excess curve, inverted to
     GPD parameters. Returns (GpdParams, OlsFit)."""
-    fit = ols_fit(*_central_window(curve, qlo, qhi))
+    fit = ols_fit(*_central_window(curve))
     return gpd_from_ols(fit), fit

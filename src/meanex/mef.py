@@ -136,13 +136,17 @@ def empirical_mef_curve(sample: Sample, grid: Grid) -> MefCurve:
     return _curve(sample, grid, _emef_at(sample.values, grid.points)[0])
 
 
-def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float = 0.98) -> Grid:
+# an integer grid policy stops at this sample quantile
+_TRIM_QUANTILE = 0.98
+
+
+def default_grid(sample: Sample, policy="order-statistics") -> Grid:
     """Threshold grid for a sample.
 
     policy 'order-statistics' (or 'order-stats'): the distinct sorted
     sample values excluding the maximum. An integer m: m equispaced
-    points on [min, quantile(trim_quantile)] - the trim keeps the grid
-    out of the noisy extreme region.
+    points on [min, quantile(0.98)] - the trim keeps the grid out of the
+    noisy extreme region.
     """
     distinct = np.unique(sample.values)
     if distinct.size < 2:
@@ -154,7 +158,7 @@ def default_grid(sample: Sample, policy="order-statistics", trim_quantile: float
     m = int(policy)
     if m < 1:
         raise DomainError("linspace grid needs at least one point")
-    hi = float(np.quantile(sample.values, trim_quantile))
+    hi = float(np.quantile(sample.values, _TRIM_QUANTILE))
     lo = sample.min
     if not hi > lo:
         raise DomainError("degenerate sample: trimmed range is empty")

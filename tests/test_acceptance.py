@@ -54,7 +54,7 @@ def test_criterion_01_gpd_linearity_recovers_parameters():
     rng = np.random.default_rng(0)
     sample = make_sample(std_sample(spec, rng, 4000))
     curve = empirical_mef_curve(sample, default_grid(sample))
-    params, fit = fit_gpd_curve(curve, qlo=0.10, qhi=0.90)
+    params, fit = fit_gpd_curve(curve)
     elapsed = time.perf_counter() - t0
     ok = abs(params.xi - 0.25) <= 0.10 and abs(params.beta - 1.0) <= 0.15
     print(

@@ -3,6 +3,7 @@ Bessel-ratio moments, including the Gamma and Inverse Gamma boundaries."""
 
 import math
 import signal
+import warnings
 from functools import partial
 
 import mpmath
@@ -361,6 +362,13 @@ def test_sample_rejects_invalid_domain():
         gig_sample(1.0, 1.0, 1.0, np.random.default_rng(0), -1)
 
 
+def uncentred_log_h(w, lam, chi, psi):
+    """log h(w) as written, the oracles' own: its two terms of size omega
+    = sqrt(chi psi) cancel near the mode, so it serves only at moderate
+    omega, where the sampler reads the centred ``_log_h_centred``."""
+    return (lam - 1.0) * np.log(w) - 0.5 * (chi / w + psi * w)
+
+
 def oracle_thinning_wins(lam, chi, psi):
     """Whether keeping a boundary draw w with probability e^(-chi / (2 w))
     (lambda > 0) or e^(-psi w / 2) (lambda < 0) accepts more often than ROU
@@ -373,7 +381,8 @@ def oracle_thinning_wins(lam, chi, psi):
     a = abs(lam)
     if not 0.0 < a < 1.0:
         return False
-    _, lh_m, v_lo, v_hi = gig._rou_envelope(lam, chi, psi)
+    m, _, v_lo, v_hi = gig._rou_envelope(lam, chi, psi)
+    lh_m = uncentred_log_h(m, lam, chi, psi)
     c = psi if lam > 0 else chi
     return v_hi > v_lo and np.log(2.0 * (v_hi - v_lo)) + lh_m + a * np.log(0.5 * c) - special.gammaln(a) > 0.0
 
@@ -418,6 +427,96 @@ def test_near_gaussian_draws_keep_their_width(lam, b):
     w = gig_sample(lam, b, b, np.random.default_rng(3), 20_000)
     assert w.std() * math.sqrt(b) == pytest.approx(1.0, abs=0.03)
     assert w.mean() == pytest.approx(1.0, abs=5.0 / math.sqrt(20_000 * b))
+
+
+def mp_rou_box(lam, chi, psi, m, width):
+    """The ratio-of-uniforms box (v-, v+) of the shift m, the sampler's
+    own double, to 80 digits: each root of 2 + (w - m) d log h / dw, the
+    stationarity of (w - m)^2 h(w), is bisected as written (its terms of
+    size omega cancel by at most 24 of the 80 digits), and each bound is
+    (w - m) sqrt(h(w) / h(m)) on the uncentred log h. Brackets grow from m
+    in steps of the bulk's width."""
+    with mpmath.workdps(80):
+        lam, chi, psi, m, width = (mpmath.mpf(x) for x in (lam, chi, psi, m, width))
+
+        def log_h(w):
+            return (lam - 1) * mpmath.log(w) - (chi / w + psi * w) / 2
+
+        def g(w):
+            return 2 + (w - m) * ((lam - 1) / w - psi / 2 + chi / (2 * w * w))
+
+        def root(inside, outside):
+            # g(inside) > 0 >= g(outside); 300 halvings shrink the bracket
+            # by 1e-90
+            for _ in range(300):
+                mid = (inside + outside) / 2
+                inside, outside = (mid, outside) if g(mid) > 0 else (inside, mid)
+            return inside
+
+        step = width
+        while g(m + step) > 0:
+            step *= 2
+        w_plus = root(m, m + step)
+        step = width
+        while step < m and g(m - step) > 0:
+            step *= 2
+        lo = m - step if step < m else m / 2
+        while g(lo) > 0:
+            lo /= 2
+        w_minus = root(m, lo)
+        return tuple(float((w - m) * mpmath.exp((log_h(w) - log_h(m)) / 2)) for w in (w_minus, w_plus))
+
+
+# 5 lambdas x omega = 1 to 1e24 in steps of 100 x chi / psi = 1e-12, 1, 1e12
+BOX_SWEEP = [(lam, omega * math.sqrt(ratio), omega / math.sqrt(ratio))
+             for lam in (-3.0, -0.5, 0.3, 1.0, 2.5)
+             for omega in (10.0 ** k for k in range(0, 25, 2))
+             for ratio in (1e-12, 1.0, 1e12)]
+
+
+def test_rou_box_matches_an_80_digit_box_across_omega():
+    # at omega = 1e24 the bulk's width is 1e-12 of the mode, so one ulp of
+    # the mode is about 1e-4 of it: 1e-4 relative is the bound, fixed
+    # before the run. Solved on an uncentred log h with an absolute xtol
+    # of 1e-13, the box came out narrower than this one on 55 of these
+    # laws and wider on 63, and was [-1.41e-14, 0] at gig(-0.5, 1e10, 1e22)
+    assert len(BOX_SWEEP) == 195
+    for lam, chi, psi in BOX_SWEEP:
+        box = gig._rou_envelope(lam, chi, psi)
+        assert box is not None, (lam, chi, psi)
+        m, _, v_lo, v_hi = box
+        ref_lo, ref_hi = mp_rou_box(lam, chi, psi, m, gig.gig_bulk(lam, chi, psi)[1])
+        assert v_lo == pytest.approx(ref_lo, rel=1e-4), (lam, chi, psi)
+        assert v_hi == pytest.approx(ref_hi, rel=1e-4), (lam, chi, psi)
+
+
+def test_draws_at_omega_1e16_fill_both_sides_of_the_mode():
+    # GIG(-1/2, 1e10, 1e22) is the inverse Gaussian of mean 1e-6 and sd
+    # 1e-14. Its box was solved as [-1.41e-14, 0], so no draw lay above
+    # the mode, the mean was 253 standard errors low and the sd 0.61 of
+    # the exact one
+    lam, chi, psi = -0.5, 1e10, 1e22
+    n = 100_000
+    w = gig_sample(lam, chi, psi, np.random.default_rng(0), n)
+    with mpmath.workdps(60):
+        s, om = mpmath.sqrt(mpmath.mpf(chi) / psi), mpmath.sqrt(mpmath.mpf(chi) * psi)
+        k0, k1, k2 = (mpmath.besselk(lam + k, om) for k in range(3))
+        mean = s * k1 / k0
+        sd = float(mpmath.sqrt(s * s * k2 / k0 - mean * mean))
+        mean = float(mean)
+    assert abs(np.mean(w > gig_mode(lam, chi, psi)) - 0.5) <= 0.01
+    assert abs(np.mean(w - mean)) <= 5.0 * sd / math.sqrt(n)
+    assert np.std(w - mean) == pytest.approx(sd, rel=0.01)
+
+
+def test_thinned_candidate_that_underflows_draws_without_a_warning():
+    # a Gamma(0.00736) draw underflows to 0, so the inverse-Gamma candidate
+    # 0.5 chi / 0 is inf, which the thinning test rejects; the division
+    # warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = gig_sample(-0.00736, 1.103, 1.38e-19, np.random.default_rng(0), 50)
+    assert w.shape == (50,) and np.all(np.isfinite(w))
 
 
 def reference_gig_sample(lam, chi, psi, rng, n):
@@ -513,12 +612,12 @@ def test_acceptance_matches_the_share_of_candidates_kept(triple, thin):
         with np.errstate(divide="ignore"):  # Gamma(0.01) draws underflow to 0
             kept = np.exp(-0.5 * chi / w if lam > 0 else -0.5 * psi * w)
     else:
-        m, lh_m, v_lo, v_hi = gig._rou_envelope(*triple)
+        m, _, v_lo, v_hi = gig._rou_envelope(*triple)
         u = rng.uniform(0.0, 1.0, size=k)
         w = m + rng.uniform(v_lo, v_hi, size=k) / u
         ok = w > 0.0
         kept = np.zeros(k)
-        kept[ok] = 2.0 * np.log(u[ok]) <= gig._log_h(w[ok], lam, chi, psi) - lh_m
+        kept[ok] = 2.0 * np.log(u[ok]) <= uncentred_log_h(w[ok], lam, chi, psi) - uncentred_log_h(m, lam, chi, psi)
     se = kept.std() / math.sqrt(k)
     assert math.exp(gig._log_acceptance(lam, chi, psi, thin)) == pytest.approx(kept.mean(), abs=5.0 * se)
 
@@ -572,12 +671,13 @@ def test_sampler_that_runs_is_the_oracle_s_choice(monkeypatch):
 
 
 def test_law_whose_box_cannot_be_solved_draws_or_is_refused(monkeypatch):
-    # the ROU box of these laws cannot be solved: chi / w^2 or 1 / psi
-    # divides by 0, or brentq does not converge (lambda < -1, small chi
-    # psi). The box keeps nothing, so a law thins where that passes the
-    # floor and is refused otherwise. The three named laws raised
-    # ZeroDivisionError, RuntimeError and an overflow RuntimeWarning; the
-    # last one's box solves with its warnings silenced
+    # the ROU box of these laws cannot be solved: brentq does not converge
+    # (lambda < -1, small chi psi), or the mode leaves the double range.
+    # The box keeps nothing, so a law thins where that passes the floor
+    # and is refused otherwise. The three named laws raised
+    # ZeroDivisionError (from chi / w^2, which g no longer forms: the box
+    # now solves and thinning still wins), RuntimeError and an overflow
+    # RuntimeWarning; the last one's box solves with its warnings silenced
     calls = []
     boundary_draws = gig._boundary_draws
     monkeypatch.setattr(gig, "_boundary_draws", lambda *a: calls.append(a) or boundary_draws(*a))
