@@ -5,19 +5,18 @@ laws, behind one text format.
 ``FAMILIES`` states each family once: its parameters in order, the rule
 each value keeps (real, positive or nonnegative, and finite in every
 case), and its frozen scipy law (none for GH and GIG). Each law resolves
-once into a ``_Frame``, which gives its density, draws, F, F_bar,
-quantiles and mean. Every density is read at the offset d from the law's
-location ``loc``, so no digit of d is lost next to it. A standard family's
-F, F_bar, quantiles and mean are its frozen scipy law's public methods,
-its density scipy's public ``pdf`` in standard coordinates (``_frame``).
-GH and GIG take their density, mean and sampler from ``gh`` / ``gig``, F
-and F_bar from the gap walker (``_walk``) and quantiles from
-``_quantile``. Every integral of a density is one checked quadrature path (``_integrate``): all intervals of a walk over a
-grid go into one ``scipy.integrate.cubature`` call, which evaluates the
-density at a region's nodes for all intervals as one array, each
-interval scaled to a first estimate of its own value. A call can integrate
-(x - ref) f beside f from the same density values, so a walk gets F_bar
-and the stop loss E[(X - u)^+] of every threshold together.
+once into a ``_Frame`` (``_frame``), which gives its density, draws, F,
+F_bar, quantiles and mean at the offset d = x - loc from the law's
+location ``loc``, so no digit of d is lost next to it. A standard
+family's F, F_bar and quantiles are its frozen scipy law's, the rest its
+standard law's times its scale. GH and GIG take their density, mean and
+sampler from ``gh`` / ``gig``, F and F_bar from the gap walker
+(``_walk``) and quantiles from ``_quantile``. Every integral of a density
+is one checked quadrature path (``_integrate``): all intervals of a walk
+over a grid go into one ``scipy.integrate.cubature`` call, which
+evaluates the density at a region's nodes for all intervals as one
+array. A call can integrate (x - ref) f beside f from the same density
+values, so a walk gets F_bar and the stop loss of every threshold together.
 
 Text format: ``family(name=value,...)``, e.g. ``gpd(xi=0.25,beta=1)`` or
 ``gh(lambda=-0.5,alpha=7.6,beta=-1.24,delta=0.052,mu=0.0103)``.
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -184,15 +183,15 @@ def format_distribution_spec(spec: DistributionSpec) -> str:
 
 @dataclass(frozen=True)
 class _Frame:
-    """What meanex computes from a law, resolved once per law: its
-    density, called as pdf(d) for the density at loc + d, so a point read
-    next to the law's location keeps every digit of its offset; its draws,
-    draw(rng, n) for n of them in draw order; its mean(); and what
-    quadrature needs beside the density: the support [lo, hi], a centre
-    in the bulk, a length no wider than that bulk, and whether the density
-    has a pole at the centre. cdf(x), sf(x), ppf(q) and isf(q) are the
-    frozen scipy ``law``'s, or for GH/GIG (``law`` None) ``_walk``'s
-    (``_edges``) and ``_quantile``'s (``_inverse``)."""
+    """What meanex computes from a law, resolved once per law, at the
+    offset d = x - loc from the law's location ``loc``, so a point next to
+    it keeps every digit of its offset: the density pdf(d); draws in x,
+    draw(rng, n) for n of them in draw order; mean(), an offset; and for
+    quadrature the support [lo, hi], a centre in the bulk, a length no
+    wider than that bulk, and whether the density has a pole at the
+    centre. ``_edges`` and ``_inverse`` take F, F_bar and quantiles from
+    the frozen scipy ``law``, or for GH/GIG (``law`` None) from ``_walk``
+    and ``_quantile``."""
 
     name: str
     pdf: object
@@ -206,18 +205,6 @@ class _Frame:
     loc: float = 0.0
     law: object = None
 
-    def cdf(self, x):
-        return _edges(self, x, upper=False) if self.law is None else self.law.cdf(x)
-
-    def sf(self, x):
-        return _edges(self, x, upper=True) if self.law is None else self.law.sf(x)
-
-    def ppf(self, q):
-        return _inverse(self, q, upper=False) if self.law is None else self.law.ppf(q)
-
-    def isf(self, q):
-        return _inverse(self, q, upper=True) if self.law is None else self.law.isf(q)
-
 
 @lru_cache(maxsize=256)
 def _frame(spec: DistributionSpec) -> _Frame:
@@ -227,22 +214,22 @@ def _frame(spec: DistributionSpec) -> _Frame:
     beta^2) reaches the hundreds, ``geninvgauss`` NaN at chi psi ~ 1e23),
     with loc mu or 0; a GH density is resolved on its first call, so a law
     whose norming constant leaves the double range can still be drawn. A
-    standard family's frozen scipy law gives loc and scale from one
-    ``_parse_args``, its density as scipy's unfrozen ``pdf`` at d / scale,
-    its centre (the median), bulk (the interquartile range) and draws,
-    which call ``_rvs`` without the per-call argument handling of ``rvs``
-    that a Monte Carlo protocol would pay on every replicate. InputError
-    for a family ``FAMILIES`` does not name (a spec built by hand);
-    NumericError where the law's scale overflows, as 1 / lambda does at
-    lambda = 1e-320, or underflows to 0, as beta^(-1/tau) does at
-    beta = 1e300, tau = 0.01, or where its density is not finite at the
-    centre: 1 / scale times the standard density overflows at
-    ``normal(mu=0,sigma=1e-310)``, not at ``gamma(alpha=2,beta=1e308)``."""
+    standard family's frozen scipy law gives loc and scale, and the rest
+    is its standard law's times scale: scipy's unfrozen ``pdf`` at
+    d / scale, support, median (the centre), interquartile range (the
+    bulk), mean, and draws from ``_rvs``, without the argument handling of
+    ``rvs`` that a Monte Carlo protocol would pay on every replicate.
+    InputError for a family ``FAMILIES`` does not name; NumericError where
+    the law's scale overflows, as 1 / lambda does at lambda = 1e-320, or
+    underflows to 0, as beta^(-1/tau) does at beta = 1e300, tau = 0.01, or
+    where its density is not finite at the centre: 1 / scale times the
+    standard density overflows at ``normal(mu=0,sigma=1e-310)``, not at
+    ``gamma(alpha=2,beta=1e308)``."""
     p, fam = spec.as_dict(), spec.family
     if fam == "gh":
         gh = GhParams(lam=p["lambda"], alpha=p["alpha"], beta=p["beta"], delta=p["delta"], mu=p["mu"])
-        return _Frame(fam, lambda d: _density(gh)(d), partial(gh_sample, gh), partial(gh_mean, gh), -np.inf, np.inf,
-                      *gh_bulk(gh), loc=gh.mu)
+        return _Frame(fam, lambda d: _density(gh)(d), partial(gh_sample, gh), partial(gh_mean, replace(gh, mu=0.0)),
+                      -np.inf, np.inf, *gh_bulk(gh), loc=gh.mu)
     if fam == "gig":
         gig = p["lambda"], p["chi"], p["psi"]
         return _Frame(fam, partial(gig_pdf, *gig), partial(gig_sample, *gig), partial(gig_moment, *gig, 1), 0.0,
@@ -260,47 +247,51 @@ def _frame(spec: DistributionSpec) -> _Frame:
         raise NumericError(f"{format_distribution_spec(spec)}: the law's scale underflows to 0")
 
     def pdf(d):
-        return law.dist.pdf(d / scale, *shapes) / scale
+        with np.errstate(over="ignore"):  # x^tau of a far Weibull or Burr tail, where the density is 0
+            return law.dist.pdf(d / scale, *shapes) / scale
 
     def draw(rng, n):
         return law.dist._rvs(*shapes, size=n, random_state=rng) * scale + loc
 
-    lo, hi = law.support()
-    centre = float(law.median())
+    lo, hi = np.multiply(law.dist.support(*shapes), scale)
+    q1, centre, q3 = law.dist.ppf([0.25, 0.5, 0.75], *shapes) * scale
     with np.errstate(all="ignore"):  # a refusal, not a warning, where the density fails
-        top = pdf(centre - loc)
+        top = pdf(centre)
     if not np.isfinite(top):
         raise NumericError(f"{format_distribution_spec(spec)}: the law's density is not finite at its centre "
                            f"(scale {scale:.3g})")
-    iqr = law.ppf(0.75) - law.ppf(0.25)
-    return _Frame(fam, pdf, draw, law.mean, float(lo), float(hi), centre, float(iqr), loc=loc, law=law)
+    return _Frame(fam, pdf, draw, lambda: law.dist.mean(*shapes) * scale, float(lo), float(hi), float(centre),
+                  float(q3 - q1), loc=loc, law=law)
 
 
 def _edges(frame: _Frame, x, upper: bool):
-    """F_bar (upper) or F at x, in its shape (a float64 for a scalar):
-    NaN at NaN, 0 or 1 outside the open support, and ``_walk``'s inside.
-    The walk gets the inside points alone, flattened in C order, as
-    scipy's ``cdf`` hands them to ``_cdf``: its gaps depend on that set."""
-    x = np.asarray(x, dtype=float)
-    out = np.asarray(x <= frame.lo if upper else x >= frame.hi, dtype=float)
-    out[np.isnan(x)] = np.nan
-    inside = (frame.lo < x) & (x < frame.hi)
+    """F_bar (upper) or F at x, in its shape: the scipy law's, or NaN at
+    NaN, 0 or 1 outside the open support, and ``_walk``'s at x - loc. The
+    walk gets the inside points alone, flattened in C order, as scipy's
+    ``cdf`` hands them to ``_cdf``: its gaps depend on that set."""
+    if frame.law is not None:
+        return frame.law.sf(x) if upper else frame.law.cdf(x)
+    d = np.asarray(x, dtype=float) - frame.loc
+    out = np.asarray(d <= frame.lo if upper else d >= frame.hi, dtype=float)
+    out[np.isnan(d)] = np.nan
+    inside = (frame.lo < d) & (d < frame.hi)
     if np.any(inside):
-        out[inside] = _walk(frame, x[inside], upper)
+        out[inside] = _walk(frame, d[inside], upper)
     return out[()]
 
 
 def _inverse(frame: _Frame, q, upper: bool):
-    """x with F_bar(x) = q (upper) or F(x) = q, from ``_quantile`` for q
-    in (0, 1); q = 0 and q = 1 give the ends of the support, and any other
-    q NaN. The shape of q, a float64 for a scalar."""
+    """x with F_bar(x) = q (upper) or F(x) = q: the scipy law's, or loc
+    plus ``_quantile``'s offset for q in (0, 1), the ends of the support
+    at q = 0 and q = 1, and NaN at any other q. The shape of q."""
+    if frame.law is not None:
+        return frame.law.isf(q) if upper else frame.law.ppf(q)
     q = np.asarray(q)
     out = np.full(q.shape, np.nan)
     out[q == 0], out[q == 1] = (frame.hi, frame.lo) if upper else (frame.lo, frame.hi)
     inside = (0 < q) & (q < 1)
-    # + 0.0 reads a quantile of -0.0 as 0.0, as scipy's "* scale + loc" does
-    out[inside] = np.array([_quantile(frame, v, upper) for v in q[inside]]) + 0.0
-    return out[()]
+    out[inside] = [_quantile(frame, v, upper) for v in q[inside]]
+    return (out + frame.loc)[()]
 
 
 def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -311,14 +302,14 @@ def std_sample(dist: DistributionSpec, rng: np.random.Generator, n: int) -> np.n
 
 
 def std_cdf(dist: DistributionSpec, x):
-    return _frame(dist).cdf(x)
+    return _edges(_frame(dist), x, upper=False)
 
 
 def std_survival(dist: DistributionSpec, x):
     """F_bar at x: scipy's own for a standard law. For GH/GIG the gap
     walker's, which starts from a tail on the far side of the law's
     centre, so F_bar keeps its relative accuracy far out."""
-    return _frame(dist).sf(x)
+    return _edges(_frame(dist), x, upper=True)
 
 
 def std_pdf(dist: DistributionSpec, x):
@@ -330,23 +321,28 @@ def std_pdf(dist: DistributionSpec, x):
 
 def dist_support(dist: DistributionSpec) -> tuple[float, float]:
     frame = _frame(dist)
-    return frame.lo, frame.hi
+    return frame.lo + frame.loc, frame.hi + frame.loc
 
 
-def dist_mean(dist: DistributionSpec) -> float:
-    # + 0.0 reads a mean of -0.0 (a GH law's at mu = beta = -0) as 0.0, as scipy's "* scale + loc" does
-    m = float(_frame(dist).mean()) + 0.0
-    if not np.isfinite(m):
-        raise DomainError(f"{dist.family} has no finite mean at these parameters")
+def _mean(frame: _Frame) -> float:
+    """The mean's offset from loc; DomainError where the mean is not finite."""
+    m = float(frame.mean())
+    if not np.isfinite(m + frame.loc):
+        raise DomainError(f"{frame.name} has no finite mean at these parameters")
     return m
 
 
+def dist_mean(dist: DistributionSpec) -> float:
+    frame = _frame(dist)
+    return _mean(frame) + frame.loc
+
+
 def dist_isf(dist: DistributionSpec, q: float) -> float:
-    return float(_frame(dist).isf(q))
+    return float(_inverse(_frame(dist), q, upper=True))
 
 
 def dist_ppf(dist: DistributionSpec, q: float) -> float:
-    return float(_frame(dist).ppf(q))
+    return float(_inverse(_frame(dist), q, upper=False))
 
 
 # The log map stops at s = 300, |x - x0| = w e^300 ~ 1e130 w, where x^2
@@ -404,9 +400,9 @@ def _power_rest(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integrate(frame: _Frame, a, b, ref=None):
-    """int f(x) dx over each interval [a_i, b_i] (a <= b, arrays or
-    scalars), one value per interval; with ref given, the pair of that
-    mass and the moment int (x - ref_i) f(x) dx. All of it comes from one
+    """int f(x) dx over each interval [a_i, b_i] of offsets from loc (a <=
+    b), one value per interval; with ref given, the pair of that mass and
+    the moment int (x - ref_i) f(x) dx. All of it comes from one
     ``cubature`` call, which evaluates the density at a region's nodes for
     all pieces as one array, so a moment costs no density value of its own.
 
@@ -419,8 +415,8 @@ def _integrate(frame: _Frame, a, b, ref=None):
       centre where the density has a pole (``pole``): x = anchor +- w e^s,
       from _INNER_SPAN below s = min(0, log(width / w)) up to
       log(width / w), so a density that goes as a power of the distance
-      to the anchor becomes e^(k s). The density is read at (anchor -
-      loc) + dx, which keeps every digit of dx at a pole; next to
+      to the anchor becomes e^(k s). The density is read at the offset
+      anchor + dx, which keeps every digit of dx at a pole; next to
       an end, s starts where x is 2^20 ulps from the end, an ulp counted
       as at least the smallest normal double. A piece with no room for
       that next to an end at 0 is refused if its density grows toward
@@ -464,7 +460,7 @@ def _integrate(frame: _Frame, a, b, ref=None):
     with np.errstate(divide="ignore"):
         log_width = np.log(width / w)
         cut = min(_LOG_SPAN, _LOG_TOP - np.log(w))
-        # (x0 - loc) + dx keeps every digit of dx next to a pole at the centre;
+        # x0 + dx keeps every digit of dx next to a pole at the centre;
         # next to an end of the support the points stay 2^20 ulps of the
         # end, and at least 2^20 smallest normal doubles, away from it (so
         # no density is read at subnormal spacing next to 0), and a piece
@@ -492,12 +488,12 @@ def _integrate(frame: _Frame, a, b, ref=None):
     )
 
     def mapped(x0, slope, reach, shift, start, rate, ref):
-        pull, off = w * rate, x0 - frame.loc
+        pull = w * rate
 
         def integrand(t):
             e = np.exp(start + rate * t)
             dx = slope * t + reach * (e - shift)
-            y = frame.pdf(off + dx) * (slope + pull * e)
+            y = frame.pdf(x0 + dx) * (slope + pull * e)
             return y[..., None, :] if ref is None else np.stack((y, y * ((x0 - ref) + dx)), axis=-2)
 
         return integrand
@@ -509,14 +505,15 @@ def _integrate(frame: _Frame, a, b, ref=None):
     nodes, weights = _gauss_legendre()
     first = integrand(nodes)
     estimate = np.abs(np.tensordot(weights, first, 1))
-    where = f"[{a[0]:g}, {b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{a.min():g}, {b.max():g}]"
+    x_a, x_b = a + frame.loc, b + frame.loc  # a message names points in x, not offsets
+    where = f"[{x_a[0]:g}, {x_b[0]:g}]" if a.size == 1 else f"{a.size} intervals in [{x_a.min():g}, {x_b.max():g}]"
     if not np.all(np.isfinite(estimate)):  # a density past the double range: no unit to scale by
         raise NumericError(f"quadrature over {where} is not finite for {frame.name}")
-    # a piece with no room for its map from an end at 0 is taken linearly.
-    # That is exact for a density bounded there, which cannot change across
-    # so narrow a piece; one that grows toward the end has a pole, on which
-    # cubature spent its whole budget (about 7 s for a Gamma-class GIG law
-    # with lambda < 1), so it is refused
+    # a piece with no room for its map from an end at 0, of a law at loc 0,
+    # is taken linearly: exact for a density bounded there, which cannot
+    # change across so narrow a piece. One that grows toward the end has a
+    # pole, on which cubature spent its whole budget (about 7 s for a
+    # Gamma-class GIG law with lambda < 1), so it is refused
     rising = np.where(at_lo, first[0, 0] > first[-1, 0], first[-1, 0] > first[0, 0])
     cramped = (at_lo | at_hi) & ~inner & (ulp == _TINY) & rising
     if np.any(cramped):
@@ -589,7 +586,7 @@ def _check_mass(frame: _Frame) -> tuple[float, float]:
 def _walk(frame: _Frame, x, upper: bool, mean=None):
     """F_bar (upper) or F at every point of x, the one builder of both;
     with the law's mean given (upper only), the pair of F_bar and the stop
-    loss S(x) = E[(X - x)^+].
+    loss S(x) = E[(X - x)^+]. x and the mean are offsets from loc.
 
     F_bar is walked down from the upper edge and F up from the lower one.
     The first point takes its tail on the far side of the centre, so
@@ -630,9 +627,9 @@ def _walk(frame: _Frame, x, upper: bool, mean=None):
 
 
 def _quantile(frame: _Frame, q: float, upper: bool) -> float:
-    """x with F_bar(x) = q (upper) or F(x) = q, from the tail beyond the
-    centre that holds q, so a small q keeps its relative accuracy: isf(q)
-    keeps it below q ~ 1e-16, where 1 - q rounds to 1.
+    """The offset x with F_bar(x) = q (upper) or F(x) = q, from the tail
+    beyond the centre that holds q, so a small q keeps its relative
+    accuracy: isf(q) keeps it below q ~ 1e-16, where 1 - q rounds to 1.
 
     x runs from the centre at v = 0 out along the tail: x = centre +- w v
     toward an infinite end of the support, x = end + (centre - end) e^-v
@@ -680,22 +677,22 @@ def _quantile(frame: _Frame, q: float, upper: bool) -> float:
 
 def dist_stop_loss(dist: DistributionSpec, u: float) -> float:
     """E[(X - u)^+], the numerator of the mean excess function: the
-    one-point walk (``_walk``), one quadrature over u's tail on the far
-    side of the law's centre, where the mass is the small side. NumericError
-    when the law fails its one-time mass check, or the quadrature fails."""
-    return float(_walk(_frame(dist), float(u), True, dist_mean(dist))[1])
+    one-point ``dist_tail_moments``, one quadrature over u's tail on the
+    far side of the law's centre, where the mass is the small side.
+    NumericError when the mass check or the quadrature fails."""
+    return float(dist_tail_moments(dist, float(u))[1])
 
 
 def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F_bar(u_i), the law's own, and S(u_i) = E[(X - u_i)^+] at
     thresholds inside the support, walked together from the top down
-    (``_walk``): one quadrature over the top threshold's tail and one of
-    every gap, each giving mass and moment. A GH/GIG law's F_bar is the
-    walk's; a standard law's is scipy's own."""
+    (``_walk``, at u_i - loc): one quadrature over the top threshold's
+    tail and one of every gap, each giving mass and moment. A GH/GIG
+    law's F_bar is the walk's; a standard law's is scipy's own."""
     frame = _frame(dist)
-    sf, stop_loss = _walk(frame, u, True, dist_mean(dist))
+    sf, stop_loss = _walk(frame, np.asarray(u, dtype=float) - frame.loc, True, _mean(frame))
     if frame.law is not None:
-        sf = np.asarray(frame.sf(u), dtype=float)
+        sf = np.asarray(frame.law.sf(u), dtype=float)
     return sf, stop_loss
 
 

@@ -336,19 +336,19 @@ def gh_variance(params: GhParams) -> float:
 
 
 def gh_bulk(params: GhParams) -> tuple[float, float, bool]:
-    """A centre, a length no wider than the density's bulk, and whether
-    the density has a pole at the centre.
+    """A centre, as its offset from mu, a length no wider than the
+    density's bulk, and whether the density has a pole at the centre.
 
-    The variance-gamma classes are centred on mu, where the density has
-    its kink, or for lam <= 1/2 its pole, with length 1/alpha. The others are
-    centred on mu + beta m, m the mode of the mixing law, with length
-    delta, shrunk to sqrt(delta/alpha) when alpha delta > 1 (a
+    The variance-gamma classes are centred on mu (offset 0), where the
+    density has its kink, or for lam <= 1/2 its pole, with length 1/alpha.
+    The others are centred on mu + beta m, m the mode of the mixing law,
+    with length delta, shrunk to sqrt(delta/alpha) when alpha delta > 1 (a
     near-Gaussian core) and by sqrt(nu) for a Student core of
     nu = -2 lam degrees of freedom.
     """
     kind, chi, psi = _mixing(params)
     if kind in ("variance-gamma", "skew-laplace"):
-        return params.mu, 1.0 / params.alpha, params.lam <= 0.5  # K_(lam-1/2)(alpha |x - mu|)
-    centre = params.mu + params.beta * float(gig_mode(params.lam, chi, psi))
+        return 0.0, 1.0 / params.alpha, params.lam <= 0.5  # K_(lam-1/2)(alpha |x - mu|)
+    centre = params.beta * float(gig_mode(params.lam, chi, psi))
     shrink = max(1.0, params.alpha * params.delta) * max(1.0, -2.0 * params.lam)
     return centre, params.delta / float(np.sqrt(shrink)), False

@@ -93,13 +93,15 @@ def gig_mode(lam: float, chi: float, psi: float) -> float:
 def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
     """A centre, the mode m, and the bulk's width m / sqrt((psi m + chi /
     m) / 2), the curvature scale of the log density at m; DomainError for
-    an invalid triple. A Gamma law whose mode is 0, the lower end of its
-    support, takes its mean 2 lambda / psi for both, so that F has mass
-    below the centre and a small F keeps its relative accuracy."""
+    an invalid triple, NumericError where the mode underflows to 0 at
+    lambda <= 0. A Gamma law whose mode is 0, its lower end, takes its mean
+    2 lambda / psi for both: F has mass below it and keeps its accuracy."""
     gig_validate(lam, chi, psi)
     m = float(gig_mode(lam, chi, psi))
     if m > 0.0:
         return m, m / float(np.sqrt(0.5 * (psi * m + chi / m)))
+    if lam <= 0.0:
+        raise NumericError(f"gig(lambda={lam:.12g},chi={chi:.12g},psi={psi:.12g}): the law's mode underflows to 0")
     return (2.0 * lam / psi,) * 2
 
 

@@ -651,18 +651,18 @@ def test_extreme_gh_laws_are_right_or_refused(text):
 def oracle_frame_fields(d):
     """centre, scale and pole of a GH or GIG law's frame, worked out apart
     from ``gh_bulk`` and ``gig_bulk``: the pole from the GH class and
-    lambda, and a GIG law centred at its mode, or at its scale when the
-    mode is 0."""
+    lambda, a GH centre as its offset from mu, and a GIG law centred at
+    its mode, or at its scale when the mode is 0."""
     p = [v for _, v in d.params]
     if d.family == "gh":
         gh = GhParams(*p)
         kind = gh_validate(gh)
         pole = kind == "variance-gamma" and gh.lam <= 0.5
         if kind in ("variance-gamma", "skew-laplace"):
-            return gh.mu, 1.0 / gh.alpha, pole
+            return 0.0, 1.0 / gh.alpha, pole
         chi = gh.delta ** 2
         psi = 0.0 if kind in ("student", "cauchy", "skew-student") else gh.alpha ** 2 - gh.beta ** 2
-        centre = gh.mu + gh.beta * float(gig_mode(gh.lam, chi, psi))
+        centre = gh.beta * float(gig_mode(gh.lam, chi, psi))
         return centre, gh.delta / float(np.sqrt(max(1.0, gh.alpha * gh.delta) * max(1.0, -2.0 * gh.lam))), pole
     lam, chi, psi = p
     mode = float(gig_mode(lam, chi, psi))

@@ -12,7 +12,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
-from meanex import dist_ppf, make_grid, parse_distribution_spec, std_cdf, std_survival, theoretical_mef_curve
+from meanex import dist_ppf, make_grid, make_spec, parse_distribution_spec, std_cdf, std_sample, std_survival
+from meanex import theoretical_mef_curve
 from meanex import gig
 from meanex.gh import GhParams, gh_sample
 from meanex.gh import _mixing as gh_mixing
@@ -219,6 +220,37 @@ def test_gamma_law_with_mode_zero_matches_scipy(lam, psi):
     e = law.mean() * stats.gamma(a=lam + 1.0, scale=2.0 / psi).sf(u) / law.sf(u) - u
     np.testing.assert_allclose(std_survival(spec, u), law.sf(u), rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(theoretical_mef_curve(spec, make_grid(u)).values, e, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("lam, chi, psi", [(-1.5, 5e-324, 1.0), (-1.5, 5e-324, 0.0), (0.0, 5e-324, 1.0),
+                                           (-0.5, 5e-324, 1.0)])
+def test_law_whose_mode_underflows_to_zero_is_refused(lam, chi, psi):
+    # chi = 5e-324 puts the mode of these lambda <= 0 laws at 0, where gig_bulk took the Gamma
+    # class's 2 lambda / psi: a centre of -3 (warnings, then a refusal for a quadrature that is
+    # not finite), of 0, or a ZeroDivisionError at psi = 0; and the sampler's box search, its
+    # bracket 2 hi + 1 / psi stuck at -1 for m = -1, never returned. Each is refused at once
+    spec = make_spec("gig", **{"lambda": lam, "chi": chi, "psi": psi})
+    refusals = [
+        lambda: gig.gig_bulk(lam, chi, psi),
+        lambda: std_survival(spec, 1.0),
+        lambda: std_sample(spec, np.random.default_rng(0), 10),
+    ]
+
+    def expired(signum, frame):
+        raise TimeoutError("still running after 3 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(3)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for refused in refusals:
+                with pytest.raises(NumericError, match="the law's mode underflows to 0"):
+                    refused()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # a Gamma-class law's F and ppf against scipy's, to a relative tolerance
