@@ -690,19 +690,27 @@ def dist_tail_moments(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray
     tail and one of every gap, each giving mass and moment. A GH/GIG
     law's F_bar is the walk's; a standard law's is scipy's own."""
     frame = _frame(dist)
-    sf, stop_loss = _walk(frame, np.asarray(u, dtype=float) - frame.loc, True, _mean(frame))
+    return _tail_moments(frame, u, _mean(frame))
+
+
+def _tail_moments(frame: _Frame, u, mean: float):
+    """``dist_tail_moments`` on the law's frame, given its mean's offset
+    from loc, which a caller that has it does not compute again."""
+    sf, stop_loss = _walk(frame, np.asarray(u, dtype=float) - frame.loc, True, mean)
     if frame.law is not None:
         sf = np.asarray(frame.law.sf(u), dtype=float)
     return sf, stop_loss
 
 
 def dist_mean_abs(dist: DistributionSpec) -> float:
-    """E|X| = 2 E[X^+] - E[X]; the mean when the support is nonnegative."""
-    lo, _ = dist_support(dist)
-    mean = dist_mean(dist)  # rejects undefined-mean families up front
-    if lo >= 0.0:
+    """E|X| = 2 E[X^+] - E[X]; the mean when the support is nonnegative.
+    The mean is computed once, and rejects undefined-mean families."""
+    frame = _frame(dist)
+    offset = _mean(frame)
+    mean = offset + frame.loc
+    if frame.lo + frame.loc >= 0.0:
         return mean
-    return 2.0 * dist_stop_loss(dist, 0.0) - mean
+    return 2.0 * float(_tail_moments(frame, 0.0, offset)[1]) - mean
 
 
 def fdelta_check(dist: DistributionSpec, u0: float, u1: float, deltas) -> np.ndarray:

@@ -90,18 +90,39 @@ def gig_mode(lam: float, chi: float, psi: float) -> float:
     return chi / ((1.0 - lam) + r) if lam < 1.0 else ((lam - 1.0) + r) / psi
 
 
+def _refusal(lam: float, chi: float, psi: float, why: str) -> NumericError:
+    return NumericError(f"gig(lambda={lam:.12g},chi={chi:.12g},psi={psi:.12g}): {why}")
+
+
+def _boundary_scale(lam: float, chi: float, psi: float, kind: str) -> float:
+    """The scale of a boundary law's draws and moments, 2 / psi for the
+    Gamma class and chi / 2 for the Inverse Gamma one; NumericError where
+    it leaves the double range (2 / 5e-324 overflows, 5e-324 / 2 is 0)."""
+    with np.errstate(over="ignore"):
+        scale = 2.0 / psi if kind == "gamma" else 0.5 * chi
+    if scale == math.inf:
+        raise _refusal(lam, chi, psi, "the law's scale overflows")
+    if scale == 0.0:
+        raise _refusal(lam, chi, psi, "the law's scale underflows to 0")
+    return scale
+
+
 def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
     """A centre, the mode m, and the bulk's width m / sqrt((psi m + chi /
     m) / 2), the curvature scale of the log density at m; DomainError for
     an invalid triple, NumericError where the mode underflows to 0 at
-    lambda <= 0. A Gamma law whose mode is 0, its lower end, takes its mean
-    2 lambda / psi for both: F has mass below it and keeps its accuracy."""
-    gig_validate(lam, chi, psi)
-    m = float(gig_mode(lam, chi, psi))
+    lambda <= 0 or a boundary law's scale leaves the double range. A Gamma
+    law whose mode is 0, its lower end, takes its mean 2 lambda / psi for
+    both: F has mass below it and keeps its accuracy."""
+    kind = gig_validate(lam, chi, psi)
+    with np.errstate(over="ignore"):  # 1 / psi of a Gamma law whose scale overflows, refused below
+        m = float(gig_mode(lam, chi, psi))
+    if m == 0.0 and lam <= 0.0:
+        raise _refusal(lam, chi, psi, "the law's mode underflows to 0")
+    if kind != "interior":
+        _boundary_scale(lam, chi, psi, kind)
     if m > 0.0:
         return m, m / float(np.sqrt(0.5 * (psi * m + chi / m)))
-    if lam <= 0.0:
-        raise NumericError(f"gig(lambda={lam:.12g},chi={chi:.12g},psi={psi:.12g}): the law's mode underflows to 0")
     return (2.0 * lam / psi,) * 2
 
 
@@ -226,8 +247,11 @@ def _sampler(lam: float, chi: float, psi: float):
     """The law's draw(rng, n), resolved once per parameter set: its
     class, the sampler that runs, that sampler's acceptance and the ROU
     envelope, or the refusal, so a draw pays only for its candidates.
-    DomainError for an invalid triple."""
-    if gig_validate(lam, chi, psi) != "interior":
+    DomainError for an invalid triple; NumericError for a boundary law
+    whose scale leaves the double range."""
+    kind = gig_validate(lam, chi, psi)
+    if kind != "interior":
+        _boundary_scale(lam, chi, psi, kind)
         return lambda rng, n: _boundary_draws(lam, chi, psi, rng, n)
     thin = 0.0 < abs(lam) < 1.0 and _log_kept(lam, chi, psi, True) > _log_kept(lam, chi, psi, False)
     log_acc = _log_acceptance(lam, chi, psi, thin)
@@ -340,16 +364,20 @@ def gig_moment(lam: float, chi: float, psi: float, k: int) -> float:
 
     Interior: Bessel ratio (evaluated with scaled Bessel functions so the
     ratio survives large sqrt(chi*psi)). Boundaries: Gamma / Inverse
-    Gamma closed forms; the Inverse Gamma moment requires k < -lambda.
+    Gamma closed forms; the Inverse Gamma moment requires k < -lambda,
+    and NumericError where the boundary law's scale leaves the double
+    range.
     """
     kind = gig_validate(lam, chi, psi)
     if kind == "gamma":
-        return float((2.0 / psi) ** k * np.exp(special.gammaln(lam + k) - special.gammaln(lam)))
+        scale = _boundary_scale(lam, chi, psi, kind)
+        return float(scale ** k * np.exp(special.gammaln(lam + k) - special.gammaln(lam)))
     if kind == "inverse-gamma":
         a = -lam
         if k >= a:
             raise DomainError(f"inverse-gamma moment of order {k} requires k < {a}")
-        return float((0.5 * chi) ** k * np.exp(special.gammaln(a - k) - special.gammaln(a)))
+        scale = _boundary_scale(lam, chi, psi, kind)
+        return float(scale ** k * np.exp(special.gammaln(a - k) - special.gammaln(a)))
     om = np.sqrt(chi) * np.sqrt(psi)
     with np.errstate(over="ignore", invalid="ignore"):
         value = (np.sqrt(chi) / np.sqrt(psi)) ** k * (bessel_k_scaled(lam + k, om) / bessel_k_scaled(lam, om))

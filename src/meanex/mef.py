@@ -192,7 +192,7 @@ def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
 
 def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]:
     """e at thresholds u, and the curve's meta text naming the law."""
-    from .distributions import dist_mean, dist_support, dist_tail_moments, format_distribution_spec
+    from .distributions import _frame, _mean, _tail_moments, dist_support, format_distribution_spec
 
     meta = f"mef {format_distribution_spec(dist)}"
     p = dist.as_dict()
@@ -201,7 +201,9 @@ def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]
     live = u < hi
     if not np.any(live):
         return out, meta
-    mean = dist_mean(dist)  # raises for undefined/infinite-mean families
+    frame = _frame(dist)
+    offset = _mean(frame)  # raises for undefined/infinite-mean families; computed once per curve
+    mean = offset + frame.loc
     below = u < lo
     out[below] = mean - u[below]
     inside = live & ~below
@@ -215,7 +217,7 @@ def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]
         alpha, lam = p["alpha"], p["lambda"]
         out[inside] = (lam + x) / (alpha - 1.0)
     elif x.size:
-        sf, stop_loss = dist_tail_moments(dist, x)
+        sf, stop_loss = _tail_moments(frame, x, offset)
         with np.errstate(invalid="ignore", divide="ignore"):
             out[inside] = np.where(sf >= np.finfo(float).tiny, stop_loss / sf, 0.0)
     return out, meta

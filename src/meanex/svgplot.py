@@ -14,8 +14,12 @@ padded span is past the double range raises ``NumericError``.
 
 Paths are written a block of points at a time: the data-to-pixel
 transform runs once per block, with the same float operations per
-element as on one scalar, and each block is formatted by one ``%`` over
-the interleaved pixel columns (see ``_segments``). A path may be walked
+element as on one scalar, and each block is written by the decimal-text
+kernel of ``serialize`` from the interleaved pixel columns (see
+``_segments``): a coordinate's count of hundredths, certified by
+``_hundredths``, gives the digits of its "%.2f" text, and a coordinate
+near a rounding tie, or 1e7 px or more from 0, is written by Python's
+``%`` with that template. A path may be walked
 from several pieces, as the envelope is from its upper edge and the
 reversed views of its lower one, without joining them into one array.
 A vertex that repeats the one before it at 0.01 px is written once: an
@@ -33,7 +37,7 @@ from html import escape
 import numpy as np
 
 from .errors import InputError, NumericError
-from .serialize import _BLOCK
+from .serialize import _BLOCK, _COMMA, _F2, _L, _M, _decimal_text, _f2_words, _hundredths
 
 __all__ = ["PlotSpec", "line_series", "band_series", "svg_plot"]
 
@@ -81,21 +85,6 @@ def _line(x1, y1, x2, y2, color, width):
             f'stroke="{color}" stroke-width="{_px(width)}"/>')
 
 
-def _hundredths(v):
-    """k = rint(100 v) as int64 bits, and where it is exact.
-
-    For finite |v| < 1e7, 100 v is within 1e-7 of its exact value, so
-    wherever it is more than 1e-6 from a rounding tie, k is the count of
-    hundredths ``"%.2f" % v`` writes, and its sign bit is the sign that
-    text carries ("-0.00" from below zero). Two exact points write the
-    same text exactly when their k bits are equal."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = 100.0 * v
-        k = np.rint(s)
-        exact = (np.abs(s - k) < 0.5 - 1e-6) & (np.abs(v) < 1e7)
-    return k.view(np.int64), exact
-
-
 def _repeats(sx, sy):
     """repeat[i]: point i + 1 writes the same "%.2f,%.2f" text as point i.
 
@@ -125,12 +114,9 @@ def _segments(x, y, to_px, *pieces):
     equals the one before it is dropped before formatting (``_repeats``);
     the last point before the block (in this piece or the one before),
     when it is defined, is carried in as the first point's predecessor.
-    One ``%`` writes the rest of the block: the template
-    ``"L%.2f,%.2f " * n`` has its command letter at byte 11 i for the
-    i-th written point, and the letter of each point that follows a
-    dropped undefined one (or starts the path) is set to ``M``. It is
-    applied to the interleaved pixel coordinates, and the trailing space
-    of the path is cut."""
+    The kernel writes the rest of the block, each point as " L" (or " M",
+    for a point that follows a dropped undefined one or starts the path)
+    and its "%.2f,%.2f" pair, and the leading space of the path is cut."""
     parts = []
     tail_x = tail_y = np.empty(0)  # the point before the block, when it is defined
     for x, y in ((x, y), *pieces):
@@ -144,10 +130,11 @@ def _segments(x, y, to_px, *pieces):
             keep = start | ~_repeats(np.concatenate((tail_x, sx)), np.concatenate((tail_y, sy)))
             tail_x, tail_y = (sx[-1:], sy[-1:]) if ok[-1] else (sx[:0], sy[:0])
             sx, sy, start = sx[keep], sy[keep], start[keep]
-            template = bytearray(b"L%.2f,%.2f " * sx.size)
-            np.frombuffer(template, dtype=np.uint8)[11 * np.flatnonzero(start)] = ord("M")
-            parts.append(template.decode("ascii") % tuple(np.column_stack((sx, sy)).ravel().tolist()))
-    return "".join(parts)[:-1]
+            v = np.column_stack((sx, sy)).ravel()
+            prefix = np.full((sx.size, 2), _COMMA)
+            prefix[:, 0] = np.where(start, _M, _L)
+            parts.append(_decimal_text(*_f2_words(v), v, prefix.ravel(), _F2))
+    return "".join(parts)[1:]
 
 
 def _axis_range(arrays):

@@ -17,6 +17,7 @@ from meanex import theoretical_mef_curve
 from meanex import gig
 from meanex.gh import GhParams, gh_sample
 from meanex.gh import _mixing as gh_mixing
+from meanex.cli import main
 from meanex.gig import gig_mode
 from test_distributions import SAMPLER_CASES
 
@@ -251,6 +252,50 @@ def test_law_whose_mode_underflows_to_zero_is_refused(lam, chi, psi):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lam, chi, psi, why", [(-1.5, 5e-324, 0.0, "underflows to 0"), (1.5, 0.0, 5e-324, "overflows"),
+                                                (-2.5, 5e-324, 0.0, "underflows to 0"), (0.4, 0.0, 1e-310, "overflows")])
+def test_boundary_law_whose_scale_leaves_the_double_range_is_refused(lam, chi, psi, why):
+    # the Inverse Gamma scale chi / 2 underflows to 0 and the Gamma scale 2 / psi overflows:
+    # gig_sample gave five 0.0 or five inf, gig_moment 0.0 or inf, with no error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refused in (lambda: gig_sample(lam, chi, psi, np.random.default_rng(0), 5),
+                        lambda: gig_moment(lam, chi, psi, 1),
+                        lambda: gig.gig_bulk(lam, chi, psi)):
+            with pytest.raises(NumericError, match=f"the law's (scale {why}|mode underflows to 0)"):
+                refused()
+
+
+def test_boundary_laws_next_to_the_double_range_are_drawn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gig_moment(1.5, 0.0, 1e-300, 1) == pytest.approx(3e300, rel=1e-14)
+        assert gig_moment(-1.5, 1e-300, 0.0, 1) == pytest.approx(1e-300, rel=1e-14)
+        for lam, chi, psi in [(1.5, 0.0, 1e-300), (-1.5, 1e-300, 0.0)]:
+            w = gig_sample(lam, chi, psi, np.random.default_rng(0), 200)
+            assert np.all((w > 0.0) & np.isfinite(w))
+
+
+def test_boundary_scale_is_checked_once_per_law(monkeypatch):
+    checks = []
+    scale = gig._boundary_scale
+    monkeypatch.setattr(gig, "_boundary_scale", lambda *a: checks.append(a) or scale(*a))
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        gig_sample(1.2345, 0.0, 0.6789, rng, 50)  # a law no other test draws, so its sampler is resolved here
+    assert checks == [(1.2345, 0.0, 0.6789, "gamma")]
+
+
+def test_gh_sample_of_a_gamma_law_whose_scale_overflows_exits_3(capsys):
+    # it printed three inf lines after a RuntimeWarning from gig_mode, and exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gh-sample", "--dist", "gig(lambda=1.5,chi=0,psi=5e-324)", "--size", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gig(lambda=1.5,chi=0,psi=4.94065645841e-324): the law's scale overflows\n"
 
 
 # a Gamma-class law's F and ppf against scipy's, to a relative tolerance

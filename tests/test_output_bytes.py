@@ -15,9 +15,12 @@ or scipy build.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanex import (
     band_constants,
@@ -34,7 +37,7 @@ from meanex import (
     parse_ohlcv_csv,
     svg_plot,
 )
-from meanex import cli, svgplot
+from meanex import cli, serialize, svgplot
 from meanex.cli import main
 from meanex.errors import InputError, NumericError
 from meanex.serialize import _BLOCK, fmt, table
@@ -252,17 +255,19 @@ def test_table_edge_shapes_match_oracle():
     assert table("a,b", col, col[:10]) == oracle_table("a,b", col, col[:10])  # rows stop at the shortest
 
 
-@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("header", [None, "h"])
-def test_table_at_block_edges_matches_oracle(rows, k, header):
+def test_table_at_block_edges_matches_oracle(blocks, extra, k, header):
+    b = _BLOCK // k  # the rows of a block of k columns
+    rows = blocks * b + extra
     rng = np.random.default_rng(rows + k)
     special = [NAN, INF, -INF, -0.0]
     cols = []
     for j in range(k):
         c = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
         c[np.arange(rows) % 11 == j] = special[j % 4]
-        for i in (_BLOCK - 1, _BLOCK, 2 * _BLOCK):  # the rows on each side of a block edge
+        for i in (b - 1, b, 2 * b):  # the rows on each side of a block edge
             if i < rows:
                 c[i] = special[(i + j) % 4]
         cols.append(c)
@@ -596,3 +601,110 @@ def test_cli_outputs_match_oracle_writers(tmp_path, monkeypatch, capsys):
     want = run_cli(tmp_path / "oracle")
     assert len(got) == 8
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the decimal-text kernel, value by value against Python's %
+
+
+def g12_hard_cases():
+    """Doubles whose 12-digit significand is hard to certify, and their
+    negatives: every power of ten from 1e-8 to 1e16 and the three doubles
+    on either side of it; at every exponent of the fixed notation, 40
+    doubles nearest a tie in the 13th digit and their neighbours; 1e12 -
+    0.5 (an exact tie) and its kin; zeros, subnormals, the largest
+    double, NaN and the infinities."""
+    out = []
+    for k in range(-8, 17):
+        up = down = float(f"1e{k}")
+        out.append(up)
+        for _ in range(3):
+            up, down = np.nextafter(up, INF), np.nextafter(down, 0.0)
+            out += [up, down]
+    rng = np.random.default_rng(35)
+    for e in range(-4, 12):
+        for n in rng.integers(10**11, 10**12, 40).tolist():
+            tie = float(f"{n}5e{e - 12}")  # the 13 digits n5 with the first at 10^e
+            out += [tie, np.nextafter(tie, INF), np.nextafter(tie, 0.0)]
+    out += [1e12 - 0.5, 1e12 - 1.5, 999999999999.4, 99999999999.95, 9.9999999999995e-5, 0.0, 5e-324,
+            2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, NAN, INF]
+    v = np.array(out)
+    return np.concatenate((v, -v))
+
+
+def percent_lines(values, template="%.12g\n"):
+    return template * len(values) % tuple(values)
+
+
+def guess_shifted(shift):
+    """serialize's exponent guess moved by shift decades."""
+    guess = serialize._exponent_guess
+    return mock.patch.object(serialize, "_exponent_guess", lambda a: guess(a) + shift)
+
+
+def test_g12_kernel_matches_percent_on_hard_cases():
+    v = g12_hard_cases()
+    cols = [v, np.roll(v, 1), np.roll(v, 7)]
+    for shift in (0, -1, 1):  # a guess one decade off is never certified: % writes those values
+        with guess_shifted(shift):
+            assert table(None, v) == percent_lines(v.tolist())
+            assert table("a,b,c", *cols) == oracle_table("a,b,c", *cols)
+            assert table(None, v[: _BLOCK + 5]) == percent_lines(v[: _BLOCK + 5].tolist())
+    _, ok = serialize._g12_words(v)
+    assert 1000 < ok.sum() < v.size - 1000  # the kernel writes many of them, and % many others
+
+
+def test_g12_kernel_at_each_decade_of_the_fixed_notation():
+    # 12 significant digits at every exponent from -5 to 12, each printed
+    # with and without trailing zeros, integer and fraction parts of every length
+    rng = np.random.default_rng(36)
+    m = rng.integers(10**11, 10**12, 500)
+    m[::5] = m[::5] // 10**6 * 10**6
+    m[1::5] = 10**11
+    v = np.concatenate([m * 10.0 ** (e - 11) for e in range(-5, 13)])
+    assert table(None, v) == percent_lines(v.tolist())
+    assert table(None, -v) == percent_lines((-v).tolist())
+
+
+def f2_hard_cases():
+    """Pixel coordinates on and around the rounding ties of %.2f, at
+    whole hundredths, at the integer group boundaries, 1e7 and the signed
+    zeros, and spread over (-1e6, 1e6)."""
+    cents = np.arange(-2000, 2000) / 100.0
+    ties = cents + 0.005
+    edges = np.array([9999.995, 9999.994999999999, 10000.0, 99999.995, 1e7 - 0.01, 1e7, 1e7 + 0.01, 0.0049999,
+                      0.005, 0.0050001, -0.0, 0.0, 123456.785, 5e-324, 1e300])
+    spread = np.random.default_rng(37).uniform(-1e6, 1e6, 4000)
+    return np.concatenate((ties, np.nextafter(ties, INF), np.nextafter(ties, -INF), edges, -edges, cents, spread))
+
+
+def test_f2_kernel_matches_percent_on_hard_cases():
+    v = f2_hard_cases()
+    w = np.roll(v, 3)
+    assert _segments(v, w, pixels) == oracle_segments(v, w, pixels)
+    words, ok = serialize._f2_words(v)
+    assert 0.3 < ok.mean() < 0.7  # the kernel writes many of them, and % many others
+    prefix = np.full(v.size, serialize._NL)
+    assert serialize._decimal_text(words, ok, v, prefix, serialize._F2) == "".join("\n%.2f" % x for x in v)
+
+
+ties_13th_digit = st.builds(lambda n, e: float(f"{n}5e{e - 12}"), st.integers(10**11, 10**12 - 1), st.integers(-4, 11))
+
+
+@given(st.lists(st.floats() | ties_13th_digit, min_size=1, max_size=40), st.sampled_from([0, -1, 1]))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_g12_kernel_matches_percent_on_any_doubles(values, shift):
+    v = np.array(values)
+    with guess_shifted(shift):
+        assert table(None, v) == percent_lines(values)
+        assert table(None, -v) == percent_lines((-v).tolist())
+        assert table("x,y", v, v[::-1]) == oracle_table("x,y", v, v[::-1])
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40),
+       st.lists(st.floats(-1e5, 1e5) | st.floats(-1.0, 1.0), min_size=1, max_size=40))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_f2_kernel_matches_percent_on_any_doubles(xs, ys):
+    n = min(len(xs), len(ys))
+    x, y = np.array(xs[:n]), np.array(ys[:n])
+    assert _segments(x, y, pixels) == oracle_segments(x, y, pixels)

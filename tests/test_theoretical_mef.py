@@ -42,7 +42,7 @@ from meanex import (
     theoretical_mef,
     theoretical_mef_curve,
 )
-from meanex.distributions import FAMILIES, _frame, dist_stop_loss, dist_tail_moments
+from meanex.distributions import FAMILIES, _frame, dist_mean_abs, dist_stop_loss, dist_tail_moments
 
 LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)
 EXPECT_MAX_LEVEL = 1 - 1e-3
@@ -696,3 +696,20 @@ def test_subnormal_tail_neither_stalls_nor_gives_a_value():
     last = np.flatnonzero(sf >= tiny)[-1]
     assert e[last] == pytest.approx(theoretical_mef(d, grid.points[last]), rel=1e-9)
     _tail_means_never_decrease(grid.points[: last + 1], e[: last + 1])
+
+
+def test_gh_model_curve_and_mean_abs_compute_the_mean_once(monkeypatch):
+    # the curve took E[X] for its values below the support and again for
+    # its stop losses, and E|X| took it for itself and again for E[X^+]
+    import meanex.gh as gh
+
+    calls = []
+    moment = gh.gig_moment
+    monkeypatch.setattr(gh, "gig_moment", lambda *a: calls.append(a) or moment(*a))
+    spec = parse_distribution_spec("gh(lambda=-0.5,alpha=50,beta=3,delta=0.01,mu=0.001)")
+    curve = theoretical_mef_curve(spec, make_grid(np.linspace(-0.02, 0.02, 21)))
+    assert np.all(np.isfinite(curve.values))
+    assert len(calls) == 1
+    calls.clear()
+    assert dist_mean_abs(spec) > 0.0
+    assert len(calls) == 1
