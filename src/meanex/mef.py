@@ -24,11 +24,13 @@ with e_n(u) = 0 for u beyond the sample maximum and an undefined marker
 exceedance. Thresholds tie-break *below* the data: X_i == u does not
 count as an exceedance. A Sample is sorted, so the exceedances of u are
 the tail v[k:], k = #{X_i <= u}. One kernel, ``_exceedances``, gives
-n - k and the sum of v[k:] - c, c = v[n // 2]. The centred form
+n - k and the sum of v[k:] - c, c = v[n // 2], for each row of a block
+of sorted rows: a sample is a block of one row, and the replicate
+engine in ``montecarlo`` passes 64 replicates. The centred form
 e_n(u) = sum(v[k:] - c) / (n - k) - (u - c) keeps its digits at large
-offsets, where an uncentred sum loses them. The empirical curve, the
-band's plug-in F_bar(u1) = (n - k) / n and the replicate engine in
-``montecarlo`` all read this kernel.
+offsets, where an uncentred sum loses them. Its suffix step,
+``_suffix_sums``, takes any summands in sorted order with a zero column
+past the end, such as rows of multiplier weights times v - c.
 
 The uniform band on [u0, u1] has half-width E_n / sqrt(n) with
 
@@ -49,7 +51,6 @@ sqrt(n) (e_n(u) - e(u)).
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,51 +75,52 @@ __all__ = [
 ]
 
 
-def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """For sorted values v: the count of the values above each threshold
-    u, the sum of their excess over c = v[n // 2], and c. One reversed
-    running sum of v - c in its own buffer (``np.add.accumulate``, the
-    loop ``np.cumsum`` runs, without its wrapper), and one searchsorted.
-    NumericError when a sum is past the double range; only a sample whose
-    bound on the sums, n max|v - c| with room for rounding, is past it
-    takes that check."""
-    c = v[v.size // 2]
-    suffix = np.zeros(v.size + 1)  # suffix[k] = sum of v[k:] - c
-    tail = suffix[-2::-1]
-    # a sample whose sums may leave the double range takes the checked path:
-    # with np.errstate on every call, mc-protocol's wall time (7650 calls an
-    # op) read about 5% higher in alternated pairs
-    if 2.0 * v.size * max(float(v[-1]) - float(c), float(c) - float(v[0])) < math.inf:
-        np.add.accumulate(np.subtract(v[::-1], c, out=tail), out=tail)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.accumulate(np.subtract(v[::-1], c, out=tail), out=tail)
-        # an overflow leaves every later sum inf or NaN, and suffix[0] is the last
-        if not np.isfinite(suffix[0]):
-            raise NumericError(f"the sample's values, from {v[0]:g} to {v[-1]:g}, sum past the double range "
-                               f"about their middle value {c:g}")
-    k = np.searchsorted(v, u, side="right")
-    return v.size - k, suffix[k], c
+def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a block v of sorted rows (B, n) and thresholds u (m,): the
+    (B, m) counts of each row's values above u, the (B, m) sums of their
+    excess over the row's middle value c = v[b, n // 2], and c as a
+    (B, 1) column. NumericError when a row's sums leave the double range."""
+    n = v.shape[1]
+    c = v[:, n // 2, None]
+    k = np.array([row.searchsorted(u, side="right") for row in v])
+    s = np.empty((len(v), n + 1))
+    s[:, n] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(v, c, out=s[:, :n])
+        sums, whole = _suffix_sums(s, k)
+    bad = np.flatnonzero(~np.isfinite(whole))
+    if bad.size:
+        b = bad[0]
+        raise NumericError(f"the sample's values, from {v[b, 0]:g} to {v[b, -1]:g}, sum past the double range "
+                           f"about their middle value {c[b, 0]:g}")
+    return n - k, sums, c
 
 
-def _emef(u: np.ndarray, count: np.ndarray, total: np.ndarray, c, top) -> np.ndarray:
-    """e_n at thresholds u from the exceedance counts, their sum centred on
-    c, and the sample maximum top. Broadcasts: vectors for one sample; for
-    a block of replicates, a row each and a column of centres and maxima.
-    NumericError when a mean excess is past the double range."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        e = total / count - (u - c)
-    # no exceedance: 0 beyond the maximum, undefined (NaN) at it
-    e = np.where(count == 0, np.where(u > top, 0.0, np.nan), e)
-    if np.isinf(e).any():
-        raise NumericError("a mean excess of the sample is past the double range")
-    return e
+def _suffix_sums(s: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sums of s[b, j:] at its indices j = k[b] and its whole
+    sum, for summands s (B, n + 1) whose last column is 0, the sum past
+    the end, and indices k (B, m), or (1, m) for every row. One reversed
+    running sum per row (``np.add.accumulate``), written over s. An
+    overflow leaves every later running sum, so the whole sum, inf or
+    NaN; the caller sets the error state and checks it."""
+    r = s[:, -2::-1]
+    np.add.accumulate(r, axis=1, out=r)
+    first = np.arange(0, s.size, s.shape[1])[:, None]  # each row's first flat index
+    return s.reshape(-1)[k + first], s[:, 0]
 
 
 def _emef_at(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e_n at thresholds u of sorted values v, and the exceedance counts."""
+    """e_n at thresholds u of each sorted row of the block v, and the
+    exceedance counts, both (B, m); a sample is the block v[None].
+    NumericError when a mean excess is past the double range."""
     count, total, c = _exceedances(v, u)
-    return _emef(u, count, total, c, v[-1]), count
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        e = total / count - (u - c)
+    # no exceedance: 0 beyond the maximum, undefined (NaN) at it
+    e = np.where(count == 0, np.where(u > v[:, -1:], 0.0, np.nan), e)
+    if np.isinf(e).any():
+        raise NumericError("a mean excess of the sample is past the double range")
+    return e, count
 
 
 def _curve(sample: Sample, grid: Grid, values: np.ndarray) -> MefCurve:
@@ -129,11 +131,11 @@ def _curve(sample: Sample, grid: Grid, values: np.ndarray) -> MefCurve:
 def empirical_mef(sample: Sample, u: float) -> float:
     """Plug-in mean excess at a single threshold (NaN exactly at the
     sample maximum, 0 beyond it)."""
-    return float(_emef_at(sample.values, np.asarray([float(u)]))[0][0])
+    return float(_emef_at(sample.values[None], np.asarray([float(u)]))[0][0, 0])
 
 
 def empirical_mef_curve(sample: Sample, grid: Grid) -> MefCurve:
-    return _curve(sample, grid, _emef_at(sample.values, grid.points)[0])
+    return _curve(sample, grid, _emef_at(sample.values[None], grid.points)[0][0])
 
 
 # an integer grid policy stops at this sample quantile
@@ -184,7 +186,8 @@ def theoretical_mef_curve(dist: DistributionSpec, grid: Grid) -> MefCurve:
     upper end on and wherever F_bar(u) is 0 or subnormal (below 2.2e-308),
     where quadrature holds S and F_bar only to an absolute 2.2e-308 and
     their ratio means nothing. DomainError for a law without a finite
-    mean, NumericError when a quadrature fails.
+    mean, NumericError when a quadrature fails or gives a stop loss of 0
+    where F_bar(u) is a normal double.
     """
     values, meta = _mef_values(dist, grid.points)
     return make_curve(grid, values, meta=meta)
@@ -218,8 +221,15 @@ def _mef_values(dist: DistributionSpec, u: np.ndarray) -> tuple[np.ndarray, str]
         out[inside] = (lam + x) / (alpha - 1.0)
     elif x.size:
         sf, stop_loss = _tail_moments(frame, x, offset)
+        normal = sf >= np.finfo(float).tiny
+        # a law with F_bar(u) > 0 has S(u) > 0: a 0 is a stop loss the quadrature lost
+        lost = np.flatnonzero(normal & (stop_loss == 0.0))
+        if lost.size:
+            i = lost[0]
+            raise NumericError(f"{format_distribution_spec(dist)}: the stop loss at u={x[i]:.12g} underflows to 0, "
+                               f"where F_bar = {sf[i]:.6g}")
         with np.errstate(invalid="ignore", divide="ignore"):
-            out[inside] = np.where(sf >= np.finfo(float).tiny, stop_loss / sf, 0.0)
+            out[inside] = np.where(normal, stop_loss / sf, 0.0)
     return out, meta
 
 
@@ -263,22 +273,18 @@ def consistency_band(
         raise DomainError("grid must lie inside [u0, u1]")
     n = sample.n
     # one kernel call gives the curve and, at u1 appended, the plug-in F_bar(u1)
-    e, count = _emef_at(sample.values, np.append(pts, constants.u1))
+    e, count = _emef_at(sample.values[None], np.append(pts, constants.u1))
     if survival_u1 is None:
-        survival_u1 = count[-1] / n
+        survival_u1 = count[0, -1] / n
     if mean_abs is None:
-        mean_abs = _plug_in_mean_abs(sample.values)
+        mean_abs = np.mean(np.abs(sample.values))
     en = _band_en(n, survival_u1, mean_abs, constants)
-    curve = _curve(sample, grid, e[:-1])
+    curve = _curve(sample, grid, e[0, :-1])
     half = en / np.sqrt(n)
     lower, upper = curve.values - half, curve.values + half
     lower.flags.writeable = upper.flags.writeable = False
     return Band(curve=curve, lower=lower, upper=upper, en=en, n=n, constants=constants,
                 survival_u1=float(survival_u1), mean_abs=float(mean_abs))
-
-
-def _plug_in_mean_abs(values: np.ndarray) -> float:
-    return float(np.mean(np.abs(values)))
 
 
 def _band_en(n: int, survival_u1: float, mean_abs: float, constants: BandConstants) -> float:

@@ -17,11 +17,13 @@ of these streams, state and draws, in the tests. The seed must be a
 non-negative integer (InputError). The draws come from the law's frame
 hook, the one ``std_sample`` calls, so a replicate is the sample
 std_sample gives on its stream. The replicates run serially in blocks
-of a fixed 64: each sample is drawn and sorted on its own, and checked
-finite from its ends (NaN sorts last, -inf first), and the mean-excess
-formula runs once per block on all its replicates. A block's sums add
-its rows in replicate order, and the block sums are combined in block
-order, so every result is a fixed function of the seed.
+of a fixed 64: each sample is drawn and sorted into its row of the
+block, checked finite from its ends (NaN sorts last, -inf first), and
+summed at once where its sums may leave the double range, so that it
+is refused before the next draw; then one call of the mean-excess
+kernel takes the block. A block's sums add its rows in replicate
+order, and the block sums are combined in block order, so every
+result is a fixed function of the seed.
 
 The fourth-moment identity: for iid centered X_1..X_n with kappa1 =
 E X^2 and kappa2 = E X^4,
@@ -43,14 +45,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, InputError
-from .mef import (
-    _band_en,
-    _emef,
-    _exceedances,
-    _plug_in_mean_abs,
-    _sup_abs,
-    theoretical_mef_curve,
-)
+from .mef import _band_en, _emef_at, _sup_abs, theoretical_mef_curve
 from .types import BandConstants, Grid, MefCurve, make_curve, make_grid, require_finite
 
 if TYPE_CHECKING:
@@ -189,32 +184,30 @@ def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
     return _streams(seed, key[:-1])(key[-1], key[-1] + 1)[0]
 
 
-def _emef_blocks(draw, points, size, streams, n_reps, stat=None):
+def _emef_blocks(draw, points, size, streams, n_reps):
     """The replicate engine: for each block of up to _CHUNK consecutive
     replicates, yield the (B, m) empirical mean excess on points, one row
-    per replicate, the (B, m) exceedance counts, and stat of each sorted
-    sample (an empty list without stat). draw(rng, size) draws one
-    sample: the law's frame hook, looked up once per protocol call;
+    per replicate, the (B, m) exceedance counts, and the (B, size) block
+    of sorted samples, from one ``_emef_at`` call. draw(rng, size) draws
+    one sample: the law's frame hook, looked up once per protocol call;
     streams(start, stop) gives the block's generators (``_streams``).
-    Memory per block is O(B m + size)."""
+    Memory is O(B (m + size)): one block buffer per call, refilled, so a
+    caller reads each block before the next."""
+    buffer = np.empty((min(_CHUNK, n_reps), size))  # a fresh block each time faulted in all its pages
     for start in range(0, n_reps, _CHUNK):
         rngs = streams(start, min(start + _CHUNK, n_reps))
-        count = np.empty((len(rngs), points.size), dtype=np.int64)
-        total = np.empty((len(rngs), points.size))
-        centre = np.empty((len(rngs), 1))
-        top = np.empty((len(rngs), 1))
-        stats = []
-        for b, rng in enumerate(rngs):
-            x = draw(rng, size)
-            x.sort()
+        block = buffer[:len(rngs)]
+        for row, rng in zip(block, rngs):
+            row[:] = draw(rng, size)
+            row.sort()
+            lo, mid, hi = float(row[0]), float(row[size // 2]), float(row[-1])
             # NaN sorts last and -inf first, so the ends show a sample that is not finite
-            if not (x[0] > -math.inf and x[-1] < math.inf):
-                require_finite(x)
-            count[b], total[b], centre[b] = _exceedances(x, points)
-            top[b] = x[-1]
-            if stat is not None:
-                stats.append(stat(x))
-        yield _emef(points, count, total, centre, top), count, stats
+            if not (lo > -math.inf and hi < math.inf):
+                require_finite(row)
+            # a row whose sums may overflow is summed now, and refused before the next draw
+            if not 2.0 * size * max(hi - mid, mid - lo) < math.inf:
+                _emef_at(row[None], points)
+        yield (*_emef_at(block, points), block)
 
 
 def stallion(dist: DistributionSpec, n_reps: int, sample_size: int, grid: Grid, seed: int) -> StallionCurve:
@@ -286,9 +279,9 @@ def coverage_experiment(
 
     root_n = np.sqrt(sample_size)
     covered, defined, en_sum, hw_sum = 0, 0, 0.0, 0.0
-    stat = None if oracle else _plug_in_mean_abs
-    blocks = _emef_blocks(_frame(dist).draw, grid.points, sample_size, streams, n_reps, stat=stat)
-    for e, count, mean_abs in blocks:
+    blocks = _emef_blocks(_frame(dist).draw, grid.points, sample_size, streams, n_reps)
+    for e, count, block in blocks:
+        mean_abs = None if oracle else np.mean(np.abs(block), axis=1)
         half = np.full((len(e), 1), np.nan)  # stays NaN where the band is undefined
         for b in range(len(e)):
             sf, ma = (sf_u1, mabs) if oracle else (count[b, -1] / sample_size, mean_abs[b])

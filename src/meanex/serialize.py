@@ -175,11 +175,11 @@ def _hundredths(v):
     return k.view(np.int64), exact
 
 
-def _f2_words(v):
-    """(words, ok): the word rows of each "%.2f" % v[i] in column i, and
-    where they are certified: the integer part, then "." and the two
-    digits of the hundredths count that ``_hundredths`` certifies."""
-    k, ok = _hundredths(v)
+def _f2_words(k, ok):
+    """(words, ok): the word rows of each "%.2f" text in column i, from
+    the hundredths keys k of the values and where they are certified,
+    as ``_hundredths`` gives them: the integer part, then "." and the
+    two digits of the hundredths count."""
     h = np.abs(k.view(np.float64))
     with np.errstate(invalid="ignore"):
         ip = np.floor(h / 100.0)

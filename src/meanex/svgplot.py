@@ -85,20 +85,21 @@ def _line(x1, y1, x2, y2, color, width):
             f'stroke="{color}" stroke-width="{_px(width)}"/>')
 
 
-def _repeats(sx, sy):
-    """repeat[i]: point i + 1 writes the same "%.2f,%.2f" text as point i.
+def _repeats(v, k, exact):
+    """repeat[i]: point i + 1 writes the same "%.2f,%.2f" text as point i,
+    for the (P, 2) pixel points v and the hundredths keys k of their
+    coordinates and where the keys are exact (``_hundredths``).
 
-    Decided from the hundredths keys, before any point is formatted; only
-    the pairs with a point that has no exact key (near a tie, beyond 1e7
-    px or not finite) are formatted and compared as text."""
-    kx, ex = _hundredths(sx)
-    ky, ey = _hundredths(sy)
-    repeat = (kx[1:] == kx[:-1]) & (ky[1:] == ky[:-1])
-    exact = ex & ey
+    Decided from the keys, before any point is formatted; only the
+    pairs with a point that has no exact key (near a tie, beyond 1e7 px
+    or not finite) are formatted and compared as text."""
+    same = k[1:] == k[:-1]
+    repeat = same[:, 0] & same[:, 1]
+    exact = exact[:, 0] & exact[:, 1]
     odd = np.flatnonzero(~(exact[1:] & exact[:-1]))
     if odd.size:
         def text(i):
-            return "%.2f,%.2f" % (sx[i], sy[i])
+            return "%.2f,%.2f" % (v[i, 0], v[i, 1])
 
         repeat[odd] = [text(i) == text(i + 1) for i in odd.tolist()]
     return repeat
@@ -110,30 +111,33 @@ def _segments(x, y, to_px, *pieces):
     The path walks (x, y) and then each further (x, y) piece in order,
     as one polyline: a piece's first point continues from the last point
     before it, as a block's does. The points of each piece are taken
-    ``_BLOCK`` at a time. In each block an ``L`` point whose written pair
-    equals the one before it is dropped before formatting (``_repeats``);
-    the last point before the block (in this piece or the one before),
-    when it is defined, is carried in as the first point's predecessor.
-    The kernel writes the rest of the block, each point as " L" (or " M",
-    for a point that follows a dropped undefined one or starts the path)
-    and its "%.2f,%.2f" pair, and the leading space of the path is cut."""
+    ``_BLOCK`` at a time. Each block's pixel coordinates are keyed once
+    by ``_hundredths``; an ``L`` point whose written pair equals the one
+    before it is dropped before formatting (``_repeats``), and the keys
+    of the rest give their digits. The last point before the block (in
+    this piece or the one before), when it is defined, is carried in as
+    the first point's predecessor. The kernel writes the rest of the
+    block, each point as " L" (or " M", for a point that follows a
+    dropped undefined one or starts the path) and its "%.2f,%.2f" pair,
+    and the leading space of the path is cut."""
     parts = []
-    tail_x = tail_y = np.empty(0)  # the point before the block, when it is defined
+    tail = np.empty((0, 2))  # the point before the block, when it is defined
     for x, y in ((x, y), *pieces):
         for i in range(0, x.size, _BLOCK):
             xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
             ok = np.isfinite(xb) & np.isfinite(yb)
-            start = np.concatenate(([tail_x.size == 0], ~ok))[:-1][ok]
-            sx, sy = to_px(xb[ok], yb[ok])
-            if tail_x.size == 0:
-                tail_x, tail_y = sx[:1], sy[:1]  # the first point starts a subpath: any predecessor will do
-            keep = start | ~_repeats(np.concatenate((tail_x, sx)), np.concatenate((tail_y, sy)))
-            tail_x, tail_y = (sx[-1:], sy[-1:]) if ok[-1] else (sx[:0], sy[:0])
-            sx, sy, start = sx[keep], sy[keep], start[keep]
-            v = np.column_stack((sx, sy)).ravel()
-            prefix = np.full((sx.size, 2), _COMMA)
+            start = np.concatenate(([tail.size == 0], ~ok))[:-1][ok]
+            v = np.column_stack(to_px(xb[ok], yb[ok]))
+            if tail.size == 0:
+                tail = v[:1]  # the first point starts a subpath: any predecessor will do
+            v = np.concatenate((tail, v))
+            k, exact = _hundredths(v)
+            keep = np.flatnonzero(start | ~_repeats(v, k, exact))
+            tail = v[-1:] if ok[-1] else v[:0]
+            v, k, exact, start = v[keep + 1], k[keep + 1], exact[keep + 1], start[keep]
+            prefix = np.full((start.size, 2), _COMMA)
             prefix[:, 0] = np.where(start, _M, _L)
-            parts.append(_decimal_text(*_f2_words(v), v, prefix.ravel(), _F2))
+            parts.append(_decimal_text(*_f2_words(k.ravel(), exact.ravel()), v.ravel(), prefix.ravel(), _F2))
     return "".join(parts)[1:]
 
 

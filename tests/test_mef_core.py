@@ -29,6 +29,8 @@ from meanex import (
     theoretical_mef_curve,
 )
 from meanex.distributions import _frame, _integrate, dist_stop_loss, std_survival
+from meanex.mef import _emef_at, _exceedances, _suffix_sums
+from meanex.ohlcv import log_returns, parse_ohlcv_csv
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,110 @@ def test_empirical_mef_accurate_at_large_offsets(shift):
     x = s.values
     want = [np.mean(x[x > u] - u) for u in grid.points]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exceedance kernel: a block of sorted rows, and weighted rows
+
+
+def oracle_exceedances(v, u):
+    """The 1-D form for one sorted sample: the counts above u and the sums
+    of v[k:] - c, c = v[n // 2], from np.cumsum of the reversed excesses."""
+    c = v[v.size // 2]
+    suffix = np.append(np.cumsum((v - c)[::-1])[::-1], 0.0)
+    k = np.searchsorted(v, u, side="right")
+    return v.size - k, suffix[k], c
+
+
+def fixture_returns():
+    with open("tests/data/synthetic_ohlcv.csv") as f:
+        return np.sort(log_returns(parse_ohlcv_csv(f)))
+
+
+def kernel_samples():
+    rng = np.random.default_rng(15)
+    return {
+        "fixture-499": fixture_returns(),
+        "4000-at-1e6": np.sort(rng.standard_normal(4000)) + 1e6,
+        "200000": np.sort(rng.exponential(1.0, 200_000)),
+    }
+
+
+@pytest.mark.parametrize("name", ["fixture-499", "4000-at-1e6", "200000"])
+def test_unit_rows_give_the_curves_sums_bit_for_bit(name):
+    v = kernel_samples()[name]
+    assert name != "fixture-499" or v.size == 499
+    # every order statistic, points between them, and points past both ends
+    u = np.unique(np.concatenate((v, np.linspace(v[0] - 1.0, v[-1] + 1.0, 101))))
+    count, total, c = _exceedances(v[None], u)
+    want_count, want_total, want_c = oracle_exceedances(v, u)
+    assert count.tobytes() == want_count[None].tobytes()
+    assert total.tobytes() == want_total[None].tobytes()
+    assert c.shape == (1, 1) and c[0, 0] == want_c
+    k = np.searchsorted(v, u, side="right")[None]
+    summands = np.zeros((3, v.size + 1))
+    summands[:, :-1] = np.ones((3, v.size)) * (v - want_c)
+    sums, whole = _suffix_sums(summands, k)
+    assert sums.shape == (3, u.size)
+    for row in sums:
+        assert row.tobytes() == want_total.tobytes()
+    assert np.all(whole == want_total[0])
+    e = empirical_mef_curve(make_sample(v), make_grid(u)).values
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want_e = np.where(want_count == 0, np.where(u > v[-1], 0.0, np.nan), want_total / want_count - (u - want_c))
+    assert e.tobytes() == want_e.tobytes()
+
+
+def test_block_gives_each_rows_result_bit_for_bit():
+    rng = np.random.default_rng(16)
+    offsets = np.array([0.0, 1e6, -3e8, 2.5, 0.0])[:, None]
+    block = np.sort(rng.standard_t(3.0, (5, 1000)), axis=1) + offsets
+    u = np.unique(np.concatenate((block.ravel()[::7], [-4e8, 4e8])))
+    count, total, c = _exceedances(block, u)
+    e, e_count = _emef_at(block, u)
+    assert e_count.tobytes() == count.tobytes()
+    for b, row in enumerate(block):
+        one = _exceedances(row[None], u)
+        assert count[b].tobytes() == one[0][0].tobytes()
+        assert total[b].tobytes() == one[1][0].tobytes()
+        assert c[b, 0] == one[2][0, 0]
+        want_count, want_total, _ = oracle_exceedances(row, u)
+        assert count[b].tobytes() == want_count.tobytes() and total[b].tobytes() == want_total.tobytes()
+        assert e[b].tobytes() == empirical_mef_curve(make_sample(row), make_grid(u)).values.tobytes()
+
+
+def test_block_sums_past_the_double_range_name_the_row():
+    block = np.array([[0.0, 1.0, 2.0, 3.0], [-9e307, 0.0, 9e307, 9e307]])
+    with pytest.raises(NumericError, match="from -9e[+]307 to 9e[+]307, sum past the double range"):
+        _exceedances(block, np.array([0.5]))
+
+
+@pytest.mark.parametrize("law", ["exp", "gpd"])
+def test_weighted_rows_equal_the_dense_h_matrix_form(law):
+    # one multiplier draw per row xi: sum_i xi_i h_u(X_i) from the kernel's sums
+    # of xi (v - c), c = 0, and of xi above each u, against xi @ H.T with H the
+    # dense influence values of h_u_values
+    rng = np.random.default_rng(17)
+    x = rng.exponential(1.0, 2000) if law == "exp" else (rng.random(2000) ** -0.25 - 1.0) / 0.25
+    s = make_sample(x)
+    v = s.values
+    j = np.array([0, 10, 500, 1000, 1900, 1990])
+    # three thresholds to a gap: at an order statistic, a quarter and half way to the next, no value between
+    gaps = (v[j, None] + np.array([0.0, 0.25, 0.5]) * (v[j + 1] - v[j])[:, None]).ravel()
+    u = np.unique(np.concatenate((gaps, np.quantile(v, [0.1, 0.5, 0.9]))))
+    assert u[-1] < v[-1]  # every threshold has an exceedance
+    xi = np.zeros((40, v.size + 1))  # the last column is the zero past the end
+    xi[:, :-1] = rng.standard_normal((40, v.size))
+    k = np.searchsorted(v, u, side="right")[None]
+    weighted, _ = _suffix_sums(xi * np.append(v, 0.0), k)
+    mass, _ = _suffix_sums(xi.copy(), k)
+    count, total, c = _exceedances(v[None], u)
+    p = count / v.size
+    tail_mean = total / count + c
+    got = (weighted - tail_mean * mass) / p
+    h = np.stack([h_u_values(s, t) for t in u])
+    want = xi[:, :-1] @ h.T
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ coverage and convergence experiments, the replicate engine against the
 per-replicate loops it replaced, and the fourth-moment identity with its
 enumeration oracle."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from meanex import (
     DomainError,
     InputError,
+    NumericError,
     band_constants,
     consistency_band,
     convergence_experiment,
@@ -448,6 +450,27 @@ def test_sample_that_is_not_finite_is_refused(monkeypatch, bad, where):
         with pytest.raises(InputError, match="sample values must be finite"):
             run()
         assert len(calls) == 70
+
+
+def test_sample_whose_sums_leave_the_double_range_is_refused_before_the_next_draw(monkeypatch):
+    # the first replicate's sums about its middle value overflow, and the next ones hold
+    # infinities: the first is refused with NumericError, before any other draw, and no
+    # warning escapes from the sums
+    cauchy = make_spec("cauchy", mu=0.0, delta=3e304)
+    real = distributions._frame
+    frame = real(cauchy)
+    calls = []
+
+    def draw(rng, n):
+        calls.append(n)
+        return frame.draw(rng, n)
+
+    monkeypatch.setattr(distributions, "_frame", lambda spec: replace(frame, draw=draw) if spec == cauchy else real(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="sum past the double range"):
+            stallion(cauchy, n_reps=3, sample_size=4000, grid=make_grid(np.linspace(-1.0, 1.0, 5)), seed=0)
+    assert calls == [4000]
 
 
 # ---------------------------------------------------------------------------

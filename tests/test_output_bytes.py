@@ -682,7 +682,7 @@ def test_f2_kernel_matches_percent_on_hard_cases():
     v = f2_hard_cases()
     w = np.roll(v, 3)
     assert _segments(v, w, pixels) == oracle_segments(v, w, pixels)
-    words, ok = serialize._f2_words(v)
+    words, ok = serialize._f2_words(*serialize._hundredths(v))
     assert 0.3 < ok.mean() < 0.7  # the kernel writes many of them, and % many others
     prefix = np.full(v.size, serialize._NL)
     assert serialize._decimal_text(words, ok, v, prefix, serialize._F2) == "".join("\n%.2f" % x for x in v)

@@ -19,6 +19,7 @@ closed-form laws or mpmath.
 import contextlib
 import functools
 import math
+import re
 import signal
 
 import mpmath
@@ -696,6 +697,23 @@ def test_subnormal_tail_neither_stalls_nor_gives_a_value():
     last = np.flatnonzero(sf >= tiny)[-1]
     assert e[last] == pytest.approx(theoretical_mef(d, grid.points[last]), rel=1e-9)
     _tail_means_never_decrease(grid.points[: last + 1], e[: last + 1])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("u, sf", [(1e85, 1.10265779e-255), (1e90, 1.10265779e-270)])
+def test_stop_loss_lost_under_a_normal_tail_is_refused(u, sf):
+    # scipy's t density is 0 out here while its survival is a normal double: the
+    # quadrature's stop loss came back 0, and e(u) read 0 where it is u / 2
+    d = parse_distribution_spec("student(nu=3,mu=0)")
+    assert std_survival(d, u) == pytest.approx(sf, rel=1e-8)
+    message = re.escape(f"student(nu=3,mu=0): the stop loss at u={u:.12g} underflows to 0, where F_bar = 1.10266e-2")
+    with _within(3):
+        with pytest.raises(NumericError, match=message):
+            theoretical_mef(d, u)
+        with pytest.raises(NumericError, match=message):
+            theoretical_mef_curve(d, make_grid([u, 2.0 * u]))
+        # nearer in, where the density is a normal double, the curve is right
+        assert theoretical_mef(d, 1e70) == pytest.approx(5e69, rel=1e-12)
 
 
 def test_gh_model_curve_and_mean_abs_compute_the_mean_once(monkeypatch):
