@@ -21,6 +21,15 @@ line, in the first comma field; blank fields are skipped and a
 non-numeric first line is tolerated as a header. Every command is
 deterministic given --seed.
 
+Sample files are read by three readers in turn, each only where the one
+before declines (``_sample_values``): the numpy decimal kernel
+``decimal_lines`` takes a file of bare decimal numbers with LF line
+ends, and declines any other (a blank line, whitespace, a second
+column, CR, inf or nan, ``1_000``, non-ASCII digits); then
+``np.loadtxt``; then a line loop that words every error. Each gives the
+bits ``float`` gives, so a file reads to the same values whichever
+reader takes it.
+
 Cold start: only the commands that take --dist (stallion, coverage,
 fdelta, gh-pdf, gh-sample, compare) import the scipy-backed
 ``distributions`` module, inside the command. emef, band, fit-gpd and
@@ -30,12 +39,14 @@ ingest run on numpy alone.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 import warnings
 
 import numpy as np
 
+from . import decimal_lines
 from .errors import DomainError, InputError, NumericError
 from .gpdfit import _central_window, _tail_label, gpd_from_ols, ols_fit
 from .mef import (
@@ -112,14 +123,45 @@ def _sample_values(path):
     split by ``str.splitlines``; blank fields are skipped, and a first
     line ``_is_header`` takes is skipped as a header.
 
-    ``np.loadtxt`` parses the lines past the header in one C call (on the
-    file handle it would not split at form feeds or U+2028). It reads
-    every token it accepts to the bits ``float`` gives, and accepts no
-    token ``float`` rejects. Where it raises or reads nothing (a blank
-    field, ``1_000``, non-ASCII digits, no number), the line loop reads
-    the same lines and words every error."""
-    lines = _parse_file(path, lambda fh: fh.read().removeprefix("\ufeff").splitlines())
-    start = 1 if lines and _is_header(lines[0]) else 0
+    The file is read as bytes, and its first line is passed to
+    ``_is_header`` once. Three readers then take the lines past the
+    header, each only where the one before declines:
+
+    - ``decimal_lines.read_lines``, on the bytes: one number a line in
+      ASCII digits, LF line ends, with each value's bits certified equal
+      to ``float``'s. It declines the file where a line is anything else
+      (a blank line, whitespace, a second column, CR, inf or nan,
+      ``1_000``, non-ASCII digits), where the header line holds a line
+      break of its own, and on a platform without extended precision;
+    - ``np.loadtxt``, on the text's lines, in one C call (on the file
+      handle it would not split at form feeds or U+2028). It reads every
+      token it accepts to the bits ``float`` gives, and accepts no token
+      ``float`` rejects;
+    - where it raises or reads nothing (a blank field, ``1_000``,
+      non-ASCII digits, no number), the line loop reads the same lines
+      and words every error.
+
+    So a file reads to the same values, or the same error, whichever
+    reader takes it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    head, _, body = data.partition(b"\n")
+    head = _utf8(path, head)
+    first = head.splitlines()  # the first line of the text, split as the whole text is split
+    header = bool(data) and _is_header(first[0] if first else "")
+    if not header:
+        values = decimal_lines.read_lines(data)
+    elif first == [head.removesuffix("\r")]:  # the header line ends at its LF or CR LF
+        values = decimal_lines.read_lines(body)
+    else:
+        values = None
+    if values is not None:
+        return values
+    lines = _utf8(path, data).splitlines()
+    start = int(header)
     values = _loadtxt(lines[start:])
     if values is not None:
         return values
@@ -135,6 +177,14 @@ def _sample_values(path):
     if not values:
         raise InputError(f"{path}: no numeric values")
     return np.array(values, dtype=float)
+
+
+def _utf8(path, data):
+    """data decoded as UTF-8; InputError if it is not UTF-8 text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
 
 
 def _read_sample_file(path):

@@ -111,9 +111,10 @@ def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
     """A centre, the mode m, and the bulk's width m / sqrt((psi m + chi /
     m) / 2), the curvature scale of the log density at m; DomainError for
     an invalid triple, NumericError where the mode underflows to 0 at
-    lambda <= 0 or a boundary law's scale leaves the double range. A Gamma
-    law whose mode is 0, its lower end, takes its mean 2 lambda / psi for
-    both: F has mass below it and keeps its accuracy."""
+    lambda <= 0, the width underflows to 0 or a boundary law's scale
+    leaves the double range. A Gamma law whose mode is 0, its lower end,
+    takes its mean 2 lambda / psi for both: F has mass below it and keeps
+    its accuracy."""
     kind = gig_validate(lam, chi, psi)
     with np.errstate(over="ignore"):  # 1 / psi of a Gamma law whose scale overflows, refused below
         m = float(gig_mode(lam, chi, psi))
@@ -122,8 +123,12 @@ def gig_bulk(lam: float, chi: float, psi: float) -> tuple[float, float]:
     if kind != "interior":
         _boundary_scale(lam, chi, psi, kind)
     if m > 0.0:
-        return m, m / float(np.sqrt(0.5 * (psi * m + chi / m)))
-    return (2.0 * lam / psi,) * 2
+        centre, width = m, m / float(np.sqrt(0.5 * (psi * m + chi / m)))
+    else:
+        centre = width = 2.0 * lam / psi
+    if not width > 0.0:
+        raise _refusal(lam, chi, psi, "the bulk's width underflows to 0")
+    return centre, width
 
 
 def _centre(chi: float, psi: float) -> tuple[float, float]:

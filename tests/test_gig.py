@@ -13,7 +13,7 @@ from scipy import integrate, special, stats
 
 from meanex import DomainError, NumericError, gig_moment, gig_pdf, gig_sample, gig_validate
 from meanex import dist_ppf, make_grid, make_spec, parse_distribution_spec, std_cdf, std_sample, std_survival
-from meanex import theoretical_mef_curve
+from meanex import theoretical_mef, theoretical_mef_curve
 from meanex import gig
 from meanex.gh import GhParams, gh_sample
 from meanex.gh import _mixing as gh_mixing
@@ -252,6 +252,23 @@ def test_law_whose_mode_underflows_to_zero_is_refused(lam, chi, psi):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_law_whose_bulk_width_underflows_to_zero_is_refused(capsys):
+    # the mode 2.96e-243 is a normal double, but m / sqrt((psi m + chi / m) / 2) = 2.6e-364 is
+    # 0: dist_ppf warned "divide by zero" and gh-pdf exited 3 with "quadrature finds mass 0
+    # under the density, not 1"; each is refused at once, with no warning
+    lam, chi, psi = -1.3e242, 0.77, 0.0
+    assert gig_mode(lam, chi, psi) > 0.0
+    spec = make_spec("gig", **{"lambda": lam, "chi": chi, "psi": psi})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refused in (lambda: gig.gig_bulk(lam, chi, psi), lambda: dist_ppf(spec, 0.5),
+                        lambda: theoretical_mef(spec, 1.0)):
+            with pytest.raises(NumericError, match="the bulk's width underflows to 0"):
+                refused()
+        assert main(["gh-pdf", "--dist", "gig(lambda=-1.3e242,chi=0.77,psi=0)"]) == 3
+    assert "the bulk's width underflows to 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam, chi, psi, why", [(-1.5, 5e-324, 0.0, "underflows to 0"), (1.5, 0.0, 5e-324, "overflows"),

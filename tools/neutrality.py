@@ -107,6 +107,14 @@ def cli_runs():
         ("band gpd", ["band", "gpd.txt", "--u0", "0", "--u1", "5", "--csv", "band-gpd.csv", "--svg", "band-gpd.svg"]),
         ("fit-gpd returns", ["fit-gpd", "returns.txt"]),
         ("fit-gpd gpd", ["fit-gpd", "gpd.txt"]),
+    ]
+    for name in ("gpd-repr.txt", "gpd-repr-header.txt"):  # the benchmark's format, bare and under a header
+        runs += [
+            (f"emef {name}", ["emef", name, "--csv", f"emef-{name}.csv", "--svg", f"emef-{name}.svg"]),
+            (f"band {name}", ["band", name, "--u0", "0", "--u1", "5", "--csv", f"band-{name}.csv"]),
+            (f"fit-gpd {name}", ["fit-gpd", name, "--csv", f"fit-{name}.csv"]),
+        ]
+    runs += [
         ("emef wide", ["emef", "wide.txt"]),
         ("compare normal", ["compare", *ret, "--dist", "normal(mu=0,sigma=0.02)", "--csv", "compare.csv",
                             "--svg", "compare.svg"]),
@@ -140,6 +148,7 @@ def cli_runs():
         ("gh-sample refused no box", ["gh-sample", "--dist", "gig(lambda=-1.2,chi=1e-40,psi=1e-80)", "--size", "100"]),
         ("gh-pdf refused mode", ["gh-pdf", "--dist", "gig(lambda=-1.5,chi=5e-324,psi=0)", "--grid", "3"]),
         ("gh-pdf refused mode psi 1", ["gh-pdf", "--dist", "gig(lambda=-1.5,chi=5e-324,psi=1)", "--grid", "3"]),
+        ("gh-pdf refused bulk width", ["gh-pdf", "--dist", "gig(lambda=-1.3e242,chi=0.77,psi=0)"]),
         ("gh-sample refused exp scale", ["gh-sample", "--dist", "exponential(lambda=1e-320)", "--size", "3"]),
     ]
     for seed in ("3", "4"):
@@ -153,6 +162,11 @@ def write_inputs():
 
     u = np.random.default_rng(1).random(20000)
     np.savetxt("gpd.txt", (u ** -0.25 - 1) / 0.25)
+    series = "".join("%r\n" % v for v in ((u ** -0.25 - 1) / 0.25).tolist())
+    with open("gpd-repr.txt", "w") as f:
+        f.write(series)
+    with open("gpd-repr-header.txt", "w") as f:
+        f.write("value\n" + series)
     with open("wide.txt", "w") as f:
         f.write("-1.7e308\n0\n0\n1.7e308\n")
 
