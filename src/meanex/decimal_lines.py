@@ -49,8 +49,7 @@ import numpy as np
 __all__ = ["read_lines"]
 
 _BLOCK = 1 << 16  # bytes a block, about: a block ends at the first LF past this many
-_NMANT = np.finfo(np.longdouble).nmant
-_EXTENDED = _NMANT >= 63
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 _Q = 27  # the largest |q| whose 10^|q| is exact in extended precision
 _P10 = np.multiply.accumulate(np.r_[1, np.full(_Q, 10)].astype(np.longdouble))  # 10^0 .. 10^27, exact
 _SATURATED = np.uint64(2**64 - 1)
