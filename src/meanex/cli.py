@@ -78,11 +78,13 @@ FULL_REPS = 6000  # full-protocol replicate count
 FULL_SIZE = 4000  # full-protocol sample size
 
 
-def _parse_file(path, parse):
-    """parse(fh) of the UTF-8 text file at path; InputError if it is not
-    one. A byte-order mark is left to the reader of the file's format."""
+def _parse_file(path, parse, mode="r"):
+    """parse(fh) of the file at path, opened in mode: "r" for UTF-8 text
+    with universal newlines, "rb" for bytes that parse decodes as UTF-8.
+    InputError where the file cannot be read or its text is not UTF-8.
+    A byte-order mark is left to the reader of the file's format."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             return parse(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
@@ -143,13 +145,14 @@ def _sample_values(path):
 
     So a file reads to the same values, or the same error, whichever
     reader takes it."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read().removeprefix(codecs.BOM_UTF8)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+    return _parse_file(path, lambda fh: _sample_data_values(path, fh.read().removeprefix(codecs.BOM_UTF8)), "rb")
+
+
+def _sample_data_values(path, data):
+    """``_sample_values`` of the file's bytes data, past its byte-order
+    mark; UnicodeDecodeError where a text it decodes is not UTF-8."""
     head, _, body = data.partition(b"\n")
-    head = _utf8(path, head)
+    head = head.decode("utf-8")
     first = head.splitlines()  # the first line of the text, split as the whole text is split
     header = bool(data) and _is_header(first[0] if first else "")
     if not header:
@@ -160,7 +163,7 @@ def _sample_values(path):
         values = None
     if values is not None:
         return values
-    lines = _utf8(path, data).splitlines()
+    lines = data.decode("utf-8").splitlines()
     start = int(header)
     values = _loadtxt(lines[start:])
     if values is not None:
@@ -177,14 +180,6 @@ def _sample_values(path):
     if not values:
         raise InputError(f"{path}: no numeric values")
     return np.array(values, dtype=float)
-
-
-def _utf8(path, data):
-    """data decoded as UTF-8; InputError if it is not UTF-8 text."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
 
 
 def _read_sample_file(path):

@@ -10,7 +10,8 @@ returns the numbers as float64, each with the bits ``float(line)``
 gives. It declines the whole text, with None, where a line is outside
 the grammar (a blank line, whitespace, a second column, CR, ``inf`` or
 ``nan``, ``1_000``, non-ASCII digits), where the text is empty, and on a
-platform whose ``np.longdouble`` has fewer than 63 fraction bits.
+platform whose ``np.longdouble`` is neither x87 extended (63 fraction
+bits) nor IEEE quad (112).
 
 The text is read in line-aligned blocks of about ``_BLOCK`` bytes, so
 the temporaries stay small and are reused from one block to the next.
@@ -49,7 +50,9 @@ import numpy as np
 __all__ = ["read_lines"]
 
 _BLOCK = 1 << 16  # bytes a block, about: a block ends at the first LF past this many
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+# the formats the certificate holds for: correctly rounded, on an evenly spaced grid;
+# double-double (nmant 105, ppc64) is neither, so it is declined
+_EXTENDED = np.finfo(np.longdouble).nmant in (63, 112)
 _Q = 27  # the largest |q| whose 10^|q| is exact in extended precision
 _P10 = np.multiply.accumulate(np.r_[1, np.full(_Q, 10)].astype(np.longdouble))  # 10^0 .. 10^27, exact
 _SATURATED = np.uint64(2**64 - 1)

@@ -93,22 +93,18 @@ def _exceedances(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         b = bad[0]
         raise NumericError(f"the sample's values, from {v[b, 0]:g} to {v[b, -1]:g}, sum past the double range "
                            f"about their middle value {c[b, 0]:g}")
-    return np.subtract(n, k, out=k), sums, c
+    return n - k, sums, c
 
 
 def _suffix_sums(s: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sums of s[b, j:] at its indices j = k[b] and its whole
     sum, for summands s (B, n + 1) whose last column is 0, the sum past
     the end, and indices k (B, m), or (1, m) for every row. One reversed
-    running sum per row (``np.add.accumulate``), written over s, then one
-    gather: the columns k of every row, or, for indices of their own,
-    each row's at its flat offset. An overflow leaves every later running
-    sum, so the whole sum, inf or NaN; the caller sets the error state and
-    checks it."""
+    running sum per row (``np.add.accumulate``), written over s. An
+    overflow leaves every later running sum, so the whole sum, inf or
+    NaN; the caller sets the error state and checks it."""
     r = s[:, -2::-1]
     np.add.accumulate(r, axis=1, out=r)
-    if len(k) == 1:
-        return s[:, k[0]], s[:, 0]
     first = np.arange(0, s.size, s.shape[1])[:, None]  # each row's first flat index
     return s.reshape(-1)[k + first], s[:, 0]
 

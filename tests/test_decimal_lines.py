@@ -7,7 +7,9 @@ file it declines, or every file on a platform without extended
 precision, must read as before through ``np.loadtxt`` and the line loop.
 """
 
+import importlib.util
 import re
+import types
 from decimal import Decimal
 
 import numpy as np
@@ -187,6 +189,18 @@ def test_without_extended_precision_every_file_reads_the_same(tmp_path, monkeypa
             assert got == want, path.name
         else:
             assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes(), path.name
+
+
+
+@pytest.mark.parametrize("nmant, taken", [(52, False), (63, True), (105, False), (112, True)])
+def test_guard_takes_only_the_formats_the_certificate_holds_for(monkeypatch, nmant, taken):
+    # x87 extended (63) and IEEE quad (112) round correctly on an even grid;
+    # double-double (105) does neither, so it must be declined
+    spec = importlib.util.spec_from_file_location("decimal_lines_probe", decimal_lines.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(np, "finfo", lambda dtype: types.SimpleNamespace(nmant=nmant))
+    spec.loader.exec_module(probe)
+    assert probe._EXTENDED == taken
 
 
 def test_kernel_reads_a_headed_file_without_the_text_readers(tmp_path, monkeypatch):
