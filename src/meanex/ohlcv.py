@@ -12,18 +12,33 @@ Duplicate dates are rejected; records are sorted by date on ingest.
 Empty and whitespace-only rows are skipped. Errors carry the 1-based
 data row number of the first bad row in file order.
 
-A str is read in one C pass where it is plain (no quote, no CR and no
-U+001C-U+001F, six comma fields on every row): its five number columns
-come from one ``np.loadtxt`` call, which reads every token it takes to
-the bits Python's float gives, and its dates from one regex call. Text
-the C pass declines, and any stream or other iterable of lines, takes
-the csv path: one loop over the ``csv.reader`` rows in file order, each
-number read with float, which stops at the first row whose field count,
-date or numbers are bad and words that error. Both paths hand their
-columns to one set of column checks, so a file gives the same series or
-the same error on either. A PriceSeries stores the sorted dates as one
-datetime64[D] array and the five fields as one read-only 5 x n float
-array; ``records`` builds the per-row OhlcvRecord view on demand.
+A str is read by three readers in turn, each only where the one before
+declines it:
+
+- the kernel pass, on ASCII text whose rows past the header are empty
+  or read ``YYYY-MM-DD,`` and five bare decimal fields: the date bytes
+  are checked at their fixed positions and converted in one numpy call,
+  and the number fields, commas made LFs, are read by
+  ``decimal_lines.read_lines`` to the bits Python's float gives. It
+  declines padding, tabs, whitespace-only or comma-only rows, a quote or
+  CR, inf or nan, ``1_0``, non-ASCII text, a date of another width, year
+  0000 or a day that does not exist, and a line longer than csv's field
+  limit;
+- the C pass, on plain text (no quote, no CR and no U+001C-U+001F, six
+  comma fields on every row): its five number columns come from one
+  ``np.loadtxt`` call, which reads every token it takes to float's bits,
+  and its dates from one regex call;
+- the csv path, which also reads any stream or other iterable of lines:
+  one loop over the ``csv.reader`` rows in file order, each number read
+  with float, which stops at the first row whose field count, date or
+  numbers are bad and words that error.
+
+All three hand their columns to one set of column checks, so a file
+gives the same series or the same error whichever reader takes it.
+
+A PriceSeries stores the sorted dates as one datetime64[D] array and the
+five fields as one read-only 5 x n float array; ``records`` builds the
+per-row OhlcvRecord view on demand.
 
 Returns are computed from closes: gross R_t = P_t / P_{t-1}, simple
 R_t - 1, and log returns log(P_t / P_{t-1}), so a series of m records
@@ -145,6 +160,79 @@ def _first(mask) -> int:
 _DECLINED = '"\r\x1c\x1d\x1e\x1f'
 
 
+_COMMA, _LF = ord(","), ord("\n")
+_DATE_BYTES = np.arange(11)  # a kept row's YYYY-MM-DD and the comma after it
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+
+
+def _kernel_columns(text):
+    """The kernel pass: ``_c_columns``'s columns of an ASCII text whose
+    rows past the header are empty or read ``YYYY-MM-DD,`` and five bare
+    decimal fields, or None where it declines the text. The date bytes
+    are checked at their fixed positions and read by one numpy
+    conversion; the rest of each row, its commas made LFs, is one text
+    of bare decimal lines for ``decimal_lines.read_lines``."""
+    from .decimal_lines import read_lines  # kept out of the package namespace
+
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    head = data.find(b"\n")
+    if head < 0 or head + 1 == len(data) or not _plain_header(text[:head]):
+        return None
+    a = np.frombuffer(data, np.uint8)[head + 1:]
+    ends = np.flatnonzero(a == _LF)  # each row's LF, or the end of a last row that lacks one
+    if a[-1] != _LF:
+        ends = np.append(ends, a.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    kept = np.flatnonzero(lengths)
+    if not kept.size or lengths.max() > csv.field_size_limit():
+        return None
+    first = starts[kept]
+    commas = np.flatnonzero(a == _COMMA)
+    # 5 commas a kept row: as many in all, and every fifth one right after
+    # a row's date; the date bytes, checked below, hold none, so each row
+    # has the five from its date to the next row's
+    if commas.size != 5 * kept.size or not (commas[::5] == first + 10).all():
+        return None
+    date = a[first[:, None] + _DATE_BYTES[:10]]
+    # a byte below "0" wraps past 9 in uint8
+    if not ((date[:, _DATE_DIGITS] - ord("0") < 10).all() and (date[:, [4, 7]] == ord("-")).all()):
+        return None
+    if (date[:, :4] == ord("0")).all(axis=1).any():  # year 0000, which numpy would read
+        return None
+    try:
+        days = date.view("S10").ravel().astype("datetime64[D]")
+    except ValueError:  # a month or day out of range
+        return None
+    values = read_lines(_number_lines(a, first, ends[lengths == 0]))
+    if values is None or values.size != 5 * kept.size:  # a last row that ends in its fifth comma
+        return None
+    return days, values.reshape(-1, 5).T, (kept + 1).tolist()
+
+
+def _number_lines(a, first, empty):
+    """The bytes a, the rows past the header, as the kernel pass hands
+    them to ``read_lines``: without each kept row's date and comma (11
+    bytes from first) or the LFs of the empty rows, the other commas
+    made LFs. The temporaries are freed before the kernel runs."""
+    keep = np.ones(a.size, bool)
+    keep[first[:, None] + _DATE_BYTES] = False
+    keep[empty] = False
+    numbers = a[keep]
+    numbers[numbers == _COMMA] = _LF
+    return numbers.tobytes()
+
+
+def _plain_header(line) -> bool:
+    """Whether line, a text's first, is the header and csv.reader reads
+    it as str.split does: no declined character and no field over csv's
+    field limit."""
+    return (not any(ch in line for ch in _DECLINED) and len(line) <= csv.field_size_limit()
+            and _is_header(line.split(",")))
+
+
 def _c_columns(text):
     """The C pass: the dates, the 5 x n numbers and the data row numbers
     of the kept rows of the text, or None where it declines the text (a
@@ -152,7 +240,11 @@ def _c_columns(text):
     header, no rows, a row of other than six fields, a non-blank row
     whose first field is blank, a date or a number token it cannot read),
     so that the csv path reads it and words the error. The text splits
-    at LF into the lines csv.reader would read."""
+    at LF into the lines csv.reader would read. The kernel pass reads it
+    first, and ``np.loadtxt`` only where that declines."""
+    columns = _kernel_columns(text)
+    if columns is not None:
+        return columns
     if any(ch in text for ch in _DECLINED):
         return None
     lines = text.split("\n")
@@ -251,14 +343,17 @@ def parse_ohlcv_csv(text_or_stream, symbol: str = "") -> PriceSeries:
     """Parse OHLCV CSV from a string or text stream into a PriceSeries.
 
     One leading byte-order mark is dropped, and a second is part of the
-    header. A str takes the C pass, and the csv path's row loop only
-    where the C pass declines it; a stream or other iterable of lines
-    always takes the row loop. The columns read are then checked a
-    column at a time. Each check runs over the rows before the first bad
-    row found so far, in the order the checks apply within a row (field
-    count, date, numbers, finiteness, positive prices, volume, price
-    bounds, duplicate date), so the InputError names the first bad row
-    in file order and the first check that row fails."""
+    header. A str takes the kernel pass where its rows are plain dates
+    and bare decimal numbers (no padding, inf, nan, ``1_0``, quote or
+    CR), the ``np.loadtxt`` C pass where the kernel pass declines it,
+    and the csv path's row loop only where the C pass declines it too;
+    a stream or other iterable of lines always takes the row loop. The
+    columns read are then checked a column at a time. Each check runs
+    over the rows before the first bad row found so far, in the order
+    the checks apply within a row (field count, date, numbers,
+    finiteness, positive prices, volume, price bounds, duplicate date),
+    so the InputError names the first bad row in file order and the
+    first check that row fails."""
     if isinstance(text_or_stream, str):
         text = text_or_stream.removeprefix("\ufeff")
         columns = _c_columns(text)

@@ -503,11 +503,13 @@ def _number(rnd, x):
     return rnd.choice([repr, "{:.16e}".format, "{:.17E}".format, "{:.17g}".format])(x)
 
 
-def valid_file(seed):
+def valid_file(seed, pad=True):
     """A valid file of 1 to 40 rows with shuffled dates, 17-digit and
     exponent-form numbers padded with spaces or tabs, blank and
-    whitespace-only rows, and a mixed-case header with spaces."""
+    whitespace-only rows, and a mixed-case header with spaces. With
+    ``pad=False`` nothing is padded and the blank rows are empty."""
     rnd = random.Random(seed)
+    padded = _pad if pad else lambda rnd, token: token
     scale = rnd.choice([1.0, 1e-5, 1e17])
     days = [date.fromordinal(date(1999, 12, 20).toordinal() + k) for k in range(rnd.randint(1, 40))]
     rnd.shuffle(days)
@@ -517,11 +519,11 @@ def valid_file(seed):
         high = low * rnd.uniform(1.0, 1.1)
         o, c = rnd.uniform(low, high), rnd.uniform(low, high)
         volume = rnd.choice([str(rnd.randrange(0, 10**6)), "1e-05", "1.5E+3", "0", _number(rnd, rnd.uniform(0, 1e9))])
-        fields = [_pad(rnd, day.isoformat())] + [_pad(rnd, _number(rnd, x)) for x in (o, high, low, c)]
-        lines.append(",".join(fields + [_pad(rnd, volume)]))
+        fields = [padded(rnd, day.isoformat())] + [padded(rnd, _number(rnd, x)) for x in (o, high, low, c)]
+        lines.append(",".join(fields + [padded(rnd, volume)]))
     for _ in range(rnd.randint(0, 3)):
-        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "  ", "\t", " , ,,, ,", ",,,,,"]))
-    header = ",".join(_pad(rnd, "".join(rnd.choice([ch, ch.upper()]) for ch in name)) for name in HEADER.split(","))
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "  ", "\t", " , ,,, ,", ",,,,,"]) if pad else "")
+    header = ",".join(padded(rnd, "".join(rnd.choice([ch, ch.upper()]) for ch in name)) for name in HEADER.split(","))
     return header + "\n" + "\n".join(lines) + rnd.choice(["", "\n"])
 
 
@@ -589,3 +591,123 @@ def test_iterables_of_lines_are_read_as_csv_reader_reads_them(monkeypatch):
         parse_ohlcv_csv(["\n".join(lines)])
     with pytest.raises(InputError, match="malformed CSV: iterator should return strings, not bytes"):
         parse_ohlcv_csv(io.BytesIO("\n".join(lines).encode()))
+
+
+# ---------------------------------------------------------------------------
+# the kernel pass against the csv path
+
+
+class LoadtxtCalled(Exception):
+    pass
+
+
+def kernel_parse(text, monkeypatch):
+    """parse_ohlcv_csv with np.loadtxt and csv.reader raising, so that a
+    text the kernel pass declines fails here instead of falling back."""
+    def refuse(*args, **kwargs):
+        raise LoadtxtCalled
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        return c_pass_parse(text, monkeypatch)
+
+
+def gh_compare_file(rows, seed=0):
+    """A file shaped like the benchmark's compare input: a price path of
+    Student-t log returns, prices written with %.17g and integer volumes,
+    one row a day from 1990-01-01."""
+    rng = np.random.default_rng(seed)
+    close = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(0.01 * rng.standard_t(4, rows - 1)))))
+    opn = np.concatenate(([100.0], close[:-1]))
+    high = np.maximum(opn, close) * np.exp(np.abs(rng.normal(0.0, 0.002, rows)))
+    low = np.minimum(opn, close) * np.exp(-np.abs(rng.normal(0.0, 0.002, rows)))
+    volume = rng.integers(1000, 1_000_000, rows)
+    days = np.datetime64("1990-01-01") + np.arange(rows)
+    lines = [f"{d},{o:.17g},{h:.17g},{lo:.17g},{c:.17g},{v}"
+             for d, o, h, lo, c, v in zip(days.astype(str), opn, high, low, close, volume)]
+    return HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+def test_kernel_pass_matches_csv_path(monkeypatch):
+    texts = [valid_file(seed, pad=False) for seed in range(200)] + [gh_compare_file(5000)]
+    for text in texts:
+        want = csv_path_parse(text, monkeypatch)
+        assert_bitwise_equal(kernel_parse(text, monkeypatch), want)
+        assert_bitwise_equal(parse_ohlcv_csv(text), want)
+
+
+def outcome(parse, text):
+    """The series parse gives, or the text of its InputError."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+LONG = "0" * csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "text, taken",
+    [
+        (rows("2024-01-30,10,11,9,10,90", "2024-1-05,10,11,9,10,90"), False),
+        (rows("2024-01-30,10,11,9,10,90", "0000-01-01,10,11,9,10,90"), False),
+        (rows("2024-01-30,10,11,9,10,90", "2024-02-30,10,11,9,10,90"), False),
+        (rows("2024-01-30,10,11,9,10,90", "202٤-01-05,10,11,9,10,90"), False),
+        (rows("2024-01-30,10,11,9,10,90", "2024-01-31,10,11,9,10"), False),
+        (rows("2024-01-30,10,11,9,10,90", "2024-01-31,10,11,9,10,90,1"), False),
+        (rows("2024-01-30,10,11,9,10,90", "2024-01-31,10,inf,9,10,90"), False),
+        (rows("2024-01-30,10,11,9,10,90", "2024-01-31,1_0,11,9,10,90"), False),
+        (rows("2024-01-30,+.5,11,.5,5.,1e-05", "2024-01-31,10,11,9,10,90"), True),
+        (rows("2024-01-30,10,11,9,10,90", "", "", "2024-01-31,10,11,9,10.5,90", ""), True),
+        (rows("2024-01-30,10,11,9,10,90", "", "2024-01-31,0,11,9,10,90"), True),
+        (rows("2024-01-30,10,11,9,10,90", "", "2024-01-31,xx,11,9,10,90"), False),
+        (rows("2024-01-30,10,11,9,10,90", "2024-01-31,10,11,9,10,90").removesuffix("\n"), True),
+        (rows("2024-01-30,10,11,9,10,90", "2024-01-31,10,11,9,10,").removesuffix("\n"), False),
+        (rows("2024-01-30,10,11,9,10,90", f"2024-01-31,10,11,9,10,{LONG}90"), False),
+    ],
+)
+def test_kernel_pass_edges_match_csv_path(text, taken, monkeypatch):
+    # each case reads to the csv path's series or error, on the kernel
+    # pass where taken and through np.loadtxt or the csv path where not
+    want = outcome(lambda t: csv_path_parse(t, monkeypatch), text)
+    assert (ohlcv._kernel_columns(text) is not None) == taken
+    got = outcome(parse_ohlcv_csv, text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_bitwise_equal(got, want)
+    if taken:
+        assert outcome(lambda t: kernel_parse(t, monkeypatch), text) == got
+
+
+def test_kernel_pass_names_the_row_after_a_blank_one():
+    # data row numbers count the empty rows the kernel pass skips
+    text = rows("2024-01-30,10,11,9,10,90", "", "2024-01-31,0,11,9,10,90")
+    with pytest.raises(InputError, match="^row 3: prices must be positive$"):
+        parse_ohlcv_csv(text)
+
+
+def test_mutated_plain_files_read_as_the_csv_path_reads_them(monkeypatch):
+    # one to three byte edits of a plain file the kernel pass takes, from
+    # an alphabet of the bytes its checks turn on: each text gives the csv
+    # path's series or error text, whichever reader takes it
+    base = rows("2024-01-30,10,11,9,10,90", "2024-01-31,10.5,11,9,10,1e3", "",
+                "2024-02-01,+.5,1,.5,.75,0", "2024-02-29,1.5e1,16,14,15.,7")
+    alphabet = list("0123456789,-\n.+eE \t\r\"x_٤") + ["inf", "0000", "\n\n", ",,"]
+    rnd = random.Random(39)
+    taken = 0
+    for _ in range(3000):
+        text = base
+        for _ in range(rnd.randint(1, 3)):
+            i, edit = rnd.randrange(len(text) + 1), rnd.random()
+            tail = text[i + 1:] if edit < 0.6 else text[i:]
+            text = text[:i] + (rnd.choice(alphabet) if edit >= 0.3 else "") + tail
+        taken += ohlcv._kernel_columns(text) is not None
+        want = outcome(lambda t: csv_path_parse(t, monkeypatch), text)
+        got = outcome(parse_ohlcv_csv, text)
+        if isinstance(want, str):
+            assert got == want, text
+        else:
+            assert_bitwise_equal(got, want)
+    assert taken > 100

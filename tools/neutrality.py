@@ -116,6 +116,14 @@ def cli_runs():
         ]
     runs += [
         ("emef wide", ["emef", "wide.txt"]),
+    ]
+    for name in ("ohlcv-5000.csv", "ohlcv-5000-padded.csv"):  # the benchmark's compare input, bare and padded
+        runs += [
+            (f"ingest {name}", ["ingest", name, "--log-returns", "--csv", f"returns-{name}.txt"]),
+            (f"compare nig {name}", ["compare", "--data", name, "--log-returns", "--dist", NIG,
+                                     "--csv", f"compare-{name}.csv", "--svg", f"compare-{name}.svg"]),
+        ]
+    runs += [
         ("compare normal", ["compare", *ret, "--dist", "normal(mu=0,sigma=0.02)", "--csv", "compare.csv",
                             "--svg", "compare.svg"]),
         ("compare nig", ["compare", *ret, "--dist", "gh(lambda=-0.5,alpha=50,beta=3,delta=0.01,mu=0)"]),
@@ -169,6 +177,21 @@ def write_inputs():
         f.write("value\n" + series)
     with open("wide.txt", "w") as f:
         f.write("-1.7e308\n0\n0\n1.7e308\n")
+    # 5000 days of a Student-t price path as the benchmark writes its compare input: %.17g prices,
+    # integer volumes; the padded twin has one space after every comma
+    rng = np.random.default_rng(2)
+    close = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(0.01 * rng.standard_t(4, 4999)))))
+    opn = np.concatenate(([100.0], close[:-1]))
+    high = np.maximum(opn, close) * np.exp(np.abs(rng.normal(0.0, 0.002, 5000)))
+    low = np.minimum(opn, close) * np.exp(-np.abs(rng.normal(0.0, 0.002, 5000)))
+    days = (np.datetime64("1990-01-01") + np.arange(5000)).astype(str)
+    rows = ["date,open,high,low,close,volume"] + [
+        f"{d},{o:.17g},{h:.17g},{lo:.17g},{c:.17g},{v}"
+        for d, o, h, lo, c, v in zip(days, opn, high, low, close, rng.integers(1000, 1_000_000, 5000))]
+    with open("ohlcv-5000.csv", "w") as f:
+        f.write("\n".join(rows) + "\n")
+    with open("ohlcv-5000-padded.csv", "w") as f:
+        f.write("\n".join(row.replace(",", ", ") for row in rows) + "\n")
 
 
 def _hex(value) -> str:
