@@ -720,6 +720,34 @@ def test_each_command_declares_exactly_its_options():
     assert declared == OPTIONS
 
 
+# help, and each way argparse refuses a line: no command, an unknown one,
+# a required option missing, an option no parser knows
+PARSER_LINES = (
+    [["-h"]] + [[name, "-h"] for name in OPTIONS]
+    + [[], ["bogus"], ["compare", "--log-returns"], ["emef", "x.txt", "--nope"],
+       ["compare", "--data", FIXTURE, "--dist", "normal(mu=0,sigma=1)", "--bogus"]]
+)
+
+
+def _parsed(parse, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES, ids=lambda argv: " ".join(["meanex", *argv]))
+def test_main_parses_as_the_whole_parser_does(argv, capsys):
+    # main builds only the parser of the command a line names: its help,
+    # usage and errors are those of the parser of every command
+    whole = _parsed(build_parser().parse_args, argv, capsys)
+    assert _parsed(main, argv, capsys) == whole
+    assert whole[0] in (0, 2) and whole[1 if whole[0] == 0 else 2].startswith("usage: meanex")
+    if "--bogus" in argv:  # the top-level usage names every command
+        names = "{emef,band,stallion,coverage,fit-gpd,fdelta,gh-pdf,gh-sample,ingest,compare}"
+        assert " ".join(whole[2].split()).startswith(f"usage: meanex [-h] {names} ...")
+
+
 def test_readme_synopsis_lists_each_command_s_options():
     # a synopsis is its "meanex NAME" line and the indented "[" lines after it
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -757,6 +757,73 @@ def test_zero_width_interval_is_zero_without_quadrature(monkeypatch):
         assert float(std_survival(d, dist_isf(d, q))) == pytest.approx(q, rel=1e-8)
 
 
+def _cubature_with(monkeypatch, run, **options):
+    """run() with the options given put into every cubature call, and the
+    cubature results in call order."""
+    real_cubature = integrate.cubature
+    results = []
+
+    def cubature(*args, **kwargs):
+        results.append(real_cubature(*args, **{**kwargs, **options}))
+        return results[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "cubature", cubature)
+        return run(), results
+
+
+def _integrals(d):
+    """The three shapes of ``_integrate`` call a law's curve and quantiles
+    make, on 101 sorted draws x: the tail past the top draw with its
+    moment, the 100 gaps between draws with theirs, and one quantile step
+    from x[40] to x[60], each as bytes or the text of its refusal."""
+    frame = _frame(d)
+    x = np.sort(std_sample(d, np.random.default_rng(11), 101)) - frame.loc
+    calls = [
+        lambda: _integrate(frame, x[-1], frame.hi, ref=x[-1]),
+        lambda: _integrate(frame, x[:-1], x[1:], ref=x[:-1]),
+        lambda: _integrate(frame, x[40], x[60]),
+    ]
+    out = []
+    for call in calls:
+        try:
+            values = call()
+            out.append([np.asarray(v).tobytes() for v in (values if isinstance(values, tuple) else [values])])
+        except NumericError as exc:  # a tail moment that does not exist, say
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("text", SAMPLER_CASES)
+def test_integrate_gives_the_bits_of_scipy_s_gk21_rule(text, monkeypatch):
+    # the rule that reads each region's density once sums scipy's nodes and
+    # weights as scipy does: every family and every GH and GIG class
+    d = parse_distribution_spec(text)
+    assert _integrals(d) == _cubature_with(monkeypatch, lambda: _integrals(d), rule="gk21")[0]
+
+
+def _regions(res):
+    return res.subdivisions, [(r.estimate.tobytes(), r.error.tobytes()) for r in res.regions]
+
+
+def test_refused_integral_gives_the_text_and_regions_of_scipy_s_gk21_rule(monkeypatch):
+    # a tail with its moment, cut off after 2 of the 3 subdivisions it
+    # takes: the refusal words the same, and the estimate and error of
+    # every region cubature stopped at are the same bits
+    frame = _frame(parse_distribution_spec("gh(lambda=-0.5,alpha=47.3,beta=-2.1,delta=0.0131,mu=0.0007)"))
+
+    def refusal():
+        with pytest.raises(NumericError) as info:
+            _integrate(frame, 0.05, np.inf, ref=0.05)
+        return str(info.value)
+
+    ours, our_results = _cubature_with(monkeypatch, refusal, max_subdivisions=2)
+    theirs, their_results = _cubature_with(monkeypatch, refusal, max_subdivisions=2, rule="gk21")
+    assert "not converged after 2 subdivisions" in ours
+    assert ours == theirs
+    assert [_regions(r) for r in our_results] == [_regions(r) for r in their_results]
+
+
 def _skew_student_sf(x_values, alpha=0.5, beta=0.5, delta=1.0, mu=0.0):
     """F_bar of the GH law with lam = -2 and alpha = beta, independent of
     meanex.gh: mpmath at 30 digits over the GH density formula, with

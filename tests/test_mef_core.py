@@ -358,6 +358,32 @@ def test_fresh_gh_curve_takes_three_quadrature_calls(monkeypatch):
     assert len(calls) == 3
 
 
+def test_fresh_nig_curve_reads_the_density_once_per_cubature_region(monkeypatch):
+    # cubature estimates each region and then its error; the rule reads
+    # the integrand once for both, where rule="gk21" reads it twice
+    real_cubature = integrate.cubature
+    reads = []
+
+    def counted_cubature(f, *args, **kwargs):
+        calls = []
+
+        def counted(t):
+            calls.append(1)
+            return f(t)
+
+        res = real_cubature(counted, *args, **kwargs)
+        # each subdivision replaces a region by two, so cubature estimated
+        # the regions it ends with plus one per subdivision
+        reads.append((len(calls), len(res.regions) + res.subdivisions))
+        return res
+
+    monkeypatch.setattr(integrate, "cubature", counted_cubature)
+    nig = make_spec("gh", **{"lambda": -0.5, "alpha": 57.3, "beta": 2.9, "delta": 0.0113, "mu": 0.0004})
+    theoretical_mef_curve(nig, make_grid(np.linspace(-0.04, 0.05, 101)))
+    assert len(reads) == 3
+    assert all(calls == regions for calls, regions in reads), reads
+
+
 def test_theoretical_mef_curve_shape():
     d = make_spec("exponential", **{"lambda": 1.0})
     g = make_grid([0.0, 1.0, 2.0])

@@ -9,10 +9,11 @@ directory. The same fixed list of outputs (``cli_runs`` and
 once with REV's ``src`` and once with the working tree's (or NEW_REV's),
 each in a fresh process and a fresh working directory. The list holds
 
-- CLI runs through ``meanex.cli.main``, each output kept apart: the exit
-  code, stdout, stderr (with the category and text of every warning, or
-  the type and text of an exception that escapes ``main``) and the bytes
-  of every CSV and SVG file the run writes;
+- CLI runs through ``meanex.cli.main``, help and usage errors among
+  them, each output kept apart: the exit code, stdout, stderr (with the
+  category and text of every warning, or the type and text of an
+  exception that escapes ``main``) and the bytes of every CSV and SVG
+  file the run writes;
 - library values as ``float.hex``: one spec per family and the laws the
   CI checks, each with its support, mean, quantiles, F and F_bar, the
   model curve, stop losses, E|X| and 1000 draws at two seeds; ``stallion``
@@ -162,6 +163,15 @@ def cli_runs():
     for seed in ("3", "4"):
         for spec in (NIG, "gig(lambda=0.5,chi=1e-4,psi=1)", "gig(lambda=-0.00736,chi=1.103,psi=1.38e-19)"):
             runs.append((f"gh-sample {spec} seed {seed}", ["gh-sample", "--dist", spec, "--size", "100", "--seed", seed]))
+    # help and usage: main builds the parser of the command a line names, and all of them otherwise
+    commands = ["emef", "band", "stallion", "coverage", "fit-gpd", "fdelta", "gh-pdf", "gh-sample", "ingest", "compare"]
+    runs += [("help", ["-h"])] + [(f"help {command}", [command, "-h"]) for command in commands]
+    runs += [
+        ("usage no arguments", []),
+        ("usage unknown command", ["bogus"]),
+        ("usage missing option", ["compare", "--log-returns"]),
+        ("usage unrecognized option", ["compare", *ret, "--dist", NIG, "--bogus"]),
+    ]
     return runs
 
 
