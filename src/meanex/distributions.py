@@ -391,10 +391,9 @@ def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     row of the distinct nodes that each of the error rule's 31 nodes is."""
     gk21 = ProductNestedFixed([GaussKronrodQuadrature(21)])
     (nodes, weights), (lower_nodes, lower_weights) = gk21.nodes_and_weights, gk21.lower_nodes_and_weights
-    kronrod = list(nodes[:, 0])
-    extra = [x for x in lower_nodes[:, 0] if x not in kronrod]
-    rows = np.array([(kronrod + extra).index(x) for x in np.concatenate([nodes, lower_nodes])[:, 0]])
-    return np.array(kronrod + extra)[:, None], weights, np.concatenate([weights, -lower_weights]), rows
+    distinct = list(nodes[:, 0]) + [x for x in lower_nodes[:, 0] if x not in nodes]
+    rows = np.array([distinct.index(x) for x in np.concatenate([nodes, lower_nodes])[:, 0]])
+    return np.array(distinct)[:, None], weights, np.concatenate([weights, -lower_weights]), rows
 
 
 class _GK21Once(Rule):
